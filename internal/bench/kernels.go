@@ -126,6 +126,20 @@ func KernelBenchmarks() []KernelResult {
 		sb[i] = int8(rng.Intn(255) - 127)
 	}
 
+	// The TimePPG-Big head as one batched S8NT: 28 windows × the 2048-wide
+	// flattened map against 84 weight rows — the packed-Bᵀ path, five
+	// 16-column panels and a 4-column scalar tail.
+	const hm, hk, hn = 28, 2048, 84
+	ha := make([]int8, hm*hk)
+	hb := make([]int8, hn*hk)
+	hc := make([]int32, hm*hn)
+	for i := range ha {
+		ha[i] = int8(rng.Intn(255) - 127)
+	}
+	for i := range hb {
+		hb[i] = int8(rng.Intn(255) - 127)
+	}
+
 	// Representative TimePPG-Small final-block GEMM shapes: the underfed
 	// per-sample panel (8 channels × 24 im2col rows × 32 positions) and
 	// the cross-sample panel a 32-window batch packs (n = 32·32).
@@ -318,8 +332,9 @@ func KernelBenchmarks() []KernelResult {
 			}
 		}),
 		// Raw GEMM micro-kernels (float32 and CMSIS-NN-style int8): the
-		// TimePPG-Big conv shape, and the TimePPG-Small final-block shape
-		// per-sample and at the cross-sample width.
+		// TimePPG-Big conv shape, the TimePPG-Big head (int8 Bᵀ form), and
+		// the TimePPG-Small final-block shape per-sample and at the
+		// cross-sample width.
 		runKernel("GemmF32_48x144x128", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -330,6 +345,12 @@ func KernelBenchmarks() []KernelResult {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gemm.S8(sc, sa, sb, gm, gk, gn)
+			}
+		}),
+		runKernel("GemmS8NT_28x2048x84", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gemm.S8NT(hc, ha, hb, hm, hk, hn)
 			}
 		}),
 		runKernel("GemmF32_8x24x32", func(b *testing.B) {

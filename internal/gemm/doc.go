@@ -28,19 +28,31 @@
 // ascending-k chain as the scalar loop and the results stay bitwise
 // identical (fuzzed against the generic kernels across ragged shapes in
 // fuzz_test.go). The float32 panels come 16-, 8- and 4-columns wide with
-// sub-4 tails finished by the scalar loop; the int8 panel is 16 wide and
-// may fold k-pairs with PMADDWD dual-MACs, which integer exactness (and
-// associative two's-complement addition) makes unobservable.
+// sub-4 tails finished by the scalar loop.
 //
-// The NT kernels reach the same panels by packing B into a pooled k×n
-// Bᵀ panel first (pack.go): the transpose changes which operand is
+// The int8 kernels pack once per call and then run one panel kernel. B
+// is packed into 16-column panels of interleaved int16 pairs
+// [b[2q][j], b[2q+1][j]] (⌈k/2⌉ × 64 bytes per panel) and A into rows of
+// [a[2q], a[2q+1]] pair dwords, both with SIMD widening; the panel kernel
+// then takes two rows of A per pass — 8 accumulators, the panel's four B
+// vectors loaded once for both rows, PMADDWD dual-MACs and PADDD only. An
+// odd k pairs its last element with zero; an odd trailing row runs on
+// half the accumulators; columns past the last full panel are finished
+// by the scalar loop. The k-pair fold is unobservable: int16 products of
+// int8 operands are exact (a pair sums to at most 2·128² = 32 768, well
+// inside int32) and two's-complement addition is associative.
+//
+// F32NT reaches the float32 panels by packing B into a pooled k×n Bᵀ
+// panel first (pack.go): the transpose changes which operand is
 // contiguous, not the per-element reduction order, so bitwise equality
-// carries over. Packing is gated on m ≥ ntPackMinM — below that the k·n
-// transpose cannot amortize and the scalar dot-product form is already
-// the right shape. The layout is deliberately ISA-agnostic: an arm64
-// NEON port implements the same panels behind gemm_noasm.go's build tags
-// without touching callers (float32 lanes carry the identical chain on
-// any IEEE vector unit).
+// carries over. S8NT needs no transpose: row j of B already holds column
+// j's (b[j][2q], b[j][2q+1]) pairs, so it packs straight into the int16
+// panels with a 4×4 dword transpose in registers. Both NT forms are gated
+// on m ≥ ntPackMinM — below that the k·n pack cannot amortize and the
+// scalar dot-product form is already the right shape. The layout is
+// deliberately ISA-agnostic: an arm64 NEON port implements the same
+// panels behind gemm_noasm.go's build tags without touching callers
+// (float32 lanes carry the identical chain on any IEEE vector unit).
 //
 // Hot paths: the panel inner loops are the single hottest code in the
 // repository — every Conv1D and Dense layer of both TCN topologies,
@@ -52,6 +64,7 @@
 //
 // BENCH kernels: GemmF32_48x144x128 and GemmS8_48x144x128 measure the raw
 // kernels at a representative TimePPG-Big convolution shape,
+// GemmS8NT_28x2048x84 the TimePPG-Big head batched over 28 windows,
 // GemmF32_8x24x{32,1024} and GemmS8_8x24x{32,1024} at the TimePPG-Small
 // final-block shape per-sample and at the cross-sample width;
 // TimePPG{Small,Big}ForwardBatch32/win and Quant{Small,Big}ForwardBatch32/win

@@ -32,11 +32,13 @@ func fuzzF32Data(seed int64, n int) []float32 {
 	return out[: n : n+1]
 }
 
+// fuzzS8Data draws from the full int8 range: S8 is a general kernel, not
+// only one for clamped [−127, 127] activations.
 func fuzzS8Data(seed int64, n int) []int8 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]int8, n+1)
 	for i := range out {
-		out[i] = int8(rng.Intn(255) - 127)
+		out[i] = int8(rng.Intn(256) - 128)
 	}
 	return out[: n : n+1]
 }
@@ -144,13 +146,43 @@ func FuzzS8NTAsmMatchesGeneric(f *testing.F) {
 		}
 		want := append([]int32(nil), got...)
 		s8NTAsm(got, a, b, m, k, n)
-		s8NTGeneric(want, a, b, m, k, n)
+		s8NTGeneric(want, a, b, m, k, n, 0)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%dx%dx%d: elem %d = %d, want %d", m, k, n, i, got[i], want[i])
 			}
 		}
 	})
+}
+
+// TestS8AsmMinInt8 pins PMADDWL's largest pair sum: with A and B all
+// −128 every dual-MAC adds (−128)² + (−128)² = 32 768, one past int16.
+// Even and odd k cover the zero-partner pair, m ∈ {1, 2, 3} the blocked
+// row pair and the odd trailing row, n = 37 two panels and a scalar tail.
+func TestS8AsmMinInt8(t *testing.T) {
+	const n = 37
+	for _, k := range []int{16, 17} {
+		for m := 1; m <= 3; m++ {
+			a := make([]int8, m*k)
+			b := make([]int8, k*n)
+			for i := range a {
+				a[i] = -128
+			}
+			for i := range b {
+				b[i] = -128
+			}
+			want := int32(k) * 128 * 128
+			got := make([]int32, m*n)
+			s8Asm(got, a, b, m, k, n)
+			gotNT := make([]int32, m*n)
+			s8NTAsm(gotNT, a, b, m, k, n) // B all −128 reads the same as n×k
+			for i := range got {
+				if got[i] != want || gotNT[i] != want {
+					t.Fatalf("m=%d k=%d: elem %d = %d (S8), %d (S8NT), want %d", m, k, i, got[i], gotNT[i], want)
+				}
+			}
+		}
+	}
 }
 
 // TestTransposeInto pins the packing primitive the NT asm path rests on.

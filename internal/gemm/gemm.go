@@ -7,9 +7,9 @@ package gemm
 // invisible: float32 results are bitwise identical either way, int8
 // results exact-integer equal (fuzzed in fuzz_test.go).
 
-// ntPackMinM gates the packed-Bᵀ asm path of the NT kernels: transposing B
-// into the k-major panel the column kernels consume costs k·n moves
-// against m·k·n MACs, so it only pays once the panel is reused across a
+// ntPackMinM gates the packed-Bᵀ asm path of the NT kernels: packing B
+// into the k-major panels the column kernels consume costs k·n moves
+// against m·k·n MACs, so it only pays once the panels are reused across a
 // few rows of A. Below the threshold the dot-product scalar form is
 // already the right shape.
 const ntPackMinM = 4
@@ -70,7 +70,8 @@ func F32NT(c, a, b []float32, m, k, n int) {
 // accumulators C (m×n), row-major — the widened-accumulator shape of
 // CMSIS-NN int8 convolution kernels. Integer accumulation is exact (and
 // two's-complement addition associative), so the result is independent of
-// unrolling, blocking, or the dual-MAC pairing the asm kernel uses.
+// unrolling, blocking, row pairing, or the dual-MAC pairing the asm
+// kernel uses.
 func S8(c []int32, a, b []int8, m, k, n int) {
 	if m <= 0 || k <= 0 || n <= 0 {
 		return
@@ -87,8 +88,8 @@ func S8(c []int32, a, b []int8, m, k, n int) {
 
 // S8NT computes C += A·Bᵀ with int8 operands A (m×k), B (n×k) and int32
 // accumulators C (m×n), row-major: the batched fully-connected shape
-// (activations × weight-rows). Like F32NT, large shapes run through a
-// pooled Bᵀ panel on amd64.
+// (activations × weight-rows). On amd64 large shapes pack the rows of B
+// straight into S8's int16 pair panels.
 func S8NT(c []int32, a, b []int8, m, k, n int) {
 	if m <= 0 || k <= 0 || n <= 0 {
 		return
@@ -100,5 +101,5 @@ func S8NT(c []int32, a, b []int8, m, k, n int) {
 		s8NTAsm(c, a, b, m, k, n)
 		return
 	}
-	s8NTGeneric(c, a, b, m, k, n)
+	s8NTGeneric(c, a, b, m, k, n, 0)
 }

@@ -3,33 +3,35 @@
 #include "textflag.h"
 
 // SSE2 panel kernels for the GEMM micro-kernels. All four exported
-// kernels funnel into these panels (the NT forms via a packed Bᵀ panel),
-// and every panel vectorizes over INDEPENDENT OUTPUT COLUMNS only: one
-// XMM lane owns one output element, the reduction dimension k advances
-// scalar-wise through the loop. Per k step the float32 panels run exactly
-// one MULPS and one ADDPS per accumulator register — the same
-// multiply-then-add with per-operation IEEE rounding (no FMA) as the
-// scalar reference — so each lane reproduces the ascending-k accumulation
-// chain of generic.go bitwise. Lanes never sum across k (that would
-// reassociate the float32 chain), which is also why no horizontal
-// operations appear anywhere in this file.
+// kernels funnel into these panels, and every panel vectorizes over
+// INDEPENDENT OUTPUT COLUMNS only: one XMM lane owns one output element,
+// the reduction dimension k advances scalar-wise through the loop. Per k
+// step the float32 panels run exactly one MULPS and one ADDPS per
+// accumulator register — the same multiply-then-add with per-operation
+// IEEE rounding (no FMA) as the scalar reference — so each lane
+// reproduces the ascending-k accumulation chain of generic.go bitwise.
+// Lanes never sum across k (that would reassociate the float32 chain),
+// which is also why no horizontal operations appear anywhere in this file.
 //
-// The int8 panel is allowed one k-wise fusion the float panels are not:
+// The int8 path is allowed one k-wise fusion the float panels are not:
 // PMADDWL folds the pair a[p]·b[p][j] + a[p+1]·b[p+1][j] into one
-// dual-MAC. int16 products of int8 operands are exact (|a·b| ≤ 16 384)
-// and two's-complement int32 addition is associative even on wraparound,
-// so the pairing is unobservable in the result.
+// dual-MAC. int16 products of int8 operands are exact (|a·b| ≤ 16 384, a
+// pair sum ≤ 32 768) and two's-complement int32 addition is associative
+// even on wraparound, so the pairing is unobservable in the result. Its
+// operands are widened once per call, not once per row of A: s8Widen8
+// sign-extends A into pair dwords, s8PackB / s8PackBT8 pack B (or Bᵀ)
+// into 16-column panels of interleaved int16 pairs, and s8Panels runs
+// two rows of A per pass against each panel with PMADDWL and PADDL only.
 //
-// Register convention shared by all panels:
+// Register convention of the float32 panels:
 //   DI  c panel pointer (first column of the current row)
 //   SI  a row pointer
 //   DX  b panel base (first column, row 0)
 //   R8  remaining rows (m countdown)
 //   R9  k
-//   R10 b row stride in bytes
-//   R11 c row stride in bytes (f32: == R10)
+//   R10 b and c row stride in bytes
 //   R12 a row stride in bytes
-//   BX / CX (or R14) row-local b / a cursors
+//   BX / CX row-local b / a cursors
 
 // func f32Panel16(c, a, b *float32, m, k, n int)
 TEXT ·f32Panel16(SB), NOSPLIT, $0-48
@@ -177,126 +179,305 @@ f4KDone:
 f4Done:
 	RET
 
-// func s8Panel16(c *int32, a, b *int8, m, k, n int)
+// Int8 path: B is packed once per call into 16-column panels of int16
+// pairs, then one panel kernel streams A against them.
 //
-// Per k pair (p, p+1): the two b rows are loaded as 16 int8 each,
-// sign-extended to int16 (PUNPCK?BW with itself + PSRAW $8), interleaved
-// per column into [b_p[j], b_p+1[j]] word pairs, and PMADDWL'd against the
-// broadcast pair [a[p], a[p+1]] — one exact dual-MAC per output lane. An
-// odd trailing k runs the same path with a zeroed partner row.
-TEXT ·s8Panel16(SB), NOSPLIT, $0-48
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ m+24(FP), R8
-	MOVQ k+32(FP), R9
-	MOVQ n+40(FP), R10       // b row stride: n bytes
-	MOVQ R10, R11
-	SHLQ $2, R11             // c row stride: 4n bytes
-	MOVQ R9, R12             // a row stride: k bytes
+// Panel layout (shared by S8 and S8NT): panel P covers output columns
+// 16P..16P+15; pair q of the panel is 64 bytes holding, for each of the 16
+// columns j, the int16 pair [b[2q][j], b[2q+1][j]] — exactly the operand
+// PMADDWL wants against a broadcast [a[2q], a[2q+1]] dword. Panels are kp
+// = ⌈k/2⌉ pairs long; an odd k pairs its last row with zero.
 
-s8Row:
-	TESTQ R8, R8
-	JZ    s8Done
-	MOVOU (DI), X0           // 16 int32 accumulators, seeded from C
-	MOVOU 16(DI), X1
-	MOVOU 32(DI), X2
-	MOVOU 48(DI), X3
-	MOVQ  DX, BX             // b cursor
-	MOVQ  SI, R14            // a cursor
-	MOVQ  R9, R15
-	SHRQ  $1, R15            // pair count
+// func s8Widen8(dst *int16, src *int8, blocks int)
+//
+// Sign-extends blocks×8 int8 values to int16: the packed-A form, where
+// each row's adjacent (a[2q], a[2q+1]) words are already the pair dword.
+TEXT ·s8Widen8(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ blocks+16(FP), CX
 
-s8Pairs:
-	TESTQ R15, R15
-	JZ    s8PairsDone
+w8Loop:
+	MOVQ      (SI), X0
+	PUNPCKLBW X0, X0
+	PSRAW     $8, X0
+	MOVOU     X0, (DI)
+	ADDQ      $8, SI
+	ADDQ      $16, DI
+	DECQ      CX
+	JNZ       w8Loop
+	RET
 
-	// broadcast the dword [a[p] (low word) | a[p+1] (high word)]
-	MOVBQSX (R14), AX
-	ANDL    $0xFFFF, AX
-	MOVBQSX 1(R14), CX
-	SHLL    $16, CX
-	ORL     CX, AX
-	MOVQ    AX, X4
-	PSHUFL  $0x00, X4, X4
+// PACK_PAIRS interleaves rows X0 (b_p) and X1 (b_p+1) into 16 word pairs
+// at (DI) and advances DI by 64. Clobbers X0-X4.
+#define PACK_PAIRS \
+	MOVOU     X0, X2; \
+	PUNPCKLBW X1, X2; \
+	PUNPCKHBW X1, X0; \
+	MOVOU     X2, X3; \
+	PUNPCKLBW X3, X3; \
+	PSRAW     $8, X3; \
+	PUNPCKHBW X2, X2; \
+	PSRAW     $8, X2; \
+	MOVOU     X0, X4; \
+	PUNPCKLBW X4, X4; \
+	PSRAW     $8, X4; \
+	PUNPCKHBW X0, X0; \
+	PSRAW     $8, X0; \
+	MOVOU     X3, (DI); \
+	MOVOU     X2, 16(DI); \
+	MOVOU     X4, 32(DI); \
+	MOVOU     X0, 48(DI); \
+	ADDQ      $64, DI
 
-	// b row p → words: X5 = j0..7, X7 = j8..15
-	MOVOU     (BX), X5
-	MOVOU     X5, X7
-	PUNPCKLBW X5, X5
-	PSRAW     $8, X5
-	PUNPCKHBW X7, X7
-	PSRAW     $8, X7
+// func s8PackB(dst *int16, b *int8, k, n, np int)
+//
+// Packs the first np×16 columns of B (k×n, row-major) into panels. Per
+// pair the two b rows are byte-interleaved (PUNPCK?BW), then each
+// interleaved byte is sign-extended to a word (PUNPCK?BW with itself +
+// PSRAW $8), which lands the [b_p[j], b_p+1[j]] pairs in column order
+// (PACK_PAIRS).
+TEXT ·s8PackB(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ b+8(FP), DX
+	MOVQ k+16(FP), R9
+	MOVQ n+24(FP), R10       // b row stride, bytes
+	MOVQ np+32(FP), R11
 
-	// b row p+1 → words: X6 = j0..7, X9 = j8..15
-	MOVOU     (BX)(R10*1), X6
-	MOVOU     X6, X9
-	PUNPCKLBW X6, X6
-	PSRAW     $8, X6
-	PUNPCKHBW X9, X9
-	PSRAW     $8, X9
+pbPanel:
+	MOVQ DX, SI              // b cursor: row 0 of this panel's columns
+	MOVQ R9, CX
+	SHRQ $1, CX              // full pairs
 
-	// interleave the two rows per column into word pairs, then dual-MAC
-	MOVOU     X5, X10
-	PUNPCKLWL X6, X10        // j0..3:  [b_p, b_p+1] pairs
-	PUNPCKHWL X6, X5         // j4..7
-	MOVOU     X7, X11
-	PUNPCKLWL X9, X11        // j8..11
-	PUNPCKHWL X9, X7         // j12..15
-	PMADDWL   X4, X10
-	PADDL     X10, X0
-	PMADDWL   X4, X5
-	PADDL     X5, X1
-	PMADDWL   X4, X11
-	PADDL     X11, X2
-	PMADDWL   X4, X7
-	PADDL     X7, X3
+pbPair:
+	TESTQ CX, CX
+	JZ    pbOdd
+	MOVOU (SI), X0
+	MOVOU (SI)(R10*1), X1
+	PACK_PAIRS
+	LEAQ  (SI)(R10*2), SI
+	DECQ  CX
+	JMP   pbPair
 
-	ADDQ $2, R14
-	LEAQ (BX)(R10*2), BX
-	DECQ R15
-	JMP  s8Pairs
-
-s8PairsDone:
+pbOdd:
 	TESTQ $1, R9
-	JZ    s8Store
+	JZ    pbNext
+	MOVOU (SI), X0
+	PXOR  X1, X1             // zero partner row
+	PACK_PAIRS
 
-	// odd k tail: same dual-MAC with a zeroed partner row
-	MOVBQSX (R14), AX
-	ANDL    $0xFFFF, AX
-	MOVQ    AX, X4
-	PSHUFL  $0x00, X4, X4    // pairs [a[p], 0]
-	MOVOU     (BX), X5
-	MOVOU     X5, X7
-	PUNPCKLBW X5, X5
-	PSRAW     $8, X5
-	PUNPCKHBW X7, X7
-	PSRAW     $8, X7
-	PXOR      X6, X6
-	MOVOU     X5, X10
-	PUNPCKLWL X6, X10
-	PUNPCKHWL X6, X5
-	MOVOU     X7, X11
-	PUNPCKLWL X6, X11
-	PUNPCKHWL X6, X7
-	PMADDWL   X4, X10
-	PADDL     X10, X0
-	PMADDWL   X4, X5
-	PADDL     X5, X1
-	PMADDWL   X4, X11
-	PADDL     X11, X2
-	PMADDWL   X4, X7
-	PADDL     X7, X3
+pbNext:
+	ADDQ $16, DX
+	DECQ R11
+	JNZ  pbPanel
+	RET
 
-s8Store:
-	MOVOU X0, (DI)
-	MOVOU X1, 16(DI)
-	MOVOU X2, 32(DI)
-	MOVOU X3, 48(DI)
-	ADDQ  R11, DI
-	ADDQ  R12, SI
-	DECQ  R8
-	JMP   s8Row
+// func s8PackBT8(dst *int16, b *int8, k, np int)
+//
+// Packs Bᵀ for S8NT: B is n×k, so row j's adjacent bytes (b[j][2q],
+// b[j][2q+1]) already form column j's pair q. Four B rows × 8 bytes are
+// widened to four rows of four pair-dwords and transposed 4×4 (PUNPCK?LQ
+// then PUNPCK?QDQ), giving four pairs of four columns each. Covers pairs
+// [0, 4·⌊k/8⌋); the caller packs the remaining pairs.
+TEXT ·s8PackBT8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ b+8(FP), DX
+	MOVQ k+16(FP), R8        // b row stride, bytes
+	MOVQ np+24(FP), R11
+	MOVQ R8, R13
+	INCQ R13
+	SHRQ $1, R13
+	SHLQ $6, R13             // panel stride: kp × 64 bytes
+	MOVQ R8, R9
+	SHRQ $3, R9              // 8-byte chunks per row
+	LEAQ (R8)(R8*2), R12     // 3k
 
-s8Done:
+ptPanel:
+	MOVQ DX, BX              // row group base: b row 16P + 4g
+	MOVQ DI, R10             // dst cursor: panel base + 16g
+	MOVQ $4, R15
+
+ptGroup:
+	MOVQ BX, SI
+	MOVQ R10, R14
+	MOVQ R9, CX
+
+ptChunk:
+	MOVQ      (SI), X0
+	MOVQ      (SI)(R8*1), X1
+	MOVQ      (SI)(R8*2), X2
+	MOVQ      (SI)(R12*1), X3
+	PUNPCKLBW X0, X0
+	PSRAW     $8, X0         // row 0: pairs q..q+3 as dwords
+	PUNPCKLBW X1, X1
+	PSRAW     $8, X1
+	PUNPCKLBW X2, X2
+	PSRAW     $8, X2
+	PUNPCKLBW X3, X3
+	PSRAW     $8, X3
+	MOVOU      X0, X4
+	PUNPCKLLQ  X1, X4        // [r0q0 r1q0 r0q1 r1q1]
+	PUNPCKHLQ  X1, X0        // [r0q2 r1q2 r0q3 r1q3]
+	MOVOU      X2, X5
+	PUNPCKLLQ  X3, X5        // [r2q0 r3q0 r2q1 r3q1]
+	PUNPCKHLQ  X3, X2        // [r2q2 r3q2 r2q3 r3q3]
+	MOVOU      X4, X6
+	PUNPCKLQDQ X5, X6        // pair q
+	PUNPCKHQDQ X5, X4        // pair q+1
+	MOVOU      X0, X7
+	PUNPCKLQDQ X2, X7        // pair q+2
+	PUNPCKHQDQ X2, X0        // pair q+3
+	MOVOU      X6, (R14)
+	MOVOU      X4, 64(R14)
+	MOVOU      X7, 128(R14)
+	MOVOU      X0, 192(R14)
+	ADDQ       $8, SI
+	ADDQ       $256, R14
+	DECQ       CX
+	JNZ        ptChunk
+
+	LEAQ (BX)(R8*4), BX
+	ADDQ $16, R10
+	DECQ R15
+	JNZ  ptGroup
+
+	MOVQ R8, AX
+	SHLQ $4, AX
+	ADDQ AX, DX              // next 16 rows of B
+	ADDQ R13, DI
+	DECQ R11
+	JNZ  ptPanel
+	RET
+
+// func s8Panels(c *int32, a, b *int16, m, kp, n, np int)
+//
+// Runs C += A·B over np packed panels. Rows of A go two at a time: per
+// pair q both rows' [a[2q], a[2q+1]] dwords are broadcast (PSHUFL $0),
+// the panel's four 16-byte B vectors are loaded once and PMADDWL'd
+// against each row — 8 accumulators, 8 dual-MACs, 8 PADDLs per pair. An
+// odd trailing row runs the same loop on 4 accumulators.
+//
+// Registers: DI c panel, CX c row, SI a row, BX a cursor, DX b panel,
+// AX b cursor, R14 rows left, R15 pairs left, R10 c row stride, R12 a row
+// stride, R13 b panel stride.
+TEXT ·s8Panels(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ b+16(FP), DX
+	MOVQ kp+32(FP), R9
+	MOVQ n+40(FP), R10
+	SHLQ $2, R10             // c row stride, bytes
+	MOVQ np+48(FP), R11
+	MOVQ R9, R12
+	SHLQ $2, R12             // a row stride, bytes
+	MOVQ R9, R13
+	SHLQ $6, R13             // b panel stride, bytes
+
+spPanel:
+	MOVQ DI, CX
+	MOVQ a+8(FP), SI
+	MOVQ m+24(FP), R14
+
+spRows2:
+	CMPQ  R14, $2
+	JLT   spRow1
+	MOVOU (CX), X0           // row i: 16 int32 accumulators, seeded from C
+	MOVOU 16(CX), X1
+	MOVOU 32(CX), X2
+	MOVOU 48(CX), X3
+	MOVOU (CX)(R10*1), X4    // row i+1
+	MOVOU 16(CX)(R10*1), X5
+	MOVOU 32(CX)(R10*1), X6
+	MOVOU 48(CX)(R10*1), X7
+	MOVQ  SI, BX
+	MOVQ  DX, AX
+	MOVQ  R9, R15
+
+spK2:
+	MOVSS   (BX), X8
+	PSHUFL  $0x00, X8, X8    // row i:   [a[2q], a[2q+1]] × 4
+	MOVSS   (BX)(R12*1), X9
+	PSHUFL  $0x00, X9, X9    // row i+1
+	MOVOU   (AX), X10
+	MOVOU   16(AX), X11
+	MOVOU   32(AX), X12
+	MOVOU   48(AX), X13
+	MOVO    X10, X14
+	PMADDWL X8, X14
+	PADDL   X14, X0
+	PMADDWL X9, X10
+	PADDL   X10, X4
+	MOVO    X11, X15
+	PMADDWL X8, X15
+	PADDL   X15, X1
+	PMADDWL X9, X11
+	PADDL   X11, X5
+	MOVO    X12, X14
+	PMADDWL X8, X14
+	PADDL   X14, X2
+	PMADDWL X9, X12
+	PADDL   X12, X6
+	MOVO    X13, X15
+	PMADDWL X8, X15
+	PADDL   X15, X3
+	PMADDWL X9, X13
+	PADDL   X13, X7
+	ADDQ    $4, BX
+	ADDQ    $64, AX
+	DECQ    R15
+	JNZ     spK2
+
+	MOVOU X0, (CX)
+	MOVOU X1, 16(CX)
+	MOVOU X2, 32(CX)
+	MOVOU X3, 48(CX)
+	MOVOU X4, (CX)(R10*1)
+	MOVOU X5, 16(CX)(R10*1)
+	MOVOU X6, 32(CX)(R10*1)
+	MOVOU X7, 48(CX)(R10*1)
+	LEAQ  (CX)(R10*2), CX
+	LEAQ  (SI)(R12*2), SI
+	SUBQ  $2, R14
+	JMP   spRows2
+
+spRow1:
+	TESTQ R14, R14
+	JZ    spNext
+	MOVOU (CX), X0
+	MOVOU 16(CX), X1
+	MOVOU 32(CX), X2
+	MOVOU 48(CX), X3
+	MOVQ  SI, BX
+	MOVQ  DX, AX
+	MOVQ  R9, R15
+
+spK1:
+	MOVSS   (BX), X8
+	PSHUFL  $0x00, X8, X8
+	MOVOU   (AX), X10
+	MOVOU   16(AX), X11
+	MOVOU   32(AX), X12
+	MOVOU   48(AX), X13
+	PMADDWL X8, X10
+	PADDL   X10, X0
+	PMADDWL X8, X11
+	PADDL   X11, X1
+	PMADDWL X8, X12
+	PADDL   X12, X2
+	PMADDWL X8, X13
+	PADDL   X13, X3
+	ADDQ    $4, BX
+	ADDQ    $64, AX
+	DECQ    R15
+	JNZ     spK1
+
+	MOVOU X0, (CX)
+	MOVOU X1, 16(CX)
+	MOVOU X2, 32(CX)
+	MOVOU X3, 48(CX)
+
+spNext:
+	ADDQ $64, DI
+	ADDQ R13, DX
+	DECQ R11
+	JNZ  spPanel
 	RET

@@ -15,4 +15,4 @@ const haveAsmKernels = false
 func f32Asm(c, a, b []float32, m, k, n int)       { f32Generic(c, a, b, m, k, n, 0) }
 func s8Asm(c []int32, a, b []int8, m, k, n int)   { s8Generic(c, a, b, m, k, n, 0) }
 func f32NTAsm(c, a, b []float32, m, k, n int)     { f32NTGeneric(c, a, b, m, k, n) }
-func s8NTAsm(c []int32, a, b []int8, m, k, n int) { s8NTGeneric(c, a, b, m, k, n) }
+func s8NTAsm(c []int32, a, b []int8, m, k, n int) { s8NTGeneric(c, a, b, m, k, n, 0) }

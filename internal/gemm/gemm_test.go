@@ -266,3 +266,20 @@ func BenchmarkGemmF32NT(b *testing.B) {
 		F32NT(c, a, bb, m, k, n)
 	}
 }
+
+// BenchmarkGemmS8NTHead is the TimePPG-Big head batched over 28 windows:
+// 2048-wide flattened activations against 84 weight rows, five packed
+// panels and a 4-column scalar tail.
+func BenchmarkGemmS8NTHead(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	const m, k, n = 28, 2048, 84
+	a := randS8(rng, m*k)
+	bb := randS8(rng, n*k)
+	c := make([]int32, m*n)
+	b.ReportAllocs()
+	b.SetBytes(int64(m) * int64(k) * int64(n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		S8NT(c, a, bb, m, k, n)
+	}
+}

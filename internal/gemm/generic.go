@@ -236,16 +236,17 @@ func s8Generic(c []int32, a, b []int8, m, k, n, j0 int) {
 	}
 }
 
-// s8NTGeneric computes the S8NT update: C[i][j] += Σ_p A[i][p]·B[j][p]
-// with int8 operands and exact int32 accumulators.
-func s8NTGeneric(c []int32, a, b []int8, m, k, n int) {
+// s8NTGeneric computes the S8NT update over columns [j0, n):
+// C[i][j] += Σ_p A[i][p]·B[j][p] with int8 operands and exact int32
+// accumulators.
+func s8NTGeneric(c []int32, a, b []int8, m, k, n, j0 int) {
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		a0 := a[i*k : i*k+k]
 		a1 := a[(i+1)*k : (i+1)*k+k]
 		a2 := a[(i+2)*k : (i+2)*k+k]
 		a3 := a[(i+3)*k : (i+3)*k+k]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			br := b[j*k : j*k+k]
 			c0 := c[i*n+j]
 			c1 := c[(i+1)*n+j]
@@ -266,7 +267,7 @@ func s8NTGeneric(c []int32, a, b []int8, m, k, n int) {
 	}
 	for ; i < m; i++ {
 		ar := a[i*k : i*k+k]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			br := b[j*k : j*k+k]
 			acc := c[i*n+j]
 			for p, bv := range br {

@@ -2,14 +2,15 @@ package gemm
 
 import "sync"
 
-// The NT kernels' asm path runs C += A·Bᵀ through the plain column
-// kernels by first packing B (n×k row-major) into a k×n panel — after the
-// transpose, walking the packed panel's rows in ascending p visits exactly
-// the operands B[j][p] of the dot-product form, so the per-element
+// F32NT's asm path runs C += A·Bᵀ through the plain column kernels by
+// first packing B (n×k row-major) into a k×n panel — after the transpose,
+// walking the packed panel's rows in ascending p visits exactly the
+// operands B[j][p] of the dot-product form, so the per-element
 // accumulation chain (and with it float32 bitwise reproducibility) is
-// untouched. Panels come from free lists so concurrent record-builder and
-// trainer goroutines each get their own scratch with zero steady-state
-// allocations.
+// untouched. The int8 kernels pack both operands into int16 pair panels
+// instead (gemm_amd64.go). Panels come from free lists so concurrent
+// record-builder and trainer goroutines each get their own scratch with
+// zero steady-state allocations.
 
 // bufStack is a minimal LIFO free list for the packing panels. It is
 // deliberately not a sync.Pool: the pool drops entries randomly under the
@@ -46,7 +47,7 @@ func (s *bufStack[T]) put(buf []T) {
 
 var (
 	f32PackPool bufStack[float32]
-	s8PackPool  bufStack[int8]
+	s8PanelPool bufStack[int16]
 )
 
 // packBlock tiles the transpose so both the contiguous reads and the
@@ -55,7 +56,7 @@ const packBlock = 32
 
 // transposeInto writes the transpose of src (rows×cols, row-major) into
 // dst (cols×rows, row-major): dst[c*rows+r] = src[r*cols+c].
-func transposeInto[T int8 | float32](dst, src []T, rows, cols int) {
+func transposeInto(dst, src []float32, rows, cols int) {
 	for r0 := 0; r0 < rows; r0 += packBlock {
 		r1 := r0 + packBlock
 		if r1 > rows {

@@ -95,19 +95,33 @@ func ensureQTensor(slot **qTensor, c, t int, scale float32) *qTensor {
 func quantizeTensorInto(slot **qTensor, x *Tensor, scale float32) *qTensor {
 	q := ensureQTensor(slot, x.C, x.T, scale)
 	for i, v := range x.Data {
-		q.Data[i] = clampI8(float32(math.Round(float64(v / scale))))
+		q.Data[i] = requantize(v/scale, -127)
 	}
 	return q
 }
 
-func clampI8(v float32) int8 {
-	if v > 127 {
-		return 127
+// requantize is the one int8 rounding step of the quantized pipeline: it
+// clamps x to [lo, 127] — lo = 0 under a fused ReLU (see reluFloor), −127
+// otherwise — and rounds half away from zero. Every call site computes
+// its own float32 operand; only this round/ReLU/clamp tail is shared.
+//
+// It equals rounding first (math.Round), then applying the ReLU and the
+// ±127 clamp, for every float32 x including ±Inf (NaN maps to 0 either
+// way): rounding is monotone, so clamping before it changes nothing, and
+// on the clamped range widening to float64 and adding ±0.5 is exact,
+// which makes truncation a correct round-half-away-from-zero. The
+// min/max/Copysign form compiles without branches.
+func requantize(x float32, lo float64) int8 {
+	v := min(max(float64(x), lo), 127)
+	return int8(v + math.Copysign(0.5, v))
+}
+
+// reluFloor is requantize's lower clamp bound for an op.
+func reluFloor(relu bool) float64 {
+	if relu {
+		return 0
 	}
-	if v < -127 {
-		return -127
-	}
-	return int8(v)
+	return -127
 }
 
 // qConv is an int8 convolution (or, with T==1 semantics preserved, the same
@@ -137,6 +151,7 @@ func (l *qConv) forward(x *qTensor) *qTensor {
 	outT := (x.T-1)/l.stride + 1
 	y := ensureQTensor(&l.out, l.outC, outT, l.outScale)
 	padL := l.padLeft()
+	lo := reluFloor(l.relu)
 	for o := 0; o < l.outC; o++ {
 		mult := l.inScale * l.wScale[o] / l.outScale
 		for t := 0; t < outT; t++ {
@@ -151,11 +166,7 @@ func (l *qConv) forward(x *qTensor) *qTensor {
 					}
 				}
 			}
-			v := float32(math.Round(float64(float32(acc) * mult)))
-			if l.relu && v < 0 {
-				v = 0
-			}
-			y.Data[o*outT+t] = clampI8(v)
+			y.Data[o*outT+t] = requantize(float32(acc)*mult, lo)
 		}
 	}
 	return y
@@ -197,17 +208,29 @@ func (l *qDense) forward(x *qTensor) *qTensor {
 		for i, xv := range x.Data {
 			acc += int32(row[i]) * int32(xv)
 		}
-		realV := float32(acc) * l.inScale * l.wScale[o]
-		if l.relu && realV < 0 {
-			realV = 0
-		}
 		if l.last {
-			l.lastOut[o] = realV
-			continue
+			l.lastOut[o] = l.dequant(acc, o)
+		} else {
+			y.Data[o] = l.requant(acc, o)
 		}
-		y.Data[o] = clampI8(float32(math.Round(float64(realV / l.outScale))))
 	}
 	return y
+}
+
+// dequant is the final head's float output for accumulator acc of unit o.
+func (l *qDense) dequant(acc int32, o int) float32 {
+	realV := float32(acc) * l.inScale * l.wScale[o]
+	if l.relu && realV < 0 {
+		realV = 0
+	}
+	return realV
+}
+
+// requant re-quantizes accumulator acc of unit o to the next layer's int8
+// scale. A fused ReLU clamps inside requantize: outScale > 0, so the
+// quotient is negative exactly when the dequantized value is.
+func (l *qDense) requant(acc int32, o int) int8 {
+	return requantize(float32(acc)*l.inScale*l.wScale[o]/l.outScale, reluFloor(l.relu))
 }
 
 func (l *qDense) macs() int64 { return int64(l.in) * int64(l.out) }
@@ -350,7 +373,7 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 				s := m / 127
 				qc.wScale[o] = s
 				for j := 0; j < perCh; j++ {
-					qc.weight[o*perCh+j] = clampI8(float32(math.Round(float64(v.Weight.W[o*perCh+j] / s))))
+					qc.weight[o*perCh+j] = requantize(v.Weight.W[o*perCh+j]/s, -127)
 				}
 				qc.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
 			}
@@ -387,7 +410,7 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 				s := m / 127
 				qd.wScale[o] = s
 				for j := 0; j < v.In; j++ {
-					qd.weight[o*v.In+j] = clampI8(float32(math.Round(float64(v.Weight.W[o*v.In+j] / s))))
+					qd.weight[o*v.In+j] = requantize(v.Weight.W[o*v.In+j]/s, -127)
 				}
 				qd.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
 			}

@@ -2,7 +2,6 @@ package tcn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/gemm"
 )
@@ -53,23 +52,21 @@ func ensureQBatchTensor(slot **qBatchTensor, n, c, t int, scale float32) *qBatch
 func quantizeBatchInto(slot **qBatchTensor, x *BatchTensor, scale float32) *qBatchTensor {
 	q := ensureQBatchTensor(slot, x.N, x.C, x.T, scale)
 	for i, v := range x.Data {
-		q.Data[i] = clampI8(float32(math.Round(float64(v / scale))))
+		q.Data[i] = requantize(v/scale, -127)
 	}
 	return q
 }
 
 // rescaleRow applies the per-output-channel rescale of the serial kernel
-// (round, optional fused ReLU, clamp) to one accumulator row — the exact
-// per-element expressions of qConv.forward, shared by the per-sample and
-// cross-sample batch paths.
+// (requantize with the optional fused ReLU) to one accumulator row — the
+// exact per-element expressions of qConv.forward, shared by the
+// per-sample and cross-sample batch paths.
 func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
 	mult := l.inScale * l.wScale[o] / l.outScale
+	lo := reluFloor(l.relu)
+	yr = yr[:len(ar)]
 	for t, a := range ar {
-		v := float32(math.Round(float64(float32(a) * mult)))
-		if l.relu && v < 0 {
-			v = 0
-		}
-		yr[t] = clampI8(v)
+		yr[t] = requantize(float32(a)*mult, lo)
 	}
 }
 
@@ -136,25 +133,19 @@ func (l *qDense) forwardBatch(x *qBatchTensor) *qBatchTensor {
 	}
 	gemm.S8NT(acc, x.Data, l.weight, N, l.in, l.out)
 	y := ensureQBatchTensor(&l.outBB, N, l.out, 1, l.outScale)
+	var head []float32
 	if l.last {
-		lo := ensureSlice(&l.lastOutB, N*l.out)
-		for i, a := range acc {
-			o := i % l.out
-			realV := float32(a) * l.inScale * l.wScale[o]
-			if l.relu && realV < 0 {
-				realV = 0
-			}
-			lo[i] = realV
-		}
-		return y
+		head = ensureSlice(&l.lastOutB, N*l.out)
 	}
-	for i, a := range acc {
-		o := i % l.out
-		realV := float32(a) * l.inScale * l.wScale[o]
-		if l.relu && realV < 0 {
-			realV = 0
+	for n := 0; n < N; n++ {
+		row := n * l.out
+		for o, a := range acc[row : row+l.out] {
+			if l.last {
+				head[row+o] = l.dequant(a, o)
+			} else {
+				y.Data[row+o] = l.requant(a, o)
+			}
 		}
-		y.Data[i] = clampI8(float32(math.Round(float64(realV / l.outScale))))
 	}
 	return y
 }
