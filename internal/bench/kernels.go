@@ -140,6 +140,17 @@ func KernelBenchmarks() []KernelResult {
 		hb[i] = int8(rng.Intn(255) - 127)
 	}
 
+	// The int8 epilogue after each S8 GEMM: 8192 int32 accumulators
+	// through gemm.RescaleRow (folded bias, float32 multiplier, ReLU
+	// floor). Its own source keeps the draws above unchanged.
+	const rqn = 8192
+	rqRng := rand.New(rand.NewSource(78))
+	rqAcc := make([]int32, rqn)
+	rqOut := make([]int8, rqn)
+	for i := range rqAcc {
+		rqAcc[i] = int32(rqRng.Intn(1<<17) - 1<<16)
+	}
+
 	// Representative TimePPG-Small final-block GEMM shapes: the underfed
 	// per-sample panel (8 channels × 24 im2col rows × 32 positions) and
 	// the cross-sample panel a 32-window batch packs (n = 32·32).
@@ -332,9 +343,9 @@ func KernelBenchmarks() []KernelResult {
 			}
 		}),
 		// Raw GEMM micro-kernels (float32 and CMSIS-NN-style int8): the
-		// TimePPG-Big conv shape, the TimePPG-Big head (int8 Bᵀ form), and
-		// the TimePPG-Small final-block shape per-sample and at the
-		// cross-sample width.
+		// TimePPG-Big conv shape and its int8 requantize epilogue, the
+		// TimePPG-Big head (int8 Bᵀ form), and the TimePPG-Small
+		// final-block shape per-sample and at the cross-sample width.
 		runKernel("GemmF32_48x144x128", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -345,6 +356,12 @@ func KernelBenchmarks() []KernelResult {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gemm.S8(sc, sa, sb, gm, gk, gn)
+			}
+		}),
+		runKernel("RequantS8_8192", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gemm.RescaleRow(rqOut, rqAcc, 77, 0.0013, 0)
 			}
 		}),
 		runKernel("GemmS8NT_28x2048x84", func(b *testing.B) {

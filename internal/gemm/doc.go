@@ -1,7 +1,9 @@
 // Package gemm provides the matrix-multiply micro-kernels the TCN batch
 // inference and training paths lower onto: a float32 kernel pair (plain
 // and B-transposed: F32, F32NT) and an int8 pair with int32 accumulators
-// (S8, S8NT), the CMSIS-NN-style shape the deployed quantized path uses.
+// (S8, S8NT), the CMSIS-NN-style shape the deployed quantized path uses,
+// plus that path's int8 requantize epilogue (Requantize, RescaleRow,
+// QuantizeRow).
 //
 // All kernels are accumulate-in-place: C must be pre-initialized by the
 // caller (bias rows, running gradients, or zeros) and each output element
@@ -42,6 +44,29 @@
 // int8 operands are exact (a pair sums to at most 2·128² = 32 768, well
 // inside int32) and two's-complement addition is associative.
 //
+// # Int8 epilogue
+//
+// After each S8 GEMM the quantized TCN path requantizes its int32
+// accumulators to int8 with Requantize: clamp to [lo, 127] (lo = 0 under
+// a fused ReLU, −127 otherwise) and round half away from zero, NaN to 0.
+// RescaleRow does it for a row of accumulators, adding the channel's
+// bias on the way (the GEMM runs on zeroed accumulators; two's-complement
+// addition is associative, so adding the bias after equals seeding with
+// it), and QuantizeRow for the network's float32 input. On amd64 both
+// rows run eight lanes per pass in SSE2: PADDL, CVTPL2PS and MULPS (or
+// DIVPS) are IEEE-identical to Go's int32 add, int32→float32 conversion
+// and float32 multiply (divide), and the rounding stays in the float32
+// domain. NaN lanes are zeroed with a c == c mask, MAXPS/MINPS clamp to
+// [lo, 127], CVTTPS2PL truncates to t, and r = c − float32(t) is exact —
+// t = 0 when |c| < 1, c/2 ≤ t ≤ c otherwise (Sterbenz) — so
+// t + (r ≥ 0.5) − (r ≤ −0.5) is the round half away from zero of c
+// itself, which Requantize computes in float64. PACKSSLW/PACKSSWB then
+// narrow without saturating (|t| ≤ 127). Tails under eight elements and
+// non-amd64 builds run the scalar loops over Requantize; requant_test.go
+// pins the rows to it element by element (every float32 bit pattern at
+// a stride of 251, the rounding ties, NaN payloads, wrapping biases),
+// and an exhaustive 2³² × 2-floor sweep found no mismatch.
+//
 // F32NT reaches the float32 panels by packing B into a pooled k×n Bᵀ
 // panel first (pack.go): the transpose changes which operand is
 // contiguous, not the per-element reduction order, so bitwise equality
@@ -64,6 +89,7 @@
 //
 // BENCH kernels: GemmF32_48x144x128 and GemmS8_48x144x128 measure the raw
 // kernels at a representative TimePPG-Big convolution shape,
+// RequantS8_8192 the int8 epilogue over 8192 accumulators,
 // GemmS8NT_28x2048x84 the TimePPG-Big head batched over 28 windows,
 // GemmF32_8x24x{32,1024} and GemmS8_8x24x{32,1024} at the TimePPG-Small
 // final-block shape per-sample and at the cross-sample width;

@@ -55,6 +55,39 @@ func s8PackBT8(dst *int16, b *int8, k, np int)
 //go:noescape
 func s8Panels(c *int32, a, b *int16, m, kp, n, np int)
 
+// rescaleRow8 runs RescaleRow's element expression over blocks×8
+// accumulators: PADDL the bias, CVTPL2PS, MULPS the multiplier, then the
+// float32-domain rounding of REQUANT (gemm_amd64.s).
+//
+//go:noescape
+func rescaleRow8(dst *int8, acc *int32, blocks int, bias int32, mult, lo float32)
+
+// quantizeRow8 is the input form of rescaleRow8: DIVPS by scale, then the
+// same rounding.
+//
+//go:noescape
+func quantizeRow8(dst *int8, x *float32, blocks int, scale, lo float32)
+
+// rescaleAsm covers the first ⌊len(acc)/8⌋·8 elements of a RescaleRow
+// with the SSE2 row and returns how many it did. lo is 0 or −127, both
+// exact in float32.
+func rescaleAsm(dst []int8, acc []int32, bias int32, mult float32, lo float64) int {
+	n := len(acc) &^ 7
+	if n > 0 {
+		rescaleRow8(&dst[0], &acc[0], n/8, bias, mult, float32(lo))
+	}
+	return n
+}
+
+// quantizeAsm is the quantizeRow form of rescaleAsm.
+func quantizeAsm(dst []int8, x []float32, scale float32, lo float64) int {
+	n := len(x) &^ 7
+	if n > 0 {
+		quantizeRow8(&dst[0], &x[0], n/8, scale, float32(lo))
+	}
+	return n
+}
+
 // f32Asm runs the F32 update through the widest applicable column panels,
 // finishing sub-4-column tails with the scalar reference loop. Requires
 // m, k, n ≥ 1 (the exported wrapper's degenerate-shape guard).

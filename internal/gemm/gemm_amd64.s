@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// SSE2 panel kernels for the GEMM micro-kernels. All four exported
-// kernels funnel into these panels, and every panel vectorizes over
-// INDEPENDENT OUTPUT COLUMNS only: one XMM lane owns one output element,
-// the reduction dimension k advances scalar-wise through the loop. Per k
+// SSE2 panel kernels for the GEMM micro-kernels, plus the int8
+// requantize epilogue. All four exported GEMM kernels funnel into these
+// panels, and every panel vectorizes over INDEPENDENT OUTPUT COLUMNS
+// only: one XMM lane owns one output element, the reduction dimension k
+// advances scalar-wise through the loop. Per k
 // step the float32 panels run exactly one MULPS and one ADDPS per
 // accumulator register — the same multiply-then-add with per-operation
 // IEEE rounding (no FMA) as the scalar reference — so each lane
@@ -22,6 +23,12 @@
 // sign-extends A into pair dwords, s8PackB / s8PackBT8 pack B (or Bᵀ)
 // into 16-column panels of interleaved int16 pairs, and s8Panels runs
 // two rows of A per pass against each panel with PMADDWL and PADDL only.
+//
+// The int8 epilogue (rescaleRow8, quantizeRow8) is the one place lanes
+// hold float32 values derived from int32: each lane requantizes one
+// output element, again with no cross-lane operation, and rounds in the
+// float32 domain with an exact remainder (REQUANT below; the argument is
+// in doc.go).
 //
 // Register convention of the float32 panels:
 //   DI  c panel pointer (first column of the current row)
@@ -480,4 +487,119 @@ spNext:
 	ADDQ R13, DX
 	DECQ R11
 	JNZ  spPanel
+	RET
+
+// Int8 epilogue: the two requantize rows. Both run Requantize's
+// round/ReLU/clamp in the float32 domain, eight elements per pass, and
+// match the scalar helper bit for bit on every float32 operand
+// (requant_test.go sweeps the bit patterns; doc.go has the argument).
+//
+// Constant registers: X12 holds lo × 4 (0 or −127, loaded per row),
+// REQUANT_CONSTS sets X13 = 127.0 × 4, X14 = 0.5 × 4, X15 = −0.5 × 4.
+// X10/X11 hold the row's bias and multiplier (or divisor).
+
+// REQUANT_CONSTS broadcasts the rounding constants. Clobbers AX.
+#define REQUANT_CONSTS \
+	MOVL   $0x42fe0000, AX; \
+	MOVL   AX, X13; \
+	SHUFPS $0x00, X13, X13; \
+	MOVL   $0x3f000000, AX; \
+	MOVL   AX, X14; \
+	SHUFPS $0x00, X14, X14; \
+	MOVL   $0xbf000000, AX; \
+	MOVL   AX, X15; \
+	SHUFPS $0x00, X15, X15
+
+// REQUANT(c, t, r) rounds the four float32 lanes of c to int32 lanes of
+// t with Requantize's semantics; clobbers c and r.
+//  1. c == c is false only on NaN: AND with that mask zeroes NaN lanes.
+//  2. MAXPS/MINPS clamp to [lo, 127] (no NaN is left to propagate).
+//  3. CVTTPS2PL truncates toward zero: t.
+//  4. r = c − float32(t) is exact: |c| < 1 gives t = 0, otherwise
+//     c/2 ≤ t ≤ c (Sterbenz).
+//  5. t += (r ≥ 0.5) − (r ≤ −0.5): half away from zero. A true compare
+//     is an all-ones lane (−1), so it is subtracted to add one.
+#define REQUANT(c, t, r) \
+	MOVAPS    c, t; \
+	CMPPS     t, t, $0; \
+	ANDPS     t, c; \
+	MAXPS     X12, c; \
+	MINPS     X13, c; \
+	CVTTPS2PL c, t; \
+	CVTPL2PS  t, r; \
+	SUBPS     r, c; \
+	MOVAPS    c, r; \
+	CMPPS     X14, r, $5; \
+	PSUBL     r, t; \
+	CMPPS     X15, c, $2; \
+	PADDL     c, t
+
+// func rescaleRow8(dst *int8, acc *int32, blocks int, bias int32, mult, lo float32)
+//
+// dst[i] = Requantize(float32(acc[i]+bias)·mult, lo) over blocks×8
+// elements: PADDL wraps like Go's int32 add, CVTPL2PS and MULPS round
+// like Go's float32(int32) conversion and float32 multiply.
+TEXT ·rescaleRow8(SB), NOSPLIT, $0-36
+	MOVQ   dst+0(FP), DI
+	MOVQ   acc+8(FP), SI
+	MOVQ   blocks+16(FP), CX
+	MOVL   bias+24(FP), AX
+	MOVL   AX, X10
+	PSHUFL $0x00, X10, X10
+	MOVSS  mult+28(FP), X11
+	SHUFPS $0x00, X11, X11
+	MOVL   lo+32(FP), AX
+	MOVL   AX, X12
+	SHUFPS $0x00, X12, X12
+	REQUANT_CONSTS
+
+rsLoop:
+	MOVOU    (SI), X0
+	MOVOU    16(SI), X1
+	PADDL    X10, X0
+	PADDL    X10, X1
+	CVTPL2PS X0, X0
+	CVTPL2PS X1, X1
+	MULPS    X11, X0
+	MULPS    X11, X1
+	REQUANT(X0, X2, X4)
+	REQUANT(X1, X3, X5)
+	PACKSSLW X3, X2
+	PACKSSWB X2, X2
+	MOVQ     X2, (DI)
+	ADDQ     $32, SI
+	ADDQ     $8, DI
+	DECQ     CX
+	JNZ      rsLoop
+	RET
+
+// func quantizeRow8(dst *int8, x *float32, blocks int, scale, lo float32)
+//
+// dst[i] = Requantize(x[i]/scale, lo) over blocks×8 elements; DIVPS
+// rounds like Go's float32 division.
+TEXT ·quantizeRow8(SB), NOSPLIT, $0-32
+	MOVQ   dst+0(FP), DI
+	MOVQ   x+8(FP), SI
+	MOVQ   blocks+16(FP), CX
+	MOVSS  scale+24(FP), X11
+	SHUFPS $0x00, X11, X11
+	MOVL   lo+28(FP), AX
+	MOVL   AX, X12
+	SHUFPS $0x00, X12, X12
+	REQUANT_CONSTS
+
+qrLoop:
+	MOVUPS   (SI), X0
+	MOVUPS   16(SI), X1
+	DIVPS    X11, X0
+	DIVPS    X11, X1
+	REQUANT(X0, X2, X4)
+	REQUANT(X1, X3, X5)
+	PACKSSLW X3, X2
+	PACKSSWB X2, X2
+	MOVQ     X2, (DI)
+	ADDQ     $32, SI
+	ADDQ     $8, DI
+	DECQ     CX
+	JNZ      qrLoop
 	RET

@@ -16,3 +16,13 @@ func f32Asm(c, a, b []float32, m, k, n int)       { f32Generic(c, a, b, m, k, n,
 func s8Asm(c []int32, a, b []int8, m, k, n int)   { s8Generic(c, a, b, m, k, n, 0) }
 func f32NTAsm(c, a, b []float32, m, k, n int)     { f32NTGeneric(c, a, b, m, k, n) }
 func s8NTAsm(c []int32, a, b []int8, m, k, n int) { s8NTGeneric(c, a, b, m, k, n, 0) }
+
+func rescaleAsm(dst []int8, acc []int32, bias int32, mult float32, lo float64) int {
+	rescaleGeneric(dst, acc, bias, mult, lo)
+	return len(acc)
+}
+
+func quantizeAsm(dst []int8, x []float32, scale float32, lo float64) int {
+	quantizeGeneric(dst, x, scale, lo)
+	return len(x)
+}

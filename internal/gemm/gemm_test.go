@@ -182,6 +182,13 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { S8(cs, as, bs, m, k, n) }); allocs != 0 {
 		t.Errorf("S8 allocates %v per run", allocs)
 	}
+	qs := make([]int8, m*n)
+	if allocs := testing.AllocsPerRun(10, func() { RescaleRow(qs, cs, 5, 0.01, 0) }); allocs != 0 {
+		t.Errorf("RescaleRow allocates %v per run", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { QuantizeRow(qs, c, 0.02) }); allocs != 0 {
+		t.Errorf("QuantizeRow allocates %v per run", allocs)
+	}
 }
 
 // Representative TimePPG-Big mid-block GEMM shape: 48 output channels,

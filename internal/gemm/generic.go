@@ -277,3 +277,20 @@ func s8NTGeneric(c []int32, a, b []int8, m, k, n, j0 int) {
 		}
 	}
 }
+
+// rescaleGeneric is RescaleRow's scalar loop: the whole row off amd64,
+// the sub-8 tail on it.
+func rescaleGeneric(dst []int8, acc []int32, bias int32, mult float32, lo float64) {
+	dst = dst[:len(acc)]
+	for i, a := range acc {
+		dst[i] = Requantize(float32(a+bias)*mult, lo)
+	}
+}
+
+// quantizeGeneric is quantizeRow's scalar loop.
+func quantizeGeneric(dst []int8, x []float32, scale float32, lo float64) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = Requantize(v/scale, lo)
+	}
+}

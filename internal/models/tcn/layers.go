@@ -429,23 +429,30 @@ func (l *InputNorm) MACs(c, t int) int64 { return int64(3 * c * t) }
 func (l *InputNorm) Forward(x *Tensor) *Tensor {
 	y := ensureTensor(&l.y, x.C, x.T)
 	for c := 0; c < x.C; c++ {
-		xr, yr := x.Row(c), y.Row(c)
-		var mean float64
-		for _, v := range xr {
-			mean += float64(v)
-		}
-		mean /= float64(len(xr))
-		var varAcc float64
-		for _, v := range xr {
-			d := float64(v) - mean
-			varAcc += d * d
-		}
-		std := math.Sqrt(varAcc/float64(len(xr))) + 1e-6
-		for t, v := range xr {
-			yr[t] = float32((float64(v) - mean) / std)
-		}
+		standardizeRow(y.Row(c), x.Row(c))
 	}
 	return y
+}
+
+// standardizeRow writes xr standardized to zero mean and unit variance
+// into yr, accumulating mean and variance in float64: the one row body
+// Forward and ForwardBatch share, so batched and serial inputs match
+// bitwise.
+func standardizeRow(yr, xr []float32) {
+	var mean float64
+	for _, v := range xr {
+		mean += float64(v)
+	}
+	mean /= float64(len(xr))
+	var varAcc float64
+	for _, v := range xr {
+		d := float64(v) - mean
+		varAcc += d * d
+	}
+	std := math.Sqrt(varAcc/float64(len(xr))) + 1e-6
+	for t, v := range xr {
+		yr[t] = float32((float64(v) - mean) / std)
+	}
 }
 
 // Backward implements Layer: InputNorm must be the first layer, so no
@@ -453,26 +460,12 @@ func (l *InputNorm) Forward(x *Tensor) *Tensor {
 func (l *InputNorm) Backward(grad *Tensor) *Tensor { return nil }
 
 // ForwardBatch implements Layer: each (sample, channel) row standardizes
-// independently with the same float64 accumulation as Forward.
+// independently through Forward's standardizeRow.
 func (l *InputNorm) ForwardBatch(x *BatchTensor) *BatchTensor {
 	y := ensureBatchTensor(&l.yb, x.N, x.C, x.T)
 	for n := 0; n < x.N; n++ {
 		for c := 0; c < x.C; c++ {
-			xr, yr := x.Row(n, c), y.Row(n, c)
-			var mean float64
-			for _, v := range xr {
-				mean += float64(v)
-			}
-			mean /= float64(len(xr))
-			var varAcc float64
-			for _, v := range xr {
-				d := float64(v) - mean
-				varAcc += d * d
-			}
-			std := math.Sqrt(varAcc/float64(len(xr))) + 1e-6
-			for t, v := range xr {
-				yr[t] = float32((float64(v) - mean) / std)
-			}
+			standardizeRow(y.Row(n, c), x.Row(n, c))
 		}
 	}
 	return y

@@ -3,6 +3,8 @@ package tcn
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/gemm"
 )
 
 // This file implements post-training int8 quantization, standing in for
@@ -95,28 +97,13 @@ func ensureQTensor(slot **qTensor, c, t int, scale float32) *qTensor {
 func quantizeTensorInto(slot **qTensor, x *Tensor, scale float32) *qTensor {
 	q := ensureQTensor(slot, x.C, x.T, scale)
 	for i, v := range x.Data {
-		q.Data[i] = requantize(v/scale, -127)
+		q.Data[i] = gemm.Requantize(v/scale, -127)
 	}
 	return q
 }
 
-// requantize is the one int8 rounding step of the quantized pipeline: it
-// clamps x to [lo, 127] — lo = 0 under a fused ReLU (see reluFloor), −127
-// otherwise — and rounds half away from zero. Every call site computes
-// its own float32 operand; only this round/ReLU/clamp tail is shared.
-//
-// It equals rounding first (math.Round), then applying the ReLU and the
-// ±127 clamp, for every float32 x including ±Inf (NaN maps to 0 either
-// way): rounding is monotone, so clamping before it changes nothing, and
-// on the clamped range widening to float64 and adding ±0.5 is exact,
-// which makes truncation a correct round-half-away-from-zero. The
-// min/max/Copysign form compiles without branches.
-func requantize(x float32, lo float64) int8 {
-	v := min(max(float64(x), lo), 127)
-	return int8(v + math.Copysign(0.5, v))
-}
-
-// reluFloor is requantize's lower clamp bound for an op.
+// reluFloor is gemm.Requantize's lower clamp bound for an op: 0 under a
+// fused ReLU, −127 otherwise.
 func reluFloor(relu bool) float64 {
 	if relu {
 		return 0
@@ -166,7 +153,7 @@ func (l *qConv) forward(x *qTensor) *qTensor {
 					}
 				}
 			}
-			y.Data[o*outT+t] = requantize(float32(acc)*mult, lo)
+			y.Data[o*outT+t] = gemm.Requantize(float32(acc)*mult, lo)
 		}
 	}
 	return y
@@ -227,10 +214,10 @@ func (l *qDense) dequant(acc int32, o int) float32 {
 }
 
 // requant re-quantizes accumulator acc of unit o to the next layer's int8
-// scale. A fused ReLU clamps inside requantize: outScale > 0, so the
+// scale. A fused ReLU clamps inside gemm.Requantize: outScale > 0, so the
 // quotient is negative exactly when the dequantized value is.
 func (l *qDense) requant(acc int32, o int) int8 {
-	return requantize(float32(acc)*l.inScale*l.wScale[o]/l.outScale, reluFloor(l.relu))
+	return gemm.Requantize(float32(acc)*l.inScale*l.wScale[o]/l.outScale, reluFloor(l.relu))
 }
 
 func (l *qDense) macs() int64 { return int64(l.in) * int64(l.out) }
@@ -373,7 +360,7 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 				s := m / 127
 				qc.wScale[o] = s
 				for j := 0; j < perCh; j++ {
-					qc.weight[o*perCh+j] = requantize(v.Weight.W[o*perCh+j]/s, -127)
+					qc.weight[o*perCh+j] = gemm.Requantize(v.Weight.W[o*perCh+j]/s, -127)
 				}
 				qc.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
 			}
@@ -410,7 +397,7 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 				s := m / 127
 				qd.wScale[o] = s
 				for j := 0; j < v.In; j++ {
-					qd.weight[o*v.In+j] = requantize(v.Weight.W[o*v.In+j]/s, -127)
+					qd.weight[o*v.In+j] = gemm.Requantize(v.Weight.W[o*v.In+j]/s, -127)
 				}
 				qd.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
 			}

@@ -9,11 +9,12 @@ import (
 // This file is the batched form of the int8 deployment path: the same
 // im2col + GEMM lowering as the float batch kernels, but with int8
 // operands, int32 accumulators and the per-output-channel rescale of the
-// serial ops. Integer accumulation is exact, and the rescale applies the
-// identical float expressions element-wise, so batched int8 inference is
-// bitwise identical to QuantNetwork.Forward run window by window — the
-// property the record builder and the paper tables rely on for the
-// deployed wearable path.
+// serial ops. Integer accumulation is exact (so the bias can be added
+// after the GEMM rather than seeded before it), and the rescale applies
+// the identical float expressions element-wise, so batched int8
+// inference is bitwise identical to QuantNetwork.Forward run window by
+// window — the property the record builder and the paper tables rely on
+// for the deployed wearable path.
 
 // qBatchTensor is the batched int8 activation tensor, sample-major like
 // BatchTensor: element (n, c, t) lives at Data[(n*C+c)*T+t].
@@ -47,34 +48,28 @@ func ensureQBatchTensor(slot **qBatchTensor, n, c, t int, scale float32) *qBatch
 	return q
 }
 
-// quantizeBatchInto quantizes a float batch with the same per-element
-// expression as quantizeTensorInto.
+// quantizeBatchInto quantizes a float batch with quantizeTensorInto's
+// per-element expression, through gemm's SIMD input row.
 func quantizeBatchInto(slot **qBatchTensor, x *BatchTensor, scale float32) *qBatchTensor {
 	q := ensureQBatchTensor(slot, x.N, x.C, x.T, scale)
-	for i, v := range x.Data {
-		q.Data[i] = requantize(v/scale, -127)
-	}
+	gemm.QuantizeRow(q.Data, x.Data, scale)
 	return q
 }
 
 // rescaleRow applies the per-output-channel rescale of the serial kernel
-// (requantize with the optional fused ReLU) to one accumulator row — the
-// exact per-element expressions of qConv.forward, shared by the
-// per-sample and cross-sample batch paths.
+// (gemm.Requantize with the optional fused ReLU) to one row of
+// zero-seeded accumulators, adding the channel's bias on the way — the
+// exact per-element expressions of qConv.forward, since int32 addition
+// is associative. Shared by the per-sample and cross-sample batch paths.
 func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
-	mult := l.inScale * l.wScale[o] / l.outScale
-	lo := reluFloor(l.relu)
-	yr = yr[:len(ar)]
-	for t, a := range ar {
-		yr[t] = requantize(float32(a)*mult, lo)
-	}
+	gemm.RescaleRow(yr, ar, l.bias[o], l.inScale*l.wScale[o]/l.outScale, reluFloor(l.relu))
 }
 
 // forwardBatch implements qOp for qConv: im2col packing, the int8 GEMM
-// micro-kernel over bias-seeded int32 accumulators, then the
-// per-output-channel rescale of the serial kernel — per sample for large
-// layers, or as one wide cross-sample GEMM (the same lowering and
-// heuristic as the float path; integer accumulation is exact, so the
+// micro-kernel over zeroed int32 accumulators, then the
+// per-output-channel bias and rescale of the serial kernel — per sample
+// for large layers, or as one wide cross-sample GEMM (the same lowering
+// and heuristic as the float path; integer accumulation is exact, so the
 // result is identical either way).
 func (l *qConv) forwardBatch(x *qBatchTensor) *qBatchTensor {
 	outT := (x.T-1)/l.stride + 1
@@ -86,13 +81,7 @@ func (l *qConv) forwardBatch(x *qBatchTensor) *qBatchTensor {
 		col := ensureSlice(&l.colBuf, J*wide)
 		im2colWide(col, x.Data, x.N, l.inC, x.T, l.kernel, l.dilation, l.stride, padL, outT)
 		acc := ensureSlice(&l.accBuf, l.outC*wide)
-		for o := 0; o < l.outC; o++ {
-			b := l.bias[o]
-			row := acc[o*wide : (o+1)*wide]
-			for t := range row {
-				row[t] = b
-			}
-		}
+		clear(acc)
 		gemm.S8(acc, l.weight, col, l.outC, J, wide)
 		for n := 0; n < x.N; n++ {
 			ys := y.Sample(n)
@@ -106,13 +95,7 @@ func (l *qConv) forwardBatch(x *qBatchTensor) *qBatchTensor {
 	acc := ensureSlice(&l.accBuf, l.outC*outT)
 	for n := 0; n < x.N; n++ {
 		im2col(col, x.Sample(n), l.inC, x.T, l.kernel, l.dilation, l.stride, padL, outT)
-		for o := 0; o < l.outC; o++ {
-			b := l.bias[o]
-			row := acc[o*outT : (o+1)*outT]
-			for t := range row {
-				row[t] = b
-			}
-		}
+		clear(acc)
 		gemm.S8(acc, l.weight, col, l.outC, J, outT)
 		ys := y.Sample(n)
 		for o := 0; o < l.outC; o++ {

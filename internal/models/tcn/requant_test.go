@@ -4,11 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/gemm"
 )
 
 // refClampI8 and refRequantize are the round-then-clamp reference the
-// int8 pipeline used before requantize: math.Round (half away from zero)
-// in float64, back to float32, the fused ReLU, then the ±127 clamp.
+// int8 pipeline used before gemm.Requantize: math.Round (half away from
+// zero) in float64, back to float32, the fused ReLU, then the ±127 clamp.
 func refClampI8(v float32) int8 {
 	if v > 127 {
 		return 127
@@ -30,8 +32,8 @@ func refRequantize(x float32, relu bool) int8 {
 func checkRequantize(t *testing.T, x float32) {
 	t.Helper()
 	for _, relu := range []bool{false, true} {
-		if got, want := requantize(x, reluFloor(relu)), refRequantize(x, relu); got != want {
-			t.Fatalf("requantize(%v (%#08x), relu=%v) = %d, want %d", x, math.Float32bits(x), relu, got, want)
+		if got, want := gemm.Requantize(x, reluFloor(relu)), refRequantize(x, relu); got != want {
+			t.Fatalf("Requantize(%v (%#08x), relu=%v) = %d, want %d", x, math.Float32bits(x), relu, got, want)
 		}
 	}
 }
@@ -75,8 +77,9 @@ func TestRequantizeMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// FuzzRequantize checks requantize against the reference over arbitrary
-// float32 bit patterns — NaNs, infinities and subnormals included.
+// FuzzRequantize checks gemm.Requantize against the reference over
+// arbitrary float32 bit patterns — NaNs, infinities and subnormals
+// included.
 func FuzzRequantize(f *testing.F) {
 	for _, x := range []float32{0.5, -0.5, 126.5, -127.5, 0.49999997, -2.1474836e9} {
 		f.Add(math.Float32bits(x))
