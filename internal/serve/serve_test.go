@@ -73,50 +73,56 @@ var fixtureOnce struct {
 func fixture(t testing.TB) (*hw.System, *core.Engine, []dalia.Window) {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		c := dalia.DefaultConfig()
-		c.Subjects = 2
-		c.DurationScale = 0.03
-		var ws []dalia.Window
-		for s := 0; s < c.Subjects; s++ {
-			rec, err := dalia.GenerateSubject(c, s)
-			if err != nil {
-				panic("serve fixture: dataset: " + err.Error())
-			}
-			ws = append(ws, dalia.Windows(rec, c.WindowSamples, c.StrideSamples)...)
-		}
-		cls, err := rf.Train(ws, rf.DefaultConfig())
-		if err != nil {
-			panic("serve fixture: forest: " + err.Error())
-		}
-		simple := &trapEst{biasEst{name: "cheap", ops: 3_000, bias: 8}}
-		complex := &trapEst{biasEst{name: "best", ops: 12_000_000, bias: 2}}
-		sys := hw.NewSystem()
-		header := core.NewRecordHeader("cheap", "best")
-		recs := make([]core.WindowRecord, len(ws))
-		for i := range ws {
-			recs[i] = core.WindowRecord{
-				TrueHR:     ws[i].TrueHR,
-				Activity:   ws[i].Activity,
-				Difficulty: cls.DifficultyID(&ws[i]),
-				Header:     header,
-				Preds:      []float64{ws[i].TrueHR + 8, ws[i].TrueHR + 2},
-			}
-		}
-		zoo, err := core.NewZoo(simple, complex)
-		if err != nil {
-			panic("serve fixture: zoo: " + err.Error())
-		}
-		profiles, err := core.ProfileConfigs(zoo.EnumerateConfigs(), recs, sys)
-		if err != nil {
-			panic("serve fixture: profiling: " + err.Error())
-		}
-		eng, err := core.NewEngine(profiles, cls)
-		if err != nil {
-			panic("serve fixture: engine: " + err.Error())
-		}
-		fixtureOnce.sys, fixtureOnce.eng, fixtureOnce.windows = sys, eng, ws
+		fixtureOnce.sys, fixtureOnce.eng, fixtureOnce.windows = buildFixture(12_000_000)
 	})
 	return fixtureOnce.sys, fixtureOnce.eng, fixtureOnce.windows
+}
+
+// buildFixture builds the test world with a complex model of complexOps
+// operations (its cost on the watch MCU and the phone).
+func buildFixture(complexOps int64) (*hw.System, *core.Engine, []dalia.Window) {
+	c := dalia.DefaultConfig()
+	c.Subjects = 2
+	c.DurationScale = 0.03
+	var ws []dalia.Window
+	for s := 0; s < c.Subjects; s++ {
+		rec, err := dalia.GenerateSubject(c, s)
+		if err != nil {
+			panic("serve fixture: dataset: " + err.Error())
+		}
+		ws = append(ws, dalia.Windows(rec, c.WindowSamples, c.StrideSamples)...)
+	}
+	cls, err := rf.Train(ws, rf.DefaultConfig())
+	if err != nil {
+		panic("serve fixture: forest: " + err.Error())
+	}
+	simple := &trapEst{biasEst{name: "cheap", ops: 3_000, bias: 8}}
+	complex := &trapEst{biasEst{name: "best", ops: complexOps, bias: 2}}
+	sys := hw.NewSystem()
+	header := core.NewRecordHeader("cheap", "best")
+	recs := make([]core.WindowRecord, len(ws))
+	for i := range ws {
+		recs[i] = core.WindowRecord{
+			TrueHR:     ws[i].TrueHR,
+			Activity:   ws[i].Activity,
+			Difficulty: cls.DifficultyID(&ws[i]),
+			Header:     header,
+			Preds:      []float64{ws[i].TrueHR + 8, ws[i].TrueHR + 2},
+		}
+	}
+	zoo, err := core.NewZoo(simple, complex)
+	if err != nil {
+		panic("serve fixture: zoo: " + err.Error())
+	}
+	profiles, err := core.ProfileConfigs(zoo.EnumerateConfigs(), recs, sys)
+	if err != nil {
+		panic("serve fixture: profiling: " + err.Error())
+	}
+	eng, err := core.NewEngine(profiles, cls)
+	if err != nil {
+		panic("serve fixture: engine: " + err.Error())
+	}
+	return sys, eng, ws
 }
 
 // lockstepConfig is the deterministic baseline config tests start from.

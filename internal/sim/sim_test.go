@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -244,5 +248,45 @@ func TestBreakdownString(t *testing.T) {
 	}
 	if !strings.Contains(power.Energy(1).String(), "J") {
 		t.Error("energy String broken")
+	}
+}
+
+// TestRunCleanTraceGolden pins the paper engine (nil injector) on a
+// toggling link: immediate reselection at every edge, lossless offloads,
+// with sensors, belief gating and a battery on. The expected Result is a
+// JSON golden, so any drift in the clean loop's arithmetic shows up
+// bitwise.
+func TestRunCleanTraceGolden(t *testing.T) {
+	sys, engine, ws := fixture(t)
+	tr, err := ble.NewConnectivityTrace(true, 100, 200, 400, 460, 900, 1300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := beliefPolicy(t, ws)
+	pol.GateBPM = 40
+	res, err := Run(Config{
+		System:          sys,
+		Engine:          engine,
+		Constraint:      core.MAEConstraint(6),
+		Trace:           tr,
+		Windows:         ws,
+		DurationSeconds: 2000,
+		Battery:         power.NewLiIon370(),
+		IncludeSensors:  true,
+		Belief:          pol,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "clean_trace_result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.TrimSpace(want), got) {
+		t.Errorf("clean trace result drifted from the golden:\n%s", got)
 	}
 }

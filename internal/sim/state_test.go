@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
 	"repro/internal/snapshot"
 )
@@ -37,6 +38,17 @@ func TestRunStateSegmentedBitwise(t *testing.T) {
 		{"clean", func(tb *testing.T) Config {
 			return Config{System: sys, Engine: engine, Constraint: core.MAEConstraint(6),
 				Windows: ws, DurationSeconds: 600, IncludeSensors: true}
+		}},
+		{"clean+trace", func(tb *testing.T) Config {
+			// Outages [80, 120) and [300, 400): both segment boundaries
+			// below fall inside one, so the link-edge reselection state
+			// crosses them.
+			tr, err := ble.NewConnectivityTrace(true, 80, 120, 300, 400)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return Config{System: sys, Engine: engine, Constraint: core.MAEConstraint(6),
+				Windows: ws, DurationSeconds: 600, IncludeSensors: true, Trace: tr}
 		}},
 		{"belief", func(tb *testing.T) Config {
 			return Config{System: sys, Engine: engine, Constraint: core.MAEConstraint(6),
