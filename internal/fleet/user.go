@@ -125,8 +125,8 @@ type User struct {
 	// profiled over their own windows) and the O(1) replay rater.
 	Engine *core.Engine
 	// Injector is the cohort scenario bound to the user's fault seed; nil
-	// for the "none" cohort, which keeps those users on the faster clean
-	// tick loop.
+	// for the "none" cohort, which runs those users on the paper engine
+	// (lossless transfers, immediate reselection; see sim.Step).
 	Injector *faults.Injector
 
 	meanHR float64
@@ -134,8 +134,10 @@ type User struct {
 
 // replayModel is an HREstimator whose predictions were precomputed over
 // one user's unique windows: EstimateHR is an index lookup keyed by the
-// window's start offset, which is what holds the fleet tick loop at
-// ~100 ns/window. It only answers for the exact windows it was built on.
+// window's start offset, which is what holds the fleet tick loop at about
+// 110 ns/window without fault injection (370 ns with it; traced perfbench
+// fleet split, 2-vCPU Xeon). It only answers for the exact windows it was
+// built on.
 type replayModel struct {
 	name        string
 	ops, params int64

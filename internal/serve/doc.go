@@ -17,11 +17,21 @@
 //	Submit ──▶ [mailbox]─┘    (per session)      wide GEMM batches
 //	                     ─▶ batch inference ─▶ finalize (per session)
 //
-// Stage 1 routes each session's windows in submission order (deadline
-// triage, shedding, dispatch, offload protocol); stage 2 groups runnable
+// Stage 1 routes each session's windows in submission order: deadline
+// triage and shedding here, then the session's sim.Step — the same
+// per-window pipeline the offline simulator runs — for the link check,
+// the belief-gated dispatch, the offload protocol with fallback to the
+// simple model, and reselection hysteresis. Stage 2 groups runnable
 // windows across sessions by (model, sample length); stage 3 runs each
 // group in batch chunks on worker clones; stage 4 folds results and
-// counters back per session.
+// counters back per session. The step splits at the inference boundary:
+// it decides which model produces each window's estimate, and the
+// coalesced stages 2–3 compute it.
+//
+// Every session runs a fault injector (faults.None when Config.Faults is
+// nil), so its reselection waits out the hysteresis of Config.Protocol.
+// A session is only created when the constraint selects a configuration
+// in both link states, so no reselection can fail mid-stream.
 //
 // # Overload ladder
 //

@@ -119,7 +119,6 @@ type Engine struct {
 	cfg      Config
 	clock    Clock
 	lockstep bool
-	proto    sim.Protocol
 	scenario faults.Scenario
 
 	mailboxDepth int
@@ -127,10 +126,6 @@ type Engine struct {
 	batchSize    int
 	workers      int
 	deadlineSec  float64
-	// pipelineDeadline is the offload budget per window
-	// (Protocol.DeadlineFraction × System.PeriodSeconds), mirroring the
-	// offline simulator.
-	pipelineDeadline float64
 
 	mu       sync.Mutex // guards sessions and order
 	sessions map[string]*Session
@@ -206,10 +201,6 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.CheckpointSeconds < 0 {
 		return nil, fmt.Errorf("serve: CheckpointSeconds %g < 0", cfg.CheckpointSeconds)
 	}
-	proto := cfg.Protocol
-	if proto == (sim.Protocol{}) {
-		proto = sim.DefaultProtocol()
-	}
 	scenario := faults.None()
 	if cfg.Faults != nil {
 		scenario = *cfg.Faults
@@ -229,23 +220,21 @@ func Open(cfg Config) (*Engine, error) {
 	_, lockstep := clock.(*VirtualClock)
 
 	e := &Engine{
-		cfg:              cfg,
-		clock:            clock,
-		lockstep:         lockstep,
-		proto:            proto,
-		scenario:         scenario,
-		mailboxDepth:     cfg.MailboxDepth,
-		highWater:        cfg.HighWater,
-		batchSize:        cfg.BatchSize,
-		workers:          cfg.Workers,
-		deadlineSec:      cfg.DeadlineSeconds,
-		pipelineDeadline: proto.DeadlineFraction * cfg.System.PeriodSeconds,
-		sessions:         make(map[string]*Session),
-		slots:            make(map[string]*modelSlot),
-		wake:             make(chan struct{}, 1),
-		stopCh:           make(chan struct{}),
-		pumpDone:         make(chan struct{}),
-		failedCh:         make(chan struct{}),
+		cfg:          cfg,
+		clock:        clock,
+		lockstep:     lockstep,
+		scenario:     scenario,
+		mailboxDepth: cfg.MailboxDepth,
+		highWater:    cfg.HighWater,
+		batchSize:    cfg.BatchSize,
+		workers:      cfg.Workers,
+		deadlineSec:  cfg.DeadlineSeconds,
+		sessions:     make(map[string]*Session),
+		slots:        make(map[string]*modelSlot),
+		wake:         make(chan struct{}, 1),
+		stopCh:       make(chan struct{}),
+		pumpDone:     make(chan struct{}),
+		failedCh:     make(chan struct{}),
 	}
 	// One slot per distinct zoo model: every profile's simple and complex
 	// estimator, deduplicated by name. Sessions only ever reference these
@@ -272,7 +261,9 @@ func Open(cfg Config) (*Engine, error) {
 // NewSession registers a new user stream. The session's fault injector
 // and random stream are forked from the engine seed by ID, so its fault
 // history is a pure function of (scenario, seed, id) — independent of
-// every other session and of registration order.
+// every other session and of registration order. The constraint must
+// select a configuration in both link states, so that no reselection
+// can fail mid-stream.
 func (e *Engine) NewSession(id string) (*Session, error) {
 	if id == "" {
 		return nil, errors.New("serve: empty session id")
@@ -284,20 +275,21 @@ func (e *Engine) NewSession(id string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %q: %w", id, err)
 	}
-	s := &Session{id: id, eng: e, inj: inj, rng: inj.Rand()}
+	s := &Session{id: id, eng: e}
 	if e.cfg.Belief != nil {
 		if s.bf, err = belief.NewFilter(e.cfg.Belief.Table); err != nil {
 			return nil, fmt.Errorf("serve: session %q: %w", id, err)
 		}
 	}
-	now := e.clock.Now()
-	s.engineUp = s.rawUp(now)
-	current, err := e.cfg.Engine.SelectConfig(s.engineUp, e.cfg.Constraint)
-	if err != nil {
+	c := &e.cfg
+	s.step = sim.NewStep(c.System, c.Engine, c.Constraint, c.Protocol, inj, c.Belief, s.bf)
+	if err := s.step.Feasible(); err != nil {
 		return nil, fmt.Errorf("serve: session %q: %w", id, err)
 	}
-	s.current = current
-	s.stats.ActiveConfig = current.Name()
+	if err := s.step.Start(e.clock.Now()); err != nil {
+		return nil, fmt.Errorf("serve: session %q: %w", id, err)
+	}
+	s.stats.ActiveConfig = s.step.ActiveConfig()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -368,7 +360,7 @@ func (e *Engine) runCycle() {
 	for i := range work {
 		for k := range work[i] {
 			j := &work[i][k]
-			if j.skip || j.est == nil {
+			if j.skip || j.route.Model == nil {
 				continue
 			}
 			gk := groupKey{model: j.model, n: len(j.w.PPG)}
@@ -404,7 +396,7 @@ func (e *Engine) runCycle() {
 			if slot == nil {
 				// A model outside the zoo (restored mid-cycle state);
 				// serve it serially through a transient slot.
-				slot = &modelSlot{name: gk.model, base: js[0].est}
+				slot = &modelSlot{name: gk.model, base: js[0].route.Model}
 			}
 			chunks = append(chunks, chunk{slot: slot, jobs: js[:n]})
 			js = js[n:]

@@ -3,6 +3,8 @@ package serve
 import (
 	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // After a supervision drop the link is held down for ReconnectSeconds.
@@ -24,14 +26,26 @@ func TestReconnectHoldoffWindowBoundary(t *testing.T) {
 	}
 
 	boundary := 3 * cfg.System.PeriodSeconds
-	s.linkDownUntil = boundary
-	if s.rawUp(math.Nextafter(boundary, 0)) {
+	_, _, ws := fixture(t)
+	p := s.step.State()
+	p.LinkDownUntil = boundary
+	if err := s.step.Resume(s.step.Current().Name(), p); err != nil {
+		t.Fatal(err)
+	}
+	up := func(at float64) bool {
+		var r sim.Route
+		if err := s.step.Window(&r, at, &ws[0], false); err != nil {
+			t.Fatal(err)
+		}
+		return r.Up
+	}
+	if up(math.Nextafter(boundary, 0)) {
 		t.Fatal("link reported up one ulp before the reconnect holdoff expired")
 	}
-	if !s.rawUp(boundary) {
+	if !up(boundary) {
 		t.Fatal("holdoff expiring exactly on the window boundary must re-admit offload")
 	}
-	if !s.rawUp(boundary + cfg.System.PeriodSeconds) {
+	if !up(boundary + cfg.System.PeriodSeconds) {
 		t.Fatal("link must stay up after the holdoff")
 	}
 }

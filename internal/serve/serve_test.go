@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dalia"
 	"repro/internal/hw"
+	"repro/internal/hw/power"
 	"repro/internal/models"
 	"repro/internal/models/rf"
 )
@@ -460,6 +461,53 @@ func TestDuplicateSessionRejected(t *testing.T) {
 
 // TestMaxPendingRejects: the engine-wide admission bound rejects before
 // the mailbox is consulted.
+// fixedRater rates every window at one difficulty.
+type fixedRater int
+
+func (r fixedRater) DifficultyID(*dalia.Window) int { return int(r) }
+
+// TestNewSessionRejectsInfeasibleConstraint: without the simple-only
+// local configuration, a 0.5 mJ energy bound is met only by hybrid
+// configurations, so the first reselection to the link-down side would
+// have nothing to select. NewSession rejects the session up front, the
+// check fleet's BuildUser makes; a bound both link states meet passes.
+func TestNewSessionRejectsInfeasibleConstraint(t *testing.T) {
+	cfg, _ := lockstepConfig(t)
+	var profiles []core.Profile
+	for _, p := range cfg.Engine.Profiles() {
+		if p.Exec == core.Local && p.Threshold == core.NumThresholds-1 {
+			continue
+		}
+		profiles = append(profiles, p)
+	}
+	eng, err := core.NewEngine(profiles, fixedRater(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = eng
+	for _, tc := range []struct {
+		bound    power.Energy
+		feasible bool
+	}{
+		{power.MicroJoules(500), false},
+		{power.MilliJoules(2), true},
+	} {
+		cfg.Constraint = core.EnergyConstraint(tc.bound)
+		e, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.NewSession("u0")
+		if tc.feasible && err != nil {
+			t.Errorf("bound %v: %v", tc.bound, err)
+		}
+		if !tc.feasible && err == nil {
+			t.Errorf("bound %v: session accepted although no local configuration meets it", tc.bound)
+		}
+		e.Close()
+	}
+}
+
 func TestMaxPendingRejects(t *testing.T) {
 	cfg, vc := lockstepConfig(t)
 	cfg.MaxPending = 2

@@ -5,12 +5,8 @@ import (
 	"sync"
 
 	"repro/internal/belief"
-	"repro/internal/core"
 	"repro/internal/dalia"
-	"repro/internal/faults"
-	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
-	"repro/internal/models"
 	"repro/internal/sim"
 )
 
@@ -48,9 +44,9 @@ func (s SubmitStatus) String() string {
 }
 
 // job is one window travelling through the pipeline: admission fields set
-// at Submit, routing fields set by stage 1 (dispatch + offload protocol),
-// the estimate set by the coalesced inference stage, and everything folded
-// into results and stats by finalize.
+// at Submit, the route set by stage 1 (sim.Step's dispatch and offload
+// protocol), the estimate set by the coalesced inference stage, and
+// everything folded into results and stats by finalize.
 type job struct {
 	seq      uint64
 	w        *dalia.Window
@@ -58,27 +54,22 @@ type job struct {
 	deadline float64
 
 	shed        bool // mailbox past high water at collect: degrade to simple
-	model       string
-	est         models.HREstimator
+	route       sim.Route
+	model       string // route.Model's name; "" once discarded
 	outcome     Outcome
-	offloaded   bool
-	difficulty  int
 	skip        bool // no inference (expired or panicked in stage 1)
 	panicked    bool
-	offload     sim.OffloadOutcome
-	attempted   bool // the offload pipeline ran (deadline-miss accounting)
 	phoneEnergy power.Energy
 	hr          float64
-	gated       bool    // offload demoted by the uncertainty gate
 	ciWidth     float64 // posterior credible-interval width after fusion
 }
 
 // Session is one user's isolated slice of the engine: a bounded mailbox,
-// the offload protocol state machine (burst-channel Markov state, seeded
-// random stream, reconnect holdoff), reselection hysteresis, and the
-// accumulated results and counters. All fault state is derived from the
-// engine's scenario and the session ID alone, so a session's results are
-// a pure function of its own inputs — never of its neighbours'.
+// the per-window offload pipeline (sim.Step: burst-channel Markov state,
+// seeded random stream, reconnect holdoff, reselection hysteresis), and
+// the accumulated results and counters. All fault state is derived from
+// the engine's scenario and the session ID alone, so a session's results
+// are a pure function of its own inputs — never of its neighbours'.
 type Session struct {
 	id  string
 	eng *Engine
@@ -94,20 +85,11 @@ type Session struct {
 
 	// Pipeline state below is touched only by the engine's cycle (one
 	// cycle runs at a time), never concurrently with itself.
-	inj           *faults.Injector
-	rng           *faults.Rand
-	ch            ble.Channel
-	current       core.Profile
-	engineUp      bool
-	linkDownUntil float64
-	failStreak    int
-	goodStreak    int
-	cooldown      int
+	step *sim.Step
 	// bf is the session's belief filter (nil unless Config.Belief is
-	// set); rmsBuf is its reusable motion-RMS scratch. Like the channel
-	// state above, both are touched only from the engine's cycle — but
-	// unlike it, the filter deliberately survives restart: it tracks the
-	// stream's history, not the pipeline's health.
+	// set); rmsBuf is its reusable motion-RMS scratch. Unlike the step's
+	// pipeline state, the filter deliberately survives restart: it
+	// tracks the stream's history, not the pipeline's health.
 	bf     *belief.Filter
 	rmsBuf []float64
 }
@@ -206,27 +188,16 @@ func (s *Session) collect() []job {
 	return jobs
 }
 
-// rawUp reports whether the session's offload link is usable at time t:
-// past any reconnect holdoff, the shared link up, and no injected flap.
-func (s *Session) rawUp(t float64) bool {
-	return t >= s.linkDownUntil && s.eng.cfg.System.Link.ConnectedAt(t) && !s.inj.ForcedDown(t)
-}
-
 // restart re-initializes the session after a recovered panic: fresh
 // configuration selection, cleared hysteresis and channel state. The
 // mailbox, results, counters and the random stream survive — a restart
 // heals the pipeline state, it does not rewrite history.
 func (s *Session) restart(t float64) {
-	s.ch = ble.Channel{}
-	s.linkDownUntil = 0
-	s.failStreak, s.goodStreak, s.cooldown = 0, 0, 0
-	s.engineUp = s.rawUp(t)
-	if next, err := s.eng.cfg.Engine.SelectConfig(s.engineUp, s.eng.cfg.Constraint); err == nil {
-		s.current = next
-	}
+	// Start cannot fail: NewSession checked both link states.
+	_ = s.step.Start(t)
 	s.smu.Lock()
 	s.stats.Restarts++
-	s.stats.ActiveConfig = s.current.Name()
+	s.stats.ActiveConfig = s.step.ActiveConfig()
 	s.smu.Unlock()
 }
 
@@ -250,7 +221,7 @@ func (s *Session) step1(now float64, j *job) {
 			j.panicked = true
 			j.skip = true
 			j.outcome = OutcomePanic
-			j.est = nil
+			j.route.Model = nil
 			s.restart(now)
 		}
 	}()
@@ -268,107 +239,34 @@ func (s *Session) step1(now float64, j *job) {
 	// loop uses when the offload pipeline fails.
 	if j.shed {
 		j.outcome = OutcomeShed
-		j.model = s.current.Simple.Name()
-		j.est = s.current.Simple
+		j.route.Model = s.step.Current().Simple
+		j.model = j.route.Model.Name()
 		return
 	}
 
-	up := s.rawUp(j.arrival)
-	var d core.Decision
-	if pol := e.cfg.Belief; s.bf != nil && pol.GateBPM > 0 {
-		// Every job routed this cycle shares the pre-cycle predictive
-		// width: the decision is made before any of the cycle's results
-		// exist, exactly like a real device deciding on stale belief.
-		c := core.Confidence{Width: s.bf.PredictiveWidth(pol.Mass)}
-		d, j.gated = e.cfg.Engine.DispatchGated(&s.current, j.w,
-			core.UncertaintyGate{MaxWidth: pol.GateBPM}, c)
-	} else {
-		d = e.cfg.Engine.Dispatch(&s.current, j.w)
+	// Every job routed this cycle shares the pre-cycle belief: the
+	// decision is made before any of the cycle's results exist, exactly
+	// like a real device deciding on stale belief. Window cannot fail:
+	// NewSession checked both link states.
+	_ = s.step.Window(&j.route, j.arrival, j.w, true)
+	r := &j.route
+	j.model = r.Model.Name()
+	for k := 0; k < r.Offload.PhoneComputes; k++ {
+		j.phoneEnergy += e.cfg.System.PhoneEnergy(r.Dispatched)
 	}
-	j.difficulty = d.Difficulty
-	windowFault := false
 	switch {
-	case d.Offloaded && up:
-		j.attempted = true
-		j.offload = s.proto().ResolveOffload(e.cfg.System, s.inj, &s.ch, s.rng,
-			d.Model, j.arrival, e.pipelineDeadline)
-		for k := 0; k < j.offload.PhoneComputes; k++ {
-			j.phoneEnergy += e.cfg.System.PhoneEnergy(d.Model)
-		}
-		windowFault = j.offload.Fault
-		if j.offload.SupervisionDrop {
-			s.linkDownUntil = j.arrival + s.proto().ReconnectSeconds
-		}
-		if j.offload.Success {
-			j.outcome = OutcomeFull
-			j.offloaded = true
-			j.model = d.Model.Name()
-			j.est = d.Model
-		} else {
-			j.outcome = OutcomeFallback
-			j.model = s.current.Simple.Name()
-			j.est = s.current.Simple
-		}
-	case d.Offloaded && !up:
-		// The stack knows the link is down: degrade immediately.
-		windowFault = true
+	case r.Fallback:
 		j.outcome = OutcomeFallback
-		j.model = s.current.Simple.Name()
-		j.est = s.current.Simple
+	case r.Simple:
+		j.outcome = OutcomeSimple
 	default:
-		j.model = d.Model.Name()
-		j.est = d.Model
-		if d.Model.Name() == s.current.Simple.Name() {
-			j.outcome = OutcomeSimple
-		} else {
-			j.outcome = OutcomeFull
-		}
+		j.outcome = OutcomeFull
 	}
-	s.hysteresis(up, windowFault)
-}
-
-// proto returns the engine's resolved protocol.
-func (s *Session) proto() sim.Protocol { return s.eng.proto }
-
-// hysteresis is the reselection damper of the offline simulator, applied
-// per dispatched window: leave hybrid configurations only after
-// FailWindows consecutive degraded windows, return after RecoverWindows
-// healthy ones, and hold still through the cooldown after any switch.
-func (s *Session) hysteresis(up, windowFault bool) {
-	if up && !windowFault {
-		s.goodStreak++
-		s.failStreak = 0
-	} else {
-		s.failStreak++
-		s.goodStreak = 0
-	}
-	p := s.proto()
-	e := s.eng
-	switch {
-	case s.cooldown > 0:
-		s.cooldown--
-	case s.engineUp && s.failStreak >= p.FailWindows:
-		if next, err := e.cfg.Engine.SelectConfig(false, e.cfg.Constraint); err == nil {
-			s.current = next
-			s.engineUp = false
-			s.cooldown = p.CooldownWindows
-			s.failStreak = 0
-			s.smu.Lock()
-			s.stats.Reselections++
-			s.stats.ActiveConfig = next.Name()
-			s.smu.Unlock()
-		}
-	case !s.engineUp && s.goodStreak >= p.RecoverWindows:
-		if next, err := e.cfg.Engine.SelectConfig(true, e.cfg.Constraint); err == nil {
-			s.current = next
-			s.engineUp = true
-			s.cooldown = p.CooldownWindows
-			s.goodStreak = 0
-			s.smu.Lock()
-			s.stats.Reselections++
-			s.stats.ActiveConfig = next.Name()
-			s.smu.Unlock()
-		}
+	if r.Reselected {
+		s.smu.Lock()
+		s.stats.Reselections++
+		s.stats.ActiveConfig = s.step.ActiveConfig()
+		s.smu.Unlock()
 	}
 }
 
@@ -409,21 +307,21 @@ func (s *Session) finalize(completion float64, jobs []job) {
 					j.hr = s.bf.Mean()
 				}
 			}
-			if j.gated {
+			if j.route.Gated {
 				s.stats.GatedWindows++
 			}
 		}
 		switch j.outcome {
 		case OutcomeFull:
 			s.stats.FullRuns++
-			if j.offloaded {
+			if j.route.Offloaded {
 				s.stats.Offloaded++
 			}
 		case OutcomeSimple:
 			s.stats.SimpleRuns++
 		case OutcomeFallback:
 			s.stats.FallbackWindows++
-			if j.attempted {
+			if j.route.Attempted {
 				s.stats.DeadlineMisses++
 			}
 		case OutcomeShed:
@@ -431,26 +329,27 @@ func (s *Session) finalize(completion float64, jobs []job) {
 		case OutcomeExpired:
 			s.stats.Expired++
 		}
-		s.stats.Retries += uint64(j.offload.Retries)
-		s.stats.Timeouts += uint64(j.offload.Timeouts)
-		s.stats.RetransmitPackets += uint64(j.offload.RetransmitPackets)
-		if j.offload.SupervisionDrop {
+		out := &j.route.Offload
+		s.stats.Retries += uint64(out.Retries)
+		s.stats.Timeouts += uint64(out.Timeouts)
+		s.stats.RetransmitPackets += uint64(out.RetransmitPackets)
+		if out.SupervisionDrop {
 			s.stats.SupervisionDrops++
 		}
-		s.stats.RadioEnergy += j.offload.RadioEnergy
-		s.stats.RetransmitEnergy += j.offload.RetransmitEnergy
+		s.stats.RadioEnergy += out.RadioEnergy
+		s.stats.RetransmitEnergy += out.RetransmitEnergy
 		s.stats.PhoneEnergy += j.phoneEnergy
-		s.stats.ActiveConfig = s.current.Name()
+		s.stats.ActiveConfig = s.step.ActiveConfig()
 		s.results = append(s.results, WindowResult{
 			Seq:        j.seq,
 			Arrival:    j.arrival,
 			HR:         j.hr,
 			Model:      j.model,
 			Outcome:    j.outcome,
-			Offloaded:  j.offloaded,
-			Difficulty: j.difficulty,
+			Offloaded:  j.route.Offloaded,
+			Difficulty: j.route.Difficulty,
 			Latency:    completion - j.arrival,
-			Gated:      j.gated,
+			Gated:      j.route.Gated,
 			CIWidth:    j.ciWidth,
 		})
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hw/power"
 	"repro/internal/reccache"
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
@@ -36,7 +37,7 @@ var (
 func (e *Engine) ConfigHash() uint64 {
 	h := fnv.New64a()
 	c := &e.cfg
-	fmt.Fprintf(h, "scenario=%+v seed=%d proto=%+v constraint=%+v", e.scenario, c.FaultSeed, e.proto, c.Constraint)
+	fmt.Fprintf(h, "scenario=%+v seed=%d proto=%+v constraint=%+v", e.scenario, c.FaultSeed, c.Protocol.Resolved(), c.Constraint)
 	fmt.Fprintf(h, " period=%g deadline=%g mailbox=%d highwater=%d maxpending=%d",
 		c.System.PeriodSeconds, e.deadlineSec, e.mailboxDepth, e.highWater, c.MaxPending)
 	for _, p := range c.Engine.Profiles() {
@@ -315,14 +316,8 @@ func (s *Session) encode(w *snapshot.Writer) {
 	}
 
 	// Cycle-only pipeline state: offload machine, hysteresis, rng, belief.
-	w.String(s.current.Name())
-	w.Bool(s.engineUp)
-	w.F64(s.linkDownUntil)
-	w.I64(int64(s.failStreak))
-	w.I64(int64(s.goodStreak))
-	w.I64(int64(s.cooldown))
-	w.Bool(s.ch.Bad())
-	w.U64(s.rng.State())
+	w.String(s.step.ActiveConfig())
+	s.step.State().Encode(w)
 	w.Bool(s.bf != nil)
 	if s.bf != nil {
 		post, predicted := s.bf.Snapshot(nil)
@@ -397,13 +392,7 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	}
 
 	profileName := r.String()
-	engineUp := r.Bool()
-	linkDownUntil := r.F64()
-	failStreak := int(r.I64())
-	goodStreak := int(r.I64())
-	cooldown := int(r.I64())
-	chBad := r.Bool()
-	rngState := r.U64()
+	p := sim.DecodeProtoState(r)
 	hasBelief := r.Bool()
 	var post []float64
 	var predicted bool
@@ -414,22 +403,20 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	switch {
-	case failStreak < 0 || goodStreak < 0 || cooldown < 0:
-		return nil, fmt.Errorf("%w: session %q: negative hysteresis counters", snapshot.ErrCorrupt, id)
-	case math.IsNaN(linkDownUntil) || math.IsInf(linkDownUntil, 0):
-		return nil, fmt.Errorf("%w: session %q: holdoff %v", snapshot.ErrCorrupt, id, linkDownUntil)
-	case hasBelief != (e.cfg.Belief != nil):
-		return nil, fmt.Errorf("%w: session %q: belief presence mismatch", snapshot.ErrStale, id)
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrCorrupt, id, err)
 	}
-	profile, ok := e.cfg.Engine.ProfileByName(profileName)
-	if !ok {
-		return nil, fmt.Errorf("%w: session %q: configuration %q not in engine", snapshot.ErrStale, id, profileName)
+	if hasBelief != (e.cfg.Belief != nil) {
+		return nil, fmt.Errorf("%w: session %q: belief presence mismatch", snapshot.ErrStale, id)
 	}
 
 	s, err := e.NewSession(id)
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore session %q: %w", id, err)
+	}
+	if err := s.step.Resume(profileName, p); err != nil {
+		e.removeSession(s)
+		return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrStale, id, err)
 	}
 	if s.bf != nil {
 		if rerr := s.bf.Restore(post, predicted); rerr != nil {
@@ -437,12 +424,6 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 			return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrCorrupt, id, rerr)
 		}
 	}
-	s.current = profile
-	s.engineUp = engineUp
-	s.linkDownUntil = linkDownUntil
-	s.failStreak, s.goodStreak, s.cooldown = failStreak, goodStreak, cooldown
-	s.ch.SetBad(chBad)
-	s.rng.Restore(rngState)
 	s.smu.Lock()
 	s.seq = seq
 	s.closed = closed

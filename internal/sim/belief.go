@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/belief"
-	"repro/internal/core"
-	"repro/internal/dalia"
 )
 
 // beliefState is the per-run wiring of the belief filter into the tick
@@ -13,10 +11,9 @@ import (
 // unique window is precomputed once (the stream replays cyclically), and
 // the filter's streaming update never allocates.
 type beliefState struct {
-	p    *belief.Policy
-	f    *belief.Filter
-	gate core.UncertaintyGate
-	rms  []float64 // motion RMS per unique window, indexed like cfg.Windows
+	p   *belief.Policy
+	f   *belief.Filter
+	rms []float64 // motion RMS per unique window, indexed like cfg.Windows
 
 	gated    int     // offloads demoted by the uncertainty gate
 	observed int     // windows fused into the posterior
@@ -33,32 +30,15 @@ func newBeliefState(cfg *Config) (*beliefState, error) {
 		return nil, fmt.Errorf("sim: belief filter: %w", err)
 	}
 	bs := &beliefState{
-		p:    cfg.Belief,
-		f:    f,
-		gate: core.UncertaintyGate{MaxWidth: cfg.Belief.GateBPM},
-		rms:  make([]float64, len(cfg.Windows)),
+		p:   cfg.Belief,
+		f:   f,
+		rms: make([]float64, len(cfg.Windows)),
 	}
 	var scratch []float64
 	for i := range cfg.Windows {
 		bs.rms[i], scratch = belief.MotionRMS(&cfg.Windows[i], scratch)
 	}
 	return bs, nil
-}
-
-// dispatch is the belief-aware replacement for Engine.Dispatch: when the
-// gate is active, the predictive credible-interval width — the
-// uncertainty available before this window's estimate exists — can
-// demote an offload to the simple local model.
-func (bs *beliefState) dispatch(eng *core.Engine, cur *core.Profile, w *dalia.Window) core.Decision {
-	if !bs.gate.Active() {
-		return eng.Dispatch(cur, w)
-	}
-	c := core.Confidence{Width: bs.f.PredictiveWidth(bs.p.Mass)}
-	d, demoted := eng.DispatchGated(cur, w, bs.gate, c)
-	if demoted {
-		bs.gated++
-	}
-	return d
 }
 
 // observe fuses the window's point estimate (produced by modelName) into

@@ -10,10 +10,8 @@ import (
 	"repro/internal/models"
 )
 
-// This file holds the offload protocol state machine as a reusable
-// per-window step: sim.Run drives it from the offline tick loop, and the
-// streaming engine (internal/serve) drives the same machine per session,
-// so the two cannot drift apart.
+// This file holds the offload protocol state machine that Step runs for
+// every offloaded window under a fault injector.
 
 // OffloadOutcome is the resolution of one window's offload pipeline:
 // whether the phone's answer arrived in time, what the attempt(s) cost,

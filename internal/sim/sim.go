@@ -37,8 +37,9 @@ type Config struct {
 	// the offload deadline/retry/backoff protocol with graceful
 	// degradation to the watch-side model, reselection hysteresis, phone
 	// latency spikes/unavailability and battery brown-outs. A nil Faults
-	// (or the faults.None scenario) reproduces the fault-free simulator
-	// bitwise.
+	// runs the paper engine: lossless transfers and immediate
+	// reselection at every link edge (see Step). The faults.None scenario
+	// matches it bitwise only on a link that never drops.
 	Faults *faults.Injector
 	// Protocol tunes the offload state machine; the zero value means
 	// DefaultProtocol(). Only consulted when Faults is non-nil.
@@ -185,66 +186,97 @@ func Run(cfg Config) (Result, error) {
 	return st.Res, nil
 }
 
-// runClean is the fault-free tick loop: lossless instant-acknowledged
-// transfers and immediate reselection on link transitions. Its numeric
-// behaviour is the bitwise baseline the fault path must reproduce when
-// the injected scenario is empty (see TestRunZeroFaultScenarioMatchesClean).
-// Loop carry lives in locals loaded from st at segment entry and stored
-// back at exit, so the arithmetic inside a window is identical whether
-// the run is monolithic or segmented.
-func runClean(cfg Config, st *State, stop float64) error {
-	sys := cfg.System
-	period := sys.PeriodSeconds
-
-	res := st.Res
-	absErrSum := st.AbsErrSum
-	busyUntil := st.BusyUntil
-	var lastLink bool
-	var current core.Profile
-	var err error
+// RunState advances the scenario until min(stopSeconds,
+// cfg.DurationSeconds); stopSeconds <= 0 (or NaN) means run to
+// completion. A zero-value *st starts fresh; a State saved by a previous
+// call resumes. cfg must be the same configuration across segments —
+// battery and belief presence are checked, and the active configuration
+// is rebound by name — but the split points themselves are free: the
+// trajectory is bitwise independent of segmentation.
+//
+// The tick loop wraps the per-window Step in what only the watch has: the
+// MCU busy with an earlier local inference (the window is skipped),
+// energy accounting, the belief observation, and the battery.
+func RunState(cfg Config, st *State, stopSeconds float64) error {
+	switch {
+	case cfg.System == nil || cfg.Engine == nil:
+		return fmt.Errorf("sim: System and Engine are required")
+	case len(cfg.Windows) == 0:
+		return fmt.Errorf("sim: no windows to replay")
+	case cfg.DurationSeconds <= 0:
+		return fmt.Errorf("sim: non-positive duration")
+	}
+	if st.Done {
+		return nil
+	}
 	if st.Started {
-		lastLink = st.LastLink
-		var ok bool
-		if current, ok = cfg.Engine.ProfileByName(st.ActiveConfig); !ok {
-			return fmt.Errorf("sim: resume: configuration %q not in engine", st.ActiveConfig)
+		if st.HasBattery != (cfg.Battery != nil) {
+			return fmt.Errorf("sim: state battery presence %v does not match config", st.HasBattery)
 		}
-	} else {
-		lastLink = sys.Link.ConnectedAt(0)
-		if current, err = cfg.Engine.SelectConfig(lastLink, cfg.Constraint); err != nil {
-			return fmt.Errorf("sim: initial selection: %w", err)
+		if st.HasBelief != (cfg.Belief != nil) {
+			return fmt.Errorf("sim: state belief presence %v does not match config", st.HasBelief)
 		}
-		res.ActiveConfig = current.Name()
+		if cfg.Battery != nil {
+			if err := cfg.Battery.Restore(st.BatteryRemaining); err != nil {
+				return fmt.Errorf("sim: resume: %w", err)
+			}
+		}
+	}
+	stop := cfg.DurationSeconds
+	if stopSeconds > 0 && stopSeconds < stop {
+		stop = stopSeconds
+	}
+	sys := cfg.System
+	if cfg.Trace != nil {
+		prev := sys.Link.Trace()
+		sys.Link.UseTrace(cfg.Trace)
+		defer sys.Link.UseTrace(prev)
 	}
 	bs, err := restoreBelief(&cfg, st)
 	if err != nil {
 		return err
 	}
-	wi := st.WI
-	save := func(tNow float64) {
-		st.captureCommon(&cfg, tNow, wi, busyUntil, absErrSum, 0, &res, bs)
-		st.LastLink = lastLink
+	var bf *belief.Filter
+	if bs != nil {
+		bf = bs.f
+	}
+	step := NewStep(sys, cfg.Engine, cfg.Constraint, cfg.Protocol, cfg.Faults, cfg.Belief, bf)
+	res := st.Res
+	if st.Started {
+		if err := step.Resume(st.ActiveConfig, st.Proto); err != nil {
+			return fmt.Errorf("sim: resume: %w", err)
+		}
+	} else {
+		if err := step.Start(0); err != nil {
+			return err
+		}
+		res.ActiveConfig = step.ActiveConfig()
+		if cfg.Faults != nil {
+			res.FaultScenario = cfg.Faults.Scenario().Name
+			res.FaultSeed = cfg.Faults.Seed()
+		}
 	}
 
+	period := sys.PeriodSeconds
+	absErrSum, faultAbsErrSum := st.AbsErrSum, st.FaultAbsErrSum
+	busyUntil := st.BusyUntil
+	wi := st.WI
+	var r Route
 	t := st.T
 	for ; t < stop; t += period {
 		res.SimulatedSeconds = t + period
-		up := sys.Link.ConnectedAt(t)
-		if up != lastLink {
-			next, err := cfg.Engine.SelectConfig(up, cfg.Constraint)
-			if err != nil {
-				return fmt.Errorf("sim: re-selection at t=%.1f: %w", t, err)
-			}
-			current = next
-			res.ActiveConfig = current.Name()
-			res.Reselections++
-			lastLink = up
-		}
-		if !up {
-			res.LinkDownWindows++
-		}
-
 		w := &cfg.Windows[wi%len(cfg.Windows)]
 		wi++
+		if err := step.Window(&r, t, w, t >= busyUntil); err != nil {
+			return err
+		}
+		if r.Reselected {
+			res.Reselections++
+			res.ActiveConfig = step.ActiveConfig()
+		}
+		if !r.Up {
+			res.LinkDownWindows++
+		}
 
 		// Per-window watch-side energy, assembled component by component.
 		var windowWatch power.Energy
@@ -256,202 +288,25 @@ func runClean(cfg Config, st *State, stop float64) error {
 			windowWatch += se
 		}
 
-		if t < busyUntil {
+		if r.Model == nil {
 			// Previous local inference still running: this window is
 			// dropped; its compute energy was charged when it started.
+			// Once that burst finishes mid-window, the rest of the window
+			// is MCU idle time, so every simulated second is charged at
+			// exactly one MCU rate (TestRunIdleCoverageInvariant).
 			res.SkippedWindows++
-			windowWatch += chargeSkippedIdle(&res, sys, t, busyUntil, period)
-			if bs != nil {
-				bs.coast()
-			}
-		} else {
-			var d core.Decision
-			if bs != nil {
-				d = bs.dispatch(cfg.Engine, &current, w)
-				d.HR = d.Model.EstimateHR(w)
-			} else {
-				d = cfg.Engine.Predict(&current, w)
-			}
-			res.Predictions++
-			rep := d.HR
-			if bs != nil {
-				rep = bs.observe(d.Model.Name(), (wi-1)%len(cfg.Windows), d.HR, w.TrueHR)
-			}
-			absErrSum += models.AbsError(rep, w.TrueHR)
-
-			var busy float64
-			if d.Offloaded {
-				res.Offloaded++
-				busy = sys.Link.TransmitSeconds(ble.WindowBytes)
-				radio := sys.Link.WindowTransmitEnergy()
-				res.Watch.Radio += radio
-				windowWatch += radio
-				res.PhoneEnergy += sys.PhoneEnergy(d.Model)
-			} else {
-				if d.Model.Name() == current.Simple.Name() {
-					res.SimpleRuns++
-				}
-				busy = sys.MCU.ComputeSeconds(d.Model)
-				compute := sys.MCU.ActiveEnergy(d.Model)
-				res.Watch.Compute += compute
-				windowWatch += compute
-			}
-			busyUntil = t + busy
-			idle := period - busy
-			if idle > 0 {
+			if idle := t + period - busyUntil; idle > 0 {
 				idleE := sys.MCU.IdlePower.Over(idle)
 				res.Watch.Idle += idleE
 				windowWatch += idleE
 			}
-		}
-
-		if cfg.Battery != nil {
-			drain := sys.BatteryDrainPerWindow(windowWatch)
-			res.BatteryDrain += drain
-			if err := cfg.Battery.Drain(drain); err != nil {
-				res.BatteryExhausted = true
-				save(t)
-				st.finishRun(&cfg, bs)
-				return nil
-			}
-		}
-	}
-	save(t)
-	if stop >= cfg.DurationSeconds {
-		st.finishRun(&cfg, bs)
-	}
-	return nil
-}
-
-// chargeSkippedIdle closes the idle-accounting gap of skipped windows:
-// the active burst that causes a skip is charged in full when it starts,
-// but once it finishes mid-window the remainder of that window is MCU
-// idle time and must be charged too, so that every simulated second is
-// charged at exactly one MCU rate (TestRunIdleCoverageInvariant pins
-// this).
-func chargeSkippedIdle(res *Result, sys *hw.System, t, busyUntil, period float64) power.Energy {
-	idle := t + period - busyUntil
-	if idle <= 0 {
-		return 0
-	}
-	idleE := sys.MCU.IdlePower.Over(idle)
-	res.Watch.Idle += idleE
-	return idleE
-}
-
-// runFaults is the fault-injected tick loop: dispatch runs against a
-// lossy burst channel through the retry/timeout/backoff protocol, failed
-// windows degrade gracefully to the watch-side fallback model, and
-// reselection moves behind hysteresis so link blips cannot thrash the
-// engine. With an empty scenario every branch below reduces to the exact
-// arithmetic of runClean. Loop carry — including the rng position, the
-// Gilbert–Elliott chain state, the reconnect holdoff and the hysteresis
-// streaks — is loaded from st at segment entry and stored back at exit,
-// keeping segmented runs bitwise-equal to monolithic ones.
-func runFaults(cfg Config, st *State, stop float64) error {
-	sys := cfg.System
-	period := sys.PeriodSeconds
-	proto := cfg.Protocol
-	if proto == (Protocol{}) {
-		proto = DefaultProtocol()
-	}
-	deadline := proto.DeadlineFraction * period
-	inj := cfg.Faults
-	rng := inj.Rand()
-	ch := &ble.Channel{}
-
-	res := st.Res
-	absErrSum := st.AbsErrSum
-	faultAbsErrSum := st.FaultAbsErrSum
-	busyUntil := st.BusyUntil
-	linkDownUntil := st.Proto.LinkDownUntil // reconnect holdoff after a supervision drop
-	rawUp := func(t float64) bool {
-		return t >= linkDownUntil && sys.Link.ConnectedAt(t) && !inj.ForcedDown(t)
-	}
-
-	var engineUp bool
-	var current core.Profile
-	var err error
-	failStreak, goodStreak, cooldown := 0, 0, 0
-	if st.Started {
-		engineUp = st.Proto.EngineUp
-		failStreak, goodStreak, cooldown = st.Proto.FailStreak, st.Proto.GoodStreak, st.Proto.Cooldown
-		ch.SetBad(st.Proto.ChannelBad)
-		rng.Restore(st.Proto.RngState)
-		var ok bool
-		if current, ok = cfg.Engine.ProfileByName(st.ActiveConfig); !ok {
-			return fmt.Errorf("sim: resume: configuration %q not in engine", st.ActiveConfig)
-		}
-	} else {
-		res.FaultScenario = inj.Scenario().Name
-		res.FaultSeed = inj.Seed()
-		engineUp = rawUp(0)
-		if current, err = cfg.Engine.SelectConfig(engineUp, cfg.Constraint); err != nil {
-			return fmt.Errorf("sim: initial selection: %w", err)
-		}
-		res.ActiveConfig = current.Name()
-	}
-	bs, err := restoreBelief(&cfg, st)
-	if err != nil {
-		return err
-	}
-	wi := st.WI
-	save := func(tNow float64) {
-		st.captureCommon(&cfg, tNow, wi, busyUntil, absErrSum, faultAbsErrSum, &res, bs)
-		st.Proto = ProtoState{
-			EngineUp:      engineUp,
-			LinkDownUntil: linkDownUntil,
-			FailStreak:    failStreak,
-			GoodStreak:    goodStreak,
-			Cooldown:      cooldown,
-			ChannelBad:    ch.Bad(),
-			RngState:      rng.State(),
-		}
-	}
-
-	t := st.T
-	for ; t < stop; t += period {
-		res.SimulatedSeconds = t + period
-		up := rawUp(t)
-		if !up {
-			res.LinkDownWindows++
-		}
-
-		w := &cfg.Windows[wi%len(cfg.Windows)]
-		wi++
-
-		var windowWatch power.Energy
-		if cfg.IncludeSensors {
-			se := sys.SensorWindowEnergy()
-			res.Watch.Sensors += se
-			windowWatch += se
-		}
-
-		windowFault := false
-		if t < busyUntil {
-			res.SkippedWindows++
-			windowWatch += chargeSkippedIdle(&res, sys, t, busyUntil, period)
 			if bs != nil {
 				bs.coast()
 			}
 		} else {
-			var d core.Decision
-			if bs != nil {
-				d = bs.dispatch(cfg.Engine, &current, w)
-			} else {
-				d = cfg.Engine.Dispatch(&current, w)
-			}
-			var hr, busy float64
-			degraded, attempted := false, false
-
-			switch {
-			case d.Offloaded && up:
-				// Offload protocol state machine (protocol.go): transmit
-				// over the burst channel, await the phone response under
-				// the attempt timeout, retry with exponential backoff
-				// inside the window deadline, then degrade.
-				attempted = true
-				out := proto.ResolveOffload(sys, inj, ch, rng, d.Model, t, deadline)
+			var busy float64
+			if r.Attempted {
+				out := &r.Offload
 				res.Watch.Radio += out.RadioEnergy
 				windowWatch += out.RadioEnergy
 				busy += out.Busy
@@ -460,64 +315,41 @@ func runFaults(cfg Config, st *State, stop float64) error {
 				res.Retries += out.Retries
 				res.Timeouts += out.Timeouts
 				for i := 0; i < out.PhoneComputes; i++ {
-					res.PhoneEnergy += sys.PhoneEnergy(d.Model)
-				}
-				if out.Fault {
-					windowFault = true
+					res.PhoneEnergy += sys.PhoneEnergy(r.Dispatched)
 				}
 				if out.SupervisionDrop {
 					res.SupervisionDrops++
-					linkDownUntil = t + proto.ReconnectSeconds
 				}
-				if out.Success {
-					hr = d.Model.EstimateHR(w)
-					res.Offloaded++
-				} else {
-					degraded = true
-				}
-			case d.Offloaded && !up:
-				// The stack knows the link is down: nothing is
-				// transmitted, the window degrades immediately.
-				degraded = true
-				windowFault = true
-			default:
-				hr = d.Model.EstimateHR(w)
-				if d.Model.Name() == current.Simple.Name() {
+			}
+			hr := r.Model.EstimateHR(w)
+			if r.Offloaded {
+				res.Offloaded++
+			} else {
+				if r.Simple || r.Fallback {
 					res.SimpleRuns++
 				}
-				busy += sys.MCU.ComputeSeconds(d.Model)
-				compute := sys.MCU.ActiveEnergy(d.Model)
+				busy += sys.MCU.ComputeSeconds(r.Model)
+				compute := sys.MCU.ActiveEnergy(r.Model)
 				res.Watch.Compute += compute
 				windowWatch += compute
 			}
-
-			if degraded {
-				// Graceful degradation: the configuration's watch-side
-				// simple model covers the window locally.
+			if r.Fallback {
 				res.FallbackWindows++
-				if attempted {
+				if r.Attempted {
 					res.DeadlineMisses++
 				}
-				windowFault = true
-				hr = current.Simple.EstimateHR(w)
-				res.SimpleRuns++
-				busy += sys.MCU.ComputeSeconds(current.Simple)
-				compute := sys.MCU.ActiveEnergy(current.Simple)
-				res.Watch.Compute += compute
-				windowWatch += compute
 			}
 
 			res.Predictions++
 			if bs != nil {
-				producedBy := d.Model.Name()
-				if degraded {
-					producedBy = current.Simple.Name()
+				if r.Gated {
+					bs.gated++
 				}
-				hr = bs.observe(producedBy, (wi-1)%len(cfg.Windows), hr, w.TrueHR)
+				hr = bs.observe(r.Model.Name(), (wi-1)%len(cfg.Windows), hr, w.TrueHR)
 			}
 			e := models.AbsError(hr, w.TrueHR)
 			absErrSum += e
-			if windowFault {
+			if r.Fault {
 				res.FaultWindows++
 				faultAbsErrSum += e
 			}
@@ -530,61 +362,26 @@ func runFaults(cfg Config, st *State, stop float64) error {
 			}
 		}
 
-		// Reselection hysteresis: the engine leaves hybrid only after
-		// FailWindows consecutive degraded/down windows, returns after
-		// RecoverWindows healthy ones, and holds still through the
-		// cooldown after any switch.
-		if up && !windowFault {
-			goodStreak++
-			failStreak = 0
-		} else {
-			failStreak++
-			goodStreak = 0
-		}
-		if cooldown > 0 {
-			cooldown--
-		} else if engineUp && failStreak >= proto.FailWindows {
-			next, err := cfg.Engine.SelectConfig(false, cfg.Constraint)
-			if err != nil {
-				return fmt.Errorf("sim: degraded re-selection at t=%.1f: %w", t, err)
-			}
-			current = next
-			res.ActiveConfig = current.Name()
-			res.Reselections++
-			engineUp = false
-			cooldown = proto.CooldownWindows
-			failStreak = 0
-		} else if !engineUp && goodStreak >= proto.RecoverWindows {
-			next, err := cfg.Engine.SelectConfig(true, cfg.Constraint)
-			if err != nil {
-				return fmt.Errorf("sim: recovery re-selection at t=%.1f: %w", t, err)
-			}
-			current = next
-			res.ActiveConfig = current.Name()
-			res.Reselections++
-			engineUp = true
-			cooldown = proto.CooldownWindows
-			goodStreak = 0
-		}
-
 		if cfg.Battery != nil {
-			// Brown-outs hit the battery directly (a voltage sag from a
-			// concurrent load), bypassing the converter.
 			drain := sys.BatteryDrainPerWindow(windowWatch)
-			if bo := inj.BrownOutBetween(t, t+period); bo > 0 {
-				res.BrownOutEnergy += bo
-				drain += bo
+			if cfg.Faults != nil {
+				// Brown-outs hit the battery directly (a voltage sag from
+				// a concurrent load), bypassing the converter.
+				if bo := cfg.Faults.BrownOutBetween(t, t+period); bo > 0 {
+					res.BrownOutEnergy += bo
+					drain += bo
+				}
 			}
 			res.BatteryDrain += drain
 			if err := cfg.Battery.Drain(drain); err != nil {
 				res.BatteryExhausted = true
-				save(t)
+				st.capture(&cfg, t, wi, busyUntil, absErrSum, faultAbsErrSum, &res, bs, step)
 				st.finishRun(&cfg, bs)
 				return nil
 			}
 		}
 	}
-	save(t)
+	st.capture(&cfg, t, wi, busyUntil, absErrSum, faultAbsErrSum, &res, bs, step)
 	if stop >= cfg.DurationSeconds {
 		st.finishRun(&cfg, bs)
 	}

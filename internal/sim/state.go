@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -8,14 +9,16 @@ import (
 	"repro/internal/snapshot"
 )
 
-// ProtoState is the serializable carry of the offload state machine and
-// its reselection hysteresis: everything the fault loop remembers between
-// windows besides the result accumulators. serve.Session persists the
-// same fields per session, so one schema covers both the offline
-// simulator and the streaming engine.
+// ProtoState is the serializable carry of a Step: everything the
+// per-window pipeline remembers between windows besides the active
+// configuration and the result accumulators. RunState saves it in State
+// and serve.Session persists the same fields per session, so one schema
+// covers both the offline simulator and the streaming engine.
 type ProtoState struct {
-	// EngineUp is the hysteresis view of the link (whether the engine
-	// currently selects from the full, hybrid-including store).
+	// EngineUp is the link state the active configuration was selected
+	// for (whether the engine selects from the full, hybrid-including
+	// store). Without an injector it is the last link state seen, the
+	// edge detector of immediate reselection.
 	EngineUp bool
 	// LinkDownUntil is the reconnect holdoff after a supervision drop.
 	LinkDownUntil float64
@@ -25,6 +28,44 @@ type ProtoState struct {
 	ChannelBad bool
 	// RngState is the fault stream's splitmix64 position.
 	RngState uint64
+}
+
+// Encode appends p to a CHSS payload; the sim-state and serve session
+// frames both carry it in this field order.
+func (p ProtoState) Encode(w *snapshot.Writer) {
+	w.Bool(p.EngineUp)
+	w.F64(p.LinkDownUntil)
+	w.I64(int64(p.FailStreak))
+	w.I64(int64(p.GoodStreak))
+	w.I64(int64(p.Cooldown))
+	w.Bool(p.ChannelBad)
+	w.U64(p.RngState)
+}
+
+// DecodeProtoState reads a ProtoState written by Encode. Check the
+// reader's error, then Validate, before using it.
+func DecodeProtoState(r *snapshot.Reader) ProtoState {
+	return ProtoState{
+		EngineUp:      r.Bool(),
+		LinkDownUntil: r.F64(),
+		FailStreak:    int(r.I64()),
+		GoodStreak:    int(r.I64()),
+		Cooldown:      int(r.I64()),
+		ChannelBad:    r.Bool(),
+		RngState:      r.U64(),
+	}
+}
+
+// Validate rejects values no Step can produce: a CRC-intact but forged
+// frame must not poison a resumed pipeline.
+func (p ProtoState) Validate() error {
+	switch {
+	case p.FailStreak < 0 || p.GoodStreak < 0 || p.Cooldown < 0:
+		return errors.New("negative hysteresis counters")
+	case math.IsNaN(p.LinkDownUntil) || math.IsInf(p.LinkDownUntil, 0):
+		return fmt.Errorf("holdoff %v", p.LinkDownUntil)
+	}
+	return nil
 }
 
 // State is the complete inter-window carry of one simulation. The
@@ -52,9 +93,7 @@ type State struct {
 	Res Result
 	// AbsErrSum/FaultAbsErrSum are the MAE numerators.
 	AbsErrSum, FaultAbsErrSum float64
-	// LastLink is the clean loop's link-edge detector state.
-	LastLink bool
-	// Proto is the fault loop's state machine (zero when fault-free).
+	// Proto is the per-window Step's carry.
 	Proto ProtoState
 	// ActiveConfig names the currently selected configuration.
 	ActiveConfig string
@@ -73,56 +112,9 @@ type State struct {
 	BeliefWidthSum  float64
 }
 
-// RunState advances the scenario until min(stopSeconds,
-// cfg.DurationSeconds); stopSeconds <= 0 (or NaN) means run to
-// completion. A zero-value *st starts fresh; a State saved by a previous
-// call resumes. cfg must be the same configuration across segments —
-// battery and belief presence are checked, and the active configuration
-// is rebound by name — but the split points themselves are free: the
-// trajectory is bitwise independent of segmentation.
-func RunState(cfg Config, st *State, stopSeconds float64) error {
-	switch {
-	case cfg.System == nil || cfg.Engine == nil:
-		return fmt.Errorf("sim: System and Engine are required")
-	case len(cfg.Windows) == 0:
-		return fmt.Errorf("sim: no windows to replay")
-	case cfg.DurationSeconds <= 0:
-		return fmt.Errorf("sim: non-positive duration")
-	}
-	if st.Done {
-		return nil
-	}
-	if st.Started {
-		if st.HasBattery != (cfg.Battery != nil) {
-			return fmt.Errorf("sim: state battery presence %v does not match config", st.HasBattery)
-		}
-		if st.HasBelief != (cfg.Belief != nil) {
-			return fmt.Errorf("sim: state belief presence %v does not match config", st.HasBelief)
-		}
-		if cfg.Battery != nil {
-			if err := cfg.Battery.Restore(st.BatteryRemaining); err != nil {
-				return fmt.Errorf("sim: resume: %w", err)
-			}
-		}
-	}
-	stop := cfg.DurationSeconds
-	if stopSeconds > 0 && stopSeconds < stop {
-		stop = stopSeconds
-	}
-	if cfg.Trace != nil {
-		prev := cfg.System.Link.Trace()
-		cfg.System.Link.UseTrace(cfg.Trace)
-		defer cfg.System.Link.UseTrace(prev)
-	}
-	if cfg.Faults != nil {
-		return runFaults(cfg, st, stop)
-	}
-	return runClean(cfg, st, stop)
-}
-
-// captureCommon folds the shared loop carry back into the state at a
-// segment boundary.
-func (st *State) captureCommon(cfg *Config, t float64, wi int, busyUntil, absErrSum, faultAbsErrSum float64, res *Result, bs *beliefState) {
+// capture folds the loop carry back into the state at a segment
+// boundary.
+func (st *State) capture(cfg *Config, t float64, wi int, busyUntil, absErrSum, faultAbsErrSum float64, res *Result, bs *beliefState, step *Step) {
 	st.Started = true
 	st.T = t
 	st.WI = wi
@@ -131,6 +123,7 @@ func (st *State) captureCommon(cfg *Config, t float64, wi int, busyUntil, absErr
 	st.FaultAbsErrSum = faultAbsErrSum
 	st.Res = *res
 	st.ActiveConfig = res.ActiveConfig
+	st.Proto = step.State()
 	st.HasBattery = cfg.Battery != nil
 	if cfg.Battery != nil {
 		st.BatteryRemaining = cfg.Battery.Remaining()
@@ -194,14 +187,7 @@ func EncodeState(st *State, configHash uint64) []byte {
 	w.F64(st.BusyUntil)
 	w.F64(st.AbsErrSum)
 	w.F64(st.FaultAbsErrSum)
-	w.Bool(st.LastLink)
-	w.Bool(st.Proto.EngineUp)
-	w.F64(st.Proto.LinkDownUntil)
-	w.I64(int64(st.Proto.FailStreak))
-	w.I64(int64(st.Proto.GoodStreak))
-	w.I64(int64(st.Proto.Cooldown))
-	w.Bool(st.Proto.ChannelBad)
-	w.U64(st.Proto.RngState)
+	st.Proto.Encode(w)
 	w.String(st.ActiveConfig)
 	w.Bool(st.HasBattery)
 	w.F64(float64(st.BatteryRemaining))
@@ -233,14 +219,7 @@ func DecodeState(data []byte, configHash uint64) (*State, error) {
 	st.BusyUntil = r.F64()
 	st.AbsErrSum = r.F64()
 	st.FaultAbsErrSum = r.F64()
-	st.LastLink = r.Bool()
-	st.Proto.EngineUp = r.Bool()
-	st.Proto.LinkDownUntil = r.F64()
-	st.Proto.FailStreak = int(r.I64())
-	st.Proto.GoodStreak = int(r.I64())
-	st.Proto.Cooldown = int(r.I64())
-	st.Proto.ChannelBad = r.Bool()
-	st.Proto.RngState = r.U64()
+	st.Proto = DecodeProtoState(r)
 	st.ActiveConfig = r.String()
 	st.HasBattery = r.Bool()
 	st.BatteryRemaining = power.Energy(r.F64())
@@ -273,18 +252,19 @@ func (st *State) validate() error {
 	}
 	for name, v := range map[string]float64{
 		"T": st.T, "BusyUntil": st.BusyUntil, "AbsErrSum": st.AbsErrSum,
-		"FaultAbsErrSum": st.FaultAbsErrSum, "LinkDownUntil": st.Proto.LinkDownUntil,
+		"FaultAbsErrSum":   st.FaultAbsErrSum,
 		"BatteryRemaining": float64(st.BatteryRemaining), "BeliefWidthSum": st.BeliefWidthSum,
 	} {
 		if err := fin(name, v); err != nil {
 			return err
 		}
 	}
+	if err := st.Proto.Validate(); err != nil {
+		return fmt.Errorf("sim state: %v", err)
+	}
 	switch {
 	case st.T < 0 || st.WI < 0:
 		return fmt.Errorf("sim state: negative progress (T=%v, WI=%d)", st.T, st.WI)
-	case st.Proto.FailStreak < 0 || st.Proto.GoodStreak < 0 || st.Proto.Cooldown < 0:
-		return fmt.Errorf("sim state: negative hysteresis counters")
 	case st.BeliefGated < 0 || st.BeliefObserved < 0 || st.BeliefCovered < 0:
 		return fmt.Errorf("sim state: negative belief counters")
 	case st.HasBelief != (len(st.BeliefPost) > 0):

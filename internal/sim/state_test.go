@@ -175,6 +175,11 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 	if _, err := DecodeState(blob, 0xdef); !errors.Is(err, snapshot.ErrStale) {
 		t.Errorf("config-hash mismatch = %v, want ErrStale", err)
 	}
+	// A frame of the retired sim-state kind (the layout before the link
+	// edge folded into Proto.EngineUp) is stale, not misparsed.
+	if _, err := DecodeState(snapshot.NewWriter(2, 0xabc).Finish(), 0xabc); !errors.Is(err, snapshot.ErrStale) {
+		t.Errorf("retired sim-state kind = %v, want ErrStale", err)
+	}
 	if _, err := DecodeState(blob, 0xabc); err != nil {
 		t.Errorf("pristine blob rejected: %v", err)
 	}

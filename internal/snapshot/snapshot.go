@@ -43,11 +43,13 @@ type Kind uint16
 const (
 	// KindServeEngine frames a serve.EngineSnapshot payload.
 	KindServeEngine Kind = 1
-	// KindSimState frames a sim.State payload.
-	KindSimState Kind = 2
 	// KindServeSession frames one serve session's state — the live
 	// migration unit (Engine.Detach / Engine.Attach).
 	KindServeSession Kind = 3
+	// KindSimState frames a sim.State payload. Kind 2 held the earlier
+	// layout with a separate link-edge flag; it is retired, so such
+	// frames open as ErrStale.
+	KindSimState Kind = 4
 )
 
 // ErrCorrupt reports damaged bytes: bad magic, failed CRC, truncation, or
