@@ -41,6 +41,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -60,7 +61,7 @@ func main() {
 	nSessions := flag.Int("sessions", 32, "concurrent user sessions")
 	seconds := flag.Float64("seconds", 10, "wall-mode run duration")
 	rate := flag.Float64("rate", 100, "wall-mode speedup over the 2 s window period")
-	faultsName := flag.String("faults", "", "fault scenario: "+listScenarios()+" (empty = fault-free)")
+	faultsName := flag.String("faults", "", "fault scenario: "+strings.Join(faults.Names(), "|")+" (empty = fault-free)")
 	seed := flag.Int64("seed", 1, "fault-injection seed (replayable, non-negative)")
 	maeBound := flag.Float64("mae", 0, "MAE constraint in BPM (0 = use energy bound)")
 	energyBound := flag.Float64("energy", 0.3, "energy constraint in mJ when -mae is 0")
@@ -82,7 +83,7 @@ func main() {
 	if *faultsName != "" {
 		sc, ok := faults.ByName(*faultsName)
 		if !ok {
-			log.Fatalf("unknown fault scenario %q (have %s)", *faultsName, listScenarios())
+			log.Fatalf("unknown fault scenario %q (have %s)", *faultsName, strings.Join(faults.Names(), "|"))
 		}
 		scenario = &sc
 	}
@@ -416,16 +417,4 @@ func percentile(xs []float64, q float64) float64 {
 	sort.Float64s(s)
 	i := int(q * float64(len(s)-1))
 	return s[i]
-}
-
-func listScenarios() string {
-	names := faults.Names()
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += "|"
-		}
-		out += n
-	}
-	return out
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/belief"
 	"repro/internal/bench"
@@ -41,7 +42,7 @@ func main() {
 	maeBound := flag.Float64("mae", 0, "MAE constraint in BPM (0 = use energy bound)")
 	energyBound := flag.Float64("energy", 0.3, "energy constraint in mJ when -mae is 0")
 	dropout := flag.Float64("dropout", 0, "link dropout period in seconds (0 = always up)")
-	faultsName := flag.String("faults", "", "fault scenario: "+listScenarios()+" (empty = fault-free)")
+	faultsName := flag.String("faults", "", "fault scenario: "+strings.Join(faults.Names(), "|")+" (empty = fault-free)")
 	seed := flag.Int64("seed", 1, "fault-injection seed (replayable, non-negative)")
 	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of text")
 	sensors := flag.Bool("sensors", true, "charge the PPG/IMU front end")
@@ -69,7 +70,7 @@ func main() {
 	if *faultsName != "" {
 		sc, ok := faults.ByName(*faultsName)
 		if !ok {
-			log.Fatalf("unknown fault scenario %q (have %s)", *faultsName, listScenarios())
+			log.Fatalf("unknown fault scenario %q (have %s)", *faultsName, strings.Join(faults.Names(), "|"))
 		}
 		var err error
 		injector, err = faults.NewInjector(sc, uint64(*seed))
@@ -183,18 +184,6 @@ func main() {
 		fmt.Printf("projected battery life: %.0f h at %v average\n",
 			power.NewLiIon370().LifetimeHours(avg), avg)
 	}
-}
-
-func listScenarios() string {
-	names := faults.Names()
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += "|"
-		}
-		out += n
-	}
-	return out
 }
 
 func pct(a, b int) float64 {

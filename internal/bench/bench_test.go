@@ -176,7 +176,7 @@ func TestAblations(t *testing.T) {
 func TestRecordsCacheRoundTrip(t *testing.T) {
 	s := getQuickSuite(t)
 	dir := t.TempDir()
-	path := dir + "/records.gob"
+	path := dir + "/records.chrc"
 	if err := saveRecords(path, s.TestRecords); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestRecordsCacheRoundTrip(t *testing.T) {
 	if _, err := loadRecords(path, 1); err == nil {
 		t.Error("stale cache accepted")
 	}
-	if _, err := loadRecords(dir+"/missing.gob", 1); err == nil {
+	if _, err := loadRecords(dir+"/missing.chrc", 1); err == nil {
 		t.Error("missing cache accepted")
 	}
 }

@@ -30,8 +30,6 @@ type BenchReport struct {
 	SuiteConfig  string             `json:"suite_config"`
 	Kernels      []KernelResult     `json:"kernels"`
 	BuildRecords RecordScaling      `json:"build_records"`
-	Serve        ServeMetrics       `json:"serve"`
-	Fleet        FleetMetrics       `json:"fleet"`
 	Belief       BeliefMetrics      `json:"belief"`
 	Headline     map[string]float64 `json:"headline"`
 }
@@ -55,14 +53,6 @@ func BuildBenchReport(s *Suite) (BenchReport, error) {
 		return BenchReport{}, err
 	}
 	rep.BuildRecords = scaling
-
-	if rep.Serve, err = MeasureServe(); err != nil {
-		return BenchReport{}, err
-	}
-
-	if rep.Fleet, err = MeasureFleet(); err != nil {
-		return BenchReport{}, err
-	}
 
 	if rep.Belief, err = MeasureBelief(s); err != nil {
 		return BenchReport{}, err

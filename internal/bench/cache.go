@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/dalia"
 	"repro/internal/reccache"
 )
 
@@ -16,9 +12,8 @@ import (
 // repeated harness runs skip the expensive inference pass over every
 // window. The cache key (embedded in the file name by the caller) covers
 // dataset, split and model configuration; the header's record count guards
-// against stale files — and, unlike the gob cache this replaced, the check
-// runs before a single column byte is read. Callers treat any load error
-// as a miss and rebuild.
+// against stale files, and the check runs before a single column byte is
+// read. Callers treat any load error as a miss and rebuild.
 
 // saveRecords writes recs as a finalized columnar record file in one
 // segment. Incremental runs go through reccache.Writer directly (see
@@ -57,90 +52,4 @@ func loadRecords(path string, wantLen int) ([]core.WindowRecord, error) {
 		return nil, fmt.Errorf("bench: stale record cache %s (%d records, want %d)", path, r.Count(), wantLen)
 	}
 	return r.Records()
-}
-
-// Legacy gob cache (PR 2's "CHRR" format), kept only so existing cache
-// directories migrate in place; nothing writes it anymore.
-const (
-	legacyGobMagic   = "CHRR"
-	legacyGobVersion = uint32(2)
-)
-
-// legacyRecordFile is the serialized form the gob cache used (gob matches
-// by field name, so the local type name is irrelevant).
-type legacyRecordFile struct {
-	Names      []string
-	TrueHR     []float64
-	Activity   []dalia.Activity
-	Difficulty []int
-	Preds      []float64 // len(Names) per record, record-major
-}
-
-// migrateGobRecords converts a legacy gob cache into the columnar format
-// and removes the gob file, returning the migrated records so the caller
-// need not re-read the file it just wrote — a one-shot migration. An
-// undecodable or stale gob (record count != wantLen) is deleted without
-// the columnar write (it would have been treated as a miss and rebuilt
-// anyway), but a failed columnar save keeps it in place so the records
-// survive for a later attempt.
-func migrateGobRecords(gobPath, colPath string, wantLen int) ([]core.WindowRecord, error) {
-	recs, err := loadLegacyGobRecords(gobPath)
-	if err != nil {
-		os.Remove(gobPath)
-		return nil, err
-	}
-	if len(recs) != wantLen {
-		os.Remove(gobPath)
-		return nil, fmt.Errorf("bench: stale legacy record cache %s (%d records, want %d)", gobPath, len(recs), wantLen)
-	}
-	if err := saveRecords(colPath, recs); err != nil {
-		return nil, err
-	}
-	if err := os.Remove(gobPath); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-func loadLegacyGobRecords(path string) ([]core.WindowRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	magic := make([]byte, len(legacyGobMagic))
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return nil, fmt.Errorf("bench: legacy record cache %s: %w", path, err)
-	}
-	if string(magic) != legacyGobMagic {
-		return nil, fmt.Errorf("bench: %s is not a legacy gob record cache", path)
-	}
-	var version uint32
-	if err := binary.Read(f, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("bench: legacy record cache %s: %w", path, err)
-	}
-	if version != legacyGobVersion {
-		return nil, fmt.Errorf("bench: legacy record cache %s has version %d, want %d", path, version, legacyGobVersion)
-	}
-	var rf legacyRecordFile
-	if err := gob.NewDecoder(f).Decode(&rf); err != nil {
-		return nil, err
-	}
-	n := len(rf.TrueHR)
-	m := len(rf.Names)
-	if len(rf.Activity) != n || len(rf.Difficulty) != n || len(rf.Preds) != n*m {
-		return nil, fmt.Errorf("bench: corrupt legacy record cache %s", path)
-	}
-	header := core.NewRecordHeader(rf.Names...)
-	recs := make([]core.WindowRecord, n)
-	for i := range recs {
-		recs[i] = core.WindowRecord{
-			TrueHR:     rf.TrueHR[i],
-			Activity:   rf.Activity[i],
-			Difficulty: rf.Difficulty[i],
-			Header:     header,
-			Preds:      rf.Preds[i*m : (i+1)*m : (i+1)*m],
-		}
-	}
-	return recs, nil
 }

@@ -59,10 +59,9 @@ func TestRecordCacheRoundTrip(t *testing.T) {
 }
 
 // TestRecordCacheStaleCountBeforeDecode: the stale-count check must come
-// from the header alone. The gob cache this replaced could only report a
-// count mismatch after decoding every record; here the wrong-length load
-// fails identically on an intact and on a column-corrupted file — proof
-// the columns were never consulted.
+// from the header alone. The wrong-length load fails identically on an
+// intact and on a column-corrupted file — proof the columns were never
+// consulted.
 func TestRecordCacheStaleCountBeforeDecode(t *testing.T) {
 	recs := sampleRecords(9)
 	path := filepath.Join(t.TempDir(), "records.chrc")
@@ -127,58 +126,16 @@ func TestRecordCacheRejectsTruncatedFile(t *testing.T) {
 }
 
 func TestRecordCacheRejectsForeignFile(t *testing.T) {
-	// A legacy gob stream is not a columnar cache and must read as a miss.
+	// A stream in the retired gob cache layout ("CHRR", version 2, then
+	// gob bytes) is not a columnar cache and must read as a miss.
 	path := filepath.Join(t.TempDir(), "old.gob")
-	recs := sampleRecords(3)
-	if err := seedGobSaveRecords(path, recs); err != nil {
+	foreign := []byte("CHRR\x02\x00\x00\x00\x3b\xff\x81\x03\x01\x01\x0a\x72\x65\x63\x6f\x72\x64\x46\x69\x6c\x65")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadRecords(path, len(recs)); err == nil {
-		t.Fatal("legacy gob cache accepted by the columnar loader")
+	if _, err := loadRecords(path, 3); err == nil {
+		t.Fatal("foreign CHRR file accepted by the columnar loader")
 	}
-}
-
-func TestMigrateGobRecords(t *testing.T) {
-	recs := sampleRecords(11)
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "records.gob")
-	colPath := filepath.Join(dir, "records.chrc")
-
-	// seedGobSaveRecords (kernels.go) reproduces the legacy format
-	// exactly as PR 2 wrote it.
-	if err := seedGobSaveRecords(gobPath, recs); err != nil {
-		t.Fatal(err)
-	}
-
-	// A stale gob (wrong record count) must be dropped without producing
-	// a columnar file.
-	if _, err := migrateGobRecords(gobPath, colPath, len(recs)+1); err == nil {
-		t.Fatal("stale gob migrated")
-	}
-	if _, err := os.Stat(colPath); !os.IsNotExist(err) {
-		t.Fatal("stale gob produced a columnar file")
-	}
-	if _, err := os.Stat(gobPath); !os.IsNotExist(err) {
-		t.Fatal("stale gob survived migration")
-	}
-
-	// Rewrite it and migrate for real.
-	if err := seedGobSaveRecords(gobPath, recs); err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := migrateGobRecords(gobPath, colPath, len(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, migrated, recs)
-	if _, err := os.Stat(gobPath); !os.IsNotExist(err) {
-		t.Fatal("gob file survived migration")
-	}
-	got, err := loadRecords(colPath, len(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, got, recs)
 }
 
 // TestSuiteRecordResumeByteIdentical kills a record build mid-suite (the

@@ -12,20 +12,19 @@
 // stream worker chunks through a checkpointing reccache.Writer, so an
 // interrupted run restarts from its last completed chunk under
 // SuiteConfig.Resume (chrisbench -resume) and still produces a
-// byte-identical cache. Legacy gob record caches migrate in place, once.
+// byte-identical cache.
 //
 // Hot paths: none in bench itself — the package is the orchestrator. Its
 // kernels.go instead *measures* everything the repository optimizes:
-// KernelBenchmarks pairs each optimized kernel with a seed-equivalent
-// reference (FFT plans in both precisions, the float32 spectral-window
-// estimator against its float64 reference, Conv1D, batched float32/int8
-// network forwards, raw GEMMs, and the record cache
-// encode/decode/first-record/iterate kernels), and BuildBenchReport
+// KernelBenchmarks times FFT plans, the spectral-window estimator, Conv1D,
+// batched float32/int8 network forwards, raw GEMMs and the record cache's
+// encode/decode/first-record/iterate paths, most of them next to a
+// seed-equivalent reference, and BuildBenchReport
 // writes the committed BENCH_*.json perf trajectory together with the
 // headline paper metrics.
 //
-// BENCH kernels owned here: CacheEncode4096x3/{columnar,gobseed},
-// CacheDecode4096x3/{columnar,gobseed}, CacheFirstRecord/{columnar,
-// gobseed} and CacheIterate4096x3/columnar cover the record cache this
-// package reads and writes.
+// BENCH kernels owned here: CacheEncode4096x3/columnar,
+// CacheDecode4096x3/columnar, CacheFirstRecord/columnar and
+// CacheIterate4096x3/columnar cover the record cache this package reads
+// and writes.
 package bench

@@ -1,32 +1,23 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/hw"
 )
-
-// fleetBenchConfig is the FleetDays1k workload: 1000 users × 1 day on the
-// default mix, the unit the "1M user-days overnight" sizing claim scales
-// from (1000 × one thousand of these ≈ 2.5 h at the measured rate).
-func fleetBenchConfig() fleet.Config {
-	cfg := fleet.DefaultConfig()
-	cfg.Users = 1000
-	cfg.Days = 1
-	cfg.Seed = 1
-	return cfg
-}
 
 // fleetKernels measures whole-fleet throughput per simulated window:
 // per-user setup (physiology sampling, synthesis, classification,
 // profiling) amortized against the replay-model tick loop across the full
 // scenario mix. One iteration is the whole 1000-user-day run, so the
 // kernel reports honest end-to-end cost, not a warmed-cache inner loop.
+// The workload is 1000 users × 1 day on the default mix.
 func fleetKernels() []KernelResult {
-	cfg := fleetBenchConfig()
+	cfg := fleet.DefaultConfig()
+	cfg.Users = 1000
+	cfg.Days = 1
+	cfg.Seed = 1
 	f, err := fleet.New(cfg)
 	if err != nil {
 		panic("bench: fleet kernel setup: " + err.Error())
@@ -41,40 +32,4 @@ func fleetKernels() []KernelResult {
 			}
 		}),
 	}
-}
-
-// FleetMetrics is the BENCH_*.json fleet section: measured population-
-// simulation throughput and its projection to the overnight target.
-type FleetMetrics struct {
-	Users           int     `json:"users"`
-	Days            float64 `json:"days"`
-	UserDays        float64 `json:"user_days"`
-	Windows         int64   `json:"windows"`
-	Seconds         float64 `json:"seconds"`
-	WindowsPerSec   float64 `json:"windows_per_sec"`
-	UserDaysPerHour float64 `json:"user_days_per_hour"`
-}
-
-// MeasureFleet times one FleetDays1k run end to end (including forest
-// training and per-user setup) and reports the windows/sec headline.
-func MeasureFleet() (FleetMetrics, error) {
-	cfg := fleetBenchConfig()
-	start := time.Now()
-	sum, err := fleet.Run(cfg)
-	if err != nil {
-		return FleetMetrics{}, fmt.Errorf("bench: fleet measurement: %w", err)
-	}
-	secs := time.Since(start).Seconds()
-	m := FleetMetrics{
-		Users:    sum.Users,
-		Days:     sum.Days,
-		UserDays: float64(sum.Users) * sum.Days,
-		Windows:  sum.Windows,
-		Seconds:  secs,
-	}
-	if secs > 0 {
-		m.WindowsPerSec = float64(sum.Windows) / secs
-		m.UserDaysPerHour = m.UserDays / secs * 3600
-	}
-	return m, nil
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -174,37 +172,19 @@ func KernelBenchmarks() []KernelResult {
 		sb2[i] = int8(rng.Intn(255) - 127)
 	}
 
-	// Float32 spectral path: the deployed Plan32 kernels next to their
-	// float64 references at the pipeline's window size (256) and at 4096,
-	// where the halved working set also matters.
-	sig32 := make([]float32, 256)
-	for i := range sig32 {
-		sig32[i] = float32(sig[i])
-	}
-	plan32 := dsp.NewPlan32(256)
-	spec32 := make([]complex64, 129)
-	pow32 := make([]float32, 129)
+	// The plan kernels again at 4096 points.
 	sig4k := make([]float64, 4096)
-	sig4k32 := make([]float32, 4096)
 	for i := range sig4k {
 		sig4k[i] = math.Sin(float64(i) / 3)
-		sig4k32[i] = float32(sig4k[i])
 	}
 	plan4k := dsp.NewPlan(4096)
-	plan4k32 := dsp.NewPlan32(4096)
 	spec4k := make([]complex128, 2049)
-	spec4k32 := make([]complex64, 2049)
 	pow4k := make([]float64, 2049)
-	pow4k32 := make([]float32, 2049)
 
-	// Whole-estimator spectral windows: the float64 SpectralTrack window
-	// (the seed-equivalent reference for the deployed path) against the
-	// float32 path on the same synthetic cardiac-band window.
+	// One whole SpectralTrack window on a synthetic cardiac-band window.
 	est64 := spectral.New()
-	est32 := spectral.New32()
 	specWin := spectralBenchWindow()
 	est64.EstimateHR(specWin)
-	est32.EstimateHR(specWin)
 
 	results := []KernelResult{
 		runKernel("RealFFT256/plan", func(b *testing.B) {
@@ -225,28 +205,10 @@ func KernelBenchmarks() []KernelResult {
 				seedPowerSpectrum(sig)
 			}
 		}),
-		runKernel("Fft32_256/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan32.RealFFTInto(spec32, sig32)
-			}
-		}),
-		runKernel("PowerSpectrum32_256/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan32.PowerSpectrumInto(pow32, sig32)
-			}
-		}),
 		runKernel("RealFFT4096/plan", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				plan4k.RealFFTInto(spec4k, sig4k)
-			}
-		}),
-		runKernel("Fft32_4096/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan4k32.RealFFTInto(spec4k32, sig4k32)
 			}
 		}),
 		runKernel("PowerSpectrum4096/plan", func(b *testing.B) {
@@ -255,22 +217,10 @@ func KernelBenchmarks() []KernelResult {
 				plan4k.PowerSpectrumInto(pow4k, sig4k)
 			}
 		}),
-		runKernel("PowerSpectrum32_4096/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan4k32.PowerSpectrumInto(pow4k32, sig4k32)
-			}
-		}),
 		runKernel("SpectralWindow64/f64seed", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				est64.EstimateHR(specWin)
-			}
-		}),
-		runKernel("SpectralWindow32/f32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				est32.EstimateHR(specWin)
 			}
 		}),
 		runKernel("Conv1DForward48x128/opt", func(b *testing.B) {
@@ -402,16 +352,15 @@ func KernelBenchmarks() []KernelResult {
 	return append(results, serveKernels()...)
 }
 
-// cacheRecordCount sizes the record-cache kernels: large enough that the
-// gob baseline's full-decode cost is visible, small enough to keep the
-// benchmark I/O trivial (~130 KiB per file).
+// cacheRecordCount sizes the record-cache kernels: large enough that a
+// full decode costs measurably more than the first record, small enough
+// to keep the benchmark I/O trivial (~130 KiB per file).
 const cacheRecordCount = 4096
 
-// cacheKernels measures the columnar record cache against the gob format
-// it replaced: bulk encode, bulk decode, streaming iteration, and —
-// the number the format exists for — decode-to-first-record latency,
-// where gob must decode the whole stream before the first record is
-// usable while the columnar reader touches one header and one block.
+// cacheKernels measures the columnar record cache: bulk encode, bulk
+// decode, streaming iteration, and — the number the format exists for —
+// decode-to-first-record latency, where the reader touches one header and
+// one block.
 func cacheKernels() []KernelResult {
 	recs := cacheSampleRecords(cacheRecordCount)
 	dir, err := os.MkdirTemp("", "chris-cache-kernels-*")
@@ -424,10 +373,6 @@ func cacheKernels() []KernelResult {
 	if err := saveRecords(colPath, recs); err != nil {
 		panic("bench: cache kernel columnar seed: " + err.Error())
 	}
-	gobPath := filepath.Join(dir, "records.gob")
-	if err := seedGobSaveRecords(gobPath, recs); err != nil {
-		panic("bench: cache kernel gob seed: " + err.Error())
-	}
 	encPath := filepath.Join(dir, "encode.tmp")
 
 	return []KernelResult{
@@ -439,26 +384,10 @@ func cacheKernels() []KernelResult {
 				}
 			}
 		}),
-		runKernelScaled("CacheEncode4096x3/gobseed", cacheRecordCount, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := seedGobSaveRecords(encPath, recs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
 		runKernelScaled("CacheDecode4096x3/columnar", cacheRecordCount, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := loadRecords(colPath, cacheRecordCount); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		runKernelScaled("CacheDecode4096x3/gobseed", cacheRecordCount, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := loadLegacyGobRecords(gobPath); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -479,15 +408,6 @@ func cacheKernels() []KernelResult {
 				})
 				r.Close()
 				if err != nil || !got {
-					b.Fatal("no first record")
-				}
-			}
-		}),
-		runKernel("CacheFirstRecord/gobseed", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rs, err := loadLegacyGobRecords(gobPath)
-				if err != nil || rs[0].TrueHR <= 0 {
 					b.Fatal("no first record")
 				}
 			}
@@ -551,37 +471,6 @@ func cacheSampleRecords(n int) []core.WindowRecord {
 		}
 	}
 	return recs
-}
-
-// seedGobSaveRecords reproduces the gob record cache the columnar format
-// replaced (PR 2's saveRecords): magic + version, then one gob stream of
-// header names and flat columns.
-func seedGobSaveRecords(path string, recs []core.WindowRecord) error {
-	var rf legacyRecordFile
-	rf.Names = recs[0].Header.Names()
-	m := len(rf.Names)
-	rf.TrueHR = make([]float64, len(recs))
-	rf.Activity = make([]dalia.Activity, len(recs))
-	rf.Difficulty = make([]int, len(recs))
-	rf.Preds = make([]float64, 0, len(recs)*m)
-	for i := range recs {
-		rf.TrueHR[i] = recs[i].TrueHR
-		rf.Activity[i] = recs[i].Activity
-		rf.Difficulty[i] = recs[i].Difficulty
-		rf.Preds = append(rf.Preds, recs[i].Preds...)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.WriteString(legacyGobMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(f, binary.LittleEndian, legacyGobVersion); err != nil {
-		return err
-	}
-	return gob.NewEncoder(f).Encode(rf)
 }
 
 // seedPowerSpectrum reproduces the pre-plan spectral path: a full complex

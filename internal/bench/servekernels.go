@@ -2,11 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -71,123 +67,4 @@ func serveKernels() []KernelResult {
 		runKernelScaled("ServeTick32x64/clean", n, run(nil)),
 		runKernelScaled("ServeTick32x64/worstcase", n, run(&worst)),
 	}
-}
-
-// ServeLoad is one wall-mode load point of the streaming engine.
-type ServeLoad struct {
-	Scenario        string  `json:"scenario"`
-	Windows         uint64  `json:"windows"`
-	P50LatencyMS    float64 `json:"p50_latency_ms"`
-	P99LatencyMS    float64 `json:"p99_latency_ms"`
-	WindowsPerSec   float64 `json:"windows_per_sec"`
-	SessionsPerCore float64 `json:"sessions_per_core"`
-}
-
-// ServeMetrics is the BENCH_*.json section for the streaming engine:
-// steady-state wall-mode latency and capacity, clean and under chaos.
-type ServeMetrics struct {
-	Sessions  int       `json:"sessions"`
-	Clean     ServeLoad `json:"clean"`
-	WorstCase ServeLoad `json:"worstcase"`
-}
-
-// MeasureServe drives the wall-clock engine at an accelerated cadence
-// and reports window latency percentiles and the extrapolated
-// sessions-per-core capacity at the real 2 s stream period. The numbers
-// are wall-clock measurements (latency under the live pump), which is
-// exactly why they live beside — not inside — the deterministic
-// headline metrics.
-func MeasureServe() (ServeMetrics, error) {
-	sys, engine, ws := simKernelFixture()
-	m := ServeMetrics{Sessions: serveSessions}
-	const runSeconds = 2.0
-	const rate = 200.0 // 2 s windows submitted every 10 ms
-
-	measure := func(sc *faults.Scenario) (ServeLoad, error) {
-		name := "none"
-		if sc != nil {
-			name = sc.Name
-		}
-		e, err := serve.Open(serve.Config{
-			Engine:       engine,
-			System:       sys,
-			Constraint:   core.MAEConstraint(6),
-			Faults:       sc,
-			FaultSeed:    7,
-			FlushSeconds: sys.PeriodSeconds / rate / 4,
-		})
-		if err != nil {
-			return ServeLoad{}, err
-		}
-		sess := make([]*serve.Session, serveSessions)
-		for i := range sess {
-			if sess[i], err = e.NewSession(fmt.Sprintf("u%02d", i)); err != nil {
-				return ServeLoad{}, err
-			}
-		}
-		period := time.Duration(sys.PeriodSeconds / rate * float64(time.Second))
-		stop := make(chan struct{})
-		time.AfterFunc(time.Duration(runSeconds*float64(time.Second)), func() { close(stop) })
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i, s := range sess {
-			wg.Add(1)
-			go func(i int, s *serve.Session) {
-				defer wg.Done()
-				t := time.NewTicker(period)
-				defer t.Stop()
-				k := 0
-				for {
-					select {
-					case <-stop:
-						return
-					case <-t.C:
-					}
-					s.SubmitNow(&ws[(i+k*serveSessions)%len(ws)])
-					k++
-				}
-			}(i, s)
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		if err := e.Close(); err != nil {
-			return ServeLoad{}, err
-		}
-		load := ServeLoad{Scenario: name}
-		var lat []float64
-		for _, s := range sess {
-			st := s.Stats()
-			load.Windows += st.Finished()
-			for _, r := range s.Drain() {
-				lat = append(lat, r.Latency)
-			}
-		}
-		sort.Float64s(lat)
-		pct := func(q float64) float64 {
-			if len(lat) == 0 {
-				return 0
-			}
-			return lat[int(q*float64(len(lat)-1))] * 1e3
-		}
-		load.P50LatencyMS = pct(0.50)
-		load.P99LatencyMS = pct(0.99)
-		if elapsed > 0 {
-			load.WindowsPerSec = float64(load.Windows) / elapsed
-			load.SessionsPerCore = load.WindowsPerSec / float64(runtime.GOMAXPROCS(0)) * sys.PeriodSeconds
-		}
-		if load.Windows == 0 {
-			return load, fmt.Errorf("bench: serve measurement (%s) finished zero windows", name)
-		}
-		return load, nil
-	}
-
-	var err error
-	if m.Clean, err = measure(nil); err != nil {
-		return m, err
-	}
-	worst := faults.WorstCase()
-	if m.WorstCase, err = measure(&worst); err != nil {
-		return m, err
-	}
-	return m, nil
 }

@@ -304,16 +304,6 @@ func (s *Suite) obtainRecords(split string, ws []dalia.Window) ([]core.WindowRec
 	}
 	path := filepath.Join(cfg.CacheDir, fmt.Sprintf("records_%s_%s.chrc", split, cfg.key()))
 
-	// One-shot migration of a cache left behind by the old gob format;
-	// the decoded records serve this run directly.
-	gobPath := filepath.Join(cfg.CacheDir, fmt.Sprintf("records_%s_%s.gob", split, cfg.key()))
-	if _, err := os.Stat(gobPath); err == nil {
-		if recs, err := migrateGobRecords(gobPath, path, len(ws)); err == nil {
-			cfg.logf("migrated legacy gob cache to %s", path)
-			return recs, nil
-		}
-	}
-
 	if recs, err := loadRecords(path, len(ws)); err == nil {
 		cfg.logf("loaded cached %s records from %s", split, path)
 		return recs, nil

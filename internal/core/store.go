@@ -61,7 +61,9 @@ func SaveProfiles(w io.Writer, zoo *Zoo, profiles []Profile) error {
 }
 
 // LoadProfiles reads a profile table saved by SaveProfiles, resolving
-// model indices against the given zoo.
+// model indices against the given zoo. The input is untrusted: a count
+// larger than the zoo's configuration space, a model index outside the
+// zoo or an unknown execution target is rejected with an error.
 func LoadProfiles(r io.Reader, zoo *Zoo) ([]Profile, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -82,6 +84,9 @@ func LoadProfiles(r io.Reader, zoo *Zoo) ([]Profile, error) {
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
 		return nil, err
 	}
+	if limit := len(zoo.EnumerateConfigs()); int64(count) > int64(limit) {
+		return nil, fmt.Errorf("core: profile store holds %d profiles, the zoo has only %d configurations", count, limit)
+	}
 	ms := zoo.Models()
 	out := make([]Profile, 0, count)
 	for i := uint32(0); i < count; i++ {
@@ -94,6 +99,9 @@ func LoadProfiles(r io.Reader, zoo *Zoo) ([]Profile, error) {
 		}
 		if int(si) >= len(ms) || int(ci) >= len(ms) {
 			return nil, fmt.Errorf("core: profile %d references model %d/%d outside the zoo", i, si, ci)
+		}
+		if e := Execution(exec); e != Local && e != Hybrid {
+			return nil, fmt.Errorf("core: profile %d has unknown execution target %d", i, exec)
 		}
 		out = append(out, Profile{
 			Config: Config{

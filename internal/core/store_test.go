@@ -79,4 +79,15 @@ func TestProfileStoreErrors(t *testing.T) {
 	if _, err := LoadProfiles(bytes.NewReader(nil), z); err == nil {
 		t.Error("empty stream accepted")
 	}
+	// A hostile count must fail before it sizes an allocation: 0xffffffff
+	// profiles would ask for hundreds of GiB.
+	if _, err := LoadProfiles(bytes.NewReader([]byte("CHRS\x01\x00\x00\x00\xff\xff\xff\xff")), z); err == nil {
+		t.Error("count beyond the zoo's configuration space accepted")
+	}
+	// An execution byte outside {Local, Hybrid} must not load as Local.
+	bad := append([]byte(nil), buf.Bytes()...)
+	bad[len(storeMagic)+4+4+3] = 7
+	if _, err := LoadProfiles(bytes.NewReader(bad), z); err == nil {
+		t.Error("unknown execution target accepted")
+	}
 }

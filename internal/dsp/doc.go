@@ -1,36 +1,25 @@
 // Package dsp provides the signal-processing substrate used throughout the
 // CHRIS reproduction: descriptive statistics, an FFT, window functions,
 // IIR/FIR filtering, peak detection, spectral estimation and resampling.
+// Everything runs in float64, the precision every paper artifact is
+// generated with.
 //
-// The package is dual-precision. The float64 surface (Plan, Hann, Detrend,
-// Mean, ...) is the bitwise reference every paper artifact is generated
-// with. A parallel float32 surface (Plan32, Hann32, Detrend32, Mean32,
-// MagnitudeInto32, ...) mirrors it for the deployed spectral path, halving
-// spectral memory traffic and matching the float32 TCN side; Convert32 and
-// MagnitudeInto32 are the documented float64→float32 boundaries. Float32
-// spectra agree with the float64 reference under the tolerance contract on
-// Plan32.RealFFTInto (1e-4·max|X| per bin for n ≤ 4096); the float32
-// statistics accumulate reductions in float64 and land within a few ulps.
-//
-// The FFTs are plan-based: NewPlan/NewPlan32 precompute the twiddle-factor
-// and bit-reversal tables for one transform size, and the plans' Execute,
+// The FFTs are plan-based: NewPlan precomputes the twiddle-factor and
+// bit-reversal tables for one transform size, and the plan's Execute,
 // Inverse, RealFFTInto and PowerSpectrumInto methods then run without any
 // heap allocation (real-input transforms go through one half-size complex
-// FFT). The package-level FFT/IFFT/RealFFT/PowerSpectrum functions and
-// their *32 forms remain as thin wrappers over shared cached plans, so
-// casual callers keep the simple API while hot loops hold a plan and reuse
-// output buffers.
+// FFT). The package-level FFT/IFFT/RealFFT/PowerSpectrum functions remain
+// as thin wrappers over shared cached plans, so casual callers keep the
+// simple API while hot loops hold a plan and reuse output buffers.
 //
 // Hot paths: the radix-2² butterfly passes behind Execute and the fused
-// square-magnitude loops in the two PowerSpectrumInto methods — every AT
-// window estimate, every spectral feature of the difficulty detector and
-// every float32 deployed-estimator window runs through them. A plan's
-// tables are read-only after construction, so distinct goroutines may
-// share one for Execute, Inverse and RealFFTInto; PowerSpectrumInto reuses
-// internal scratch and needs one plan per worker (both precisions).
+// square-magnitude loop in PowerSpectrumInto — every AT window estimate
+// and every spectral feature of the difficulty detector runs through them.
+// A plan's tables are read-only after construction, so distinct goroutines
+// may share one for Execute, Inverse and RealFFTInto; PowerSpectrumInto
+// reuses internal scratch and needs one plan per worker.
 //
 // BENCH kernels: RealFFT256/plan, PowerSpectrum256/plan and
-// PowerSpectrum256/seed (the pre-plan reference), plus the float32 pairs
-// Fft32_256/plan32 vs RealFFT256/plan, PowerSpectrum32_256/plan32 vs
-// PowerSpectrum256/plan and the 4096-point variants, in BENCH_*.json.
+// PowerSpectrum256/seed (the pre-plan reference), RealFFT4096/plan and
+// PowerSpectrum4096/plan, in BENCH_*.json.
 package dsp

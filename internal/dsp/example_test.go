@@ -29,29 +29,3 @@ func ExamplePlan() {
 	fmt.Printf("%d bins, peak at bin %d\n", len(pow), peak)
 	// Output: 129 bins, peak at bin 8
 }
-
-// ExamplePlan32 is the single-precision form of the same spectral path:
-// narrow the window once at the float64→float32 boundary (Convert32), then
-// run every later kernel — here the power spectrum — entirely in float32.
-// The float64 Plan stays the bitwise reference for the paper artifacts;
-// Plan32 is what a deployed estimator ships.
-func ExamplePlan32() {
-	const n = 256
-	sig := make([]float64, n)
-	for i := range sig {
-		sig[i] = math.Sin(2 * math.Pi * 8 * float64(i) / n) // 8 cycles per window
-	}
-
-	sig32 := dsp.Convert32(make([]float32, n), sig)
-	plan := dsp.NewPlan32(n)
-	pow := plan.PowerSpectrumInto(make([]float32, n/2+1), sig32)
-
-	peak := 0
-	for k := range pow {
-		if pow[k] > pow[peak] {
-			peak = k
-		}
-	}
-	fmt.Printf("%d bins, peak at bin %d\n", len(pow), peak)
-	// Output: 129 bins, peak at bin 8
-}

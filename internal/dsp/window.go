@@ -15,21 +15,6 @@ func Hann(n int) []float64 {
 	return w
 }
 
-// Hann32 returns an n-point Hann window in float32. Coefficients are
-// evaluated in float64 and rounded once, so they are the correctly rounded
-// float32 values of Hann's.
-func Hann32(n int) []float32 {
-	w := make([]float32, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = float32(0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1))))
-	}
-	return w
-}
-
 // Hamming returns an n-point Hamming window.
 func Hamming(n int) []float64 {
 	w := make([]float64, n)

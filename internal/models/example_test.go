@@ -2,11 +2,9 @@ package models_test
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/dalia"
 	"repro/internal/models"
-	"repro/internal/models/spectral"
 	"repro/internal/models/tcn"
 )
 
@@ -39,35 +37,4 @@ func ExampleBatchHREstimator() {
 	}
 	fmt.Printf("%d windows, batch bitwise equals serial: %v\n", len(ws), identical)
 	// Output: 4 windows, batch bitwise equals serial: true
-}
-
-// ExampleHREstimator_float32 shows a deployed single-precision estimator
-// behind the zoo's HREstimator contract: spectral.New32 runs the whole
-// window — narrowing, detrend, Hann, both power spectra, band scan — in
-// float32, and its estimates track the float64 reference under the dsp
-// tolerance contract, so precision is an estimator deployment detail the
-// zoo never sees.
-func ExampleHREstimator_float32() {
-	cfg := dalia.DefaultConfig()
-	cfg.Subjects = 1
-	cfg.DurationScale = 0.02
-	rec, err := dalia.GenerateSubject(cfg, 0)
-	if err != nil {
-		panic(err)
-	}
-	ws := dalia.Windows(rec, cfg.WindowSamples, cfg.StrideSamples)[:8]
-
-	var deployed models.HREstimator = spectral.New32()
-	ref := spectral.New()
-
-	maxDiff := 0.0
-	for i := range ws {
-		d := math.Abs(deployed.EstimateHR(&ws[i]) - ref.EstimateHR(&ws[i]))
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	fmt.Printf("%s on %d windows, float32 within 1 BPM of float64: %v\n",
-		deployed.Name(), len(ws), maxDiff < 1)
-	// Output: SpectralTrack on 8 windows, float32 within 1 BPM of float64: true
 }

@@ -6,21 +6,10 @@
 // mid-cost classical model is the natural fourth member for zoo-extension
 // experiments (see examples/customzoo for the plug-in mechanics).
 //
-// The estimator is dual-precision. The default float64 path is the bitwise
-// reference used for every committed artifact. New32 (or Float32 = true)
-// selects the deployed single-precision path: the window is narrowed once
-// at the float64→float32 boundary (dsp.Convert32 for the PPG,
-// dsp.MagnitudeInto32 for the accelerometer magnitude) and detrending,
-// Hann windowing, both power spectra (a cached dsp.Plan32) and the
-// masked band scan all run in float32 with zero steady-state allocations.
-// Under the dsp tolerance contract the two paths agree on DaLiA windows to
-// well under 1 BPM on average (TestFloat32PathMatchesFloat64); the float32
-// path halves the spectral working set and is ~1.5× faster per window.
+// The estimator runs in float64 and allocates nothing in steady state.
 package spectral
 
 import (
-	"math"
-
 	"repro/internal/dalia"
 	"repro/internal/dsp"
 	"repro/internal/models"
@@ -51,17 +40,10 @@ type Estimator struct {
 	// TrackWeight in [0,1) biases the pick toward the previous HR; 0
 	// disables tracking (stateless operation).
 	TrackWeight float64
-	// Float32 selects the deployed single-precision spectral path: the
-	// window is narrowed to float32 once and detrending, windowing, both
-	// power spectra and the band scan stay in float32. The default
-	// (float64) path is the bitwise reference for the paper artifacts.
-	// Toggle before the first EstimateHR call.
-	Float32 bool
 	// state
 	lastHR float64
 
-	// scratch, lazily sized to the window length; only the buffers of the
-	// selected precision are allocated
+	// scratch, lazily sized to the window length
 	winLen   int
 	plan     *dsp.Plan
 	win      []float64 // Hann window of winLen
@@ -71,29 +53,11 @@ type Estimator struct {
 	power    []float64 // PPG power spectrum
 	accPower []float64 // accel power spectrum
 	masked   []bool
-
-	// float32 twins of the scratch above (Float32 path)
-	plan32     *dsp.Plan32
-	win32      []float32
-	sig32      []float32
-	mag32      []float32
-	buf32      []float32
-	power32    []float32
-	accPower32 []float32
 }
 
-// New returns the estimator with its default parameters (float64 path).
+// New returns the estimator with its default parameters.
 func New() *Estimator {
 	return &Estimator{LoHz: 0.5, HiHz: 4.0, MaskHz: 0.12, MotionRMS: 0.08, TrackWeight: 0.35}
-}
-
-// New32 returns the estimator configured for the deployed float32
-// spectral path. Same parameters as New; HR estimates agree with the
-// float64 reference within the tolerance documented on the package.
-func New32() *Estimator {
-	e := New()
-	e.Float32 = true
-	return e
 }
 
 // Name implements models.HREstimator.
@@ -108,28 +72,15 @@ func (e *Estimator) Params() int64 { return 0 }
 // Reset clears the tracking state.
 func (e *Estimator) Reset() { e.lastHR = 0 }
 
-// ensureScratch (re)builds the per-window-length buffers of the selected
-// precision.
+// ensureScratch (re)builds the per-window-length buffers.
 func (e *Estimator) ensureScratch(n int) {
-	if e.winLen == n && (e.Float32 == (e.plan32 != nil)) {
+	if e.winLen == n {
 		return
 	}
 	padded := dsp.NextPow2(n)
 	bins := padded/2 + 1
 	e.winLen = n
 	e.masked = make([]bool, bins)
-	if e.Float32 {
-		e.plan = nil // a float64-era plan would mask later toggles
-		e.plan32 = dsp.NewPlan32(padded)
-		e.win32 = dsp.Hann32(n)
-		e.sig32 = make([]float32, n)
-		e.mag32 = make([]float32, n)
-		e.buf32 = make([]float32, padded)
-		e.power32 = make([]float32, bins)
-		e.accPower32 = make([]float32, bins)
-		return
-	}
-	e.plan32 = nil // see above: plan32 != nil is the "scratch is float32" marker
 	e.plan = dsp.NewPlan(padded)
 	e.win = dsp.Hann(n)
 	e.sig = make([]float64, n)
@@ -150,22 +101,9 @@ func (e *Estimator) periodogramInto(dst, x []float64, fs float64) (power []float
 	return e.plan.PowerSpectrumInto(dst, e.buf), fs / float64(len(e.buf))
 }
 
-// periodogram32Into is the float32 twin of periodogramInto, running on
-// the cached Plan32. The zero-padded tail of e.buf32 is only ever written
-// with zeros, so it needs no re-clearing between calls.
-func (e *Estimator) periodogram32Into(dst, x []float32, fs float64) (power []float32, binHz float64) {
-	for i, v := range x {
-		e.buf32[i] = v * e.win32[i]
-	}
-	return e.plan32.PowerSpectrumInto(dst, e.buf32), fs / float64(len(e.buf32))
-}
-
 // EstimateHR implements models.HREstimator.
 func (e *Estimator) EstimateHR(w *dalia.Window) float64 {
 	e.ensureScratch(len(w.PPG))
-	if e.Float32 {
-		return e.estimateHR32(w)
-	}
 	ppg := e.sig
 	copy(ppg, w.PPG)
 	dsp.Detrend(ppg)
@@ -249,140 +187,6 @@ func (e *Estimator) motionBins(masked []bool, accPower []float64, accBin, binHz 
 			}
 		}
 	}
-}
-
-// estimateHR32 is the deployed single-precision window estimate: identical
-// logic to the float64 EstimateHR body, with the conversion to float32
-// happening exactly once per signal (dsp.Convert32 / dsp.MagnitudeInto32).
-// Zero steady-state allocations.
-func (e *Estimator) estimateHR32(w *dalia.Window) float64 {
-	ppg := dsp.Convert32(e.sig32, w.PPG)
-	dsp.Detrend32(ppg)
-	power, binHz := e.periodogram32Into(e.power32, ppg, w.Rate)
-
-	mag := dsp.MagnitudeInto32(e.mag32, w.AccelX, w.AccelY, w.AccelZ)
-	dsp.Detrend32(mag)
-	maskedBins := e.masked[:len(power)]
-	for i := range maskedBins {
-		maskedBins[i] = false
-	}
-	if float64(dsp.RMS32(mag)) >= e.MotionRMS {
-		accPower, accBin := e.periodogram32Into(e.accPower32, mag, w.Rate)
-		e.motionBins32(maskedBins, accPower, accBin, binHz)
-	}
-
-	lo := int(e.LoHz/binHz) + 1
-	hi := int(e.HiHz / binHz)
-	if hi >= len(power) {
-		hi = len(power) - 1
-	}
-	bestScore := -1.0
-	bestHz := 0.0
-	for k := lo; k <= hi; k++ {
-		if maskedBins[k] {
-			continue
-		}
-		score := float64(power[k])
-		if e.TrackWeight > 0 && e.lastHR > 0 {
-			f := float64(k) * binHz
-			dev := (f*60 - e.lastHR) / 20 // BPM deviation, 20-BPM scale
-			if dev < 0 {
-				dev = -dev
-			}
-			score *= 1 / (1 + e.TrackWeight*dev)
-		}
-		if score > bestScore {
-			bestScore = score
-			bestHz = float64(k) * binHz
-		}
-	}
-	if bestHz == 0 {
-		// Every candidate was masked: fall back to the unmasked dominant
-		// component, as the float64 path does via dsp.DominantFrequency —
-		// the spectrum is already in power, so scan it directly.
-		bestHz = e.dominant32(power, binHz)
-	}
-	hr := models.ClampHR(bestHz * 60)
-	if hr > 0 {
-		e.lastHR = hr
-	}
-	return hr
-}
-
-// motionBins32 is the float32 twin of motionBins.
-func (e *Estimator) motionBins32(masked []bool, accPower []float32, accBin, binHz float64) {
-	var peak float32
-	for k := 1; k < len(accPower); k++ {
-		if accPower[k] > peak {
-			peak = accPower[k]
-		}
-	}
-	if peak == 0 {
-		return
-	}
-	for k := 1; k < len(accPower); k++ {
-		if accPower[k] < 0.25*peak {
-			continue
-		}
-		f := float64(k) * accBin
-		if f < e.LoHz-e.MaskHz || f > e.HiHz+e.MaskHz {
-			continue
-		}
-		loBin := int((f - e.MaskHz) / binHz)
-		hiBin := int((f+e.MaskHz)/binHz) + 1
-		for b := loBin; b <= hiBin && b < len(masked); b++ {
-			if b >= 0 {
-				masked[b] = true
-			}
-		}
-	}
-}
-
-// dominant32 mirrors dsp.DominantFrequency over an already-computed
-// float32 power spectrum: strongest cardiac-band bin, refined with
-// parabolic interpolation on log power. Returns 0 when the band is empty.
-func (e *Estimator) dominant32(power []float32, binHz float64) float64 {
-	lo := int(math.Ceil(e.LoHz / binHz))
-	hi := int(math.Floor(e.HiHz / binHz))
-	if lo < 1 {
-		lo = 1
-	}
-	if hi >= len(power) {
-		hi = len(power) - 1
-	}
-	if hi < lo {
-		return 0
-	}
-	best := lo
-	for k := lo + 1; k <= hi; k++ {
-		if power[k] > power[best] {
-			best = k
-		}
-	}
-	delta := 0.0
-	if best > 0 && best < len(power)-1 {
-		a := safeLog32(power[best-1])
-		b := safeLog32(power[best])
-		c := safeLog32(power[best+1])
-		den := a - 2*b + c
-		if den != 0 {
-			delta = 0.5 * (a - c) / den
-			if delta > 0.5 {
-				delta = 0.5
-			}
-			if delta < -0.5 {
-				delta = -0.5
-			}
-		}
-	}
-	return (float64(best) + delta) * binHz
-}
-
-func safeLog32(v float32) float64 {
-	if v <= 0 {
-		return -745 // matches dsp's safeLog floor
-	}
-	return math.Log(float64(v))
 }
 
 var _ models.HREstimator = (*Estimator)(nil)

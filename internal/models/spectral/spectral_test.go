@@ -89,89 +89,9 @@ func TestTrackingHelpsContinuity(t *testing.T) {
 	}
 }
 
-// TestFloat32PathMatchesFloat64 is the estimator-level parity contract:
-// over DaLiA windows the deployed float32 path must agree with the float64
-// reference to well under 1 BPM on average, with only isolated windows
-// allowed to pick a different (adjacent or differently-masked) bin.
-func TestFloat32PathMatchesFloat64(t *testing.T) {
-	c := dalia.DefaultConfig()
-	c.Subjects = 2
-	c.DurationScale = 0.04
-	e64 := New()
-	e32 := New32()
-	var windows, agree int
-	var sumDiff, maxDiff float64
-	for s := 0; s < c.Subjects; s++ {
-		rec, err := dalia.GenerateSubject(c, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e64.Reset()
-		e32.Reset()
-		for _, w := range dalia.Windows(rec, c.WindowSamples, c.StrideSamples) {
-			h64 := e64.EstimateHR(&w)
-			h32 := e32.EstimateHR(&w)
-			d := math.Abs(h64 - h32)
-			windows++
-			sumDiff += d
-			if d > maxDiff {
-				maxDiff = d
-			}
-			// One spectral bin at the default geometry is 0.125 Hz = 7.5
-			// BPM; same-bin picks land well inside 1 BPM.
-			if d < 1 {
-				agree++
-			}
-		}
-	}
-	if windows == 0 {
-		t.Fatal("no windows generated")
-	}
-	mean := sumDiff / float64(windows)
-	frac := float64(agree) / float64(windows)
-	t.Logf("float32 vs float64: %d windows, mean |ΔHR| %.3f BPM, max %.1f, same-bin %.1f%%",
-		windows, mean, maxDiff, 100*frac)
-	if mean > 1 {
-		t.Errorf("mean |ΔHR| %.3f BPM exceeds the documented 1-BPM budget", mean)
-	}
-	if frac < 0.95 {
-		t.Errorf("only %.1f%% of windows agree within a bin (want ≥ 95%%)", 100*frac)
-	}
-}
-
-// TestFloat32PathAccuracy re-runs the dataset accuracy gate on the
-// float32 path: deploying in single precision must not cost accuracy.
-func TestFloat32PathAccuracy(t *testing.T) {
-	c := dalia.DefaultConfig()
-	c.Subjects = 2
-	c.DurationScale = 0.04
-	e := New32()
-	var easy []float64
-	for s := 0; s < c.Subjects; s++ {
-		rec, err := dalia.GenerateSubject(c, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Reset()
-		for _, w := range dalia.Windows(rec, c.WindowSamples, c.StrideSamples) {
-			if w.Purity < 1 {
-				continue
-			}
-			switch w.Activity {
-			case dalia.Sitting, dalia.Resting, dalia.Working:
-				easy = append(easy, math.Abs(e.EstimateHR(&w)-w.TrueHR))
-			}
-		}
-	}
-	if mae := dsp.Mean(easy); mae > 6 {
-		t.Errorf("float32 easy-window MAE %.2f too high", mae)
-	}
-}
-
-// TestFloat32ZeroAllocSteadyState guards the deployed path's allocation
-// contract: after the first window sizes the scratch, EstimateHR must not
-// touch the heap.
-func TestFloat32ZeroAllocSteadyState(t *testing.T) {
+// TestZeroAllocSteadyState guards the allocation contract: after the
+// first window sizes the scratch, EstimateHR must not touch the heap.
+func TestZeroAllocSteadyState(t *testing.T) {
 	c := dalia.DefaultConfig()
 	c.Subjects = 1
 	c.DurationScale = 0.03
@@ -183,33 +103,14 @@ func TestFloat32ZeroAllocSteadyState(t *testing.T) {
 	if len(ws) < 4 {
 		t.Fatalf("only %d windows", len(ws))
 	}
-	e := New32()
+	e := New()
 	e.EstimateHR(&ws[0]) // size the scratch
 	i := 0
 	if n := testing.AllocsPerRun(50, func() {
 		e.EstimateHR(&ws[i%len(ws)])
 		i++
 	}); n != 0 {
-		t.Errorf("float32 EstimateHR allocates %v per window in steady state", n)
-	}
-	// The float64 reference path holds the same contract.
-	e64 := New()
-	e64.EstimateHR(&ws[0])
-	if n := testing.AllocsPerRun(50, func() {
-		e64.EstimateHR(&ws[i%len(ws)])
-		i++
-	}); n != 0 {
-		t.Errorf("float64 EstimateHR allocates %v per window in steady state", n)
-	}
-	// Toggling precision mid-life re-sizes the scratch once, then settles
-	// back to zero — the rebuild must not repeat every window.
-	e.Float32 = false
-	e.EstimateHR(&ws[0])
-	if n := testing.AllocsPerRun(50, func() {
-		e.EstimateHR(&ws[i%len(ws)])
-		i++
-	}); n != 0 {
-		t.Errorf("toggled-to-float64 EstimateHR allocates %v per window in steady state", n)
+		t.Errorf("EstimateHR allocates %v per window in steady state", n)
 	}
 }
 
@@ -218,16 +119,12 @@ func TestInterface(t *testing.T) {
 	if e.Name() != ModelName || e.Ops() <= 0 || e.Params() != 0 {
 		t.Error("interface metadata wrong")
 	}
-	// Flat window: estimator must return something clamped, not panic —
-	// in either precision.
+	// Flat window: estimator must return something clamped, not panic.
 	w := &dalia.Window{PPG: make([]float64, 256), AccelX: make([]float64, 256),
 		AccelY: make([]float64, 256), AccelZ: make([]float64, 256), Rate: 32}
 	got := e.EstimateHR(w)
 	if got < 35 || got > 210 {
 		t.Errorf("flat-window estimate %v out of range", got)
-	}
-	if got32 := New32().EstimateHR(w); got32 < 35 || got32 > 210 {
-		t.Errorf("float32 flat-window estimate %v out of range", got32)
 	}
 	e.Reset()
 	if e.lastHR != 0 {
@@ -253,17 +150,6 @@ func benchWindow() *dalia.Window {
 
 func BenchmarkEstimateHR64(b *testing.B) {
 	e := New()
-	w := benchWindow()
-	e.EstimateHR(w)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EstimateHR(w)
-	}
-}
-
-func BenchmarkEstimateHR32(b *testing.B) {
-	e := New32()
 	w := benchWindow()
 	e.EstimateHR(w)
 	b.ReportAllocs()

@@ -1,13 +1,12 @@
 // Package reccache stores profiling records (core.WindowRecord) in a
-// fixed-stride binary column layout, replacing the gob cache of earlier
-// revisions. Its two properties drive the design:
+// fixed-stride binary column layout. Its two properties drive the design:
 //
 //   - Staleness is decided from the header alone. The record count, model
 //     set and geometry live in a few hundred bytes at the front of the
 //     file, so "is this cache usable?" costs one small read instead of a
 //     full decode — the bench harness rejects stale caches before any
-//     column is touched (kernels CacheFirstRecord/columnar vs /gobseed
-//     measure this in BENCH_*.json).
+//     column is touched (kernel CacheFirstRecord/columnar measures this
+//     in BENCH_*.json).
 //
 //   - Offsets are a pure function of (model names, capacity, record
 //     index). Column regions are preallocated for the whole run, so
