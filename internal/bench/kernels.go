@@ -20,12 +20,26 @@ import (
 
 // KernelResult is one measured hot-path kernel, in the shape BENCH_*.json
 // stores: optimized implementations next to their seed-equivalent
-// references, so every perf PR leaves a comparable datapoint behind.
+// references, so every perf PR leaves a comparable datapoint behind. Note
+// says what a kernel measures where its name alone would mislead.
 type KernelResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	Note        string  `json:"note,omitempty"`
+}
+
+// s8PerCallNote marks the int8 GEMM kernels: gemm.S8 and gemm.S8NT pack
+// both operands on every call, which the int8 TCN does not do.
+const s8PerCallNote = "gemm.S8/S8NT entry point, not called by the int8 TCN: packs both " +
+	"operands per call; TCN layers pack weights once and run PackRows + S8Panels (conv) " +
+	"or S8Panels alone (head)"
+
+// withNote returns r annotated with note.
+func withNote(r KernelResult, note string) KernelResult {
+	r.Note = note
+	return r
 }
 
 func runKernel(name string, fn func(b *testing.B)) KernelResult {
@@ -104,6 +118,8 @@ func KernelBenchmarks() []KernelResult {
 
 	// Raw GEMM micro-kernels at a representative TimePPG-Big conv shape:
 	// 48 output channels × (48·3) im2col rows × 128 output positions.
+	// gemm.S8 packs both operands on every call; the int8 conv packs its
+	// weights once at quantization and im2cols straight into panels.
 	const gm, gk, gn = 48, 144, 128
 	ga := make([]float32, gm*gk)
 	gb := make([]float32, gk*gn)
@@ -124,9 +140,11 @@ func KernelBenchmarks() []KernelResult {
 		sb[i] = int8(rng.Intn(255) - 127)
 	}
 
-	// The TimePPG-Big head as one batched S8NT: 28 windows × the 2048-wide
-	// flattened map against 84 weight rows — the packed-Bᵀ path, five
-	// 16-column panels and a 4-column scalar tail.
+	// The TimePPG-Big head shape as one batched S8NT: 28 windows × the
+	// 2048-wide flattened map against 84 weight rows. S8NT packs the weight
+	// rows into five 16-column panels per call and finishes a 4-column
+	// scalar tail; the int8 head packs them once into six zero-padded
+	// panels and has no tail.
 	const hm, hk, hn = 28, 2048, 84
 	ha := make([]int8, hm*hk)
 	hb := make([]int8, hn*hk)
@@ -138,7 +156,7 @@ func KernelBenchmarks() []KernelResult {
 		hb[i] = int8(rng.Intn(255) - 127)
 	}
 
-	// The int8 epilogue after each S8 GEMM: 8192 int32 accumulators
+	// The int8 epilogue after each int8 GEMM: 8192 int32 accumulators
 	// through gemm.RescaleRow (folded bias, float32 multiplier, ReLU
 	// floor). Its own source keeps the draws above unchanged.
 	const rqn = 8192
@@ -302,24 +320,24 @@ func KernelBenchmarks() []KernelResult {
 				gemm.F32(gc, ga, gb, gm, gk, gn)
 			}
 		}),
-		runKernel("GemmS8_48x144x128", func(b *testing.B) {
+		withNote(runKernel("GemmS8_48x144x128", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gemm.S8(sc, sa, sb, gm, gk, gn)
 			}
-		}),
+		}), s8PerCallNote),
 		runKernel("RequantS8_8192", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gemm.RescaleRow(rqOut, rqAcc, 77, 0.0013, 0)
 			}
 		}),
-		runKernel("GemmS8NT_28x2048x84", func(b *testing.B) {
+		withNote(runKernel("GemmS8NT_28x2048x84", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gemm.S8NT(hc, ha, hb, hm, hk, hn)
 			}
-		}),
+		}), s8PerCallNote),
 		runKernel("GemmF32_8x24x32", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -332,18 +350,18 @@ func KernelBenchmarks() []KernelResult {
 				gemm.F32(gc2, ga2, gb2, sm, sk, snWide)
 			}
 		}),
-		runKernel("GemmS8_8x24x32", func(b *testing.B) {
+		withNote(runKernel("GemmS8_8x24x32", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gemm.S8(sc2, sa2, sb2, sm, sk, sn)
 			}
-		}),
-		runKernel("GemmS8_8x24x1024", func(b *testing.B) {
+		}), s8PerCallNote),
+		withNote(runKernel("GemmS8_8x24x1024", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				gemm.S8(sc2, sa2, sb2, sm, sk, snWide)
 			}
-		}),
+		}), s8PerCallNote),
 	}
 	results = append(results, cacheKernels()...)
 	results = append(results, simKernels()...)

@@ -1,0 +1,364 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// The wide int8 kernels the CPUID selection in cpu_amd64.go picks from:
+// the panel product on Y registers (AVX2, AVX-VNNI) and Z registers
+// (AVX512_VNNI), and the 16-lane requantize rows. Operands, layouts and
+// results are those of the SSE2 kernels in gemm_amd64.s.
+//
+// 256-bit panel kernels. One body, S8_PANELS_Y, serves the two 256-bit kernels,
+// which differ only in the multiply-accumulate step MACrh: row r (0-3)
+// of the current four, half h (L = columns 0-7, H = 8-15). Rows 0 and 2
+// broadcast their A pair dword into Y10, rows 1 and 3 into Y11; the
+// panel's pair q is Y8 (columns 0-7) and Y9 (8-15), the accumulators
+// Y0-Y7 (row r in Y2r, Y2r+1), so MACrh is Y(2r+h) += pairs(Y10|Y11)·Y(8+h).
+//  - AVX2: VPMADDWD into a scratch register (Y12-Y15), then VPADDD.
+//  - AVX-VNNI: one VEX-encoded VPDPWSSD, hand-encoded (C4 C2 vvvv 52
+//    ModRM; the assembler emits only the EVEX form, which needs
+//    AVX512_VNNI — a separate CPUID bit).
+// VPDPWSSD adds the two pair products and the accumulator with int32
+// wraparound, exactly VPMADDWD + VPADDD; the saturating VPDPWSSDS would
+// not be, and is never used. A trailing m mod 4 rows run one at a time
+// on Y0, Y1 with MAC0L/MAC0H. No legacy-SSE instruction appears in a
+// 256- or 512-bit kernel: on the reference host one SSE instruction with
+// the upper register halves dirty cost microseconds per call.
+//
+// Registers: DI c panel, CX c row, SI a row, BX a cursor, DX b panel,
+// AX b cursor (c row 2 while loading and storing), R15 pairs left, R14
+// rows left, R11 panels left, R10 c row stride, R12 a row stride, R8
+// three a rows, R13 b panel stride.
+#define S8_PANELS_Y \
+	MOVQ c+0(FP), DI; \
+	MOVQ b+16(FP), DX; \
+	MOVQ kp+32(FP), R9; \
+	MOVQ n+40(FP), R10; \
+	SHLQ $2, R10; \
+	MOVQ np+48(FP), R11; \
+	MOVQ R9, R12; \
+	SHLQ $2, R12; \
+	LEAQ (R12)(R12*2), R8; \
+	MOVQ R9, R13; \
+	SHLQ $6, R13; \
+yPanel: \
+	MOVQ DI, CX; \
+	MOVQ a+8(FP), SI; \
+	MOVQ m+24(FP), R14; \
+yRows4: \
+	CMPQ    R14, $4; \
+	JLT     yRow1; \
+	LEAQ    (CX)(R10*2), AX; \
+	VMOVDQU (CX), Y0; \
+	VMOVDQU 32(CX), Y1; \
+	VMOVDQU (CX)(R10*1), Y2; \
+	VMOVDQU 32(CX)(R10*1), Y3; \
+	VMOVDQU (AX), Y4; \
+	VMOVDQU 32(AX), Y5; \
+	VMOVDQU (AX)(R10*1), Y6; \
+	VMOVDQU 32(AX)(R10*1), Y7; \
+	MOVQ    SI, BX; \
+	MOVQ    DX, AX; \
+	MOVQ    R9, R15; \
+yK4: \
+	VMOVDQU      (AX), Y8; \
+	VMOVDQU      32(AX), Y9; \
+	VPBROADCASTD (BX), Y10; \
+	VPBROADCASTD (BX)(R12*1), Y11; \
+	MAC0L; \
+	MAC0H; \
+	MAC1L; \
+	MAC1H; \
+	VPBROADCASTD (BX)(R12*2), Y10; \
+	VPBROADCASTD (BX)(R8*1), Y11; \
+	MAC2L; \
+	MAC2H; \
+	MAC3L; \
+	MAC3H; \
+	ADDQ         $4, BX; \
+	ADDQ         $64, AX; \
+	DECQ         R15; \
+	JNZ          yK4; \
+	LEAQ    (CX)(R10*2), AX; \
+	VMOVDQU Y0, (CX); \
+	VMOVDQU Y1, 32(CX); \
+	VMOVDQU Y2, (CX)(R10*1); \
+	VMOVDQU Y3, 32(CX)(R10*1); \
+	VMOVDQU Y4, (AX); \
+	VMOVDQU Y5, 32(AX); \
+	VMOVDQU Y6, (AX)(R10*1); \
+	VMOVDQU Y7, 32(AX)(R10*1); \
+	LEAQ    (CX)(R10*4), CX; \
+	LEAQ    (SI)(R12*4), SI; \
+	SUBQ    $4, R14; \
+	JMP     yRows4; \
+yRow1: \
+	TESTQ   R14, R14; \
+	JZ      yNext; \
+	VMOVDQU (CX), Y0; \
+	VMOVDQU 32(CX), Y1; \
+	MOVQ    SI, BX; \
+	MOVQ    DX, AX; \
+	MOVQ    R9, R15; \
+yK1: \
+	VMOVDQU      (AX), Y8; \
+	VMOVDQU      32(AX), Y9; \
+	VPBROADCASTD (BX), Y10; \
+	MAC0L; \
+	MAC0H; \
+	ADDQ         $4, BX; \
+	ADDQ         $64, AX; \
+	DECQ         R15; \
+	JNZ          yK1; \
+	VMOVDQU Y0, (CX); \
+	VMOVDQU Y1, 32(CX); \
+	ADDQ    R10, CX; \
+	ADDQ    R12, SI; \
+	DECQ    R14; \
+	JMP     yRow1; \
+yNext: \
+	ADDQ $64, DI; \
+	ADDQ R13, DX; \
+	DECQ R11; \
+	JNZ  yPanel; \
+	VZEROUPPER; \
+	RET
+
+#define MAC0L VPMADDWD Y8, Y10, Y12; VPADDD Y12, Y0, Y0
+#define MAC0H VPMADDWD Y9, Y10, Y13; VPADDD Y13, Y1, Y1
+#define MAC1L VPMADDWD Y8, Y11, Y14; VPADDD Y14, Y2, Y2
+#define MAC1H VPMADDWD Y9, Y11, Y15; VPADDD Y15, Y3, Y3
+#define MAC2L VPMADDWD Y8, Y10, Y12; VPADDD Y12, Y4, Y4
+#define MAC2H VPMADDWD Y9, Y10, Y13; VPADDD Y13, Y5, Y5
+#define MAC3L VPMADDWD Y8, Y11, Y14; VPADDD Y14, Y6, Y6
+#define MAC3H VPMADDWD Y9, Y11, Y15; VPADDD Y15, Y7, Y7
+
+// func s8PanelsAVX2(c *int32, a, b *int16, m, kp, n, np int)
+TEXT ·s8PanelsAVX2(SB), NOSPLIT, $0-56
+	S8_PANELS_Y
+
+// VEX.256.66.0F38.W0 52 /r with ModRM.reg = accumulator, VEX.vvvv = A
+// (Y10: 0x2D, Y11: 0x25), ModRM.rm = B (Y8/Y9, VEX.B set: 0xC2).
+#undef MAC0L
+#undef MAC0H
+#undef MAC1L
+#undef MAC1H
+#undef MAC2L
+#undef MAC2H
+#undef MAC3L
+#undef MAC3H
+#define MAC0L BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xC0
+#define MAC0H BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xC9
+#define MAC1L BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xD0
+#define MAC1H BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xD9
+#define MAC2L BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xE0
+#define MAC2H BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xE9
+#define MAC3L BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xF0
+#define MAC3H BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xF9
+
+// func s8PanelsAVXVNNI(c *int32, a, b *int16, m, kp, n, np int)
+TEXT ·s8PanelsAVXVNNI(SB), NOSPLIT, $0-56
+	S8_PANELS_Y
+
+
+// Requantize rows, 16 elements per pass: REQUANT of gemm_amd64.s on Y
+// registers, lane for lane the same IEEE operations (doc.go has the
+// exactness argument). Constant registers: Y12 lo × 8, Y13 127.0 × 8,
+// Y14 0.5 × 8, Y15 −0.5 × 8; Y10 the bias, Y11 the multiplier or divisor.
+#define REQUANT_CONSTS_Y \
+	VBROADCASTSS requantConsts<>+0(SB), Y13; \
+	VBROADCASTSS requantConsts<>+4(SB), Y14; \
+	VBROADCASTSS requantConsts<>+8(SB), Y15
+
+DATA requantConsts<>+0(SB)/4, $0x42fe0000
+DATA requantConsts<>+4(SB)/4, $0x3f000000
+DATA requantConsts<>+8(SB)/4, $0xbf000000
+GLOBL requantConsts<>(SB), RODATA|NOPTR, $12
+
+#define REQUANT_Y(c, t, r) \
+	VCMPPS     $0, c, c, t; \
+	VANDPS     t, c, c; \
+	VMAXPS     Y12, c, c; \
+	VMINPS     Y13, c, c; \
+	VCVTTPS2DQ c, t; \
+	VCVTDQ2PS  t, r; \
+	VSUBPS     r, c, c; \
+	VCMPPS     $5, Y14, c, r; \
+	VPSUBD     r, t, t; \
+	VCMPPS     $2, Y15, c, c; \
+	VPADDD     c, t, t
+
+// NARROW16 packs the int32 lanes of Y2 (elements 0-7) and Y3 (8-15) to
+// 16 int8 at (DI) without saturating (|t| ≤ 127): VPACKSSDW interleaves
+// the two registers per 128-bit lane, VPERMQ restores element order.
+#define NARROW16 \
+	VPACKSSDW    Y3, Y2, Y2; \
+	VPERMQ       $0xd8, Y2, Y2; \
+	VEXTRACTI128 $1, Y2, X3; \
+	VPACKSSWB    X3, X2, X2; \
+	VMOVDQU      X2, (DI)
+
+// func rescaleRow16(dst *int8, acc *int32, blocks int, bias int32, mult, lo float32)
+TEXT ·rescaleRow16(SB), NOSPLIT, $0-36
+	MOVQ         dst+0(FP), DI
+	MOVQ         acc+8(FP), SI
+	MOVQ         blocks+16(FP), CX
+	LEAQ         bias+24(FP), AX
+	VPBROADCASTD (AX), Y10
+	VBROADCASTSS 4(AX), Y11
+	VBROADCASTSS 8(AX), Y12
+	REQUANT_CONSTS_Y
+
+rs16Loop:
+	VMOVDQU   (SI), Y0
+	VMOVDQU   32(SI), Y1
+	VPADDD    Y10, Y0, Y0
+	VPADDD    Y10, Y1, Y1
+	VCVTDQ2PS Y0, Y0
+	VCVTDQ2PS Y1, Y1
+	VMULPS    Y11, Y0, Y0
+	VMULPS    Y11, Y1, Y1
+	REQUANT_Y(Y0, Y2, Y4)
+	REQUANT_Y(Y1, Y3, Y5)
+	NARROW16
+	ADDQ      $64, SI
+	ADDQ      $16, DI
+	DECQ      CX
+	JNZ       rs16Loop
+	VZEROUPPER
+	RET
+
+// func quantizeRow16(dst *int8, x *float32, blocks int, scale, lo float32)
+TEXT ·quantizeRow16(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         blocks+16(FP), CX
+	LEAQ         scale+24(FP), AX
+	VBROADCASTSS (AX), Y11
+	VBROADCASTSS 4(AX), Y12
+	REQUANT_CONSTS_Y
+
+qr16Loop:
+	VMOVUPS (SI), Y0
+	VMOVUPS 32(SI), Y1
+	VDIVPS  Y11, Y0, Y0
+	VDIVPS  Y11, Y1, Y1
+	REQUANT_Y(Y0, Y2, Y4)
+	REQUANT_Y(Y1, Y3, Y5)
+	NARROW16
+	ADDQ    $64, SI
+	ADDQ    $16, DI
+	DECQ    CX
+	JNZ     qr16Loop
+	VZEROUPPER
+	RET
+
+// func s8PanelsVNNI(c *int32, a, b *int16, m, kp, n, np int)
+//
+// The AVX512_VNNI panel kernel: a panel's 16 columns are one Z register,
+// so eight rows of A run per pass on Z0-Z7. Per pair q the panel vector
+// Z8 is loaded once and each row adds VPDPWSSD of it against its own
+// [a[2q], a[2q+1]] dword, broadcast from memory by the instruction
+// ({1to16}). A trailing m mod 8 rows run one at a time on Z0.
+//
+// Registers: DI c panel, CX c row, SI a row, BX a cursor (rows 0-3), R9
+// a cursor (rows 4-7), DX b panel, AX b cursor (c row 2, 4, 6 while
+// loading and storing), R15 pairs left, R14 rows left, R11 panels left,
+// R10 c row stride, R12 a row stride, R8 three a rows, R13 b panel
+// stride.
+TEXT ·s8PanelsVNNI(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ b+16(FP), DX
+	MOVQ n+40(FP), R10
+	SHLQ $2, R10
+	MOVQ np+48(FP), R11
+	MOVQ kp+32(FP), R12
+	MOVQ R12, R13
+	SHLQ $2, R12
+	LEAQ (R12)(R12*2), R8
+	SHLQ $6, R13
+
+zPanel:
+	MOVQ DI, CX
+	MOVQ a+8(FP), SI
+	MOVQ m+24(FP), R14
+
+zRows8:
+	CMPQ      R14, $8
+	JLT       zRow1
+	LEAQ      (CX)(R10*2), AX
+	VMOVDQU32 (CX), Z0
+	VMOVDQU32 (CX)(R10*1), Z1
+	VMOVDQU32 (AX), Z2
+	VMOVDQU32 (AX)(R10*1), Z3
+	LEAQ      (AX)(R10*2), AX
+	VMOVDQU32 (AX), Z4
+	VMOVDQU32 (AX)(R10*1), Z5
+	LEAQ      (AX)(R10*2), AX
+	VMOVDQU32 (AX), Z6
+	VMOVDQU32 (AX)(R10*1), Z7
+	MOVQ      SI, BX
+	LEAQ      (SI)(R12*4), R9
+	MOVQ      DX, AX
+	MOVQ      kp+32(FP), R15
+
+zK8:
+	VMOVDQU32     (AX), Z8
+	VPDPWSSD.BCST (BX), Z8, Z0
+	VPDPWSSD.BCST (BX)(R12*1), Z8, Z1
+	VPDPWSSD.BCST (BX)(R12*2), Z8, Z2
+	VPDPWSSD.BCST (BX)(R8*1), Z8, Z3
+	VPDPWSSD.BCST (R9), Z8, Z4
+	VPDPWSSD.BCST (R9)(R12*1), Z8, Z5
+	VPDPWSSD.BCST (R9)(R12*2), Z8, Z6
+	VPDPWSSD.BCST (R9)(R8*1), Z8, Z7
+	ADDQ          $4, BX
+	ADDQ          $4, R9
+	ADDQ          $64, AX
+	DECQ          R15
+	JNZ           zK8
+
+	LEAQ      (CX)(R10*2), AX
+	VMOVDQU32 Z0, (CX)
+	VMOVDQU32 Z1, (CX)(R10*1)
+	VMOVDQU32 Z2, (AX)
+	VMOVDQU32 Z3, (AX)(R10*1)
+	LEAQ      (AX)(R10*2), AX
+	VMOVDQU32 Z4, (AX)
+	VMOVDQU32 Z5, (AX)(R10*1)
+	LEAQ      (AX)(R10*2), AX
+	VMOVDQU32 Z6, (AX)
+	VMOVDQU32 Z7, (AX)(R10*1)
+	LEAQ      (AX)(R10*2), CX
+	LEAQ      (SI)(R12*8), SI
+	SUBQ      $8, R14
+	JMP       zRows8
+
+zRow1:
+	TESTQ     R14, R14
+	JZ        zNext
+	VMOVDQU32 (CX), Z0
+	MOVQ      SI, BX
+	MOVQ      DX, AX
+	MOVQ      kp+32(FP), R15
+
+zK1:
+	VMOVDQU32     (AX), Z8
+	VPDPWSSD.BCST (BX), Z8, Z0
+	ADDQ          $4, BX
+	ADDQ          $64, AX
+	DECQ          R15
+	JNZ           zK1
+
+	VMOVDQU32 Z0, (CX)
+	ADDQ      R10, CX
+	ADDQ      R12, SI
+	DECQ      R14
+	JMP       zRow1
+
+zNext:
+	ADDQ $64, DI
+	ADDQ R13, DX
+	DECQ R11
+	JNZ  zPanel
+	VZEROUPPER
+	RET

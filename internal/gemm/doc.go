@@ -21,9 +21,9 @@
 // # SIMD dispatch
 //
 // On amd64 (unless built with -tags purego) the exported kernels dispatch
-// to SSE2 panel kernels in gemm_amd64.s under one rule: vectorize over
-// INDEPENDENT OUTPUT ELEMENTS, never over the reduction dimension. Each
-// XMM lane owns one output column's accumulator; per k step the float32
+// to the panel kernels in gemm_amd64.s and avx_amd64.s under one rule:
+// vectorize over INDEPENDENT OUTPUT ELEMENTS, never over the reduction
+// dimension. Each vector lane owns one output column's accumulator; per k step the float32
 // panels broadcast one A operand and run exactly one MULPS and one ADDPS
 // per accumulator register — multiply-then-add with per-operation IEEE
 // rounding, no FMA, no horizontal sums — so every lane walks the same
@@ -32,28 +32,66 @@
 // fuzz_test.go). The float32 panels come 16-, 8- and 4-columns wide with
 // sub-4 tails finished by the scalar loop.
 //
-// The int8 kernels pack once per call and then run one panel kernel. B
-// is packed into 16-column panels of interleaved int16 pairs
-// [b[2q][j], b[2q+1][j]] (⌈k/2⌉ × 64 bytes per panel) and A into rows of
-// [a[2q], a[2q+1]] pair dwords, both with SIMD widening; the panel kernel
-// then takes two rows of A per pass — 8 accumulators, the panel's four B
-// vectors loaded once for both rows, PMADDWD dual-MACs and PADDD only. An
-// odd k pairs its last element with zero; an odd trailing row runs on
-// half the accumulators; columns past the last full panel are finished
-// by the scalar loop. The k-pair fold is unobservable: int16 products of
-// int8 operands are exact (a pair sums to at most 2·128² = 32 768, well
-// inside int32) and two's-complement addition is associative.
+// The int8 kernels multiply int16 pair panels. B is packed into
+// 16-column panels of interleaved int16 pairs [b[2q][j], b[2q+1][j]]
+// (⌈k/2⌉ × 64 bytes per panel) and A into rows of [a[2q], a[2q+1]] pair
+// dwords; the panel kernel then runs several rows of A per pass against
+// each panel, broadcasting a row's pair dword and multiply-adding it
+// against the panel's pair vector. An odd k pairs its last element with
+// zero. The k-pair fold is unobservable: int16 products of int8 operands
+// are exact (a pair sums to at most 2·128² = 32 768, well inside int32)
+// and two's-complement addition is associative.
+//
+// The panel kernel is chosen once at init from CPUID and XGETBV (a small
+// asm stub, cpu_amd64.s; the OS must save the register state a kernel
+// uses), most preferred first:
+//
+//   - avx512vnni: VPDPWSSD on Z registers — one row's 16 columns in one
+//     register, eight rows per pass, A broadcast by the instruction;
+//   - avxvnni: the VEX-encoded VPDPWSSD on Y registers, four rows per
+//     pass;
+//   - avx2: VPMADDWD then VPADDD on Y registers, four rows per pass;
+//   - sse2: PMADDWL then PADDL on X registers, two rows per pass (the
+//     GOAMD64=v1 baseline).
+//
+// VPDPWSSD adds both pair products to the accumulator with int32
+// wraparound, which is exactly PMADDWL/VPMADDWD followed by an int32 add
+// (the pair sum itself never wraps); the saturating VPDPWSSDS would
+// differ and is never used. So every kernel is exact-integer equal to
+// the scalar loop. There is no flag, environment variable or build tag;
+// the tests force each kernel the host supports through the same parity
+// suites and fuzz targets (an unexported hook), and
+// TestS8KernelSelection logs the kernel a run selected.
+//
+// # Packed int8 operands
+//
+// A caller whose operand is constant packs it once (panels.go): PackA
+// widens A into pair rows and PackBT packs B from its transpose (a dense
+// layer's weight rows) into panels zero-padded to a multiple of 16
+// columns, so no column is left to a scalar tail. PackRows builds B panels from rows
+// that sit anywhere in a buffer, read at stride 1 or 2 — the int8
+// convolution's im2col, each row one tap's view of the zero-padded input
+// — without first materializing the int8 im2col matrix. S8Panels then
+// multiplies pre-packed A by np panels into a C whose row stride may
+// exceed 16·np, leaving the columns past the last panel untouched. S8
+// and S8NT are the per-call form of the same API: they pack A with
+// PackA and the first ⌊n/16⌋ panels of B with PackRows (PackBT for
+// S8NT) into pooled scratch on every call, run S8Panels, and finish the
+// remaining columns with the scalar loop. No TCN layer calls them.
 //
 // # Int8 epilogue
 //
-// After each S8 GEMM the quantized TCN path requantizes its int32
+// After each int8 GEMM the quantized TCN path requantizes its int32
 // accumulators to int8 with Requantize: clamp to [lo, 127] (lo = 0 under
 // a fused ReLU, −127 otherwise) and round half away from zero, NaN to 0.
 // RescaleRow does it for a row of accumulators, adding the channel's
 // bias on the way (the GEMM runs on zeroed accumulators; two's-complement
 // addition is associative, so adding the bias after equals seeding with
 // it), and QuantizeRow for the network's float32 input. On amd64 both
-// rows run eight lanes per pass in SSE2: PADDL, CVTPL2PS and MULPS (or
+// rows run sixteen lanes per pass on Y registers where the selected
+// kernel is AVX2 or wider, and eight lanes per pass in SSE2 otherwise
+// and for a remaining 8-block; the two widths perform the same per-lane
+// operations. In SSE2 terms: PADDL, CVTPL2PS and MULPS (or
 // DIVPS) are IEEE-identical to Go's int32 add, int32→float32 conversion
 // and float32 multiply (divide), and the rounding stays in the float32
 // domain. NaN lanes are zeroed with a c == c mask, MAXPS/MINPS clamp to
@@ -71,8 +109,8 @@
 // panel first (pack.go): the transpose changes which operand is
 // contiguous, not the per-element reduction order, so bitwise equality
 // carries over. S8NT needs no transpose: row j of B already holds column
-// j's (b[j][2q], b[j][2q+1]) pairs, so it packs straight into the int16
-// panels with a 4×4 dword transpose in registers. Both NT forms are gated
+// j's (b[j][2q], b[j][2q+1]) pairs, so PackBT packs straight into the
+// int16 panels with a 4×4 dword transpose in registers. Both NT forms are gated
 // on m ≥ ntPackMinM — below that the k·n pack cannot amortize and the
 // scalar dot-product form is already the right shape. The layout is
 // deliberately ISA-agnostic: an arm64 NEON port implements the same
@@ -82,15 +120,19 @@
 // Hot paths: the panel inner loops are the single hottest code in the
 // repository — every Conv1D and Dense layer of both TCN topologies,
 // float32 and int8, serial-equivalent batch inference and training
-// backprop all funnel through them via im2col (internal/models/tcn),
-// per-sample for TimePPG-Big and packed across the batch for
+// backprop all funnel through them via im2col (internal/models/tcn; the
+// int8 layers pack their weights once at quantization and write their
+// im2col straight into pair panels with PackRows), per-sample for
+// TimePPG-Big and packed across the batch for
 // TimePPG-Small's small panels (the cross-sample lowering; see
 // tcn.crossSampleMaxPanel).
 //
-// BENCH kernels: GemmF32_48x144x128 and GemmS8_48x144x128 measure the raw
-// kernels at a representative TimePPG-Big convolution shape,
+// BENCH kernels: GemmF32_48x144x128 and GemmS8_48x144x128 measure F32
+// and S8 (per-call packing included) at a representative TimePPG-Big
+// convolution shape,
 // RequantS8_8192 the int8 epilogue over 8192 accumulators,
-// GemmS8NT_28x2048x84 the TimePPG-Big head batched over 28 windows,
+// GemmS8NT_28x2048x84 S8NT at the TimePPG-Big head shape batched over
+// 28 windows,
 // GemmF32_8x24x{32,1024} and GemmS8_8x24x{32,1024} at the TimePPG-Small
 // final-block shape per-sample and at the cross-sample width;
 // TimePPG{Small,Big}ForwardBatch32/win and Quant{Small,Big}ForwardBatch32/win

@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -111,22 +112,25 @@ func FuzzS8AsmMatchesGeneric(f *testing.F) {
 		a := fuzzS8Data(seed, m*k)
 		b := fuzzS8Data(seed+1, k*n)
 		rng := rand.New(rand.NewSource(seed + 2))
-		got := make([]int32, m*n)
-		for i := range got {
-			got[i] = int32(rng.Intn(2000) - 1000)
+		c0 := make([]int32, m*n)
+		for i := range c0 {
+			c0[i] = int32(rng.Intn(2000) - 1000)
 		}
-		want := append([]int32(nil), got...)
-		if k > 0 {
-			s8Asm(got, a, b, m, k, n)
-		} else {
-			S8(got, a, b, m, k, n)
-		}
+		want := append([]int32(nil), c0...)
 		s8Generic(want, a, b, m, k, n, 0)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%dx%dx%d: elem %d = %d, want %d", m, k, n, i, got[i], want[i])
+		forEachS8Kernel(func(kern s8Kernel) {
+			got := append([]int32(nil), c0...)
+			if k > 0 {
+				s8Packed(got, a, b, m, k, n, false)
+			} else {
+				S8(got, a, b, m, k, n)
 			}
-		}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v %dx%dx%d: elem %d = %d, want %d", kern, m, k, n, i, got[i], want[i])
+				}
+			}
+		})
 	})
 }
 
@@ -140,49 +144,66 @@ func FuzzS8NTAsmMatchesGeneric(f *testing.F) {
 		a := fuzzS8Data(seed, m*k)
 		b := fuzzS8Data(seed+1, n*k)
 		rng := rand.New(rand.NewSource(seed + 2))
-		got := make([]int32, m*n)
-		for i := range got {
-			got[i] = int32(rng.Intn(2000) - 1000)
+		c0 := make([]int32, m*n)
+		for i := range c0 {
+			c0[i] = int32(rng.Intn(2000) - 1000)
 		}
-		want := append([]int32(nil), got...)
-		s8NTAsm(got, a, b, m, k, n)
+		want := append([]int32(nil), c0...)
 		s8NTGeneric(want, a, b, m, k, n, 0)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%dx%dx%d: elem %d = %d, want %d", m, k, n, i, got[i], want[i])
+		forEachS8Kernel(func(kern s8Kernel) {
+			got := append([]int32(nil), c0...)
+			s8Packed(got, a, b, m, k, n, true)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v %dx%dx%d: elem %d = %d, want %d", kern, m, k, n, i, got[i], want[i])
+				}
 			}
-		}
+			// The pre-packed form: B packed once from its transpose,
+			// zero-padded to whole panels.
+			checkS8Panels(t, kern, rng, m, k, n)
+		})
 	})
 }
 
-// TestS8AsmMinInt8 pins PMADDWL's largest pair sum: with A and B all
-// −128 every dual-MAC adds (−128)² + (−128)² = 32 768, one past int16.
-// Even and odd k cover the zero-partner pair, m ∈ {1, 2, 3} the blocked
-// row pair and the odd trailing row, n = 37 two panels and a scalar tail.
+// TestS8AsmMinInt8 pins the largest pair sum of the dual-MAC: with A and
+// B all −128 every pair adds (−128)² + (−128)² = 32 768, one past int16
+// (PMADDWL, VPMADDWD and VPDPWSSD still hold it exactly in the int32
+// lane). Accumulators seeded just below MaxInt32 pin the int32
+// wraparound of the scalar loop, which the saturating VPDPWSSDS would
+// clamp instead. Even and odd k cover the zero-partner pair, m ∈ {1, …,
+// 9} the two-, four- and eight-row blocks and their trailing rows, n =
+// 37 two panels and a scalar tail.
 func TestS8AsmMinInt8(t *testing.T) {
 	const n = 37
-	for _, k := range []int{16, 17} {
-		for m := 1; m <= 3; m++ {
-			a := make([]int8, m*k)
-			b := make([]int8, k*n)
-			for i := range a {
-				a[i] = -128
-			}
-			for i := range b {
-				b[i] = -128
-			}
-			want := int32(k) * 128 * 128
-			got := make([]int32, m*n)
-			s8Asm(got, a, b, m, k, n)
-			gotNT := make([]int32, m*n)
-			s8NTAsm(gotNT, a, b, m, k, n) // B all −128 reads the same as n×k
-			for i := range got {
-				if got[i] != want || gotNT[i] != want {
-					t.Fatalf("m=%d k=%d: elem %d = %d (S8), %d (S8NT), want %d", m, k, i, got[i], gotNT[i], want)
+	forEachS8Kernel(func(kern s8Kernel) {
+		for _, k := range []int{16, 17} {
+			for m := 1; m <= 9; m++ {
+				a := make([]int8, m*k)
+				b := make([]int8, k*n)
+				for i := range a {
+					a[i] = -128
+				}
+				for i := range b {
+					b[i] = -128
+				}
+				for _, c0 := range []int32{0, math.MaxInt32 - 1000} {
+					want := c0 + int32(k)*128*128 // wraps for the high seed
+					got := make([]int32, m*n)
+					gotNT := make([]int32, m*n)
+					for i := range got {
+						got[i], gotNT[i] = c0, c0
+					}
+					s8Packed(got, a, b, m, k, n, false)
+					s8Packed(gotNT, a, b, m, k, n, true) // B all −128 reads the same as n×k
+					for i := range got {
+						if got[i] != want || gotNT[i] != want {
+							t.Fatalf("%v m=%d k=%d c0=%d: elem %d = %d (S8), %d (S8NT), want %d", kern, m, k, c0, i, got[i], gotNT[i], want)
+						}
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestTransposeInto pins the packing primitive the NT asm path rests on.

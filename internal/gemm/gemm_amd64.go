@@ -2,9 +2,12 @@
 
 package gemm
 
-// haveAsmKernels gates the SSE2 panel kernels in gemm_amd64.s. SSE2 is
-// part of the amd64 baseline (GOAMD64=v1), so no runtime feature check is
-// needed; build with -tags purego to force the portable scalar path.
+// haveAsmKernels gates the panel kernels in gemm_amd64.s. The float32
+// kernels, the int8 packers and the requantize rows are SSE2, part of the
+// amd64 baseline (GOAMD64=v1), so they need no runtime feature check; the
+// int8 panel product picks the widest kernel the CPU supports once at
+// init (s8Level, cpu_amd64.go). Build with -tags purego to force the
+// portable scalar path.
 const haveAsmKernels = true
 
 // f32Panel16 computes a 16-column panel: for each of the m rows,
@@ -31,13 +34,6 @@ func f32Panel4(c, a, b *float32, m, k, n int)
 //go:noescape
 func s8Widen8(dst *int16, src *int8, blocks int)
 
-// s8PackB packs columns [0, 16·np) of B (k×n, row-major) into the int16
-// pair panels s8Panels consumes (layout in gemm_amd64.s); an odd k pairs
-// its last row with zero.
-//
-//go:noescape
-func s8PackB(dst *int16, b *int8, k, n, np int)
-
 // s8PackBT8 packs rows [0, 16·np) of B (n×k, row-major) as the columns of
 // the same panels — Bᵀ without a transpose pass — covering pairs
 // [0, 4·⌊k/8⌋); requires k ≥ 8.
@@ -55,6 +51,45 @@ func s8PackBT8(dst *int16, b *int8, k, np int)
 //go:noescape
 func s8Panels(c *int32, a, b *int16, m, kp, n, np int)
 
+// s8PanelsAVX2 is s8Panels on 256-bit registers: four rows of A per pass,
+// each row's 16 columns in two accumulators, VPMADDWD then VPADDD.
+//
+//go:noescape
+func s8PanelsAVX2(c *int32, a, b *int16, m, kp, n, np int)
+
+// s8PanelsAVXVNNI is s8PanelsAVX2 with each VPMADDWD+VPADDD fused into
+// one VEX-encoded VPDPWSSD (AVX-VNNI).
+//
+//go:noescape
+func s8PanelsAVXVNNI(c *int32, a, b *int16, m, kp, n, np int)
+
+// s8PanelsVNNI is the AVX512_VNNI kernel: one Z register per row's 16
+// columns, eight rows per pass, VPDPWSSD with a broadcast memory operand.
+//
+//go:noescape
+func s8PanelsVNNI(c *int32, a, b *int16, m, kp, n, np int)
+
+// s8PackRows packs pairs row pairs (offs[2q], offs[2q+1]) of src, read
+// at stride 1 or 2 over 16·np columns, as pair q of np panels kp pairs
+// long (PackRows).
+//
+//go:noescape
+func s8PackRows(dst *int16, src *int8, offs *int, stride, pairs, kp, np int)
+
+// s8PanelsAsm runs the panel product on the kernel s8Level selects.
+func s8PanelsAsm(c *int32, a, b *int16, m, kp, n, np int) {
+	switch s8Level {
+	case kernelAVXVNNI:
+		s8PanelsAVXVNNI(c, a, b, m, kp, n, np)
+	case kernelVNNI:
+		s8PanelsVNNI(c, a, b, m, kp, n, np)
+	case kernelAVX2:
+		s8PanelsAVX2(c, a, b, m, kp, n, np)
+	default:
+		s8Panels(c, a, b, m, kp, n, np)
+	}
+}
+
 // rescaleRow8 runs RescaleRow's element expression over blocks×8
 // accumulators: PADDL the bias, CVTPL2PS, MULPS the multiplier, then the
 // float32-domain rounding of REQUANT (gemm_amd64.s).
@@ -68,24 +103,45 @@ func rescaleRow8(dst *int8, acc *int32, blocks int, bias int32, mult, lo float32
 //go:noescape
 func quantizeRow8(dst *int8, x *float32, blocks int, scale, lo float32)
 
+// rescaleRow16 is rescaleRow8 on 256-bit registers, 16 elements per
+// pass (avx_amd64.s).
+//
+//go:noescape
+func rescaleRow16(dst *int8, acc *int32, blocks int, bias int32, mult, lo float32)
+
+// quantizeRow16 is quantizeRow8 on 256-bit registers.
+//
+//go:noescape
+func quantizeRow16(dst *int8, x *float32, blocks int, scale, lo float32)
+
 // rescaleAsm covers the first ⌊len(acc)/8⌋·8 elements of a RescaleRow
-// with the SSE2 row and returns how many it did. lo is 0 or −127, both
-// exact in float32.
+// with the SIMD rows — 16 at a time where s8Level has AVX2 — and returns
+// how many it did. lo is 0 or −127, both exact in float32.
 func rescaleAsm(dst []int8, acc []int32, bias int32, mult float32, lo float64) int {
-	n := len(acc) &^ 7
-	if n > 0 {
-		rescaleRow8(&dst[0], &acc[0], n/8, bias, mult, float32(lo))
+	i := 0
+	if s8Level >= kernelAVX2 && len(acc) >= 16 {
+		i = len(acc) &^ 15
+		rescaleRow16(&dst[0], &acc[0], i/16, bias, mult, float32(lo))
 	}
-	return n
+	if n := len(acc) &^ 7; n > i {
+		rescaleRow8(&dst[i], &acc[i], (n-i)/8, bias, mult, float32(lo))
+		i = n
+	}
+	return i
 }
 
 // quantizeAsm is the quantizeRow form of rescaleAsm.
 func quantizeAsm(dst []int8, x []float32, scale float32, lo float64) int {
-	n := len(x) &^ 7
-	if n > 0 {
-		quantizeRow8(&dst[0], &x[0], n/8, scale, float32(lo))
+	i := 0
+	if s8Level >= kernelAVX2 && len(x) >= 16 {
+		i = len(x) &^ 15
+		quantizeRow16(&dst[0], &x[0], i/16, scale, float32(lo))
 	}
-	return n
+	if n := len(x) &^ 7; n > i {
+		quantizeRow8(&dst[i], &x[i], (n-i)/8, scale, float32(lo))
+		i = n
+	}
+	return i
 }
 
 // f32Asm runs the F32 update through the widest applicable column panels,
@@ -107,14 +163,6 @@ func f32Asm(c, a, b []float32, m, k, n int) {
 	}
 }
 
-// s8Asm runs the S8 update through the packed int16 panels, finishing
-// the columns past the last full panel with the scalar reference loop.
-func s8Asm(c []int32, a, b []int8, m, k, n int) {
-	if j := s8Packed(c, a, b, m, k, n, false); j < n {
-		s8Generic(c, a, b, m, k, n, j)
-	}
-}
-
 // f32NTAsm computes C += A·Bᵀ by packing B (n×k) into a pooled k×n panel
 // and running the plain column kernels over it: per output element the
 // reduction still walks p ascending, so the result is bitwise identical
@@ -124,36 +172,6 @@ func f32NTAsm(c, a, b []float32, m, k, n int) {
 	transposeInto(bt, b, n, k)
 	f32Asm(c, a, bt, m, k, n)
 	f32PackPool.put(bt)
-}
-
-// s8NTAsm is the S8NT form of s8Asm: rows of B pack straight into the
-// panels as columns, so the int8 path needs no transpose buffer.
-func s8NTAsm(c []int32, a, b []int8, m, k, n int) {
-	if j := s8Packed(c, a, b, m, k, n, true); j < n {
-		s8NTGeneric(c, a, b, m, k, n, j)
-	}
-}
-
-// s8Packed packs A and the first ⌊n/16⌋ panels of B (of Bᵀ when bt, B
-// then being n×k) into pooled int16 pair panels, runs s8Panels over them
-// and returns the first column it did not cover.
-func s8Packed(c []int32, a, b []int8, m, k, n int, bt bool) int {
-	np := n / 16
-	if np == 0 {
-		return 0
-	}
-	kp := (k + 1) / 2
-	buf := s8PanelPool.get(2 * kp * (m + 16*np))
-	ap, bp := buf[:2*kp*m], buf[2*kp*m:]
-	s8PackA(ap, a, m, k)
-	if bt {
-		s8PackBT(bp, b, k, np)
-	} else {
-		s8PackB(&bp[0], &b[0], k, n, np)
-	}
-	s8Panels(&c[0], &ap[0], &bp[0], m, kp, n, np)
-	s8PanelPool.put(buf)
-	return np * 16
 }
 
 // s8PackA widens A (m×k) into m rows of ⌈k/2⌉ int16 pairs; an odd k pads

@@ -19,10 +19,12 @@
 // dual-MAC. int16 products of int8 operands are exact (|a·b| ≤ 16 384, a
 // pair sum ≤ 32 768) and two's-complement int32 addition is associative
 // even on wraparound, so the pairing is unobservable in the result. Its
-// operands are widened once per call, not once per row of A: s8Widen8
-// sign-extends A into pair dwords, s8PackB / s8PackBT8 pack B (or Bᵀ)
-// into 16-column panels of interleaved int16 pairs, and s8Panels runs
-// two rows of A per pass against each panel with PMADDWL and PADDL only.
+// operands are widened once, not once per row of A: s8Widen8 sign-extends
+// A into pair dwords, s8PackRows / s8PackBT8 pack B (or Bᵀ) into
+// 16-column panels of interleaved int16 pairs, and s8Panels runs two rows
+// of A per pass against each panel with PMADDWL and PADDL only.
+// avx_amd64.s holds the wider forms of s8Panels and of the requantize
+// rows that CPUs with AVX2 or VNNI run instead.
 //
 // The int8 epilogue (rescaleRow8, quantizeRow8) is the one place lanes
 // hold float32 values derived from int32: each lane requantizes one
@@ -216,7 +218,10 @@ w8Loop:
 	RET
 
 // PACK_PAIRS interleaves rows X0 (b_p) and X1 (b_p+1) into 16 word pairs
-// at (DI) and advances DI by 64. Clobbers X0-X4.
+// at (DI) and advances DI by 64. Per pair the two b rows are
+// byte-interleaved (PUNPCK?BW), then each interleaved byte is
+// sign-extended to a word (PUNPCK?BW with itself + PSRAW $8), which lands
+// the [b_p[j], b_p+1[j]] pairs in column order. Clobbers X0-X4.
 #define PACK_PAIRS \
 	MOVOU     X0, X2; \
 	PUNPCKLBW X1, X2; \
@@ -236,48 +241,6 @@ w8Loop:
 	MOVOU     X4, 32(DI); \
 	MOVOU     X0, 48(DI); \
 	ADDQ      $64, DI
-
-// func s8PackB(dst *int16, b *int8, k, n, np int)
-//
-// Packs the first np×16 columns of B (k×n, row-major) into panels. Per
-// pair the two b rows are byte-interleaved (PUNPCK?BW), then each
-// interleaved byte is sign-extended to a word (PUNPCK?BW with itself +
-// PSRAW $8), which lands the [b_p[j], b_p+1[j]] pairs in column order
-// (PACK_PAIRS).
-TEXT ·s8PackB(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ b+8(FP), DX
-	MOVQ k+16(FP), R9
-	MOVQ n+24(FP), R10       // b row stride, bytes
-	MOVQ np+32(FP), R11
-
-pbPanel:
-	MOVQ DX, SI              // b cursor: row 0 of this panel's columns
-	MOVQ R9, CX
-	SHRQ $1, CX              // full pairs
-
-pbPair:
-	TESTQ CX, CX
-	JZ    pbOdd
-	MOVOU (SI), X0
-	MOVOU (SI)(R10*1), X1
-	PACK_PAIRS
-	LEAQ  (SI)(R10*2), SI
-	DECQ  CX
-	JMP   pbPair
-
-pbOdd:
-	TESTQ $1, R9
-	JZ    pbNext
-	MOVOU (SI), X0
-	PXOR  X1, X1             // zero partner row
-	PACK_PAIRS
-
-pbNext:
-	ADDQ $16, DX
-	DECQ R11
-	JNZ  pbPanel
-	RET
 
 // func s8PackBT8(dst *int16, b *int8, k, np int)
 //
@@ -487,6 +450,75 @@ spNext:
 	ADDQ R13, DX
 	DECQ R11
 	JNZ  spPanel
+	RET
+
+// func s8PackRows(dst *int16, src *int8, offs *int, stride, pairs, kp, np int)
+//
+// Packs B into panels from rows anywhere in src: row p of B is
+// src[offs[p] + j·stride] for the np×16 columns j (any offsets, e.g. one
+// tap's shifted view of a padded input row, or plain row p·n of a dense
+// B), and PACK_PAIRS writes rows 2q and 2q+1 as pair q of
+// every panel. Pairs go outer, so the two source rows are read
+// sequentially; panels are kp × 64 bytes apart. Stride 1 loads 16
+// columns per row directly; stride 2 loads 32 bytes and keeps the even
+// ones (PAND 0x00ff per word, then PACKUSWB, exact on 0..255).
+TEXT ·s8PackRows(SB), NOSPLIT, $0-56
+	MOVQ    dst+0(FP), R8
+	MOVQ    src+8(FP), R9
+	MOVQ    offs+16(FP), R10
+	MOVQ    stride+24(FP), R14
+	MOVQ    pairs+32(FP), R11
+	MOVQ    kp+40(FP), R13
+	SHLQ    $6, R13
+	SUBQ    $64, R13         // panel stride less PACK_PAIRS's own advance
+	MOVQ    np+48(FP), R12
+	PCMPEQW X5, X5
+	PSRLW   $8, X5           // 0x00ff per word
+
+prPair:
+	MOVQ (R10), SI
+	ADDQ R9, SI              // row 2q
+	MOVQ 8(R10), BX
+	ADDQ R9, BX              // row 2q+1
+	MOVQ R8, DI
+	MOVQ R12, CX
+	CMPQ R14, $2
+	JEQ  prPanel2
+
+prPanel1:
+	MOVOU (SI), X0
+	MOVOU (BX), X1
+	PACK_PAIRS
+	ADDQ  $16, SI
+	ADDQ  $16, BX
+	ADDQ  R13, DI
+	DECQ  CX
+	JNZ   prPanel1
+	JMP   prNext
+
+prPanel2:
+	MOVOU    (SI), X0
+	MOVOU    16(SI), X6
+	PAND     X5, X0
+	PAND     X5, X6
+	PACKUSWB X6, X0
+	MOVOU    (BX), X1
+	MOVOU    16(BX), X7
+	PAND     X5, X1
+	PAND     X5, X7
+	PACKUSWB X7, X1
+	PACK_PAIRS
+	ADDQ     $32, SI
+	ADDQ     $32, BX
+	ADDQ     R13, DI
+	DECQ     CX
+	JNZ      prPanel2
+
+prNext:
+	ADDQ $16, R10
+	ADDQ $64, R8
+	DECQ R11
+	JNZ  prPair
 	RET
 
 // Int8 epilogue: the two requantize rows. Both run Requantize's

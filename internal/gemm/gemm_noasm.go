@@ -12,10 +12,8 @@ const haveAsmKernels = false
 // portable; they are never reached from the exported kernels when
 // haveAsmKernels is false.
 
-func f32Asm(c, a, b []float32, m, k, n int)       { f32Generic(c, a, b, m, k, n, 0) }
-func s8Asm(c []int32, a, b []int8, m, k, n int)   { s8Generic(c, a, b, m, k, n, 0) }
-func f32NTAsm(c, a, b []float32, m, k, n int)     { f32NTGeneric(c, a, b, m, k, n) }
-func s8NTAsm(c []int32, a, b []int8, m, k, n int) { s8NTGeneric(c, a, b, m, k, n, 0) }
+func f32Asm(c, a, b []float32, m, k, n int)   { f32Generic(c, a, b, m, k, n, 0) }
+func f32NTAsm(c, a, b []float32, m, k, n int) { f32NTGeneric(c, a, b, m, k, n) }
 
 func rescaleAsm(dst []int8, acc []int32, bias int32, mult float32, lo float64) int {
 	rescaleGeneric(dst, acc, bias, mult, lo)
@@ -25,4 +23,19 @@ func rescaleAsm(dst []int8, acc []int32, bias int32, mult float32, lo float64) i
 func quantizeAsm(dst []int8, x []float32, scale float32, lo float64) int {
 	quantizeGeneric(dst, x, scale, lo)
 	return len(x)
+}
+
+// s8Level is always the portable kernel here.
+var s8Level = kernelGeneric
+
+// s8Kernels lists the one panel kernel these builds have.
+func s8Kernels() []s8Kernel { return []s8Kernel{kernelGeneric} }
+
+func s8PackA(dst []int16, a []int8, m, k int)   { packAGeneric(dst, a, m, k) }
+func s8PackBT(dst []int16, b []int8, k, np int) { packBTGeneric(dst, b, 16*np, k, 0) }
+func s8PackRows(dst *int16, src *int8, offs *int, stride, pairs, kp, np int) {
+	panic("gemm: no asm packer in portable builds")
+}
+func s8PanelsAsm(c *int32, a, b *int16, m, kp, n, np int) {
+	panic("gemm: no asm panel kernel in portable builds")
 }

@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -119,45 +120,156 @@ func TestF32NTMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
-func TestS8MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, s := range shapes {
-		a := randS8(rng, s.m*s.k)
-		b := randS8(rng, s.k*s.n)
-		got := make([]int32, s.m*s.n)
-		for i := range got {
-			got[i] = int32(rng.Intn(2000) - 1000)
-		}
-		want := append([]int32(nil), got...)
-		S8(got, a, b, s.m, s.k, s.n)
-		refS8(want, a, b, s.m, s.k, s.n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%dx%dx%d: elem %d = %d, want %d", s.m, s.k, s.n, i, got[i], want[i])
-			}
-		}
+// forEachS8Kernel runs fn with s8Level forced to each int8 panel kernel
+// the host supports in turn (only the portable one under purego or off
+// amd64), restoring the init selection afterwards.
+func forEachS8Kernel(fn func(k s8Kernel)) {
+	defer func(old s8Kernel) { s8Level = old }(s8Level)
+	for _, k := range s8Kernels() {
+		s8Level = k
+		fn(k)
 	}
 }
 
-func TestS8NTMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, s := range shapes {
-		a := randS8(rng, s.m*s.k)
-		b := randS8(rng, s.n*s.k)
-		got := make([]int32, s.m*s.n)
-		for i := range got {
-			got[i] = int32(rng.Intn(2000) - 1000)
+// TestS8KernelSelection logs which int8 panel kernel init selected and
+// which ones the host supports, so a CI log shows whether the AVX2 and
+// VNNI kernels were exercised on its runner.
+func TestS8KernelSelection(t *testing.T) {
+	ks := s8Kernels()
+	t.Logf("int8 panel kernel: %v (supported: %v)", s8Level, ks)
+	if s8Level != ks[len(ks)-1] {
+		t.Fatalf("init selected %v, want the most preferred supported kernel %v", s8Level, ks[len(ks)-1])
+	}
+}
+
+func TestS8MatchesReference(t *testing.T) {
+	forEachS8Kernel(func(kern s8Kernel) {
+		rng := rand.New(rand.NewSource(3))
+		for _, s := range shapes {
+			a := randS8(rng, s.m*s.k)
+			b := randS8(rng, s.k*s.n)
+			got := make([]int32, s.m*s.n)
+			for i := range got {
+				got[i] = int32(rng.Intn(2000) - 1000)
+			}
+			want := append([]int32(nil), got...)
+			S8(got, a, b, s.m, s.k, s.n)
+			refS8(want, a, b, s.m, s.k, s.n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v %dx%dx%d: elem %d = %d, want %d", kern, s.m, s.k, s.n, i, got[i], want[i])
+				}
+			}
 		}
-		want := append([]int32(nil), got...)
-		S8NT(got, a, b, s.m, s.k, s.n)
-		refS8NT(want, a, b, s.m, s.k, s.n)
-		for i := range want {
-			t.Helper()
-			if got[i] != want[i] {
-				t.Fatalf("%dx%dx%d: elem %d = %d, want %d", s.m, s.k, s.n, i, got[i], want[i])
+	})
+}
+
+func TestS8NTMatchesReference(t *testing.T) {
+	forEachS8Kernel(func(kern s8Kernel) {
+		rng := rand.New(rand.NewSource(4))
+		for _, s := range shapes {
+			a := randS8(rng, s.m*s.k)
+			b := randS8(rng, s.n*s.k)
+			got := make([]int32, s.m*s.n)
+			for i := range got {
+				got[i] = int32(rng.Intn(2000) - 1000)
+			}
+			want := append([]int32(nil), got...)
+			S8NT(got, a, b, s.m, s.k, s.n)
+			refS8NT(want, a, b, s.m, s.k, s.n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v %dx%dx%d: elem %d = %d, want %d", kern, s.m, s.k, s.n, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// checkS8Panels runs the pre-packed entry points on one shape and
+// compares them with the reference: B packed from its transpose by
+// PackBT (zero-padded past n) and, separately, from rows scattered
+// through a larger buffer by PackRows, both into a C whose row stride
+// exceeds its panels.
+func checkS8Panels(t *testing.T, kern s8Kernel, rng *rand.Rand, m, k, n int) {
+	t.Helper()
+	np := (n + PanelCols - 1) / PanelCols
+	ldc := np*PanelCols + 5
+	a := randS8(rng, m*k)
+	bt := randS8(rng, n*k)
+	ap := make([]int16, m*2*Pairs(k))
+	PackA(ap, a, m, k)
+	seed := make([]int32, m*ldc)
+	for i := range seed {
+		seed[i] = int32(rng.Intn(2000) - 1000)
+	}
+	want := make([]int32, m*n)
+	for i := 0; i < m; i++ {
+		copy(want[i*n:(i+1)*n], seed[i*ldc:])
+	}
+	refS8NT(want, a, bt, m, k, n)
+
+	bp := make([]int16, np*PanelLen(k))
+	PackBT(bp, bt, n, k)
+	got := append([]int32(nil), seed...)
+	S8Panels(got, ldc, ap, m, k, bp, np)
+	check := func(form string) {
+		t.Helper()
+		for i := 0; i < m; i++ {
+			for j := 0; j < np*PanelCols; j++ {
+				w := seed[i*ldc+j] // padded columns gain nothing
+				if j < n {
+					w = want[i*n+j]
+				}
+				if got[i*ldc+j] != w {
+					t.Fatalf("%v %s %dx%dx%d: C[%d][%d] = %d, want %d", kern, form, m, k, n, i, j, got[i*ldc+j], w)
+				}
+			}
+			for j := np * PanelCols; j < ldc; j++ {
+				if got[i*ldc+j] != seed[i*ldc+j] {
+					t.Fatalf("%v %s: C[%d][%d] past the panels was written", kern, form, i, j)
+				}
 			}
 		}
 	}
+	check("PackBT")
+
+	// The same B, its rows (zero-padded to 16·np) at shuffled offsets
+	// and read at strides 1, 2 (the asm forms) and 3, with junk between
+	// the elements a stride skips.
+	for stride := 1; stride <= 3; stride++ {
+		span := stride * np * PanelCols
+		src := make([]int8, (k+1)*span+3)
+		for i := range src {
+			src[i] = int8(rng.Intn(256) - 128)
+		}
+		offs := make([]int, k)
+		for p, slot := range rng.Perm(k + 1)[:k] {
+			offs[p] = 3 + slot*span
+			for j := 0; j < np*PanelCols; j++ {
+				v := int8(0)
+				if j < n {
+					v = bt[j*k+p]
+				}
+				src[offs[p]+j*stride] = v
+			}
+		}
+		clear(bp)
+		PackRows(bp, src, offs, stride, np)
+		got = append(got[:0], seed...)
+		S8Panels(got, ldc, ap, m, k, bp, np)
+		check(fmt.Sprintf("PackRows/stride%d", stride))
+	}
+}
+
+func TestS8PanelsMatchesReference(t *testing.T) {
+	forEachS8Kernel(func(kern s8Kernel) {
+		rng := rand.New(rand.NewSource(11))
+		for _, s := range shapes {
+			checkS8Panels(t, kern, rng, s.m, s.k, s.n)
+		}
+		checkS8Panels(t, kern, rng, 28, 2048, 84) // the TimePPG-Big head
+	})
 }
 
 func TestKernelsDegenerateShapesNoPanic(t *testing.T) {
@@ -181,6 +293,23 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	cs := make([]int32, m*n)
 	if allocs := testing.AllocsPerRun(10, func() { S8(cs, as, bs, m, k, n) }); allocs != 0 {
 		t.Errorf("S8 allocates %v per run", allocs)
+	}
+	// The pre-packed entry points the int8 convolution and head run.
+	ap := make([]int16, m*2*Pairs(k))
+	bp := make([]int16, n/PanelCols*PanelLen(k))
+	offs := make([]int, k)
+	for p := range offs {
+		offs[p] = p * n
+	}
+	for name, f := range map[string]func(){
+		"PackA":    func() { PackA(ap, as, m, k) },
+		"PackBT":   func() { PackBT(bp, bs, n, k) },
+		"PackRows": func() { PackRows(bp, bs, offs, 1, n/PanelCols) },
+		"S8Panels": func() { S8Panels(cs, n, ap, m, k, bp, n/PanelCols) },
+	} {
+		if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
+			t.Errorf("%s allocates %v per run", name, allocs)
+		}
 	}
 	qs := make([]int8, m*n)
 	if allocs := testing.AllocsPerRun(10, func() { RescaleRow(qs, cs, 5, 0.01, 0) }); allocs != 0 {
@@ -289,4 +418,25 @@ func BenchmarkGemmS8NTHead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		S8NT(c, a, bb, m, k, n)
 	}
+}
+
+// BenchmarkS8Panels runs the pre-packed panel product at the TimePPG-Big
+// convolution shape on every int8 kernel the host supports: the
+// kernel-only cost the S8 benchmark's per-call packing sits on top of.
+func BenchmarkS8Panels(b *testing.B) {
+	m, k, n := benchShape()
+	rng := rand.New(rand.NewSource(12))
+	ap := make([]int16, m*2*Pairs(k))
+	PackA(ap, randS8(rng, m*k), m, k)
+	bp := make([]int16, n/PanelCols*PanelLen(k))
+	PackBT(bp, randS8(rng, n*k), n, k)
+	c := make([]int32, m*n)
+	forEachS8Kernel(func(kern s8Kernel) {
+		b.Run(kern.String(), func(b *testing.B) {
+			b.SetBytes(int64(m) * int64(k) * int64(n))
+			for i := 0; i < b.N; i++ {
+				S8Panels(c, n, ap, m, k, bp, n/PanelCols)
+			}
+		})
+	})
 }

@@ -8,7 +8,7 @@ import "sync"
 // operands B[j][p] of the dot-product form, so the per-element
 // accumulation chain (and with it float32 bitwise reproducibility) is
 // untouched. The int8 kernels pack both operands into int16 pair panels
-// instead (gemm_amd64.go). Panels come from free lists so concurrent
+// instead (s8Packed, panels.go). Panels come from free lists so concurrent
 // record-builder and trainer goroutines each get their own scratch with
 // zero steady-state allocations.
 
@@ -48,6 +48,7 @@ func (s *bufStack[T]) put(buf []T) {
 var (
 	f32PackPool bufStack[float32]
 	s8PanelPool bufStack[int16]
+	s8OffsPool  bufStack[int]
 )
 
 // packBlock tiles the transpose so both the contiguous reads and the

@@ -8,9 +8,21 @@ import (
 )
 
 // The requantize rows must equal Requantize element by element on every
-// float32 operand. On amd64 that pins the SSE2 epilogue (float32-domain
-// rounding) against the float64 scalar helper; under purego the rows are
-// the scalar loops and the checks degrade to generic-vs-scalar.
+// float32 operand. On amd64 that pins the SSE2 and AVX2 epilogues
+// (float32-domain rounding) against the float64 scalar helper; under
+// purego the rows are the scalar loops and the checks degrade to
+// generic-vs-scalar.
+
+// forEachRowWidth runs fn under each requantize row width the host has:
+// the kernels past AVX2 differ only in the panel product, so they are
+// skipped here.
+func forEachRowWidth(fn func()) {
+	forEachS8Kernel(func(k s8Kernel) {
+		if k <= kernelAVX2 {
+			fn()
+		}
+	})
+}
 
 var requantFloors = []float64{0, -127}
 
@@ -29,16 +41,23 @@ func checkQuantizeRow(t *testing.T, x []float32, scale float32, lo float64, dstO
 		buf[i] = guardByte
 	}
 	dst := buf[dstOff : dstOff+len(x)]
-	quantizeRow(dst, src[srcOff:], scale, lo)
-	for i, v := range x {
-		if want := Requantize(v/scale, lo); dst[i] != want {
-			t.Fatalf("quantizeRow(x=%v (%#08x), scale=%v (%#08x), lo=%v) elem %d of %d = %d, want %d",
-				v, math.Float32bits(v), scale, math.Float32bits(scale), lo, i, len(x), dst[i], want)
-		}
-	}
+	forEachRowWidth(func() {
+		quantizeRow(dst, src[srcOff:], scale, lo)
+		checkQuantized(t, dst, x, scale, lo)
+	})
 	for i, g := range buf[dstOff+len(x):] {
 		if g != guardByte {
 			t.Fatalf("quantizeRow wrote past its %d-element row at +%d", len(x), i)
+		}
+	}
+}
+
+func checkQuantized(t *testing.T, dst []int8, x []float32, scale float32, lo float64) {
+	t.Helper()
+	for i, v := range x {
+		if want := Requantize(v/scale, lo); dst[i] != want {
+			t.Fatalf("%v quantizeRow(x=%v (%#08x), scale=%v (%#08x), lo=%v) elem %d of %d = %d, want %d",
+				s8Level, v, math.Float32bits(v), scale, math.Float32bits(scale), lo, i, len(x), dst[i], want)
 		}
 	}
 }
@@ -53,13 +72,15 @@ func checkRescaleRow(t *testing.T, acc []int32, bias int32, mult float32, lo flo
 		buf[i] = guardByte
 	}
 	dst := buf[dstOff : dstOff+len(acc)]
-	RescaleRow(dst, src[srcOff:], bias, mult, lo)
-	for i, a := range acc {
-		if want := Requantize(float32(a+bias)*mult, lo); dst[i] != want {
-			t.Fatalf("RescaleRow(acc=%d, bias=%d, mult=%v (%#08x), lo=%v) elem %d of %d = %d, want %d",
-				a, bias, mult, math.Float32bits(mult), lo, i, len(acc), dst[i], want)
+	forEachRowWidth(func() {
+		RescaleRow(dst, src[srcOff:], bias, mult, lo)
+		for i, a := range acc {
+			if want := Requantize(float32(a+bias)*mult, lo); dst[i] != want {
+				t.Fatalf("%v RescaleRow(acc=%d, bias=%d, mult=%v (%#08x), lo=%v) elem %d of %d = %d, want %d",
+					s8Level, a, bias, mult, math.Float32bits(mult), lo, i, len(acc), dst[i], want)
+			}
 		}
-	}
+	})
 	for i, g := range buf[dstOff+len(acc):] {
 		if g != guardByte {
 			t.Fatalf("RescaleRow wrote past its %d-element row at +%d", len(acc), i)
@@ -145,13 +166,14 @@ func TestRequantRowsSpecials(t *testing.T) {
 	}
 }
 
-// TestRequantRowsTailsAndOffsets runs both rows over every length 0–23
-// (every sub-8 tail after zero to two full blocks) at dst offsets 0–7 and
-// src offsets 0–3, so the unaligned loads and stores of every row start
-// are exercised.
+// TestRequantRowsTailsAndOffsets runs both rows over every length 0–39
+// (every sub-8 tail after zero to four 8-blocks, so also the 16-blocks
+// of the AVX2 rows followed by an 8-block) at dst offsets 0–7 and src
+// offsets 0–3, so the unaligned loads and stores of every row start are
+// exercised.
 func TestRequantRowsTailsAndOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for n := 0; n < 24; n++ {
+	for n := 0; n < 40; n++ {
 		x := make([]float32, n)
 		acc := make([]int32, n)
 		for i := range x {
@@ -241,7 +263,7 @@ func benchRescaleRow(b *testing.B, row func(dst []int8, acc []int32, bias int32,
 
 func BenchmarkQuantRescaleRow(b *testing.B) { benchRescaleRow(b, RescaleRow) }
 
-// BenchmarkQuantRescaleRowScalar is the scalar loop the SSE2 row replaces.
+// BenchmarkQuantRescaleRowScalar is the scalar loop the SIMD rows replace.
 func BenchmarkQuantRescaleRowScalar(b *testing.B) { benchRescaleRow(b, rescaleGeneric) }
 
 func BenchmarkQuantizeRow(b *testing.B) {

@@ -80,10 +80,10 @@ func ensureSlice[T any](buf *[]T, n int) []T {
 }
 
 // im2colRow fills one tap row of an im2col panel: row[t] =
-// xRow[t·stride + off], or 0 where the tap reads outside [0, inT) — for
-// both element types the exact additive identity. Generic so the float32
-// and int8 paths share one copy of the clamped-range logic.
-func im2colRow[T int8 | float32](row, xRow []T, off, stride, inT, outT int) {
+// xRow[t·stride + off], or 0 where the tap reads outside [0, inT) — the
+// exact additive identity. (The int8 path builds its im2col straight
+// into gemm's pair panels instead; see qConv.panelIm2col.)
+func im2colRow(row, xRow []float32, off, stride, inT, outT int) {
 	t0, t1 := tapRange(off, stride, inT, outT)
 	if t1 < t0 {
 		for t := range row {
@@ -113,7 +113,7 @@ func im2colRow[T int8 | float32](row, xRow []T, off, stride, inT, outT int) {
 // xs[ci·inT + t·stride + k·dilation − padL]. Rows are ordered (ci, k)
 // ascending — the serial kernels' accumulation order — so a GEMM over col
 // reproduces them bitwise.
-func im2col[T int8 | float32](col, xs []T, inC, inT, kernel, dilation, stride, padL, outT int) {
+func im2col(col, xs []float32, inC, inT, kernel, dilation, stride, padL, outT int) {
 	j := 0
 	for ci := 0; ci < inC; ci++ {
 		xRow := xs[ci*inT : (ci+1)*inT]
@@ -133,7 +133,7 @@ func im2col[T int8 | float32](col, xs []T, inC, inT, kernel, dilation, stride, p
 // column position never enters the reduction). This is the cross-sample
 // lowering that keeps TimePPG-Small's tiny per-layer matrices from
 // underfeeding the vector kernels.
-func im2colWide[T int8 | float32](col, data []T, N, inC, inT, kernel, dilation, stride, padL, outT int) {
+func im2colWide(col, data []float32, N, inC, inT, kernel, dilation, stride, padL, outT int) {
 	wide := N * outT
 	sz := inC * inT
 	for n := 0; n < N; n++ {

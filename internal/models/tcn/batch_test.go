@@ -380,6 +380,22 @@ func TestBatchPathZeroAllocSteadyState(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { est.EstimateHRBatch(ws, preds) }); n != 0 {
 		t.Errorf("EstimateHRBatch (int8) allocates %v per run in steady state", n)
 	}
+
+	// TimePPG-Small's int8 layers all take the cross-sample panel
+	// im2col; TimePPG-Big's take the per-sample one, and its head the
+	// 84-column pre-packed panels.
+	big := NewTimePPGBig()
+	big.InitWeights(9)
+	qb, err := Quantize(big, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xb3 := randomBatch(rng, 3, InputChannels, InputSamples)
+	out3 := make([]float32, 3)
+	qb.ForwardBatch(xb3, out3)
+	if n := testing.AllocsPerRun(5, func() { qb.ForwardBatch(xb3, out3) }); n != 0 {
+		t.Errorf("QuantNetwork.ForwardBatch (TimePPG-Big) allocates %v per run in steady state", n)
+	}
 }
 
 // TestBatchSerialInterleaveIsSafe guards that the scalar and batched paths

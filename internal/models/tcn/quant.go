@@ -71,7 +71,7 @@ func cloneLayerDeep(l Layer) Layer {
 // quantbatch.go) must be bitwise identical to forward per sample.
 type qOp interface {
 	forward(x *qTensor) *qTensor
-	forwardBatch(x *qBatchTensor) *qBatchTensor
+	forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor
 	macs() int64
 }
 
@@ -123,10 +123,12 @@ type qConv struct {
 	inT                                 int
 	out                                 *qTensor
 
-	// Batched-path arenas (see quantbatch.go).
-	outB   *qBatchTensor
-	colBuf []int8
-	accBuf []int32
+	// packed is weight as gemm.PackA pair rows, built once by Quantize
+	// and shared by every worker clone.
+	packed []int16
+
+	// Batched-path output arena (see quantbatch.go).
+	outB *qBatchTensor
 }
 
 func (l *qConv) padLeft() int {
@@ -178,9 +180,12 @@ type qDense struct {
 	lastOut  []float32
 	outBuf   *qTensor
 
-	// Batched-path arenas (see quantbatch.go).
+	// panels is weight as gemm.PackBT panels (columns past out zero),
+	// built once by Quantize and shared by every worker clone.
+	panels []int16
+
+	// Batched-path output arenas (see quantbatch.go).
 	outBB    *qBatchTensor
-	accBuf   []int32
 	lastOutB []float32
 }
 
@@ -233,6 +238,7 @@ type QuantNetwork struct {
 	ops      []qOp
 	qin      *qTensor      // reused quantized-input buffer
 	qinB     *qBatchTensor // batched twin of qin
+	scratch  qScratch      // batched-path scratch every op shares
 }
 
 // CloneForWorker returns a copy sharing the immutable int8 weights and
@@ -247,13 +253,13 @@ func (q *QuantNetwork) CloneForWorker() *QuantNetwork {
 		case *qConv:
 			cp := *v
 			cp.out = nil
-			cp.outB, cp.colBuf, cp.accBuf = nil, nil, nil
+			cp.outB = nil
 			c.ops[i] = &cp
 		case *qDense:
 			cp := *v
 			cp.outBuf = nil
 			cp.lastOut = nil
-			cp.outBB, cp.accBuf, cp.lastOutB = nil, nil, nil
+			cp.outBB, cp.lastOutB = nil, nil
 			c.ops[i] = &cp
 		default:
 			c.ops[i] = op
@@ -263,36 +269,25 @@ func (q *QuantNetwork) CloneForWorker() *QuantNetwork {
 }
 
 // Quantize converts a trained float network into int8 form, calibrating
-// activation scales on the given tensors (typically a few hundred windows
-// from the validation split). The affine layers are folded first.
+// activation scales on the given tensors (typically a few dozen to a few
+// hundred windows from the validation split; they run in batches of at
+// most calibChunk, so memory does not grow with their number). The
+// affine layers are folded first.
 func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 	if len(calib) == 0 {
 		return nil, fmt.Errorf("tcn: quantization requires calibration data")
 	}
 	folded := FoldAffine(n)
-
-	// Pass 1: record per-stage activation max-abs on the float net.
-	maxAbs := make([]float32, len(folded.Layers)+1)
-	for _, x := range calib {
-		cur := x
-		for li, l := range folded.Layers {
-			if li == 0 {
-				if _, ok := l.(*InputNorm); !ok {
-					return nil, fmt.Errorf("tcn: quantization expects InputNorm first, got %T", l)
-				}
-			}
-			cur = l.Forward(cur)
-			for _, v := range cur.Data {
-				a := v
-				if a < 0 {
-					a = -a
-				}
-				if a > maxAbs[li] {
-					maxAbs[li] = a
-				}
-			}
-		}
+	maxAbs, err := calibrate(folded, calib)
+	if err != nil {
+		return nil, err
 	}
+	return quantizeFolded(n, folded, maxAbs)
+}
+
+// quantizeFolded builds the int8 network from the folded float network
+// and the max-abs activation after each of its layers.
+func quantizeFolded(n, folded *Network, maxAbs []float32) (*QuantNetwork, error) {
 	scaleOf := func(li int) float32 {
 		m := maxAbs[li]
 		if m == 0 {
@@ -314,7 +309,8 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 	for li, l := range folded.Layers {
 		switch v := l.(type) {
 		case *InputNorm:
-			q.norm = v
+			// A fresh layer: the folded one holds the calibration batch.
+			q.norm = v.CloneForWorker().(*InputNorm)
 			inScale = scaleOf(li) // scale of the normalized input
 			q.inScale = inScale
 		case *ReLU:
@@ -332,38 +328,7 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 			}
 			inScale = s
 		case *Conv1D:
-			qc := &qConv{
-				inC: v.InC, outC: v.OutC, kernel: v.Kernel,
-				dilation: v.Dilation, stride: v.Stride,
-				weight:   make([]int8, len(v.Weight.W)),
-				wScale:   make([]float32, v.OutC),
-				bias:     make([]int32, v.OutC),
-				inScale:  inScale,
-				outScale: scaleOf(li),
-				inT:      curT,
-			}
-			perCh := v.InC * v.Kernel
-			for o := 0; o < v.OutC; o++ {
-				var m float32
-				for j := 0; j < perCh; j++ {
-					a := v.Weight.W[o*perCh+j]
-					if a < 0 {
-						a = -a
-					}
-					if a > m {
-						m = a
-					}
-				}
-				if m == 0 {
-					m = 1
-				}
-				s := m / 127
-				qc.wScale[o] = s
-				for j := 0; j < perCh; j++ {
-					qc.weight[o*perCh+j] = gemm.Requantize(v.Weight.W[o*perCh+j]/s, -127)
-				}
-				qc.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
-			}
+			qc := quantizeConv(v, inScale, scaleOf(li), curT)
 			q.ops = append(q.ops, qc)
 			inScale = qc.outScale
 			curT = (curT-1)/v.Stride + 1
@@ -371,36 +336,8 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 			// No-op on the flat int8 buffer; shapes are implicit.
 		case *Dense:
 			denseSeen++
-			qd := &qDense{
-				in: v.In, out: v.Out,
-				weight:   make([]int8, len(v.Weight.W)),
-				wScale:   make([]float32, v.Out),
-				bias:     make([]int32, v.Out),
-				inScale:  inScale,
-				outScale: scaleOf(li),
-				last:     denseSeen == totalDense,
-			}
-			for o := 0; o < v.Out; o++ {
-				var m float32
-				for j := 0; j < v.In; j++ {
-					a := v.Weight.W[o*v.In+j]
-					if a < 0 {
-						a = -a
-					}
-					if a > m {
-						m = a
-					}
-				}
-				if m == 0 {
-					m = 1
-				}
-				s := m / 127
-				qd.wScale[o] = s
-				for j := 0; j < v.In; j++ {
-					qd.weight[o*v.In+j] = gemm.Requantize(v.Weight.W[o*v.In+j]/s, -127)
-				}
-				qd.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
-			}
+			qd := quantizeDense(v, inScale, scaleOf(li))
+			qd.last = denseSeen == totalDense
 			q.ops = append(q.ops, qd)
 			inScale = qd.outScale
 		default:
@@ -408,6 +345,146 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 		}
 	}
 	return q, nil
+}
+
+// calibChunk bounds how many calibration windows run through the conv
+// stack at once, so the batch buffers of Quantize stay the same size for
+// any number of calibration windows.
+const calibChunk = 64
+
+// calibrate returns the max-abs activation after each layer of the folded
+// network over the calibration windows. The stack before Flatten runs the
+// windows in batches of at most calibChunk: ForwardBatch is bitwise
+// identical to Forward per window, and a maximum does not depend on the
+// order it is taken in. The head after Flatten runs window by window on
+// views of each batch, so the dense layers' batched transpose panel is
+// never allocated.
+func calibrate(folded *Network, calib []*Tensor) ([]float32, error) {
+	if len(folded.Layers) == 0 {
+		return nil, fmt.Errorf("tcn: cannot quantize an empty network")
+	}
+	if _, ok := folded.Layers[0].(*InputNorm); !ok {
+		return nil, fmt.Errorf("tcn: quantization expects InputNorm first, got %T", folded.Layers[0])
+	}
+	c, t := calib[0].C, calib[0].T
+	for i, x := range calib {
+		if x.C != c || x.T != t {
+			return nil, fmt.Errorf("tcn: calibration window %d is %d×%d, want %d×%d", i, x.C, x.T, c, t)
+		}
+	}
+	maxAbs := make([]float32, len(folded.Layers)+1)
+	record := func(li int, data []float32) {
+		m := maxAbs[li]
+		for _, v := range data {
+			if v < 0 {
+				v = -v
+			}
+			if v > m {
+				m = v
+			}
+		}
+		maxAbs[li] = m
+	}
+	head := len(folded.Layers)
+	for li, l := range folded.Layers {
+		if _, ok := l.(*Flatten); ok {
+			head = li
+			break
+		}
+	}
+	xb := NewBatchTensor(min(len(calib), calibChunk), c, t)
+	for lo := 0; lo < len(calib); lo += calibChunk {
+		chunk := calib[lo:min(lo+calibChunk, len(calib))]
+		xb.N, xb.Data = len(chunk), xb.Data[:len(chunk)*c*t]
+		for i, x := range chunk {
+			copy(xb.Sample(i), x.Data)
+		}
+		cur := xb
+		for li, l := range folded.Layers[:head] {
+			cur = l.ForwardBatch(cur)
+			record(li, cur.Data)
+		}
+		for i := 0; i < cur.N; i++ {
+			x := cur.SampleTensor(i)
+			s := &x
+			for li := head; li < len(folded.Layers); li++ {
+				s = folded.Layers[li].Forward(s)
+				record(li, s.Data)
+			}
+		}
+	}
+	return maxAbs, nil
+}
+
+// quantizeWeights quantizes rows of w (rows × cols, one per output
+// channel) symmetrically per row into q, returning the row scales.
+func quantizeWeights(q []int8, w []float32, rows, cols int) []float32 {
+	scales := make([]float32, rows)
+	for o := 0; o < rows; o++ {
+		var m float32
+		for _, a := range w[o*cols : (o+1)*cols] {
+			if a < 0 {
+				a = -a
+			}
+			if a > m {
+				m = a
+			}
+		}
+		if m == 0 {
+			m = 1
+		}
+		s := m / 127
+		scales[o] = s
+		for j := o * cols; j < (o+1)*cols; j++ {
+			q[j] = gemm.Requantize(w[j]/s, -127)
+		}
+	}
+	return scales
+}
+
+// quantizeBias quantizes float biases at inScale·wScale[o].
+func quantizeBias(b []float32, inScale float32, wScale []float32) []int32 {
+	q := make([]int32, len(b))
+	for o, v := range b {
+		q[o] = int32(math.Round(float64(v / (inScale * wScale[o]))))
+	}
+	return q
+}
+
+// quantizeConv builds the int8 form of a folded convolution that reads
+// activations at inScale and length inT, with its weights pre-packed for
+// the batched path.
+func quantizeConv(v *Conv1D, inScale, outScale float32, inT int) *qConv {
+	J := v.InC * v.Kernel
+	qc := &qConv{
+		inC: v.InC, outC: v.OutC, kernel: v.Kernel,
+		dilation: v.Dilation, stride: v.Stride,
+		weight:   make([]int8, len(v.Weight.W)),
+		inScale:  inScale,
+		outScale: outScale,
+		inT:      inT,
+		packed:   make([]int16, v.OutC*2*gemm.Pairs(J)),
+	}
+	qc.wScale = quantizeWeights(qc.weight, v.Weight.W, v.OutC, J)
+	qc.bias = quantizeBias(v.Bias.W, inScale, qc.wScale)
+	gemm.PackA(qc.packed, qc.weight, v.OutC, J)
+	return qc
+}
+
+// quantizeDense is quantizeConv for a dense layer, whose weight rows
+// pack as the panels of the batched product's B operand.
+func quantizeDense(v *Dense, inScale, outScale float32) *qDense {
+	qd := &qDense{
+		in: v.In, out: v.Out,
+		weight:   make([]int8, len(v.Weight.W)),
+		inScale:  inScale,
+		outScale: outScale,
+		panels:   make([]int16, denseCols(v.Out)/gemm.PanelCols*gemm.PanelLen(v.In)),
+	}
+	qd.wScale = quantizeWeights(qd.weight, v.Weight.W, v.Out, v.In)
+	qd.bias = quantizeBias(v.Bias.W, inScale, qd.wScale)
+	gemm.PackBT(qd.panels, qd.weight, v.Out, v.In)
+	return qd
 }
 
 // Forward runs int8 inference and returns the scalar float output.

@@ -1,6 +1,7 @@
 package tcn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -136,5 +137,140 @@ func TestDescribe(t *testing.T) {
 	d := NewTimePPGSmall().Describe()
 	if len(d) < 100 {
 		t.Errorf("Describe too short: %q", d)
+	}
+}
+
+// serialMaxAbs is the reference calibration pass: every window through
+// every layer of the folded network with the single-window Forward,
+// recording each stage's activation max-abs.
+func serialMaxAbs(folded *Network, calib []*Tensor) []float32 {
+	maxAbs := make([]float32, len(folded.Layers)+1)
+	for _, x := range calib {
+		cur := x
+		for li, l := range folded.Layers {
+			cur = l.Forward(cur)
+			for _, v := range cur.Data {
+				a := v
+				if a < 0 {
+					a = -a
+				}
+				if a > maxAbs[li] {
+					maxAbs[li] = a
+				}
+			}
+		}
+	}
+	return maxAbs
+}
+
+// TestQuantizeCalibrationMatchesSerial pins the batched calibration pass
+// against the serial one: the per-stage max-abs values, and with them the
+// input scale, every op's output and weight scales, biases and int8
+// weights, must be bitwise identical for both paper topologies at one,
+// a few and the suite's count of calibration windows, and at a count that
+// spans two full calibration batches and a partial third.
+func TestQuantizeCalibrationMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	bits := math.Float32bits
+	for _, build := range []func() *Network{NewTimePPGSmall, NewTimePPGBig} {
+		net := build()
+		net.InitWeights(17)
+		for _, count := range []int{1, 5, 64, 2*calibChunk + 22} {
+			calib := make([]*Tensor, count)
+			for i := range calib {
+				calib[i] = randomTensor(rng, InputChannels, InputSamples)
+			}
+			name := fmt.Sprintf("%s/%d", net.Topology, count)
+			got, err := calibrate(FoldAffine(net), calib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refFolded := FoldAffine(net)
+			want := serialMaxAbs(refFolded, calib)
+			for li := range want {
+				if bits(got[li]) != bits(want[li]) {
+					t.Fatalf("%s: stage %d max-abs %v, serial %v", name, li, got[li], want[li])
+				}
+			}
+			q, err := Quantize(net, calib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := quantizeFolded(net, refFolded, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bits(q.inScale) != bits(ref.inScale) || len(q.ops) != len(ref.ops) {
+				t.Fatalf("%s: inScale %v vs %v, %d vs %d ops", name, q.inScale, ref.inScale, len(q.ops), len(ref.ops))
+			}
+			for i, op := range q.ops {
+				var outScale, refOut float32
+				var wScale, refW []float32
+				var bias, refBias []int32
+				var weight, refWeight []int8
+				switch v := op.(type) {
+				case *qConv:
+					r := ref.ops[i].(*qConv)
+					outScale, wScale, bias, weight = v.outScale, v.wScale, v.bias, v.weight
+					refOut, refW, refBias, refWeight = r.outScale, r.wScale, r.bias, r.weight
+				case *qDense:
+					r := ref.ops[i].(*qDense)
+					outScale, wScale, bias, weight = v.outScale, v.wScale, v.bias, v.weight
+					refOut, refW, refBias, refWeight = r.outScale, r.wScale, r.bias, r.weight
+				}
+				if bits(outScale) != bits(refOut) {
+					t.Fatalf("%s op %d: outScale %v, serial %v", name, i, outScale, refOut)
+				}
+				for o := range refW {
+					if bits(wScale[o]) != bits(refW[o]) || bias[o] != refBias[o] {
+						t.Fatalf("%s op %d channel %d: wScale %v bias %d, serial %v %d", name, i, o, wScale[o], bias[o], refW[o], refBias[o])
+					}
+				}
+				for j := range refWeight {
+					if weight[j] != refWeight[j] {
+						t.Fatalf("%s op %d: weight %d = %d, serial %d", name, i, j, weight[j], refWeight[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQConvBatchGeometriesMatchSerial drives the panel im2col through
+// geometries the paper networks never use — odd channel counts (an odd
+// reduction length), even and wide kernels, strides 2 and 3, input
+// lengths that leave partial panels, a one-sample input — on both the
+// per-sample and the cross-sample lowering, against the serial kernel.
+func TestQConvBatchGeometriesMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, g := range []struct{ inC, outC, kernel, dil, stride, inT int }{
+		{1, 16, 3, 1, 1, 1}, {3, 5, 3, 2, 2, 7}, {4, 17, 2, 1, 3, 31},
+		{5, 8, 5, 4, 1, 33}, {2, 3, 3, 1, 2, 100}, {6, 20, 3, 4, 2, 64},
+	} {
+		conv := NewConv1D("c", g.inC, g.outC, g.kernel, g.dil, g.stride)
+		for i := range conv.Weight.W {
+			conv.Weight.W[i] = float32(rng.NormFloat64())
+		}
+		for i := range conv.Bias.W {
+			conv.Bias.W[i] = float32(rng.NormFloat64())
+		}
+		qc := quantizeConv(conv, 0.02, 0.3, g.inT)
+		qc.relu = g.stride != 2
+		var scratch qScratch
+		for _, N := range []int{1, 3, 40} {
+			x := &qBatchTensor{N: N, C: g.inC, T: g.inT, Data: make([]int8, N*g.inC*g.inT), Scale: 0.02}
+			for i := range x.Data {
+				x.Data[i] = int8(rng.Intn(256) - 128)
+			}
+			y := qc.forwardBatch(x, &scratch)
+			for n := 0; n < N; n++ {
+				ys := qc.forward(&qTensor{C: g.inC, T: g.inT, Data: x.Sample(n), Scale: x.Scale})
+				for i, v := range ys.Data {
+					if y.Sample(n)[i] != v {
+						t.Fatalf("%+v N=%d sample %d: elem %d = %d, serial %d", g, N, n, i, y.Sample(n)[i], v)
+					}
+				}
+			}
+		}
 	}
 }

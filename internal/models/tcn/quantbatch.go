@@ -56,65 +56,123 @@ func quantizeBatchInto(slot **qBatchTensor, x *BatchTensor, scale float32) *qBat
 	return q
 }
 
+// qScratch is the batched int8 path's working memory. The ops of one
+// network run one after another and none keeps its scratch past its own
+// forwardBatch, so they share one set: the largest layer sizes it, not
+// the sum of them.
+type qScratch struct {
+	pad     []int8  // zero-padded input rows (qConv)
+	tapOffs []int   // im2col row offsets into pad (qConv)
+	panels  []int16 // im2col pair panels (qConv), widened inputs (qDense)
+	acc     []int32 // int32 accumulators
+}
+
 // rescaleRow applies the per-output-channel rescale of the serial kernel
 // (gemm.Requantize with the optional fused ReLU) to one row of
 // zero-seeded accumulators, adding the channel's bias on the way — the
 // exact per-element expressions of qConv.forward, since int32 addition
-// is associative. Shared by the per-sample and cross-sample batch paths.
+// is associative.
 func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
 	gemm.RescaleRow(yr, ar, l.bias[o], l.inScale*l.wScale[o]/l.outScale, reluFloor(l.relu))
 }
 
-// forwardBatch implements qOp for qConv: im2col packing, the int8 GEMM
-// micro-kernel over zeroed int32 accumulators, then the
-// per-output-channel bias and rescale of the serial kernel — per sample
-// for large layers, or as one wide cross-sample GEMM (the same lowering
-// and heuristic as the float path; integer accumulation is exact, so the
-// result is identical either way).
-func (l *qConv) forwardBatch(x *qBatchTensor) *qBatchTensor {
+// forwardBatch implements qOp for qConv. Each sample's im2col is written
+// straight into the int16 pair panels of gemm.S8Panels (panelIm2col), one
+// panel product against the pre-packed weights runs on zeroed int32
+// accumulators, and each output row takes the per-output-channel bias
+// and rescale of the serial kernel. Large layers run sample by sample;
+// small ones put the whole batch's panels side by side in one product
+// (the cross-sample heuristic of the float path). Integer accumulation
+// is exact, so the result is the serial one either way.
+func (l *qConv) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 	outT := (x.T-1)/l.stride + 1
 	y := ensureQBatchTensor(&l.outB, x.N, l.outC, outT, l.outScale)
 	J := l.inC * l.kernel
-	padL := l.padLeft()
+	np := (outT + gemm.PanelCols - 1) / gemm.PanelCols
+	group := 1
 	if crossSampleWorthIt(x.N, l.outC, outT) {
-		wide := x.N * outT
-		col := ensureSlice(&l.colBuf, J*wide)
-		im2colWide(col, x.Data, x.N, l.inC, x.T, l.kernel, l.dilation, l.stride, padL, outT)
-		acc := ensureSlice(&l.accBuf, l.outC*wide)
-		clear(acc)
-		gemm.S8(acc, l.weight, col, l.outC, J, wide)
-		for n := 0; n < x.N; n++ {
-			ys := y.Sample(n)
-			for o := 0; o < l.outC; o++ {
-				l.rescaleRow(ys[o*outT:(o+1)*outT], acc[o*wide+n*outT:o*wide+(n+1)*outT], o)
-			}
-		}
-		return y
+		group = x.N
 	}
-	col := ensureSlice(&l.colBuf, J*outT)
-	acc := ensureSlice(&l.accBuf, l.outC*outT)
-	for n := 0; n < x.N; n++ {
-		im2col(col, x.Sample(n), l.inC, x.T, l.kernel, l.dilation, l.stride, padL, outT)
+	per := np * gemm.PanelLen(J)
+	panels := ensureSlice(&s.panels, group*per)
+	ldc := group * np * gemm.PanelCols
+	acc := ensureSlice(&s.acc, l.outC*ldc)
+	rowLen := l.tapGeometry(s, x.T, np)
+	for n0 := 0; n0 < x.N; n0 += group {
+		for g := 0; g < group; g++ {
+			l.panelIm2col(s, panels[g*per:(g+1)*per], x.Sample(n0+g), x.T, np, rowLen)
+		}
 		clear(acc)
-		gemm.S8(acc, l.weight, col, l.outC, J, outT)
-		ys := y.Sample(n)
-		for o := 0; o < l.outC; o++ {
-			l.rescaleRow(ys[o*outT:(o+1)*outT], acc[o*outT:(o+1)*outT], o)
+		gemm.S8Panels(acc, ldc, l.packed, l.outC, J, panels, group*np)
+		for g := 0; g < group; g++ {
+			ys := y.Sample(n0 + g)
+			for o := 0; o < l.outC; o++ {
+				ar := acc[o*ldc+g*np*gemm.PanelCols:]
+				l.rescaleRow(ys[o*outT:(o+1)*outT], ar[:outT], o)
+			}
 		}
 	}
 	return y
 }
 
-// forwardBatch implements qOp for qDense: the whole batch is one int8 GEMM
-// against the weight rows (accumulators bias-seeded), followed by the
-// serial rescale — into float for the final head, re-quantized otherwise.
-func (l *qDense) forwardBatch(x *qBatchTensor) *qBatchTensor {
-	N := x.N
-	acc := ensureSlice(&l.accBuf, N*l.out)
-	for n := 0; n < N; n++ {
-		copy(acc[n*l.out:(n+1)*l.out], l.bias)
+// tapGeometry lays out the padded input panelIm2col builds for an input
+// of length inT and np output panels, returning its row length, and
+// fills s.tapOffs with where each tap's row of the im2col matrix starts
+// in it.
+//
+// The padded input holds channel ci's row x[ci] behind padL zeros and
+// followed by zeros. Tap (ci, k) reads x[ci][t·stride + k·dilation −
+// padL] at output t: element k·dilation + t·stride of the padded row, so
+// each tap row is a strided run that reads zero wherever the tap falls
+// outside the input. Output columns past outT read zeros or real input,
+// and are never rescaled.
+func (l *qConv) tapGeometry(s *qScratch, inT, np int) (rowLen int) {
+	padL := l.padLeft()
+	rowLen = padL + max(inT, (l.kernel-1)*l.dilation-padL+l.stride*np*gemm.PanelCols)
+	offs := ensureSlice(&s.tapOffs, l.inC*l.kernel)
+	for ci := 0; ci < l.inC; ci++ {
+		for k := 0; k < l.kernel; k++ {
+			offs[ci*l.kernel+k] = ci*rowLen + k*l.dilation
+		}
 	}
-	gemm.S8NT(acc, x.Data, l.weight, N, l.in, l.out)
+	return rowLen
+}
+
+// panelIm2col writes the im2col matrix of one C×T sample xs — tap rows
+// (ci, k) in ascending order, the serial accumulation order — as np
+// int16 pair panels: it copies xs into the padded rows of tapGeometry and
+// lets gemm.PackRows gather each tap's run.
+func (l *qConv) panelIm2col(s *qScratch, dst []int16, xs []int8, inT, np, rowLen int) {
+	pad := ensureSlice(&s.pad, l.inC*rowLen)
+	clear(pad)
+	padL := l.padLeft()
+	for ci := 0; ci < l.inC; ci++ {
+		copy(pad[ci*rowLen+padL:], xs[ci*inT:(ci+1)*inT])
+	}
+	gemm.PackRows(dst, pad, s.tapOffs, l.stride, np)
+}
+
+// denseCols is the accumulator row length of a dense layer's batched
+// product: out rounded up to whole gemm panels.
+func denseCols(out int) int {
+	return (out + gemm.PanelCols - 1) / gemm.PanelCols * gemm.PanelCols
+}
+
+// forwardBatch implements qOp for qDense: the whole batch is one panel
+// product of the widened activations against the pre-packed weight
+// panels (accumulators bias-seeded; the zero columns past out are never
+// read), followed by the serial rescale — into float for the final head,
+// re-quantized otherwise.
+func (l *qDense) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
+	N := x.N
+	ldc := denseCols(l.out)
+	acc := ensureSlice(&s.acc, N*ldc)
+	for n := 0; n < N; n++ {
+		copy(acc[n*ldc:n*ldc+l.out], l.bias)
+	}
+	in := ensureSlice(&s.panels, N*2*gemm.Pairs(l.in))
+	gemm.PackA(in, x.Data, N, l.in)
+	gemm.S8Panels(acc, ldc, in, N, l.in, l.panels, ldc/gemm.PanelCols)
 	y := ensureQBatchTensor(&l.outBB, N, l.out, 1, l.outScale)
 	var head []float32
 	if l.last {
@@ -122,7 +180,7 @@ func (l *qDense) forwardBatch(x *qBatchTensor) *qBatchTensor {
 	}
 	for n := 0; n < N; n++ {
 		row := n * l.out
-		for o, a := range acc[row : row+l.out] {
+		for o, a := range acc[n*ldc : n*ldc+l.out] {
 			if l.last {
 				head[row+o] = l.dequant(a, o)
 			} else {
@@ -144,7 +202,7 @@ func (q *QuantNetwork) ForwardBatch(x *BatchTensor, out []float32) {
 	cur := quantizeBatchInto(&q.qinB, normed, q.inScale)
 	var lastDense *qDense
 	for _, op := range q.ops {
-		cur = op.forwardBatch(cur)
+		cur = op.forwardBatch(cur, &q.scratch)
 		if d, ok := op.(*qDense); ok && d.last {
 			lastDense = d
 		}
