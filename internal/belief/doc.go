@@ -14,8 +14,10 @@
 // tables lower it onto the float64 gemm panels (gemm.F64); learned tables
 // are banded (transitions between consecutive 2-second windows stay
 // within a few BPM), and the filter then contracts only each column's
-// non-zero span — bitwise identical to the dense product, since the
-// skipped terms are exact +0 contributions. The streaming update is
+// non-zero span, eight adjacent columns at a time over the union of their
+// spans — bitwise identical to the dense product, since the skipped and
+// the added out-of-span terms are exact +0 contributions. The streaming
+// update is
 // allocation-free after construction and bitwise deterministic, like
 // every other hot path in this repository (float64 is the reference
 // precision; no float32 enters the belief layer).

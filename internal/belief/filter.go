@@ -27,7 +27,10 @@ type Filter struct {
 	// the dense product because every skipped term is an exact
 	// post[i]*0.0 = +0.0 addition into a non-negative accumulator.
 	colLo, colHi []int
-	dense        bool // lower onto gemm.F64 instead of the span loop
+	// blockLo/blockHi is the union of the spans of columns 8b..8b+7,
+	// the rows predictBanded contracts for block b.
+	blockLo, blockHi []int
+	dense            bool // lower onto gemm.F64 instead of the span loop
 
 	predicted bool // pred already holds the current predictive
 }
@@ -78,6 +81,16 @@ func NewFilter(t *Table) (*Filter, error) {
 		f.colLo[j], f.colHi[j] = lo, hi
 	}
 	f.dense = float64(nonzero) > denseCutoff*float64(k*k)
+	f.blockLo, f.blockHi = make([]int, k/8), make([]int, k/8)
+	for b := range f.blockLo {
+		lo, hi := k, 0
+		for j := 8 * b; j < 8*b+8; j++ {
+			if f.colLo[j] < f.colHi[j] {
+				lo, hi = min(lo, f.colLo[j]), max(hi, f.colHi[j])
+			}
+		}
+		f.blockLo[b], f.blockHi[b] = lo, hi
+	}
 	return f, nil
 }
 
@@ -107,16 +120,50 @@ func (f *Filter) Predict() {
 		}
 		gemm.F64(f.pred, f.post, f.t.P, 1, k, k)
 	} else {
-		p := f.t.P
-		for j := 0; j < k; j++ {
-			s := 0.0
-			for i := f.colLo[j]; i < f.colHi[j]; i++ {
-				s += f.post[i] * p[i*k+j]
-			}
-			f.pred[j] = s
-		}
+		f.predictBanded()
 	}
 	f.predicted = true
+}
+
+// predictBanded contracts the posterior against the banded table eight
+// adjacent columns at a time, over the union of their row spans
+// (blockLo/blockHi, fixed at NewFilter); the last k mod 8 columns run
+// the scalar span loop. Each
+// lane keeps its own ascending-i chain, so the eight independent chains
+// fill the floating-point pipeline where one column's chain would stall
+// on add latency. A row outside a lane's own span multiplies an
+// exact-zero cell: post[i]*0 = +0 (post is finite and non-negative), and
+// adding +0 to a chain that starts at +0 leaves its bits unchanged, so
+// every column is bitwise the scalar span sum.
+func (f *Filter) predictBanded() {
+	k := f.t.Grid.Bins
+	p, post := f.t.P, f.post
+	for b, lo := range f.blockLo {
+		j, hi := 8*b, f.blockHi[b]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for i := lo; i < hi; i++ {
+			v := post[i]
+			row := p[i*k+j : i*k+j+8 : i*k+j+8]
+			s0 += v * row[0]
+			s1 += v * row[1]
+			s2 += v * row[2]
+			s3 += v * row[3]
+			s4 += v * row[4]
+			s5 += v * row[5]
+			s6 += v * row[6]
+			s7 += v * row[7]
+		}
+		out := f.pred[j : j+8 : j+8]
+		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		out[4], out[5], out[6], out[7] = s4, s5, s6, s7
+	}
+	for j := 8 * len(f.blockLo); j < k; j++ {
+		s := 0.0
+		for i := f.colLo[j]; i < f.colHi[j]; i++ {
+			s += post[i] * p[i*k+j]
+		}
+		f.pred[j] = s
+	}
 }
 
 // Observe fuses a likelihood vector with the predictive distribution:
@@ -279,6 +326,13 @@ func (f *Filter) Posterior(dst []float64) []float64 {
 // table continues the stream bitwise.
 func (f *Filter) Snapshot(dst []float64) ([]float64, bool) {
 	return f.Posterior(dst), f.predicted
+}
+
+// State is Snapshot without the copy, for encoders that serialize in
+// place: the posterior slice aliases the filter's own storage, so read it
+// before the next filter call and never modify it.
+func (f *Filter) State() (post []float64, predicted bool) {
+	return f.post, f.predicted
 }
 
 // Restore installs a posterior previously captured with Snapshot. The

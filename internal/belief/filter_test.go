@@ -1,6 +1,7 @@
 package belief
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -165,30 +166,72 @@ func TestStreamingZeroAlloc(t *testing.T) {
 // TestBandedPredictMatchesDenseGemm is the bitwise equivalence the banded
 // span contraction promises: skipping exact-zero transition cells must
 // produce the same bits as the dense gemm.F64 matvec, because every
-// skipped term is a post[i]*0.0 = +0.0 addition.
+// skipped term is a post[i]*0.0 = +0.0 addition. The eight-column blocks
+// widen each lane's span to the block's union, so the synthetic tables
+// give adjacent columns ragged spans, leave some columns all-zero and
+// use bin counts that are not a multiple of eight.
 func TestBandedPredictMatchesDenseGemm(t *testing.T) {
-	tab := learnedTable(t)
-	f, err := NewFilter(tab)
-	if err != nil {
-		t.Fatal(err)
+	tables := map[string]*Table{"learned": learnedTable(t)}
+	for _, k := range []int{8, 9, 37, 90, 101} {
+		tables[fmt.Sprintf("ragged-%d", k)] = raggedTable(t, k, int64(k))
 	}
-	if f.dense {
-		t.Fatalf("learned table is not banded (fill above cutoff); test needs the span path")
-	}
-	k := tab.Grid.Bins
-	rng := rand.New(rand.NewSource(7))
-	for step := 0; step < 50; step++ {
-		f.ObserveGaussian(60+120*rng.Float64(), 2+6*rng.Float64())
-		post := append([]float64(nil), f.post...)
-		f.Predict()
-		dense := make([]float64, k)
-		gemm.F64(dense, post, tab.P, 1, k, k)
-		for j := 0; j < k; j++ {
-			if f.pred[j] != dense[j] {
-				t.Fatalf("step %d: banded pred[%d] = %b, dense = %b", step, j, f.pred[j], dense[j])
+	for name, tab := range tables {
+		f, err := NewFilter(tab)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f.dense {
+			t.Fatalf("%s: table is not banded (fill above cutoff); test needs the span path", name)
+		}
+		k := tab.Grid.Bins
+		rng := rand.New(rand.NewSource(7))
+		for step := 0; step < 50; step++ {
+			f.ObserveGaussian(tab.Grid.MinHR+tab.Grid.BinW*float64(k)*rng.Float64(), 2+6*rng.Float64())
+			post := append([]float64(nil), f.post...)
+			f.Predict()
+			dense := make([]float64, k)
+			gemm.F64(dense, post, tab.P, 1, k, k)
+			for j := 0; j < k; j++ {
+				if math.Float64bits(f.pred[j]) != math.Float64bits(dense[j]) {
+					t.Fatalf("%s step %d: banded pred[%d] = %b, dense = %b", name, step, j, f.pred[j], dense[j])
+				}
 			}
 		}
 	}
+}
+
+// raggedTable builds a k-bin transition table whose rows each spread
+// over a short random run of columns, skipping every fifth column, so
+// adjacent columns have unrelated spans and some columns are all zero.
+func raggedTable(t *testing.T, k int, seed int64) *Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	p := make([]float64, k*k)
+	for i := 0; i < k; i++ {
+		row := p[i*k : (i+1)*k]
+		lo := rng.Intn(k)
+		hi := min(k, lo+1+rng.Intn(4))
+		sum := 0.0
+		for j := lo; j < hi; j++ {
+			if j%5 == 4 {
+				continue
+			}
+			row[j] = 0.1 + rng.Float64()
+			sum += row[j]
+		}
+		if sum == 0 {
+			row[lo-lo%5] = 1
+			continue
+		}
+		for j := range row {
+			row[j] /= sum
+		}
+	}
+	tab := &Table{Grid: Grid{Bins: k, MinHR: 30, BinW: 2}, P: p}
+	if err := tab.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 // TestPredictIdempotent: Predict between observations is a no-op, so
@@ -326,5 +369,20 @@ func TestUnderflowObservationDegrades(t *testing.T) {
 		if f.post[i] != ref.post[i] {
 			t.Fatalf("bin %d: underflow degrade %v != coast %v", i, f.post[i], ref.post[i])
 		}
+	}
+}
+
+// BenchmarkPredict times one predictive roll-forward over the learned
+// 90-bin banded prior: the per-window belief cost of the serving gate.
+func BenchmarkPredict(b *testing.B) {
+	f, err := NewFilter(learnedTable(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.ObserveGaussian(100, 4)
+	b.ReportAllocs()
+	for b.Loop() {
+		f.predicted = false
+		f.Predict()
 	}
 }

@@ -24,6 +24,14 @@ const (
 // price of the fault machinery (per-session channel draws, offload
 // retries, hysteresis) inside the multi-session engine, the serving
 // counterpart of the SimRun1h/clean-vs-faults pair.
+//
+// Each iteration opens an engine and its 32 sessions and never drains
+// them, so its allocations are the run's: engine and session set-up,
+// the first cycles growing each session's two mailbox arrays, and the
+// undrained result slices doubling up to 64 entries. About 1.5 k per
+// 2048-window run, which the ledger's per-window ceiling reports as
+// 1 alloc/op; a steady cycle allocates only what Drain hands out
+// (serve.TestSteadyTickAllocs).
 func serveKernels() []KernelResult {
 	sys, engine, ws := simKernelFixture()
 	run := func(sc *faults.Scenario) func(b *testing.B) {

@@ -79,6 +79,12 @@ func simKernelFixture() (*hw.System, *core.Engine, []dalia.Window) {
 // fault-free tick loop, and the fault-injected loop under the worst-case
 // chaos scenario — the difference is the per-window overhead of the lossy
 // channel, the retry/timeout protocol and the hysteresis bookkeeping.
+//
+// Their allocations belong to the run, not the window: the Step with its
+// two configuration names, the scenario and injector streams, the
+// Result. A simulated hour makes a few of them, which the ledger's
+// per-window ceiling reports as 1 alloc/op;
+// sim.TestRunAllocsPerRunNotPerWindow pins that two hours make no more.
 func simKernels() []KernelResult {
 	sys, engine, ws := simKernelFixture()
 	const hourSeconds = 3600

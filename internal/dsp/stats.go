@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -87,6 +88,21 @@ func Median(x []float64) float64 {
 		return c[n/2]
 	}
 	return 0.5 * (c[n/2-1] + c[n/2])
+}
+
+// MedianInPlace returns the median of x like Median, but sorts x itself
+// instead of a copy, so it allocates nothing. For NaN-free input the value
+// is Median's.
+func MedianInPlace(x []float64) float64 {
+	n := len(x)
+	if n == 0 {
+		return 0
+	}
+	slices.Sort(x)
+	if n%2 == 1 {
+		return x[n/2]
+	}
+	return 0.5 * (x[n/2-1] + x[n/2])
 }
 
 // MAD returns the median absolute deviation of x (a robust spread measure).
@@ -183,10 +199,16 @@ func DerivativeSignChanges(x []float64) int {
 // behaviour needed by the Adaptive Threshold HR estimator, which compares
 // the raw signal against its trailing rolling mean.
 func RollingMean(x []float64, win int) []float64 {
+	return RollingMeanInto(make([]float64, len(x)), x, win)
+}
+
+// RollingMeanInto is the allocation-free form of RollingMean: it fills
+// out (len(out) == len(x), not aliasing x) and returns it.
+func RollingMeanInto(out, x []float64, win int) []float64 {
 	if win <= 0 {
 		win = 1
 	}
-	out := make([]float64, len(x))
+	out = out[:len(x)]
 	var acc float64
 	for i, v := range x {
 		acc += v

@@ -163,12 +163,6 @@ func (r *replayRater) DifficultyID(w *dalia.Window) int {
 	return r.ids[w.Start/r.stride]
 }
 
-// motionRMS is the gravity-free accelerometer RMS (g) driving the
-// surrogate error model's motion term.
-func motionRMS(w *dalia.Window) float64 {
-	return math.Sqrt(w.AccelEnergy())
-}
-
 // relaxedConstraint is the fallback when a cohort bound is infeasible for
 // a user's personal profiles: any profiled MAE passes, so SelectConfig
 // degenerates to "cheapest feasible configuration" in both link states.
@@ -238,9 +232,12 @@ func (f *Fleet) BuildUser(id int) (*User, error) {
 	names := make([]string, len(specs))
 	ests := make([]models.HREstimator, len(specs))
 	flat := make([]float64, len(ws)*len(specs))
+	// The gravity-free accelerometer RMS (g) drives the surrogate error
+	// model's motion term; one magnitude scratch serves every window.
 	rms := make([]float64, len(ws))
+	var magBuf []float64
 	for i := range ws {
-		rms[i] = motionRMS(&ws[i])
+		rms[i], magBuf = belief.MotionRMS(&ws[i], magBuf)
 	}
 	for mi, spec := range specs {
 		names[mi] = spec.Name

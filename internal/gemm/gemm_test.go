@@ -440,3 +440,37 @@ func BenchmarkS8Panels(b *testing.B) {
 		})
 	})
 }
+
+// TestReleaseScratchDropsParkedPanels: ReleaseScratch empties every
+// panel free list (what tcn.Fit relies on to leave no training-sized
+// panels behind), and packing works as before afterwards.
+func TestReleaseScratchDropsParkedPanels(t *testing.T) {
+	f32PackPool.put(make([]float32, 1<<14))
+	s8PanelPool.put(make([]int16, 1<<14))
+	s8OffsPool.put(make([]int, 64))
+	ReleaseScratch()
+	if n := len(f32PackPool.free) + len(s8PanelPool.free) + len(s8OffsPool.free); n != 0 {
+		t.Fatalf("%d panels still parked after ReleaseScratch", n)
+	}
+	const m, k, n = 5, 19, 23
+	a, b := make([]float32, m*k), make([]float32, n*k)
+	for i := range a {
+		a[i] = float32(i%7) - 3
+	}
+	for i := range b {
+		b[i] = float32(i%5) - 2
+	}
+	got := make([]float32, m*n)
+	F32NT(got, a, b, m, k, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += a[i*k+p] * b[j*k+p]
+			}
+			if got[i*n+j] != s {
+				t.Fatalf("C[%d][%d] = %v after release, want %v", i, j, got[i*n+j], s)
+			}
+		}
+	}
+}

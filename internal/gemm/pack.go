@@ -15,9 +15,9 @@ import "sync"
 // bufStack is a minimal LIFO free list for the packing panels. It is
 // deliberately not a sync.Pool: the pool drops entries randomly under the
 // race detector and empties on GC, either of which would make the
-// AllocsPerRun guards on the NT paths flaky. Entries live as long as the
-// process — the working set is bounded by peak GEMM concurrency times the
-// largest panel, the same lifetime the per-layer arenas already have.
+// AllocsPerRun guards on the NT paths flaky. Entries live until
+// ReleaseScratch — the working set is bounded by peak GEMM concurrency
+// times the largest panel, the same lifetime the per-layer arenas have.
 type bufStack[T any] struct {
 	mu   sync.Mutex
 	free [][]T
@@ -45,11 +45,31 @@ func (s *bufStack[T]) put(buf []T) {
 	s.mu.Unlock()
 }
 
+// release drops the parked panels; panels in use return to the emptied
+// list as usual.
+func (s *bufStack[T]) release() {
+	s.mu.Lock()
+	clear(s.free)
+	s.free = nil
+	s.mu.Unlock()
+}
+
 var (
 	f32PackPool bufStack[float32]
 	s8PanelPool bufStack[int16]
 	s8OffsPool  bufStack[int]
 )
+
+// ReleaseScratch drops every packing panel parked on the free lists. A
+// phase whose GEMMs are much wider than what follows calls it when done,
+// so the process does not keep that phase's peak panels for its lifetime:
+// tcn.Fit does, because training batches pack panels that inference
+// never needs again. Later calls allocate fresh panels on first use.
+func ReleaseScratch() {
+	f32PackPool.release()
+	s8PanelPool.release()
+	s8OffsPool.release()
+}
 
 // packBlock tiles the transpose so both the contiguous reads and the
 // strided writes stay within a cache-resident square.

@@ -62,36 +62,66 @@ func (e *Estimator) CloneEstimator() models.HREstimator {
 	return &c
 }
 
+// stackSamples sizes estimate's on-stack scratch: one 8-second window at
+// the dataset's 32 Hz. Longer windows fall back to heap scratch.
+const stackSamples = 256
+
+// estimate is allocation-free for windows of up to stackSamples samples:
+// the rolling means go into stack scratch, and regions of interest,
+// their peaks and the inter-beat intervals are found in one streaming
+// pass. Scratch lives on the caller's stack, so one Estimator may serve
+// any number of goroutines.
 func (e *Estimator) estimate(ppg []float64, fs float64) float64 {
-	if len(ppg) < e.MeanWindow*2 || fs <= 0 {
+	n := len(ppg)
+	if n < e.MeanWindow*2 || fs <= 0 {
 		return e.FallbackHR
+	}
+	var smoothBuf, thrBuf [stackSamples]float64
+	smooth, thr := smoothBuf[:], thrBuf[:]
+	if n > stackSamples {
+		smooth, thr = make([]float64, n), make([]float64, n)
 	}
 	if e.Smooth > 1 {
-		ppg = dsp.RollingMean(ppg, e.Smooth)
+		ppg = dsp.RollingMeanInto(smooth, ppg, e.Smooth)
 	}
-	thr := dsp.RollingMean(ppg, e.MeanWindow)
-	regions := dsp.RegionsAbove(ppg, thr)
-	if len(regions) < 2 {
-		return e.FallbackHR
-	}
-	peaks := make([]int, 0, len(regions))
-	for _, r := range regions {
-		peaks = append(peaks, dsp.ArgMax(ppg, r.Start, r.End))
-	}
-	// Inter-beat intervals, keeping only physiologically plausible ones.
+	thr = dsp.RollingMeanInto(thr, ppg, e.MeanWindow)
+
+	// Regions of interest are the maximal runs where the signal exceeds
+	// its threshold; each region's first maximum is a peak, and the gap
+	// to the previous peak is an inter-beat interval, kept only when it
+	// is physiologically plausible.
 	minGap := fs * 60 / e.MaxHR
 	maxGap := fs * 60 / e.MinHR
-	var ibis []float64
-	for i := 1; i < len(peaks); i++ {
-		gap := float64(peaks[i] - peaks[i-1])
-		if gap >= minGap && gap <= maxGap {
-			ibis = append(ibis, gap)
+	var ibiBuf [64]float64
+	ibis := ibiBuf[:0]
+	prevPeak, peak, in := -1, 0, false
+	closeRegion := func() {
+		if prevPeak >= 0 {
+			if gap := float64(peak - prevPeak); gap >= minGap && gap <= maxGap {
+				ibis = append(ibis, gap)
+			}
 		}
+		prevPeak = peak
+	}
+	for i, v := range ppg {
+		above := v > thr[i]
+		switch {
+		case above && !in:
+			in, peak = true, i
+		case above && v > ppg[peak]:
+			peak = i
+		case !above && in:
+			in = false
+			closeRegion()
+		}
+	}
+	if in {
+		closeRegion()
 	}
 	if len(ibis) == 0 {
 		return e.FallbackHR
 	}
-	return 60 * fs / dsp.Median(ibis)
+	return 60 * fs / dsp.MedianInPlace(ibis)
 }
 
 var (

@@ -1,6 +1,7 @@
 package at
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -118,5 +119,142 @@ func TestInterfaceMetadata(t *testing.T) {
 	}
 	if e.Params() != 0 {
 		t.Errorf("Params = %d, want 0", e.Params())
+	}
+}
+
+// referenceEstimate is AT written out step by step: rolling means as
+// fresh slices, then regions, peaks and IBIs as separate lists and the
+// median over a copy. The streaming estimate must equal it bitwise.
+func referenceEstimate(e *Estimator, ppg []float64, fs float64) float64 {
+	if len(ppg) < e.MeanWindow*2 || fs <= 0 {
+		return e.FallbackHR
+	}
+	if e.Smooth > 1 {
+		ppg = dsp.RollingMean(ppg, e.Smooth)
+	}
+	thr := dsp.RollingMean(ppg, e.MeanWindow)
+	regions := dsp.RegionsAbove(ppg, thr)
+	if len(regions) < 2 {
+		return e.FallbackHR
+	}
+	peaks := make([]int, 0, len(regions))
+	for _, r := range regions {
+		peaks = append(peaks, dsp.ArgMax(ppg, r.Start, r.End))
+	}
+	minGap := fs * 60 / e.MaxHR
+	maxGap := fs * 60 / e.MinHR
+	var ibis []float64
+	for i := 1; i < len(peaks); i++ {
+		gap := float64(peaks[i] - peaks[i-1])
+		if gap >= minGap && gap <= maxGap {
+			ibis = append(ibis, gap)
+		}
+	}
+	if len(ibis) == 0 {
+		return e.FallbackHR
+	}
+	return 60 * fs / dsp.Median(ibis)
+}
+
+// datasetWindows returns every window of two synthetic subjects.
+func datasetWindows(t testing.TB) []dalia.Window {
+	t.Helper()
+	c := dalia.DefaultConfig()
+	c.DurationScale = 0.04
+	c.Subjects = 2
+	var ws []dalia.Window
+	for s := 0; s < c.Subjects; s++ {
+		rec, err := dalia.GenerateSubject(c, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, dalia.Windows(rec, c.WindowSamples, c.StrideSamples)...)
+	}
+	return ws
+}
+
+// TestEstimateMatchesReference pins the streaming estimate bitwise to the
+// allocating reference on dataset windows, synthetic pulse trains, coarsely
+// quantized pulse trains (ADC-like samples, whose regions hold tied maxima
+// where the first one must win), a window longer than the stack scratch,
+// and with smoothing off.
+func TestEstimateMatchesReference(t *testing.T) {
+	ws := datasetWindows(t)
+	for _, hr := range []float64{40, 75, 120, 190} {
+		ws = append(ws, *syntheticWindow(hr, 0.3, hr))
+		q := syntheticWindow(hr, 0.1, hr)
+		for i, v := range q.PPG {
+			q.PPG[i] = math.Round(v*4) / 4
+		}
+		ws = append(ws, *q)
+	}
+	long := syntheticWindow(90, 0.2, 0.5)
+	long.PPG = append(append([]float64(nil), long.PPG...), long.PPG...)
+	ws = append(ws, *long)
+	for _, smooth := range []int{4, 1} {
+		e := New()
+		e.Smooth = smooth
+		for i := range ws {
+			w := &ws[i]
+			got := e.estimate(w.PPG, w.Rate)
+			want := referenceEstimate(e, w.PPG, w.Rate)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("smooth %d window %d: estimate %v, reference %v", smooth, i, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimateHRAllocs: AT runs once per simple-model window on every
+// serving cycle, so a dataset-sized window must not allocate.
+func TestEstimateHRAllocs(t *testing.T) {
+	e := New()
+	w := &datasetWindows(t)[3]
+	if n := testing.AllocsPerRun(100, func() { e.EstimateHR(w) }); n != 0 {
+		t.Fatalf("EstimateHR allocates %v per window, want 0", n)
+	}
+}
+
+// TestSharedEstimatorConcurrent drives one Estimator from several
+// goroutines, as the serving engine's workers share a zoo model; every
+// result must equal the serial call bitwise (run under -race in CI).
+func TestSharedEstimatorConcurrent(t *testing.T) {
+	e := New()
+	ws := datasetWindows(t)
+	want := make([]float64, len(ws))
+	for i := range ws {
+		want[i] = e.EstimateHR(&ws[i])
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			for r := 0; r < 3; r++ {
+				for i := g; i < len(ws); i++ {
+					if got := e.EstimateHR(&ws[i]); math.Float64bits(got) != math.Float64bits(want[i]) {
+						errs <- fmt.Errorf("goroutine %d window %d: %v, serial %v", g, i, got, want[i])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEstimateHR times AT on dataset windows.
+func BenchmarkEstimateHR(b *testing.B) {
+	e := New()
+	ws := datasetWindows(b)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		e.EstimateHR(&ws[i%len(ws)])
+		i++
 	}
 }

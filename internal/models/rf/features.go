@@ -104,8 +104,11 @@ func WindowMagnitude(w *dalia.Window) []float64 {
 
 // FeatureVector extracts the configured features from a window.
 func FeatureVector(w *dalia.Window, feats []FeatureID) []float64 {
-	mag := WindowMagnitude(w)
-	out := make([]float64, len(feats))
+	return extractInto(make([]float64, len(feats)), WindowMagnitude(w), feats)
+}
+
+// extractInto fills out[i] with feature feats[i] over mag.
+func extractInto(out, mag []float64, feats []FeatureID) []float64 {
 	for i, f := range feats {
 		out[i] = Extract(f, mag)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/dalia"
+	"repro/internal/dsp"
 )
 
 // Config sizes the forest. The defaults match the paper (8 trees, maximum
@@ -75,22 +76,45 @@ func TrainVectors(x [][]float64, y []int, classes int, feats []FeatureID, cfg Co
 	return c, nil
 }
 
+// stackSamples sizes Classify's on-stack magnitude scratch: one 8-second
+// window at the dataset's 32 Hz. Longer windows fall back to heap scratch.
+const stackSamples = 256
+
 // Classify returns the predicted activity for a window by majority vote.
+// It is allocation-free for windows of up to stackSamples samples and
+// feature sets of up to NumFeatures entries: the magnitude, its detrend
+// and the feature vector live on the caller's stack, so one Classifier
+// may serve any number of goroutines. The result equals
+// PredictVector(FeatureVector(w, c.Features())) bitwise.
 func (c *Classifier) Classify(w *dalia.Window) dalia.Activity {
-	return dalia.Activity(c.PredictVector(FeatureVector(w, c.feats)))
+	n := min(len(w.AccelX), len(w.AccelY), len(w.AccelZ))
+	var magBuf [stackSamples]float64
+	mag := magBuf[:]
+	if n > stackSamples {
+		mag = make([]float64, n)
+	}
+	mag = dsp.Detrend(dsp.MagnitudeInto(mag[:n], w.AccelX, w.AccelY, w.AccelZ))
+	var xBuf [NumFeatures]float64
+	x := xBuf[:]
+	if len(c.feats) > NumFeatures {
+		x = make([]float64, len(c.feats))
+	}
+	return dalia.Activity(c.PredictVector(extractInto(x[:len(c.feats)], mag, c.feats)))
 }
 
-// PredictVector votes over a prepared feature vector.
+// PredictVector votes over a prepared feature vector; ties go to the
+// lowest class.
 func (c *Classifier) PredictVector(x []float64) int {
-	votes := make(map[int]int)
+	var votes [dalia.NumActivities]int
 	for _, t := range c.trees {
-		votes[t.predict(x)]++
+		if cl := t.predict(x); cl >= 0 && cl < len(votes) {
+			votes[cl]++
+		}
 	}
-	best, bestN := 0, -1
-	// Iterate classes in order for deterministic tie breaking.
-	for cl := 0; cl < dalia.NumActivities; cl++ {
-		if n := votes[cl]; n > bestN {
-			best, bestN = cl, n
+	best := 0
+	for cl, n := range votes {
+		if n > votes[best] {
+			best = cl
 		}
 	}
 	return best

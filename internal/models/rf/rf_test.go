@@ -1,6 +1,7 @@
 package rf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -144,6 +145,32 @@ func TestPredictVectorQuick(t *testing.T) {
 	}
 }
 
+// TestPredictVectorVotes pins the vote: the majority class wins, a tie
+// goes to the lowest class, and a leaf outside the activity range never
+// wins.
+func TestPredictVectorVotes(t *testing.T) {
+	forest := func(classes ...int) *Classifier {
+		c := &Classifier{}
+		for _, cl := range classes {
+			c.trees = append(c.trees, &treeNode{Class: cl})
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		classes []int
+		want    int
+	}{
+		{[]int{3, 1, 3}, 3},
+		{[]int{3, 1, 3, 1}, 1},
+		{[]int{8, 7, 8, 7, 5}, 7},
+		{[]int{dalia.NumActivities + 2, dalia.NumActivities + 2, 4}, 4},
+	} {
+		if got := forest(tc.classes...).PredictVector(nil); got != tc.want {
+			t.Errorf("votes %v: class %d, want %d", tc.classes, got, tc.want)
+		}
+	}
+}
+
 func TestGiniHelpers(t *testing.T) {
 	y := []int{0, 0, 1, 1}
 	idx := []int{0, 1, 2, 3}
@@ -211,4 +238,104 @@ func sameFeatures(a, b []FeatureID) bool {
 		}
 	}
 	return true
+}
+
+// TestClassifyMatchesFeatureVector pins the scratch-based Classify to the
+// allocating training-side path, PredictVector(FeatureVector(w, feats)),
+// for the paper's features and the whole library (whose MAD and median
+// features allocate internally), on dataset windows and on one longer
+// than the stack scratch.
+func TestClassifyMatchesFeatureVector(t *testing.T) {
+	ws := datasetWindows(t, 2, 0.03)
+	long := ws[0]
+	for _, ax := range []*[]float64{&long.AccelX, &long.AccelY, &long.AccelZ} {
+		*ax = append(append([]float64(nil), *ax...), *ax...)
+	}
+	probe := append(append([]dalia.Window(nil), ws...), long)
+	for _, feats := range [][]FeatureID{nil, AllFeatures()} {
+		cfg := DefaultConfig()
+		cfg.Features = feats
+		cls, err := Train(ws, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range probe {
+			w := &probe[i]
+			if got, want := cls.Classify(w), dalia.Activity(cls.PredictVector(FeatureVector(w, cls.Features()))); got != want {
+				t.Fatalf("features %v window %d: Classify %v, reference %v", cls.Features(), i, got, want)
+			}
+		}
+	}
+}
+
+// TestDifficultyIDAllocs: the detector runs on every dispatched window of
+// every serving cycle and simulated tick, so it must not allocate.
+func TestDifficultyIDAllocs(t *testing.T) {
+	ws := datasetWindows(t, 2, 0.03)
+	cls, err := Train(ws, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &ws[len(ws)/2]
+	if n := testing.AllocsPerRun(100, func() { cls.DifficultyID(w) }); n != 0 {
+		t.Fatalf("DifficultyID allocates %v per window, want 0", n)
+	}
+}
+
+// TestSharedClassifierConcurrent drives one Classifier from several
+// goroutines, as sessions on different serving workers share the engine's
+// detector; every verdict must equal the serial call (run under -race in
+// CI).
+func TestSharedClassifierConcurrent(t *testing.T) {
+	ws := datasetWindows(t, 2, 0.03)
+	cls, err := Train(ws, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, len(ws))
+	for i := range ws {
+		want[i] = cls.DifficultyID(&ws[i])
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			for r := 0; r < 3; r++ {
+				for i := g; i < len(ws); i++ {
+					if got := cls.DifficultyID(&ws[i]); got != want[i] {
+						errs <- fmt.Errorf("goroutine %d window %d: %d, serial %d", g, i, got, want[i])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDifficultyID times the detector on one dataset window.
+func BenchmarkDifficultyID(b *testing.B) {
+	c := dalia.DefaultConfig()
+	c.Subjects = 1
+	c.DurationScale = 0.03
+	rec, err := dalia.GenerateSubject(c, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := dalia.Windows(rec, c.WindowSamples, c.StrideSamples)
+	cls, err := Train(ws, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		cls.DifficultyID(&ws[i%len(ws)])
+		i++
+	}
 }

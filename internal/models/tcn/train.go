@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/dalia"
+	"repro/internal/gemm"
 )
 
 // Sample is one training example: an input tensor and its BPM label.
@@ -95,6 +96,10 @@ func Fit(net *Network, train []Sample, cfg TrainConfig) (finalLoss float64, err 
 	if cfg.LRDecay <= 0 {
 		cfg.LRDecay = 1
 	}
+	// Training packs the widest float32 panels the process will see;
+	// inference never reuses them, so they are not kept past Fit.
+	defer gemm.ReleaseScratch()
+
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -84,9 +84,10 @@
 // Snapshot serializes the complete per-session state — offload state
 // machine, hysteresis streaks, reconnect holdoff, rng position, belief
 // posterior, counters and undrained results — as one CRC-protected CHSS
-// frame bound to ConfigHash; Checkpoint persists it with the atomic
-// partial-file+rename discipline (wall mode checkpoints itself every
-// CheckpointSeconds when CheckpointPath is set). Restore rebuilds every
+// frame bound to ConfigHash (fixed at Open, so a checkpoint costs only
+// its encoding, into one pre-sized frame); Checkpoint persists it with
+// the atomic partial-file+rename discipline (wall mode checkpoints itself
+// every CheckpointSeconds when CheckpointPath is set). Restore rebuilds every
 // session inside a freshly opened engine and, under a VirtualClock,
 // advances the clock to the checkpoint instant, so a crashed run resumed
 // from its last quiesced checkpoint is byte-identical to one that never

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,6 +122,7 @@ type Engine struct {
 	clock    Clock
 	lockstep bool
 	scenario faults.Scenario
+	cfgHash  uint64 // ConfigHash, fixed at Open
 
 	mailboxDepth int
 	highWater    int
@@ -133,7 +136,8 @@ type Engine struct {
 
 	slots map[string]*modelSlot
 
-	cycleMu  sync.Mutex // one cycle at a time
+	cycleMu  sync.Mutex // one cycle at a time; guards cyc
+	cyc      cycleScratch
 	pending  atomic.Int64
 	progress atomic.Uint64
 	closed   atomic.Bool
@@ -148,10 +152,15 @@ type Engine struct {
 	failOnce sync.Once
 }
 
-// Open validates cfg, fills defaults, and starts the engine. In wall
-// mode this launches the pump and watchdog goroutines; in lockstep mode
-// (cfg.Clock is a *VirtualClock) no goroutine runs and the driver calls
-// Tick.
+// Open validates cfg, fills defaults, fixes the configuration
+// fingerprint (ConfigHash) and starts the engine. In wall mode this
+// launches the pump and watchdog goroutines; in lockstep mode (cfg.Clock
+// is a *VirtualClock) no goroutine runs and the driver calls Tick.
+//
+// The engine keeps cfg and whatever it points to. Mutating the Config, or
+// the belief Policy and transition Table it points to, after Open is
+// unsupported: the fingerprint that checkpoints are bound to would no
+// longer describe the engine.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("serve: Config.Engine is required")
@@ -236,6 +245,7 @@ func Open(cfg Config) (*Engine, error) {
 		pumpDone:     make(chan struct{}),
 		failedCh:     make(chan struct{}),
 	}
+	e.cfgHash = e.configHash()
 	// One slot per distinct zoo model: every profile's simple and complex
 	// estimator, deduplicated by name. Sessions only ever reference these
 	// shared instances (or worker clones of them).
@@ -323,97 +333,147 @@ func (e *Engine) Tick() {
 	e.runCycle()
 }
 
+// cycleScratch is the coalescer's working set: the cycle's session
+// walk, per-session work lists, model groups, inference chunks and the
+// batch arrays the chunks hand to the models. The engine owns one and
+// reuses it under cycleMu, so a steady-state cycle allocates nothing.
+type cycleScratch struct {
+	sessions []*Session
+	work     [][]job
+	groups   []jobGroup
+	chunks   []chunk
+	// batch and hr back every chunk's window copies and estimates; the
+	// chunks partition them, so parallel chunks never share an element.
+	batch []dalia.Window
+	hr    []float64
+
+	now, completion float64
+}
+
+// jobGroup is one coalesced (model, sample length) batch of a cycle.
+type jobGroup struct {
+	model string
+	n     int
+	jobs  []*job
+}
+
+// chunk is one inference unit: at most BatchSize jobs of one group on one
+// model slot, with its slices of the cycle's batch arrays.
+type chunk struct {
+	slot *modelSlot
+	jobs []*job
+	win  []dalia.Window
+	out  []float64
+}
+
+// cycleStage names the parallel stages of a cycle, so the worker loop
+// dispatches on a value instead of capturing a closure per stage.
+type cycleStage uint8
+
+const (
+	stageRoute cycleStage = iota
+	stageInfer
+	stageFinalize
+)
+
+// runStage runs element i of a parallel stage.
+func (e *Engine) runStage(st cycleStage, i int) {
+	c := &e.cyc
+	switch st {
+	case stageRoute:
+		s := c.sessions[i]
+		c.work[i] = s.stage1(c.now, s.collect())
+	case stageInfer:
+		e.inferChunk(&c.chunks[i])
+	case stageFinalize:
+		c.sessions[i].finalize(c.completion, c.work[i])
+	}
+}
+
 // runCycle is the coalescer: the heart of the engine.
 func (e *Engine) runCycle() {
 	e.cycleMu.Lock()
 	defer e.cycleMu.Unlock()
+	c := &e.cyc
 
 	e.mu.Lock()
-	sessions := make([]*Session, len(e.order))
-	copy(sessions, e.order)
+	c.sessions = append(c.sessions[:0], e.order...)
 	e.mu.Unlock()
-	if len(sessions) == 0 {
+	n := len(c.sessions)
+	if n == 0 {
 		return
 	}
-	now := e.clock.Now()
+	defer c.release()
+	c.now = e.clock.Now()
 
 	// Stage 1 — collect + route, parallel across sessions, sequential
 	// (submission order) within each: deadline triage, overload shedding,
 	// dispatch and the offload protocol all touch only session-local
 	// state.
-	work := make([][]job, len(sessions))
-	e.parallel(len(sessions), func(i int) {
-		work[i] = sessions[i].stage1(now, sessions[i].collect())
-	})
+	if cap(c.work) < n {
+		c.work = make([][]job, n)
+	}
+	c.work = c.work[:n]
+	e.parallel(n, stageRoute)
 
 	// Stage 2 — coalesce across sessions: group runnable windows by
 	// (model, sample length) so each group is one wide GEMM batch.
 	// Session order makes group composition deterministic; batched
 	// inference is bitwise identical to serial inference, so composition
 	// cannot affect results either way.
-	type groupKey struct {
-		model string
-		n     int
-	}
-	groups := make(map[groupKey][]*job)
-	var keys []groupKey
-	for i := range work {
-		for k := range work[i] {
-			j := &work[i][k]
+	c.groups = c.groups[:0]
+	runnable := 0
+	for i := range c.work {
+		for k := range c.work[i] {
+			j := &c.work[i][k]
 			if j.skip || j.route.Model == nil {
 				continue
 			}
-			gk := groupKey{model: j.model, n: len(j.w.PPG)}
-			if _, ok := groups[gk]; !ok {
-				keys = append(keys, gk)
-			}
-			groups[gk] = append(groups[gk], j)
+			gr := c.group(j.model, len(j.w.PPG))
+			gr.jobs = append(gr.jobs, j)
+			runnable++
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].model != keys[b].model {
-			return keys[a].model < keys[b].model
+	slices.SortFunc(c.groups, func(a, b jobGroup) int {
+		if a.model != b.model {
+			return strings.Compare(a.model, b.model)
 		}
-		return keys[a].n < keys[b].n
+		return a.n - b.n
 	})
 
 	// Stage 3 — inference, parallel across chunks. Chunks draw worker
 	// clones from the model slot free lists; non-cloneable models
 	// serialize on their slot mutex.
-	type chunk struct {
-		slot *modelSlot
-		jobs []*job
+	if cap(c.batch) < runnable {
+		c.batch = make([]dalia.Window, runnable)
+		c.hr = make([]float64, runnable)
 	}
-	var chunks []chunk
-	for _, gk := range keys {
-		slot := e.slots[gk.model]
-		js := groups[gk]
-		for len(js) > 0 {
-			n := e.batchSize
-			if n > len(js) {
-				n = len(js)
-			}
+	c.chunks = c.chunks[:0]
+	off := 0
+	for g := range c.groups {
+		gr := &c.groups[g]
+		slot := e.slots[gr.model]
+		for js := gr.jobs; len(js) > 0; {
+			k := min(e.batchSize, len(js))
 			if slot == nil {
 				// A model outside the zoo (restored mid-cycle state);
 				// serve it serially through a transient slot.
-				slot = &modelSlot{name: gk.model, base: js[0].route.Model}
+				slot = &modelSlot{name: gr.model, base: js[0].route.Model}
 			}
-			chunks = append(chunks, chunk{slot: slot, jobs: js[:n]})
-			js = js[n:]
+			c.chunks = append(c.chunks, chunk{slot: slot, jobs: js[:k], win: c.batch[off : off+k], out: c.hr[off : off+k]})
+			js, off = js[k:], off+k
 		}
 	}
-	e.parallel(len(chunks), func(i int) {
-		e.inferChunk(chunks[i].slot, chunks[i].jobs)
-	})
+	e.parallel(len(c.chunks), stageInfer)
 
 	// An inference-stage panic marks jobs (stage-1 panics already carry
 	// OutcomePanic and restarted inline); restart each affected session
 	// once, sequentially and in deterministic order, before results are
 	// sealed.
-	for i, s := range sessions {
-		for k := range work[i] {
-			if work[i][k].panicked && work[i][k].outcome != OutcomePanic {
-				s.restart(now)
+	for i, s := range c.sessions {
+		for k := range c.work[i] {
+			if c.work[i][k].panicked && c.work[i][k].outcome != OutcomePanic {
+				s.restart(c.now)
 				break
 			}
 		}
@@ -423,15 +483,43 @@ func (e *Engine) runCycle() {
 	// within each. The cycle has a single completion timestamp: frozen
 	// `now` under a virtual clock, the post-inference instant on a wall
 	// clock (late-result discard needs real elapsed time).
-	completion := now
+	c.completion = c.now
 	if !e.lockstep {
-		completion = e.clock.Now()
+		c.completion = e.clock.Now()
 	}
-	e.parallel(len(sessions), func(i int) {
-		if len(work[i]) > 0 {
-			sessions[i].finalize(completion, work[i])
+	e.parallel(n, stageFinalize)
+}
+
+// group returns the cycle's group for (model, n), opening it (and reusing
+// a previous cycle's job list) on first sight. A cycle has a handful of
+// groups, so a linear scan beats a map.
+func (c *cycleScratch) group(model string, n int) *jobGroup {
+	for g := range c.groups {
+		if gr := &c.groups[g]; gr.model == model && gr.n == n {
+			return gr
 		}
-	})
+	}
+	if len(c.groups) < cap(c.groups) {
+		c.groups = c.groups[:len(c.groups)+1]
+	} else {
+		c.groups = append(c.groups, jobGroup{})
+	}
+	gr := &c.groups[len(c.groups)-1]
+	gr.model, gr.n, gr.jobs = model, n, gr.jobs[:0]
+	return gr
+}
+
+// release drops the scratch's references to sessions, jobs and windows
+// once a cycle is sealed, so a detached session or a caller's window is
+// not kept alive until the next cycle overwrites them.
+func (c *cycleScratch) release() {
+	clear(c.sessions)
+	clear(c.work)
+	for g := range c.groups {
+		clear(c.groups[g].jobs)
+	}
+	clear(c.chunks)
+	clear(c.batch)
 }
 
 // inferChunk runs one coalesced batch on one model instance. A batch
@@ -439,36 +527,34 @@ func (e *Engine) runCycle() {
 // recovery, so one poisoned window costs itself (OutcomePanic) and not
 // its batch-mates — batched and serial paths are bitwise identical, so
 // the fallback is invisible in the healthy windows' results.
-func (e *Engine) inferChunk(slot *modelSlot, jobs []*job) {
-	m, release := slot.acquire()
-	defer release()
+func (e *Engine) inferChunk(ch *chunk) {
+	m, shared := ch.slot.acquire()
+	defer ch.slot.release(m, shared)
 
-	if batcher, ok := m.(models.BatchHREstimator); ok && len(jobs) > 1 {
-		if tryBatch(batcher, jobs) {
+	if batcher, ok := m.(models.BatchHREstimator); ok && len(ch.jobs) > 1 {
+		if tryBatch(batcher, ch) {
 			return
 		}
 	}
-	for _, j := range jobs {
+	for _, j := range ch.jobs {
 		e.inferOne(m, j)
 	}
 }
 
 // tryBatch attempts the wide batched path; it reports false (leaving all
 // jobs unestimated, to be retried serially) if the batch panicked.
-func tryBatch(m models.BatchHREstimator, jobs []*job) (ok bool) {
+func tryBatch(m models.BatchHREstimator, ch *chunk) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			ok = false
 		}
 	}()
-	ws := make([]dalia.Window, len(jobs))
-	out := make([]float64, len(jobs))
-	for i, j := range jobs {
-		ws[i] = *j.w
+	for i, j := range ch.jobs {
+		ch.win[i] = *j.w
 	}
-	m.EstimateHRBatch(ws, out)
-	for i, j := range jobs {
-		j.hr = out[i]
+	m.EstimateHRBatch(ch.win, ch.out)
+	for i, j := range ch.jobs {
+		j.hr = ch.out[i]
 	}
 	return true
 }
@@ -484,19 +570,16 @@ func (e *Engine) inferOne(m models.HREstimator, j *job) {
 	j.hr = m.EstimateHR(j.w)
 }
 
-// parallel runs fn(0..n-1) over at most e.workers goroutines. n == 0 is
-// a no-op; n == 1 or workers == 1 runs inline.
-func (e *Engine) parallel(n int, fn func(int)) {
+// parallel runs stage element 0..n-1 over at most e.workers goroutines.
+// n == 0 is a no-op; n == 1 or workers == 1 runs inline.
+func (e *Engine) parallel(n int, st cycleStage) {
 	if n == 0 {
 		return
 	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			e.runStage(st, i)
 		}
 		return
 	}
@@ -511,7 +594,7 @@ func (e *Engine) parallel(n int, fn func(int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				e.runStage(st, i)
 			}
 		}()
 	}

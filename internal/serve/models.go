@@ -23,24 +23,30 @@ type modelSlot struct {
 }
 
 // acquire returns an estimator instance private to the caller until
-// release is called. For non-cloneable models the slot's mutex stays held
-// for the duration, serializing inference on the shared instance.
-func (s *modelSlot) acquire() (m models.HREstimator, release func()) {
+// release(m, shared) is called. For non-cloneable models shared is true
+// and the slot's mutex stays held for the duration, serializing inference
+// on the shared instance.
+func (s *modelSlot) acquire() (m models.HREstimator, shared bool) {
 	s.mu.Lock()
 	if n := len(s.idle); n > 0 {
 		m = s.idle[n-1]
 		s.idle = s.idle[:n-1]
-		s.mu.Unlock()
 	} else if c, ok := s.base.(models.WorkerCloner); ok {
 		m = c.CloneEstimator()
-		s.mu.Unlock()
 	} else {
 		// Shared sequential instance: hold the lock across the inference.
-		return s.base, s.mu.Unlock
+		return s.base, true
 	}
-	return m, func() {
+	s.mu.Unlock()
+	return m, false
+}
+
+// release returns what acquire handed out: it parks a clone on the free
+// list, or unlocks the shared instance.
+func (s *modelSlot) release(m models.HREstimator, shared bool) {
+	if !shared {
 		s.mu.Lock()
 		s.idle = append(s.idle, m)
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 }

@@ -74,10 +74,14 @@ type Session struct {
 	id  string
 	eng *Engine
 
-	// smu guards mailbox, seq, results, stats and closed; it is never held
-	// across model inference.
+	// smu guards mailbox, spare, seq, results, stats and closed; it is
+	// never held across model inference.
 	smu     sync.Mutex
 	mailbox []job
+	// spare is the job array the previous cycle finished with: collect
+	// swaps it in as the next mailbox, so admission reuses two arrays
+	// instead of growing a fresh one each cycle.
+	spare   []job
 	seq     uint64
 	results []WindowResult
 	stats   SessionStats
@@ -178,7 +182,7 @@ func (s *Session) collect() []job {
 	e := s.eng
 	s.smu.Lock()
 	jobs := s.mailbox
-	s.mailbox = nil
+	s.mailbox, s.spare = s.spare[:0], nil
 	s.smu.Unlock()
 	if len(jobs) > e.highWater {
 		for i := range jobs {
@@ -271,10 +275,10 @@ func (s *Session) step1(now float64, j *job) {
 }
 
 // finalize folds this cycle's finished jobs into results and stats, in
-// submission order. completion is the cycle's single completion
-// timestamp; a result that lands past its deadline is discarded here
-// (late-result discard) even though the inference energy is already
-// spent.
+// submission order, and keeps the emptied job array as the session's
+// spare mailbox. completion is the cycle's single completion timestamp; a
+// result that lands past its deadline is discarded here (late-result
+// discard) even though the inference energy is already spent.
 func (s *Session) finalize(completion float64, jobs []job) {
 	e := s.eng
 	s.smu.Lock()
@@ -353,6 +357,8 @@ func (s *Session) finalize(completion float64, jobs []job) {
 			CIWidth:    j.ciWidth,
 		})
 	}
+	clear(jobs)
+	s.spare = jobs[:0]
 	s.smu.Unlock()
 	e.pending.Add(-int64(len(jobs)))
 	e.progress.Add(uint64(len(jobs)))

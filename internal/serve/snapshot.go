@@ -34,7 +34,14 @@ var (
 // stale under another. Workers and BatchSize are deliberately excluded:
 // batched inference is bitwise identical to serial (pinned by the
 // determinism tests), so a resumed engine may legally change parallelism.
-func (e *Engine) ConfigHash() uint64 {
+//
+// The fingerprint is computed once, by Open, after defaults are filled:
+// hashing the belief transition table costs far more than a checkpoint's
+// encoding, and the configuration is fixed for the engine's lifetime.
+func (e *Engine) ConfigHash() uint64 { return e.cfgHash }
+
+// configHash computes the fingerprint ConfigHash reports.
+func (e *Engine) configHash() uint64 {
 	h := fnv.New64a()
 	c := &e.cfg
 	fmt.Fprintf(h, "scenario=%+v seed=%d proto=%+v constraint=%+v", e.scenario, c.FaultSeed, c.Protocol.Resolved(), c.Constraint)
@@ -77,21 +84,34 @@ func putF64(b *[8]byte, v float64) {
 // loses in-flight work by contract (the same crash-loss semantics a real
 // device has), so drivers that need hole-free resume checkpoint at
 // quiesce (Pending() == 0). Safe to call concurrently with cycles.
+//
+// A sizing pass over the same fields pre-sizes the frame, so the returned
+// frame is the only allocation.
 func (e *Engine) Snapshot() []byte {
 	e.cycleMu.Lock()
 	defer e.cycleMu.Unlock()
+	c := &e.cyc
 	e.mu.Lock()
-	sessions := make([]*Session, len(e.order))
-	copy(sessions, e.order)
+	c.sessions = append(c.sessions[:0], e.order...)
 	e.mu.Unlock()
+	defer clear(c.sessions)
 
-	w := snapshot.NewWriter(snapshot.KindServeEngine, e.ConfigHash())
-	w.F64(e.clock.Now())
+	now := e.clock.Now()
+	sizer := snapshot.NewSizer()
+	e.encodeSessions(sizer, now, c.sessions)
+	w := snapshot.NewWriterSize(snapshot.KindServeEngine, e.cfgHash, sizer.Len())
+	e.encodeSessions(w, now, c.sessions)
+	return w.Finish()
+}
+
+// encodeSessions writes the engine payload: the checkpoint instant and
+// each session in ID order.
+func (e *Engine) encodeSessions(w *snapshot.Writer, now float64, sessions []*Session) {
+	w.F64(now)
 	w.U64(uint64(len(sessions)))
 	for _, s := range sessions {
 		s.encode(w)
 	}
-	return w.Finish()
 }
 
 // Checkpoint writes Snapshot() to path with the reccache atomic
@@ -108,7 +128,7 @@ func (e *Engine) Checkpoint(path string) error {
 // resumed run continues the exact timestamp sequence of the crashed one;
 // a wall-mode engine restores state but restarts its clock at zero.
 func (e *Engine) Restore(data []byte) error {
-	r, err := snapshot.Open(data, snapshot.KindServeEngine, e.ConfigHash())
+	r, err := snapshot.Open(data, snapshot.KindServeEngine, e.cfgHash)
 	if err != nil {
 		return err
 	}
@@ -191,7 +211,9 @@ func (e *Engine) Detach(id string) ([]byte, error) {
 	if queued > 0 {
 		return nil, fmt.Errorf("serve: detach %q: %d windows still queued (drain first)", id, queued)
 	}
-	w := snapshot.NewWriter(snapshot.KindServeSession, e.ConfigHash())
+	sizer := snapshot.NewSizer()
+	s.encode(sizer)
+	w := snapshot.NewWriterSize(snapshot.KindServeSession, e.cfgHash, sizer.Len())
 	s.encode(w)
 	frame := w.Finish()
 
@@ -213,7 +235,7 @@ func (e *Engine) Detach(id string) ([]byte, error) {
 // stream bitwise-identically to one that never migrated (pinned by
 // TestMigrationBitwise); its Migrations counter increments.
 func (e *Engine) Attach(data []byte) (*Session, error) {
-	r, err := snapshot.Open(data, snapshot.KindServeSession, e.ConfigHash())
+	r, err := snapshot.Open(data, snapshot.KindServeSession, e.cfgHash)
 	if err != nil {
 		return nil, err
 	}
@@ -258,19 +280,17 @@ func (e *Engine) AttachOrFresh(id string, data []byte) (*Session, error) {
 }
 
 // encode appends the session's durable state to w. Callers hold cycleMu
-// (excluding concurrent cycles); smu is taken here for the guarded
-// fields.
+// (excluding concurrent cycles); smu is held throughout for the guarded
+// fields, so results and the posterior are written in place, not copied.
 func (s *Session) encode(w *snapshot.Writer) {
 	s.smu.Lock()
-	seq := s.seq
-	closed := s.closed
-	stats := s.stats
-	results := append([]WindowResult(nil), s.results...)
-	s.smu.Unlock()
+	defer s.smu.Unlock()
+	stats := &s.stats
+	results := s.results
 
 	w.String(s.id)
-	w.U64(seq)
-	w.Bool(closed)
+	w.U64(s.seq)
+	w.Bool(s.closed)
 
 	w.U64(stats.Submitted)
 	w.U64(stats.Accepted)
@@ -320,7 +340,7 @@ func (s *Session) encode(w *snapshot.Writer) {
 	s.step.State().Encode(w)
 	w.Bool(s.bf != nil)
 	if s.bf != nil {
-		post, predicted := s.bf.Snapshot(nil)
+		post, predicted := s.bf.State()
 		w.F64s(post)
 		w.Bool(predicted)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dalia"
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
@@ -288,5 +289,45 @@ func TestRunCleanTraceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(bytes.TrimSpace(want), got) {
 		t.Errorf("clean trace result drifted from the golden:\n%s", got)
+	}
+}
+
+// TestRunAllocsPerRunNotPerWindow: a simulation's allocations — the
+// Step with its two configuration names, the injector's streams, the
+// Result — belong to the run, so doubling the simulated time must not
+// add allocations in proportion to the added windows. This is what the
+// SimRun1h kernels' 1 alloc/window (the ledger rounds a run's handful up
+// per window) stands for. The bound is one allocation per hundred added
+// windows rather than zero, because the race detector's runtime makes a
+// few allocations of its own that vary from run to run.
+func TestRunAllocsPerRunNotPerWindow(t *testing.T) {
+	sys, engine, ws := fixture(t)
+	for _, withFaults := range []bool{false, true} {
+		allocs := func(seconds float64) float64 {
+			return testing.AllocsPerRun(3, func() {
+				cfg := Config{
+					System:          sys,
+					Engine:          engine,
+					Constraint:      core.MAEConstraint(6),
+					Windows:         ws,
+					DurationSeconds: seconds,
+					IncludeSensors:  true,
+				}
+				if withFaults {
+					inj, err := faults.NewInjector(faults.WorstCase(), 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Faults = inj
+				}
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		hourWindows := 3600 / sys.PeriodSeconds
+		if hour, twoHours := allocs(3600), allocs(7200); twoHours-hour > hourWindows/100 {
+			t.Errorf("faults=%v: %v allocations for one simulated hour, %v for two", withFaults, hour, twoHours)
+		}
 	}
 }

@@ -71,14 +71,26 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Writer serializes one CHSS frame. Field order is the schema: the
 // matching Reader must issue the same typed reads in the same order.
+//
+// A Writer from NewSizer records nothing and only counts, so an encoder
+// can run its field sequence once to size the frame and once more to fill
+// a buffer allocated exactly once (NewWriterSize).
 type Writer struct {
-	buf []byte
+	buf    []byte
+	sizing bool
+	n      int // payload bytes counted by a sizer
 }
 
 // NewWriter starts a frame of the given kind, bound to configHash (the
 // caller's fingerprint of every trajectory-affecting knob).
 func NewWriter(kind Kind, configHash uint64) *Writer {
-	w := &Writer{buf: make([]byte, headerSize)}
+	return NewWriterSize(kind, configHash, 0)
+}
+
+// NewWriterSize is NewWriter with room for a payload of the given length,
+// so a frame that stays within it is one allocation: the returned frame.
+func NewWriterSize(kind Kind, configHash uint64, payload int) *Writer {
+	w := &Writer{buf: make([]byte, headerSize, headerSize+payload+crcSize)}
 	copy(w.buf, magic)
 	binary.LittleEndian.PutUint16(w.buf[4:], Version)
 	binary.LittleEndian.PutUint16(w.buf[6:], uint16(kind))
@@ -86,8 +98,27 @@ func NewWriter(kind Kind, configHash uint64) *Writer {
 	return w
 }
 
+// NewSizer returns a counting Writer: its field methods record nothing,
+// Len reports the payload length they would have encoded, and it must not
+// be finished.
+func NewSizer() *Writer { return &Writer{sizing: true} }
+
+// Len returns the payload length written or counted so far.
+func (w *Writer) Len() int {
+	if w.sizing {
+		return w.n
+	}
+	return len(w.buf) - headerSize
+}
+
 // U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+func (w *Writer) U8(v uint8) {
+	if w.sizing {
+		w.n++
+		return
+	}
+	w.buf = append(w.buf, v)
+}
 
 // Bool appends a bool as one byte (0 or 1).
 func (w *Writer) Bool(v bool) {
@@ -100,6 +131,10 @@ func (w *Writer) Bool(v bool) {
 
 // U64 appends a little-endian uint64.
 func (w *Writer) U64(v uint64) {
+	if w.sizing {
+		w.n += 8
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
@@ -111,15 +146,23 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // String appends a u32 length prefix and the raw bytes.
 func (w *Writer) String(s string) {
+	if w.sizing {
+		w.n += 4 + len(s)
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(s)))
 	w.buf = append(w.buf, s...)
 }
 
 // F64s appends a u32 count prefix and each element's exact bit pattern.
 func (w *Writer) F64s(vs []float64) {
+	if w.sizing {
+		w.n += 4 + 8*len(vs)
+		return
+	}
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(vs)))
 	for _, v := range vs {
-		w.F64(v)
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
 	}
 }
 

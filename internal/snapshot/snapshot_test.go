@@ -13,6 +13,12 @@ import (
 func frame(t *testing.T) []byte {
 	t.Helper()
 	w := NewWriter(KindServeEngine, 0xfeed)
+	writeFields(w)
+	return w.Finish()
+}
+
+// writeFields writes the reference frame's payload: every field type.
+func writeFields(w *Writer) {
 	w.U8(7)
 	w.Bool(true)
 	w.Bool(false)
@@ -21,7 +27,33 @@ func frame(t *testing.T) []byte {
 	w.F64(math.Pi)
 	w.String("hello, CHSS")
 	w.F64s([]float64{0.25, 0.5, 0.25})
-	return w.Finish()
+}
+
+// TestSizerPresizesExactly: a sizer counts exactly the payload the same
+// field sequence writes, so a frame pre-sized from it is byte-identical
+// to a grown one and is sealed without reallocating.
+func TestSizerPresizesExactly(t *testing.T) {
+	sz := NewSizer()
+	writeFields(sz)
+	w := NewWriterSize(KindServeEngine, 0xfeed, sz.Len())
+	writeFields(w)
+	if w.Len() != sz.Len() {
+		t.Fatalf("sizer counted %d payload bytes, writer wrote %d", sz.Len(), w.Len())
+	}
+	data := w.Finish()
+	if !bytes.Equal(data, frame(t)) {
+		t.Fatal("pre-sized frame differs from the grown frame")
+	}
+	if cap(data) != len(data) {
+		t.Fatalf("frame length %d, capacity %d: the pre-size was off", len(data), cap(data))
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		w := NewWriterSize(KindServeEngine, 0xfeed, sz.Len())
+		writeFields(w)
+		w.Finish()
+	}); n != 1 {
+		t.Fatalf("pre-sized frame makes %v allocations, want 1", n)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
