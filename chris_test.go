@@ -1,11 +1,8 @@
 package chris
 
 import (
-	"bytes"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 var (
@@ -94,22 +91,5 @@ func TestFacadeSimulate(t *testing.T) {
 	}
 	if res.Predictions != 60 {
 		t.Errorf("predictions = %d, want 60", res.Predictions)
-	}
-}
-
-// TestFacadeProfileStore round-trips the profile table through the binary
-// MCU store via the internal core API surfaced by the façade types.
-func TestFacadeProfileStore(t *testing.T) {
-	pipe := quickPipeline(t)
-	var buf bytes.Buffer
-	if err := core.SaveProfiles(&buf, pipe.Zoo, pipe.Profiles); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.LoadProfiles(&buf, pipe.Zoo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(pipe.Profiles) {
-		t.Errorf("loaded %d profiles, want %d", len(loaded), len(pipe.Profiles))
 	}
 }

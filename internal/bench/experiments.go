@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -310,11 +309,4 @@ func Artifacts(s *Suite) []Artifact {
 		BLEDownPareto(s), RFAccuracy(s),
 		AblationDispatch(s), AblationIdlePower(s), AblationQuantization(s),
 	}
-}
-
-// SortedByMAE returns profiles sorted by ascending MAE (for reports).
-func SortedByMAE(ps []core.Profile) []core.Profile {
-	out := append([]core.Profile(nil), ps...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].MAE < out[j].MAE })
-	return out
 }

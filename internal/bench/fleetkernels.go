@@ -17,7 +17,7 @@ import (
 // Its allocations belong to the users, not the windows: each user's
 // build (synthesis, windows, replay tables, personal profiling, the
 // step and injector) makes about 84 for 43 200 simulated windows, which
-// the ledger's per-window ceiling reports as 1 alloc/op.
+// the ledger reports as that fraction per window.
 func fleetKernels() []KernelResult {
 	cfg := fleet.DefaultConfig()
 	cfg.Users = 1000

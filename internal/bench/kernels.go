@@ -25,8 +25,8 @@ import (
 type KernelResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 	Note        string  `json:"note,omitempty"`
 }
 
@@ -48,17 +48,17 @@ func runKernel(name string, fn func(b *testing.B)) KernelResult {
 
 // runKernelScaled divides every measurement by scale, so a benchmark body
 // that processes a whole batch per iteration still reports per-window
-// numbers comparable with its serial counterpart. Allocation counts round
-// up, so even a single allocation per batch stays visible rather than
-// truncating to a clean zero.
+// numbers comparable with its serial counterpart. Allocations and bytes
+// are unrounded fractions per window: a run that allocates 7 times over
+// 1,800 windows reports 7/1800, not the 1 a per-window allocation would.
 func runKernelScaled(name string, scale int, fn func(b *testing.B)) KernelResult {
 	r := testing.Benchmark(fn)
-	s := int64(scale)
+	per := float64(r.N) * float64(scale)
 	return KernelResult{
 		Name:        name,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N) / float64(scale),
-		AllocsPerOp: (r.AllocsPerOp() + s - 1) / s,
-		BytesPerOp:  (r.AllocedBytesPerOp() + s - 1) / s,
+		AllocsPerOp: float64(r.MemAllocs) / per,
+		BytesPerOp:  float64(r.MemBytes) / per,
 	}
 }
 

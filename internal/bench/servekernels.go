@@ -29,8 +29,8 @@ const (
 // them, so its allocations are the run's: engine and session set-up,
 // the first cycles growing each session's two mailbox arrays, and the
 // undrained result slices doubling up to 64 entries. About 1.5 k per
-// 2048-window run, which the ledger's per-window ceiling reports as
-// 1 alloc/op; a steady cycle allocates only what Drain hands out
+// 2048-window run, which the ledger reports as that fraction per window;
+// a steady cycle allocates only what Drain hands out
 // (serve.TestSteadyTickAllocs).
 func serveKernels() []KernelResult {
 	sys, engine, ws := simKernelFixture()

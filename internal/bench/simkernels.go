@@ -82,9 +82,9 @@ func simKernelFixture() (*hw.System, *core.Engine, []dalia.Window) {
 //
 // Their allocations belong to the run, not the window: the Step with its
 // two configuration names, the scenario and injector streams, the
-// Result. A simulated hour makes a few of them, which the ledger's
-// per-window ceiling reports as 1 alloc/op;
-// sim.TestRunAllocsPerRunNotPerWindow pins that two hours make no more.
+// Result. A simulated hour makes a few of them, which the ledger reports
+// as that fraction per window; sim.TestRunAllocsPerRunNotPerWindow pins
+// that two hours make no more.
 func simKernels() []KernelResult {
 	sys, engine, ws := simKernelFixture()
 	const hourSeconds = 3600

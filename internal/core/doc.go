@@ -11,7 +11,8 @@
 // difficulty detector. It also owns the data vocabulary the pipeline is
 // built on: WindowRecord/RecordHeader (record.go, including the column
 // and dtype constants of the on-disk layout implemented by
-// internal/reccache) and the compact on-watch profile store (store.go).
+// internal/reccache). The profile table is not persisted: the suite
+// recomputes it from the cached records on every run.
 //
 // Hot paths: ProfileConfig's per-record aggregation loop — 60
 // configurations × every profiling window, map-free via dense

@@ -94,15 +94,6 @@ func (a Activity) DifficultyID() int {
 	return int(a) + 1
 }
 
-// ActivityByDifficulty returns the activity holding the given 1-based
-// difficulty rank.
-func ActivityByDifficulty(id int) (Activity, error) {
-	if id < 1 || id > NumActivities {
-		return 0, fmt.Errorf("dalia: difficulty id %d out of range 1..%d", id, NumActivities)
-	}
-	return Activity(id - 1), nil
-}
-
 // Activities returns all nine activities in difficulty order.
 func Activities() []Activity {
 	out := make([]Activity, NumActivities)
@@ -110,24 +101,6 @@ func Activities() []Activity {
 		out[i] = Activity(i)
 	}
 	return out
-}
-
-// ProtocolMinutes returns the DaLiA-like protocol duration of the activity
-// in minutes.
-func (a Activity) ProtocolMinutes() float64 {
-	if !a.Valid() {
-		return 0
-	}
-	return profiles[a].protocolMin
-}
-
-// MotionRMS returns the characteristic wrist-acceleration RMS (g) of the
-// activity, beyond gravity.
-func (a Activity) MotionRMS() float64 {
-	if !a.Valid() {
-		return 0
-	}
-	return profiles[a].motionRMS
 }
 
 // protocol is the within-session activity order. DaLiA interleaves breaks;

@@ -1,17 +1,13 @@
 package dalia
 
-import (
-	"testing"
-
-	"repro/internal/dsp"
-)
+import "testing"
 
 func TestDifficultyOrderingMatchesMotion(t *testing.T) {
 	// The static difficulty IDs must agree with the motionRMS ordering the
 	// profiles encode.
 	prev := -1.0
 	for _, a := range Activities() {
-		rms := a.MotionRMS()
+		rms := profiles[a].motionRMS
 		if rms <= prev {
 			t.Errorf("%v motionRMS %.3f not increasing (prev %.3f)", a, rms, prev)
 		}
@@ -57,25 +53,6 @@ func TestDifficultyOrderingEmpirical(t *testing.T) {
 				i+1, means[i], means[i-1], Activities()[i])
 		}
 	}
-	_ = dsp.Mean // keep import if asserts change
-}
-
-func TestActivityByDifficulty(t *testing.T) {
-	for id := 1; id <= NumActivities; id++ {
-		a, err := ActivityByDifficulty(id)
-		if err != nil {
-			t.Fatalf("id %d: %v", id, err)
-		}
-		if a.DifficultyID() != id {
-			t.Errorf("round trip failed for id %d: got %v", id, a.DifficultyID())
-		}
-	}
-	if _, err := ActivityByDifficulty(0); err == nil {
-		t.Error("id 0 accepted")
-	}
-	if _, err := ActivityByDifficulty(10); err == nil {
-		t.Error("id 10 accepted")
-	}
 }
 
 func TestActivityStrings(t *testing.T) {
@@ -107,7 +84,7 @@ func TestProtocolDurations(t *testing.T) {
 		if a == Resting {
 			total += restShare
 		} else {
-			total += a.ProtocolMinutes()
+			total += profiles[a].protocolMin
 		}
 	}
 	if total < 140 || total > 160 {

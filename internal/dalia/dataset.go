@@ -66,82 +66,9 @@ func (d *Dataset) CollectWindows(subjects []int) ([]Window, error) {
 	return out, nil
 }
 
-// EachSubjectWindows streams each subject's windows through fn, releasing
-// the recording afterwards. Use this for evaluation passes over the full
-// cohort where peak memory matters.
-func (d *Dataset) EachSubjectWindows(subjects []int, fn func(subject int, ws []Window) error) error {
-	for _, s := range subjects {
-		ws, err := d.SubjectWindows(s)
-		if err != nil {
-			return err
-		}
-		if err := fn(s, ws); err != nil {
-			return err
-		}
-		d.Release(s)
-	}
-	return nil
-}
-
-// Fold is one cross-validation iteration of the paper's scheme: 5 folds of
-// 3 subjects; 4 folds train, two subjects of the held-out fold validate and
-// the remaining one tests, rotating the test subject within the fold.
-type Fold struct {
-	Train      []int
-	Validation []int
-	Test       int
-}
-
-// CrossValidation enumerates all 15 (fold, rotation) iterations for a
-// 15-subject cohort, or the analogous splits for smaller cohorts (cohorts
-// not divisible by 3 put the remainder in the last fold).
-func (d *Dataset) CrossValidation() []Fold {
-	return CrossValidationSplits(d.cfg.Subjects)
-}
-
-// CrossValidationSplits builds the paper's 5×3 leave-subjects-out scheme
-// for an arbitrary cohort size (≥3).
-func CrossValidationSplits(subjects int) []Fold {
-	const foldSize = 3
-	var folds [][]int
-	for start := 0; start < subjects; start += foldSize {
-		end := start + foldSize
-		if end > subjects {
-			end = subjects
-		}
-		var f []int
-		for s := start; s < end; s++ {
-			f = append(f, s)
-		}
-		if len(f) > 0 {
-			folds = append(folds, f)
-		}
-	}
-	var out []Fold
-	for i, held := range folds {
-		var train []int
-		for j, other := range folds {
-			if j != i {
-				train = append(train, other...)
-			}
-		}
-		for _, test := range held {
-			var val []int
-			for _, s := range held {
-				if s != test {
-					val = append(val, s)
-				}
-			}
-			out = append(out, Fold{Train: train, Validation: val, Test: test})
-		}
-	}
-	return out
-}
-
 // SplitSubjects partitions the cohort into three disjoint subject sets with
 // the given counts (train, profile, test) in subject order; it is the
-// simpler split used by the CHRIS profiling pipeline when full CV is
-// unnecessary.
+// split the CHRIS profiling pipeline uses.
 func (d *Dataset) SplitSubjects(train, profile int) (trainS, profileS, testS []int, err error) {
 	total := d.cfg.Subjects
 	if train+profile >= total {

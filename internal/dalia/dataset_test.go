@@ -62,51 +62,16 @@ func TestCollectAndStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed int
-	err = ds.EachSubjectWindows([]int{0, 1}, func(s int, sw []Window) error {
+	for _, s := range []int{0, 1} {
+		sw, err := ds.SubjectWindows(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		streamed += len(sw)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		ds.Release(s)
 	}
 	if streamed != len(ws) {
 		t.Errorf("streamed %d windows, collected %d", streamed, len(ws))
-	}
-}
-
-func TestCrossValidationScheme(t *testing.T) {
-	folds := CrossValidationSplits(15)
-	if len(folds) != 15 {
-		t.Fatalf("got %d iterations, want 15", len(folds))
-	}
-	testSeen := map[int]int{}
-	for _, f := range folds {
-		if len(f.Train) != 12 {
-			t.Errorf("train size %d, want 12", len(f.Train))
-		}
-		if len(f.Validation) != 2 {
-			t.Errorf("val size %d, want 2", len(f.Validation))
-		}
-		testSeen[f.Test]++
-		// Disjointness.
-		in := map[int]string{}
-		for _, s := range f.Train {
-			in[s] = "train"
-		}
-		for _, s := range f.Validation {
-			if in[s] != "" {
-				t.Errorf("subject %d in both train and val", s)
-			}
-			in[s] = "val"
-		}
-		if in[f.Test] != "" {
-			t.Errorf("test subject %d also in %s", f.Test, in[f.Test])
-		}
-	}
-	for s := 0; s < 15; s++ {
-		if testSeen[s] != 1 {
-			t.Errorf("subject %d is test in %d iterations, want 1", s, testSeen[s])
-		}
 	}
 }
 

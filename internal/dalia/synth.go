@@ -52,13 +52,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Scaled returns a copy of c with DurationScale replaced; a convenience for
-// tests and benchmarks that need a smaller cohort recording.
-func (c Config) Scaled(scale float64) Config {
-	c.DurationScale = scale
-	return c
-}
-
 // Validate reports whether the configuration is usable. Every numeric
 // field must be finite: a NaN coupling, noise sigma or duration scale
 // would not trip any threshold below (NaN compares false) and instead

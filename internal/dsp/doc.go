@@ -1,22 +1,23 @@
 // Package dsp provides the signal-processing substrate used throughout the
-// CHRIS reproduction: descriptive statistics, an FFT, window functions,
-// IIR/FIR filtering, peak detection, spectral estimation and resampling.
-// Everything runs in float64, the precision every paper artifact is
-// generated with.
+// CHRIS reproduction: descriptive statistics, a forward real-input FFT, the
+// Hann window, a Hann periodogram with dominant-frequency search, and the
+// peak-region primitives (RegionsAbove, ArgMax, RollingMean) that the
+// Adaptive Threshold tests use as their independent reference. Everything
+// runs in float64, the precision every paper artifact is generated with.
 //
-// The FFTs are plan-based: NewPlan precomputes the twiddle-factor and
-// bit-reversal tables for one transform size, and the plan's Execute,
-// Inverse, RealFFTInto and PowerSpectrumInto methods then run without any
-// heap allocation (real-input transforms go through one half-size complex
-// FFT). The package-level FFT/IFFT/RealFFT/PowerSpectrum functions remain
-// as thin wrappers over shared cached plans, so casual callers keep the
-// simple API while hot loops hold a plan and reuse output buffers.
+// The FFT is plan-based: NewPlan precomputes the twiddle-factor and
+// bit-reversal tables for one transform size, and the plan's RealFFTInto
+// and PowerSpectrumInto methods then run without any heap allocation (a
+// real-input transform goes through one half-size complex FFT). The
+// package-level PowerSpectrum function remains as a thin wrapper over a
+// shared cached plan, so casual callers keep the simple API while hot
+// loops hold a plan and reuse output buffers.
 //
-// Hot paths: the radix-2² butterfly passes behind Execute and the fused
-// square-magnitude loop in PowerSpectrumInto — every AT window estimate
-// and every spectral feature of the difficulty detector runs through them.
-// A plan's tables are read-only after construction, so distinct goroutines
-// may share one for Execute, Inverse and RealFFTInto; PowerSpectrumInto
+// Hot paths: the radix-2² butterfly passes behind both methods and the
+// fused square-magnitude loop in PowerSpectrumInto — every AT window
+// estimate and every spectral feature of the difficulty detector runs
+// through them. A plan's tables are read-only after construction, so
+// distinct goroutines may share one for RealFFTInto; PowerSpectrumInto
 // reuses internal scratch and needs one plan per worker.
 //
 // BENCH kernels: RealFFT256/plan, PowerSpectrum256/plan and

@@ -2,36 +2,11 @@ package dsp
 
 import "math/bits"
 
-// FFT computes the in-place radix-2 decimation-in-time fast Fourier
-// transform of x. The length of x must be a power of two; FFT panics
-// otherwise (the callers in this repository always use 256-sample windows).
-// It is a thin wrapper over a shared, cached Plan; hot paths that transform
-// many windows of one size should hold their own Plan and use its *Into
-// methods.
-func FFT(x []complex128) {
-	if len(x) == 0 {
-		return
-	}
-	planFor(len(x)).Execute(x)
-}
-
-// IFFT computes the inverse FFT of x in place, including the 1/N scaling.
-func IFFT(x []complex128) {
-	if len(x) == 0 {
-		return
-	}
-	planFor(len(x)).Inverse(x)
-}
-
-// RealFFT returns the complex spectrum of a real signal. The output has
-// len(x)/2+1 bins (DC through Nyquist). len(x) must be a power of two.
-func RealFFT(x []float64) []complex128 {
-	out := make([]complex128, len(x)/2+1)
-	return planFor(len(x)).RealFFTInto(out, x)
-}
-
 // PowerSpectrum returns the one-sided power spectrum |X[k]|^2 of a real
-// signal (len(x)/2+1 bins). len(x) must be a power of two.
+// signal (len(x)/2+1 bins). len(x) must be a power of two. It is a thin
+// wrapper over a shared, cached Plan; hot paths that transform many
+// windows of one size should hold their own Plan and use its *Into
+// methods.
 func PowerSpectrum(x []float64) []float64 {
 	spec := make([]complex128, len(x)/2+1)
 	planFor(len(x)).RealFFTInto(spec, x)

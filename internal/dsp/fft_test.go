@@ -2,124 +2,8 @@ package dsp
 
 import (
 	"math"
-	"math/cmplx"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestFFTKnownDC(t *testing.T) {
-	x := []complex128{1, 1, 1, 1}
-	FFT(x)
-	want := []complex128{4, 0, 0, 0}
-	for i := range x {
-		if cmplx.Abs(x[i]-want[i]) > 1e-12 {
-			t.Errorf("bin %d = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestFFTSingleTone(t *testing.T) {
-	const n = 64
-	const k = 5
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(math.Cos(2*math.Pi*float64(k)*float64(i)/n), 0)
-	}
-	FFT(x)
-	for i := range x {
-		mag := cmplx.Abs(x[i])
-		if i == k || i == n-k {
-			if math.Abs(mag-n/2) > 1e-9 {
-				t.Errorf("bin %d magnitude = %v, want %v", i, mag, float64(n)/2)
-			}
-		} else if mag > 1e-9 {
-			t.Errorf("bin %d magnitude = %v, want 0", i, mag)
-		}
-	}
-}
-
-func TestFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 8, 64, 256, 1024} {
-		x := make([]complex128, n)
-		orig := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			orig[i] = x[i]
-		}
-		FFT(x)
-		IFFT(x)
-		for i := range x {
-			if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
-				t.Fatalf("n=%d: round trip mismatch at %d: %v vs %v", n, i, x[i], orig[i])
-			}
-		}
-	}
-}
-
-func TestFFTParseval(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 256
-	x := make([]complex128, n)
-	var timeE float64
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), 0)
-		timeE += real(x[i]) * real(x[i])
-	}
-	FFT(x)
-	var freqE float64
-	for _, c := range x {
-		freqE += real(c)*real(c) + imag(c)*imag(c)
-	}
-	freqE /= float64(n)
-	if math.Abs(timeE-freqE) > 1e-6*timeE {
-		t.Errorf("Parseval: time %v vs freq %v", timeE, freqE)
-	}
-}
-
-func TestFFTPanicsOnNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FFT on length 3 did not panic")
-		}
-	}()
-	FFT(make([]complex128, 3))
-}
-
-// Property: FFT is linear — FFT(a·x + y) == a·FFT(x) + FFT(y).
-func TestFFTLinearityQuick(t *testing.T) {
-	const n = 32
-	f := func(seedX, seedY int64, aRaw float64) bool {
-		a := math.Mod(aRaw, 8)
-		if math.IsNaN(a) {
-			a = 1
-		}
-		rx := rand.New(rand.NewSource(seedX))
-		ry := rand.New(rand.NewSource(seedY))
-		x := make([]complex128, n)
-		y := make([]complex128, n)
-		mix := make([]complex128, n)
-		for i := 0; i < n; i++ {
-			x[i] = complex(rx.NormFloat64(), rx.NormFloat64())
-			y[i] = complex(ry.NormFloat64(), ry.NormFloat64())
-			mix[i] = complex(a, 0)*x[i] + y[i]
-		}
-		FFT(x)
-		FFT(y)
-		FFT(mix)
-		for i := 0; i < n; i++ {
-			want := complex(a, 0)*x[i] + y[i]
-			if cmplx.Abs(mix[i]-want) > 1e-7*(1+cmplx.Abs(want)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestRealFFTAndPowerSpectrum(t *testing.T) {
 	n := 128
@@ -142,6 +26,15 @@ func TestRealFFTAndPowerSpectrum(t *testing.T) {
 	if best != 8 {
 		t.Errorf("dominant bin = %d, want 8", best)
 	}
+}
+
+func TestFFTPanicsOnNonPow2(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("FFT plan of length 3 did not panic")
+		}
+	}()
+	NewPlan(3)
 }
 
 func TestNextPow2(t *testing.T) {

@@ -1,66 +1,5 @@
 package dsp
 
-// Peak describes a detected local maximum.
-type Peak struct {
-	Index int     // sample index of the maximum
-	Value float64 // signal value at the maximum
-}
-
-// FindPeaks returns local maxima of x that exceed height and are separated
-// by at least minDist samples. When two candidate peaks are closer than
-// minDist, the larger one wins.
-func FindPeaks(x []float64, height float64, minDist int) []Peak {
-	if minDist < 1 {
-		minDist = 1
-	}
-	var cand []Peak
-	for i := 1; i < len(x)-1; i++ {
-		if x[i] >= height && x[i] > x[i-1] && x[i] >= x[i+1] {
-			cand = append(cand, Peak{Index: i, Value: x[i]})
-		}
-	}
-	if len(cand) == 0 {
-		return nil
-	}
-	// Enforce the distance constraint greedily, preferring taller peaks.
-	keep := make([]bool, len(cand))
-	order := make([]int, len(cand))
-	for i := range order {
-		order[i] = i
-	}
-	// Insertion sort by descending height (candidate count is small).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && cand[order[j]].Value > cand[order[j-1]].Value; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	suppressed := make([]bool, len(cand))
-	for _, idx := range order {
-		if suppressed[idx] {
-			continue
-		}
-		keep[idx] = true
-		for j := range cand {
-			if j != idx && !keep[j] {
-				d := cand[j].Index - cand[idx].Index
-				if d < 0 {
-					d = -d
-				}
-				if d < minDist {
-					suppressed[j] = true
-				}
-			}
-		}
-	}
-	var out []Peak
-	for i, k := range keep {
-		if k {
-			out = append(out, cand[i])
-		}
-	}
-	return out
-}
-
 // Region is a half-open index interval [Start, End) of a signal.
 type Region struct {
 	Start, End int

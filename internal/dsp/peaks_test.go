@@ -1,91 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestFindPeaksSimple(t *testing.T) {
-	x := []float64{0, 1, 0, 2, 0, 3, 0}
-	peaks := FindPeaks(x, 0.5, 1)
-	if len(peaks) != 3 {
-		t.Fatalf("got %d peaks, want 3: %v", len(peaks), peaks)
-	}
-	wantIdx := []int{1, 3, 5}
-	for i, p := range peaks {
-		if p.Index != wantIdx[i] {
-			t.Errorf("peak %d at %d, want %d", i, p.Index, wantIdx[i])
-		}
-	}
-}
-
-func TestFindPeaksHeightFilter(t *testing.T) {
-	x := []float64{0, 1, 0, 5, 0}
-	peaks := FindPeaks(x, 2, 1)
-	if len(peaks) != 1 || peaks[0].Index != 3 {
-		t.Errorf("peaks = %v, want single peak at 3", peaks)
-	}
-}
-
-func TestFindPeaksMinDistancePrefersTaller(t *testing.T) {
-	// Two close peaks: the taller one (index 4) must win.
-	x := []float64{0, 3, 0, 0, 5, 0}
-	peaks := FindPeaks(x, 0, 4)
-	if len(peaks) != 1 || peaks[0].Index != 4 {
-		t.Errorf("peaks = %v, want single peak at 4", peaks)
-	}
-}
-
-func TestFindPeaksPeriodicSignal(t *testing.T) {
-	fs := 32.0
-	f := 1.25 // 75 BPM
-	n := 256
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * f * float64(i) / fs)
-	}
-	minDist := int(fs / 4.0) // max 240 BPM
-	peaks := FindPeaks(x, 0.5, minDist)
-	// 8 s at 1.25 Hz -> 10 cycles; endpoints may drop one peak.
-	if len(peaks) < 9 || len(peaks) > 11 {
-		t.Fatalf("got %d peaks, want ~10", len(peaks))
-	}
-	// Inter-peak distance should be fs/f = 25.6 samples.
-	for i := 1; i < len(peaks); i++ {
-		d := float64(peaks[i].Index - peaks[i-1].Index)
-		if math.Abs(d-25.6) > 2 {
-			t.Errorf("peak spacing %v, want ~25.6", d)
-		}
-	}
-}
-
-// Property: no two returned peaks are closer than minDist, and every peak
-// exceeds the height threshold.
-func TestFindPeaksInvariantsQuick(t *testing.T) {
-	f := func(seed int64, rawDist uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		minDist := int(rawDist%20) + 1
-		x := make([]float64, 128)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		peaks := FindPeaks(x, 0.2, minDist)
-		for i, p := range peaks {
-			if p.Value < 0.2 {
-				return false
-			}
-			if i > 0 && p.Index-peaks[i-1].Index < minDist {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestRegionsAbove(t *testing.T) {
 	x := []float64{0, 2, 3, 0, 4, 5, 6, 0}

@@ -7,15 +7,15 @@ import (
 	"sync"
 )
 
-// Plan holds the precomputed tables for radix-2 FFTs of one size: the
-// bit-reversal permutation and the twiddle factors, plus a chain of
-// half-size plans used by the real-input transform. Building a plan costs
-// O(n); every transform through it is allocation-free.
+// Plan holds the precomputed tables for forward real-input radix-2 FFTs
+// of one size: the bit-reversal permutation and the twiddle factors, plus
+// a chain of half-size plans used by the real-input transform. Building a
+// plan costs O(n); every transform through it is allocation-free.
 //
-// A Plan's tables are read-only after construction, so Execute, Inverse and
-// RealFFTInto may be called concurrently from multiple goroutines.
-// PowerSpectrumInto reuses an internal scratch buffer and is not safe for
-// concurrent use on the same Plan.
+// A Plan's tables are read-only after construction, so RealFFTInto may be
+// called concurrently from multiple goroutines. PowerSpectrumInto reuses
+// an internal scratch buffer and is not safe for concurrent use on the
+// same Plan.
 type Plan struct {
 	n   int
 	rev []int32      // bit-reversal permutation
@@ -65,36 +65,9 @@ func NewPlan(n int) *Plan {
 // Size returns the transform length the plan was built for.
 func (p *Plan) Size() int { return p.n }
 
-// Execute computes the in-place forward FFT of x, which must have exactly
-// the plan's length. It performs no allocations.
-func (p *Plan) Execute(x []complex128) { p.transform(x, false) }
-
-// Inverse computes the in-place inverse FFT of x, including the 1/N
-// scaling. It performs no allocations.
-func (p *Plan) Inverse(x []complex128) { p.transform(x, true) }
-
-func (p *Plan) transform(x []complex128, inverse bool) {
-	n := p.n
-	if len(x) != n {
-		panic(fmt.Sprintf("dsp: plan size %d, input length %d", n, len(x)))
-	}
-	for i, j := range p.rev {
-		if int(j) > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	p.butterflies(x, inverse)
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
-}
-
-// butterflies runs the DIT stages over x, which must already be in
-// bit-reversed order.
-func (p *Plan) butterflies(x []complex128, inverse bool) {
+// butterflies runs the forward DIT stages over x, which must already be
+// in bit-reversed order.
+func (p *Plan) butterflies(x []complex128) {
 	n := p.n
 	switch {
 	case n == 2:
@@ -105,18 +78,13 @@ func (p *Plan) butterflies(x []complex128, inverse bool) {
 		return
 	}
 	// Sizes 2 and 4 fused into one pass of 4-point butterflies; their
-	// twiddles are all 1 or ∓i, so the pass is multiplication-free.
+	// twiddles are all 1 or -i, so the pass is multiplication-free.
 	for i := 0; i < n; i += 4 {
 		q := x[i : i+4 : i+4]
 		a, b, c, d := q[0], q[1], q[2], q[3]
 		e0, e1 := a+b, a-b
 		o0, o1 := c+d, c-d
-		var t complex128
-		if inverse {
-			t = complex(-imag(o1), real(o1))
-		} else {
-			t = complex(imag(o1), -real(o1))
-		}
+		t := complex(imag(o1), -real(o1))
 		q[0], q[2] = e0+o0, e0-o0
 		q[1], q[3] = e1+t, e1-t
 	}
@@ -129,7 +97,7 @@ func (p *Plan) butterflies(x []complex128, inverse bool) {
 		tw2 := p.stages[si+1] // stage 2·size, len size
 		h := size / 2
 		block := size * 2
-		// k = 0: all twiddles unit (or the fixed ∓i rotation).
+		// k = 0: all twiddles unit (or the fixed -i rotation).
 		for i0 := 0; i0 < n; i0 += block {
 			i1 := i0 + h
 			i2 := i0 + size
@@ -137,12 +105,7 @@ func (p *Plan) butterflies(x []complex128, inverse bool) {
 			a, b, c, d := x[i0], x[i1], x[i2], x[i3]
 			a1, b1 := a+b, a-b
 			c1, d1 := c+d, c-d
-			var v complex128
-			if inverse {
-				v = complex(-imag(d1), real(d1))
-			} else {
-				v = complex(imag(d1), -real(d1))
-			}
+			v := complex(imag(d1), -real(d1))
 			x[i0], x[i2] = a1+c1, a1-c1
 			x[i1], x[i3] = b1+v, b1-v
 		}
@@ -150,9 +113,6 @@ func (p *Plan) butterflies(x []complex128, inverse bool) {
 			w1, w2 := tw1[k], tw2[k]
 			w1r, w1i := real(w1), imag(w1)
 			w2r, w2i := real(w2), imag(w2)
-			if inverse {
-				w1i, w2i = -w1i, -w2i
-			}
 			for i0 := k; i0 < n; i0 += block {
 				i1 := i0 + h
 				i2 := i0 + size
@@ -170,13 +130,8 @@ func (p *Plan) butterflies(x []complex128, inverse bool) {
 				tcr, tci := c1r*w2r-c1i*w2i, c1r*w2i+c1i*w2r
 				ur, ui := d1r*w2r-d1i*w2i, d1r*w2i+d1i*w2r
 				// The second-stage twiddle of the odd pair is W₄·w2,
-				// i.e. ∓i·(w2·d1): a rotation, not another product.
-				var vr, vi float64
-				if inverse {
-					vr, vi = -ui, ur
-				} else {
-					vr, vi = ui, -ur
-				}
+				// i.e. -i·(w2·d1): a rotation, not another product.
+				vr, vi := ui, -ur
 				x[i0] = complex(a1r+tcr, a1i+tci)
 				x[i2] = complex(a1r-tcr, a1i-tci)
 				x[i1] = complex(b1r+vr, b1i+vi)
@@ -193,26 +148,14 @@ func (p *Plan) butterflies(x []complex128, inverse bool) {
 		half := len(tbl)
 		lo := x[:half]
 		hi := x[half:]
-		if inverse {
-			for k, w := range tbl {
-				wr, wi := real(w), -imag(w)
-				br, bi := real(hi[k]), imag(hi[k])
-				tr := br*wr - bi*wi
-				ti := br*wi + bi*wr
-				ar, ai := real(lo[k]), imag(lo[k])
-				lo[k] = complex(ar+tr, ai+ti)
-				hi[k] = complex(ar-tr, ai-ti)
-			}
-		} else {
-			for k, w := range tbl {
-				wr, wi := real(w), imag(w)
-				br, bi := real(hi[k]), imag(hi[k])
-				tr := br*wr - bi*wi
-				ti := br*wi + bi*wr
-				ar, ai := real(lo[k]), imag(lo[k])
-				lo[k] = complex(ar+tr, ai+ti)
-				hi[k] = complex(ar-tr, ai-ti)
-			}
+		for k, w := range tbl {
+			wr, wi := real(w), imag(w)
+			br, bi := real(hi[k]), imag(hi[k])
+			tr := br*wr - bi*wi
+			ti := br*wi + bi*wr
+			ar, ai := real(lo[k]), imag(lo[k])
+			lo[k] = complex(ar+tr, ai+ti)
+			hi[k] = complex(ar-tr, ai-ti)
 		}
 	}
 }
@@ -240,7 +183,7 @@ func (p *Plan) RealFFTInto(dst []complex128, x []float64) []complex128 {
 	for j, src := range p.half.rev {
 		z[j] = complex(x[2*src], x[2*src+1])
 	}
-	p.half.butterflies(z, false)
+	p.half.butterflies(z)
 
 	// Unpack: with z[j] = even[j] + i·odd[j] and Z its m-point spectrum,
 	// Fe[k] = (Z[k]+conj(Z[m-k]))/2, Fo[k] = -i(Z[k]-conj(Z[m-k]))/2 and
@@ -289,7 +232,7 @@ func (p *Plan) PowerSpectrumInto(dst []float64, x []float64) []float64 {
 	for j, src := range p.half.rev {
 		z[j] = complex(x[2*src], x[2*src+1])
 	}
-	p.half.butterflies(z, false)
+	p.half.butterflies(z)
 	// Same unpacking as RealFFTInto, but squared on the fly — conjugation
 	// drops out of |·|², so the magnitudes come straight from fe ± t.
 	dst = dst[:m+1]

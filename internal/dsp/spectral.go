@@ -63,50 +63,3 @@ func safeLog(v float64) float64 {
 	}
 	return math.Log(v)
 }
-
-// Autocorrelation returns the biased autocorrelation of x for lags
-// 0..maxLag (inclusive), normalized so lag 0 equals 1 when x has nonzero
-// energy.
-func Autocorrelation(x []float64, maxLag int) []float64 {
-	if maxLag >= len(x) {
-		maxLag = len(x) - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	out := make([]float64, maxLag+1)
-	var e float64
-	for _, v := range x {
-		e += v * v
-	}
-	if e == 0 {
-		out[0] = 1
-		return out
-	}
-	for lag := 0; lag <= maxLag; lag++ {
-		var s float64
-		for i := 0; i+lag < len(x); i++ {
-			s += x[i] * x[i+lag]
-		}
-		out[lag] = s / e
-	}
-	return out
-}
-
-// BandPower returns the fraction of total spectral power of x that lies in
-// [fLo, fHi]. It returns 0 when the signal has no energy.
-func BandPower(x []float64, fs, fLo, fHi float64) float64 {
-	power, binHz := Periodogram(x, fs)
-	var total, band float64
-	for k := 1; k < len(power); k++ {
-		total += power[k]
-		f := float64(k) * binHz
-		if f >= fLo && f <= fHi {
-			band += power[k]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return band / total
-}

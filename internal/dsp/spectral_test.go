@@ -57,78 +57,3 @@ func TestDominantFrequencyEmptyBand(t *testing.T) {
 		t.Errorf("empty band = %v, want 0", got)
 	}
 }
-
-func TestAutocorrelationPeriodicity(t *testing.T) {
-	fs := 32.0
-	f := 1.6 // period = 20 samples
-	x := sine(256, f, fs)
-	ac := Autocorrelation(x, 64)
-	if math.Abs(ac[0]-1) > 1e-9 {
-		t.Fatalf("ac[0] = %v, want 1", ac[0])
-	}
-	// The first major positive peak after lag 0 should sit at the period.
-	best, bestV := 0, -2.0
-	for lag := 10; lag <= 30; lag++ {
-		if ac[lag] > bestV {
-			best, bestV = lag, ac[lag]
-		}
-	}
-	if best != 20 {
-		t.Errorf("autocorrelation peak at lag %d, want 20", best)
-	}
-}
-
-func TestAutocorrelationDegenerate(t *testing.T) {
-	ac := Autocorrelation([]float64{0, 0, 0}, 2)
-	if ac[0] != 1 {
-		t.Errorf("zero-signal ac[0] = %v, want 1 by convention", ac[0])
-	}
-	if got := Autocorrelation(nil, 5); got != nil {
-		t.Errorf("nil input should give nil, got %v", got)
-	}
-}
-
-func TestBandPower(t *testing.T) {
-	fs := 32.0
-	x := sine(256, 1.5, fs)
-	in := BandPower(x, fs, 1, 2)
-	out := BandPower(x, fs, 5, 10)
-	if in < 0.9 {
-		t.Errorf("in-band power fraction = %v, want > 0.9", in)
-	}
-	if out > 0.05 {
-		t.Errorf("out-of-band power fraction = %v, want < 0.05", out)
-	}
-	if got := BandPower(make([]float64, 64), fs, 1, 2); got != 0 {
-		t.Errorf("silent BandPower = %v, want 0", got)
-	}
-}
-
-func TestResampleLinear(t *testing.T) {
-	fsIn, fsOut := 64.0, 32.0
-	x := sine(128, 2, fsIn)
-	y := ResampleLinear(x, fsIn, fsOut)
-	want := sine(len(y), 2, fsOut)
-	for i := range y {
-		if math.Abs(y[i]-want[i]) > 0.05 {
-			t.Fatalf("resample mismatch at %d: %v vs %v", i, y[i], want[i])
-		}
-	}
-	if ResampleLinear(nil, 1, 1) != nil {
-		t.Error("nil input should resample to nil")
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("Decimate = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Decimate[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}

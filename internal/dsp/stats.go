@@ -222,36 +222,6 @@ func RollingMeanInto(out, x []float64, win int) []float64 {
 	return out
 }
 
-// RollingStd returns the trailing rolling standard deviation of x with the
-// given window length, with partial windows at the start (same convention as
-// RollingMean).
-func RollingStd(x []float64, win int) []float64 {
-	if win <= 0 {
-		win = 1
-	}
-	out := make([]float64, len(x))
-	var sum, sumSq float64
-	for i, v := range x {
-		sum += v
-		sumSq += v * v
-		n := float64(win)
-		if i < win {
-			n = float64(i + 1)
-		} else {
-			old := x[i-win]
-			sum -= old
-			sumSq -= old * old
-		}
-		mean := sum / n
-		v := sumSq/n - mean*mean
-		if v < 0 { // guard against catastrophic cancellation
-			v = 0
-		}
-		out[i] = math.Sqrt(v)
-	}
-	return out
-}
-
 // Detrend removes the least-squares straight line from x, in place, and
 // returns x for convenience.
 func Detrend(x []float64) []float64 {
@@ -277,22 +247,6 @@ func Detrend(x []float64) []float64 {
 	a := (sumX - b*sumI) / fn
 	for i := range x {
 		x[i] -= a + b*float64(i)
-	}
-	return x
-}
-
-// Normalize scales x in place to zero mean and unit standard deviation and
-// returns x. Signals with zero spread are only mean-shifted.
-func Normalize(x []float64) []float64 {
-	m, sd := Mean(x), Std(x)
-	if sd == 0 {
-		for i := range x {
-			x[i] -= m
-		}
-		return x
-	}
-	for i := range x {
-		x[i] = (x[i] - m) / sd
 	}
 	return x
 }

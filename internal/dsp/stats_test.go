@@ -132,26 +132,6 @@ func TestRollingMeanMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestRollingStdMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]float64, 200)
-	for i := range x {
-		x[i] = 5 + rng.NormFloat64()
-	}
-	win := 16
-	got := RollingStd(x, win)
-	for i := range x {
-		lo := i - win + 1
-		if lo < 0 {
-			lo = 0
-		}
-		want := Std(x[lo : i+1])
-		if !almostEqual(got[i], want, 1e-7) {
-			t.Fatalf("RollingStd[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-}
-
 func TestDetrendRemovesLine(t *testing.T) {
 	x := make([]float64, 100)
 	for i := range x {
@@ -161,21 +141,6 @@ func TestDetrendRemovesLine(t *testing.T) {
 	for i, v := range x {
 		if !almostEqual(v, 0, 1e-9) {
 			t.Fatalf("Detrend residual at %d = %v", i, v)
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5, 6}
-	Normalize(x)
-	if !almostEqual(Mean(x), 0, 1e-12) || !almostEqual(Std(x), 1, 1e-12) {
-		t.Errorf("Normalize: mean=%v std=%v", Mean(x), Std(x))
-	}
-	c := []float64{2, 2, 2}
-	Normalize(c)
-	for _, v := range c {
-		if v != 0 {
-			t.Errorf("Normalize(const) = %v, want zeros", c)
 		}
 	}
 }

@@ -17,8 +17,8 @@
 //
 // Hot paths: the per-chunk estimator dispatch inside BuildRecords (the
 // actual FLOPs live in internal/models/* and internal/gemm) and the
-// per-activity aggregation loops in reportFromPreds/RecordsMAE, which are
-// deterministic fixed-order float summations.
+// per-activity aggregation loop in reportFromPreds, a deterministic
+// fixed-order float summation.
 //
 // BENCH kernels: the build_records section of BENCH_*.json (serial vs
 // parallel ns/window, measured by bench.BuildBenchReport) covers this

@@ -207,18 +207,6 @@ type ModelReport struct {
 	Windows     int
 }
 
-// EvaluateModel measures an estimator over labelled windows.
-func EvaluateModel(m models.HREstimator, ws []dalia.Window) (ModelReport, error) {
-	if len(ws) == 0 {
-		return ModelReport{}, fmt.Errorf("eval: no windows")
-	}
-	preds := make([]float64, len(ws))
-	for i := range ws {
-		preds[i] = m.EstimateHR(&ws[i])
-	}
-	return reportFromPreds(m.Name(), preds, ws), nil
-}
-
 // EvaluatePredictions builds a report from precomputed predictions (used
 // when records already hold every model's outputs).
 func EvaluatePredictions(name string, preds []float64, ws []dalia.Window) (ModelReport, error) {
@@ -256,36 +244,4 @@ func reportFromPreds(name string, preds []float64, ws []dalia.Window) ModelRepor
 		PerActivity: per,
 		Windows:     len(ws),
 	}
-}
-
-// RecordsMAE computes the activity-balanced MAE a single model achieves
-// over profiling records (using its stored predictions).
-func RecordsMAE(recs []core.WindowRecord, model string) (float64, error) {
-	if len(recs) == 0 {
-		return 0, fmt.Errorf("eval: no records")
-	}
-	header := recs[0].Header
-	if header == nil {
-		return 0, fmt.Errorf("eval: records lack a prediction header")
-	}
-	mi, ok := header.Index(model)
-	if !ok {
-		return 0, fmt.Errorf("eval: records lack predictions for %q", model)
-	}
-	var sum [dalia.NumActivities]float64
-	var n [dalia.NumActivities]int
-	for i := range recs {
-		sum[recs[i].Activity] += models.AbsError(recs[i].Preds[mi], recs[i].TrueHR)
-		n[recs[i].Activity]++
-	}
-	var balanced float64
-	var acts int
-	for a := 0; a < dalia.NumActivities; a++ { // fixed order: deterministic sum
-		if n[a] == 0 {
-			continue
-		}
-		balanced += sum[a] / float64(n[a])
-		acts++
-	}
-	return balanced / float64(acts), nil
 }

@@ -80,10 +80,13 @@ func TestBuildRecordsErrors(t *testing.T) {
 	}
 }
 
-func TestEvaluateModelBalancedVsOverall(t *testing.T) {
+func TestEvaluatePredictionsConstantBias(t *testing.T) {
 	ws, _ := windowsAndClassifier(t)
-	m := &biasEst{name: "const", bias: 4}
-	rep, err := EvaluateModel(m, ws)
+	preds := make([]float64, len(ws))
+	for i := range ws {
+		preds[i] = ws[i].TrueHR + 4
+	}
+	rep, err := EvaluatePredictions("const", preds, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,25 +127,6 @@ func TestBalancedDiffersFromOverall(t *testing.T) {
 	}
 	if _, err := EvaluatePredictions("x", preds[:2], ws); err == nil {
 		t.Error("length mismatch accepted")
-	}
-}
-
-func TestRecordsMAE(t *testing.T) {
-	ws, cls := windowsAndClassifier(t)
-	zoo := []models.HREstimator{&biasEst{name: "a", bias: 2}}
-	recs, _ := BuildRecords(ws, zoo, cls)
-	mae, err := RecordsMAE(recs, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mae-2) > 1e-9 {
-		t.Errorf("RecordsMAE = %v, want 2", mae)
-	}
-	if _, err := RecordsMAE(recs, "ghost"); err == nil {
-		t.Error("missing model accepted")
-	}
-	if _, err := RecordsMAE(nil, "a"); err == nil {
-		t.Error("empty records accepted")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 type FeatureID int
 
 // The feature library. The paper's grid search selected Mean, Energy, Std
-// and NumPeaks; the others are provided so the search is reproducible.
+// and NumPeaks; the others stay selectable through Config.Features.
 const (
 	FeatMean FeatureID = iota
 	FeatEnergy

@@ -52,15 +52,6 @@ func Train(ws []dalia.Window, cfg Config) (*Classifier, error) {
 		x[i] = FeatureVector(&ws[i], feats)
 		y[i] = int(ws[i].Activity)
 	}
-	return TrainVectors(x, y, dalia.NumActivities, feats, cfg)
-}
-
-// TrainVectors fits the forest on prepared feature vectors; exposed for
-// the grid search, which reuses extracted features across subsets.
-func TrainVectors(x [][]float64, y []int, classes int, feats []FeatureID, cfg Config) (*Classifier, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, fmt.Errorf("rf: bad training shapes %d/%d", len(x), len(y))
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := &Classifier{cfg: cfg, feats: append([]FeatureID(nil), feats...)}
 	n := len(x)
@@ -70,7 +61,7 @@ func TrainVectors(x [][]float64, y []int, classes int, feats []FeatureID, cfg Co
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
-		tree := growTree(x, y, idx, classes, cfg.MaxDepth+1, cfg.MinLeaf, cfg.FeatureSub, rng)
+		tree := growTree(x, y, idx, dalia.NumActivities, cfg.MaxDepth+1, cfg.MinLeaf, cfg.FeatureSub, rng)
 		c.trees = append(c.trees, tree)
 	}
 	return c, nil

@@ -188,58 +188,6 @@ func TestGiniHelpers(t *testing.T) {
 	}
 }
 
-func TestGridSearchSmall(t *testing.T) {
-	ws := datasetWindows(t, 3, 0.03)
-	rng := rand.New(rand.NewSource(7))
-	rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
-	split := len(ws) * 2 / 3
-	cfg := DefaultConfig()
-	cfg.Trees = 4 // keep the 210-subset sweep fast
-	results, err := GridSearch(ws[:split], ws[split:], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// C(10,4) = 210 subsets.
-	if len(results) != 210 {
-		t.Fatalf("got %d subsets, want 210", len(results))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].Accuracy > results[i-1].Accuracy {
-			t.Fatal("results not sorted by accuracy")
-		}
-	}
-	t.Logf("best subset %v acc %.3f", results[0].Features, results[0].Accuracy)
-	// The paper's subset should be competitive: within 10%% of the best.
-	var paperAcc float64
-	for _, r := range results {
-		if sameFeatures(r.Features, PaperFeatures()) {
-			paperAcc = r.Accuracy
-		}
-	}
-	if paperAcc < results[0].Accuracy-0.1 {
-		t.Errorf("paper subset accuracy %.3f far below best %.3f", paperAcc, results[0].Accuracy)
-	}
-	if _, err := GridSearch(nil, ws, cfg); err == nil {
-		t.Error("empty grid-search inputs accepted")
-	}
-}
-
-func sameFeatures(a, b []FeatureID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	m := map[FeatureID]bool{}
-	for _, f := range a {
-		m[f] = true
-	}
-	for _, f := range b {
-		if !m[f] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestClassifyMatchesFeatureVector pins the scratch-based Classify to the
 // allocating training-side path, PredictVector(FeatureVector(w, feats)),
 // for the paper's features and the whole library (whose MAD and median

@@ -34,23 +34,8 @@ func NewAdam(params []*Param, lr float64) *Adam {
 	return a
 }
 
-// Step applies one update using the gradients currently accumulated in the
-// parameters, then clears them.
-func (a *Adam) Step() {
-	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for pi, p := range a.params {
-		m, v := a.m[pi], a.v[pi]
-		for i := range p.W {
-			g := float64(p.G[i])
-			a.update(p, m, v, i, g, bc1, bc2)
-		}
-	}
-}
-
 // update applies the Adam recurrence to element i of p and clears its
-// gradient. It is the single shared inner step of Step and StepFused.
+// gradient. It is StepFused's inner step.
 func (a *Adam) update(p *Param, m, v []float32, i int, g, bc1, bc2 float64) {
 	mi := a.Beta1*float64(m[i]) + (1-a.Beta1)*g
 	vi := a.Beta2*float64(v[i]) + (1-a.Beta2)*g*g
@@ -72,9 +57,10 @@ const fusedParallelMin = 1 << 14
 // over contiguous element ranges. Each element is owned by exactly one
 // goroutine, which sums the worker gradients in worker order (scaled by
 // inv, the 1/batch-size normalizer), immediately applies the update, and
-// zeroes the shard gradients — so the result is bitwise identical to the
-// serial reduce-into-main-then-Step sequence it fuses, for any shard
-// count, while touching every gradient element exactly once.
+// zeroes the shard gradients — so the result is bitwise identical to a
+// serial reduce of every shard into the main gradients followed by one
+// update pass, for any shard count, while touching every gradient element
+// exactly once.
 func (a *Adam) StepFused(workerParams [][]*Param, inv float32) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
