@@ -112,12 +112,14 @@ func AblationQuantization(s *Suite) Artifact {
 
 // testMAE evaluates an estimator over the suite's test windows directly
 // (bypassing cached records, since the quantization mode changes outputs),
-// in the activity-balanced form.
-func testMAE(s *Suite, m models.HREstimator) float64 {
+// in the activity-balanced form. The windows go through one batched call.
+func testMAE(s *Suite, m *tcn.HRNet) float64 {
+	preds := make([]float64, len(s.TestWindows))
+	m.EstimateHRBatch(s.TestWindows, preds)
 	perAct := make([][2]float64, dalia.NumActivities)
 	for i := range s.TestWindows {
 		w := &s.TestWindows[i]
-		err := models.AbsError(m.EstimateHR(w), w.TrueHR)
+		err := models.AbsError(preds[i], w.TrueHR)
 		perAct[int(w.Activity)][0] += err
 		perAct[int(w.Activity)][1]++
 	}

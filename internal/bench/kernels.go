@@ -115,6 +115,10 @@ func KernelBenchmarks() []KernelResult {
 		inB.Data[i] = float32(rng.NormFloat64())
 	}
 	outB := make([]float32, batch)
+	// A batch of one: the path a single-window EstimateHR takes.
+	inOne := tcn.NewBatchTensor(1, tcn.InputChannels, tcn.InputSamples)
+	copy(inOne.Data, in.Data)
+	outOne := make([]float32, 1)
 
 	// Raw GEMM micro-kernels at a representative TimePPG-Big conv shape:
 	// 48 output channels × (48·3) im2col rows × 128 output positions.
@@ -282,12 +286,12 @@ func KernelBenchmarks() []KernelResult {
 				small.ForwardBatch(inB, outB)
 			}
 		}),
-		// Int8 deployed path: the serial qConv kernels (the seed-equivalent
-		// reference) against the batched int8 GEMM form.
-		runKernel("QuantBigForward/serial", func(b *testing.B) {
+		// Int8 deployed path: one window (a batch of one, as EstimateHR
+		// runs it) against the per-window cost of a 32-window batch.
+		runKernel("QuantBigForward/one", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				qbig.Forward(in)
+				qbig.ForwardBatch(inOne, outOne)
 			}
 		}),
 		runKernelScaled("QuantBigForwardBatch32/win", batch, func(b *testing.B) {
@@ -296,12 +300,12 @@ func KernelBenchmarks() []KernelResult {
 				qbig.ForwardBatch(inB, outB)
 			}
 		}),
-		// Deployed int8 TimePPG-Small (the wearable-side network): serial
-		// reference vs the cross-sample batch path.
-		runKernel("QuantSmallForward/serial", func(b *testing.B) {
+		// Deployed int8 TimePPG-Small (the wearable-side network): one
+		// window vs the cross-sample batch path.
+		runKernel("QuantSmallForward/one", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				qsmall.Forward(in)
+				qsmall.ForwardBatch(inOne, outOne)
 			}
 		}),
 		runKernelScaled("QuantSmallForwardBatch32/win", batch, func(b *testing.B) {

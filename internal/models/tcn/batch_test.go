@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dalia"
+	"repro/internal/models"
 )
 
 // batchSizes covers the shapes the estimator meets in practice: a single
@@ -309,8 +310,9 @@ func synthWindows(rng *rand.Rand, n int) []dalia.Window {
 }
 
 // TestEstimateHRBatchMatchesSerial pins the estimator API in both float32
-// and int8 form over a ragged window count (two full chunks plus a tail),
-// including that chunk boundaries leave no trace.
+// and int8 form over a ragged window count (two full chunks plus a tail)
+// against the scalar reference (Network.Forward, and the int8 kernels of
+// quantref_test.go), including that chunk boundaries leave no trace.
 func TestEstimateHRBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	ws := synthWindows(rng, 2*batchChunk+3)
@@ -324,8 +326,13 @@ func TestEstimateHRBatchMatchesSerial(t *testing.T) {
 		est.EstimateHRBatch(ws, out)
 		ref := est.Clone()
 		for i := range ws {
-			want := ref.EstimateHR(&ws[i])
-			if out[i] != want {
+			var z float32
+			if ref.Quantized() {
+				z = ref.qnet.Forward(WindowToTensor(&ws[i]))
+			} else {
+				z = ref.net.Forward(WindowToTensor(&ws[i]))
+			}
+			if want := models.ClampHR(DenormalizeHR(z)); out[i] != want {
 				t.Fatalf("%s window %d: batch %v, serial %v (must be bitwise equal)", mode, i, out[i], want)
 			}
 		}
@@ -340,6 +347,72 @@ func TestEstimateHRBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("int8")
+}
+
+// namedEstimator is one (topology, precision) case of estimatorModes.
+type namedEstimator struct {
+	name string
+	est  *HRNet
+}
+
+// estimatorModes builds, for both paper topologies, a float32 and an int8
+// estimator over the same weights, each fresh (no call has sized its
+// arenas yet).
+func estimatorModes(t testing.TB, calib []*Tensor) []namedEstimator {
+	t.Helper()
+	var out []namedEstimator
+	for _, build := range []func() *Network{NewTimePPGSmall, NewTimePPGBig} {
+		net := build()
+		net.InitWeights(19)
+		q := NewEstimator(net)
+		if err := q.Quantize(calib); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, namedEstimator{net.Topology + "/float32", NewEstimator(net)},
+			namedEstimator{net.Topology + "/int8", q})
+	}
+	return out
+}
+
+// TestEstimateHRIsBatchOfOne pins the single-window path: for both
+// topologies and precisions, on a fresh estimator and on a Clone,
+// EstimateHR must equal EstimateHRBatch bitwise when called before a
+// 32-window batch (its arenas then grow) and after one (they are reused
+// at N = 1), and must not allocate once warm.
+func TestEstimateHRIsBatchOfOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	ws := synthWindows(rng, batchChunk)
+	var calib []*Tensor
+	for i := 0; i < 8; i++ {
+		calib = append(calib, WindowToTensor(&ws[i]))
+	}
+	for _, m := range estimatorModes(t, calib) {
+		name, est := m.name, m.est
+		want := make([]float64, len(ws))
+		est.Clone().EstimateHRBatch(ws, want)
+		for _, e := range []struct {
+			kind string
+			h    *HRNet
+		}{{"fresh", est}, {"clone", est.Clone()}} {
+			first := e.h.EstimateHR(&ws[5])
+			if first != want[5] {
+				t.Fatalf("%s %s: EstimateHR before a batch %v, batch %v", name, e.kind, first, want[5])
+			}
+			got := make([]float64, len(ws))
+			e.h.EstimateHRBatch(ws, got)
+			for i := range ws {
+				if got[i] != want[i] {
+					t.Fatalf("%s %s window %d: batch after EstimateHR %v, want %v", name, e.kind, i, got[i], want[i])
+				}
+				if v := e.h.EstimateHR(&ws[i]); v != want[i] {
+					t.Fatalf("%s %s window %d: EstimateHR after a batch %v, batch %v", name, e.kind, i, v, want[i])
+				}
+			}
+			if n := testing.AllocsPerRun(5, func() { e.h.EstimateHR(&ws[3]) }); n != 0 {
+				t.Errorf("%s %s: EstimateHR allocates %v per call once warm", name, e.kind, n)
+			}
+		}
+	}
 }
 
 // TestBatchPathZeroAllocSteadyState guards the arena reuse: once warm —
@@ -476,6 +549,8 @@ func quantBig(b *testing.B) *QuantNetwork {
 	return quantNet(b, NewTimePPGBig, 52)
 }
 
+// BenchmarkQuantBigForwardSerial times the scalar int8 reference
+// (quantref_test.go), which allocates its outputs on every call.
 func BenchmarkQuantBigForwardSerial(b *testing.B) {
 	q := quantBig(b)
 	x := randomTensor(rand.New(rand.NewSource(53)), InputChannels, InputSamples)
@@ -501,9 +576,10 @@ func BenchmarkQuantBigForwardBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N*batchChunk), "windows")
 }
 
-// BenchmarkQuantSmallForwardSerial / ...Batch pair the deployed int8
-// TimePPG-Small path the same way the Big benchmarks do, so the
-// cross-sample gain on the wearable-side network is measurable directly.
+// BenchmarkQuantSmallForwardSerial / ...Batch pair the scalar int8
+// reference and the deployed TimePPG-Small path the same way the Big
+// benchmarks do, so the cross-sample gain on the wearable-side network is
+// measurable directly.
 func BenchmarkQuantSmallForwardSerial(b *testing.B) {
 	q := quantNet(b, NewTimePPGSmall, 56)
 	x := randomTensor(rand.New(rand.NewSource(57)), InputChannels, InputSamples)
@@ -527,4 +603,26 @@ func BenchmarkQuantSmallForwardBatch(b *testing.B) {
 		q.ForwardBatch(xb, out)
 	}
 	b.ReportMetric(float64(b.N*batchChunk), "windows")
+}
+
+// BenchmarkEstimateHR times one window through HRNet.EstimateHR — a batch
+// of one through the GEMM kernels — for both topologies and precisions.
+func BenchmarkEstimateHR(b *testing.B) {
+	rng := rand.New(rand.NewSource(60))
+	ws := synthWindows(rng, 8)
+	var calib []*Tensor
+	for i := range ws {
+		calib = append(calib, WindowToTensor(&ws[i]))
+	}
+	for _, m := range estimatorModes(b, calib) {
+		est := m.est
+		b.Run(m.name, func(b *testing.B) {
+			est.EstimateHR(&ws[0])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				est.EstimateHR(&ws[i%len(ws)])
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package tcn
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/dalia"
 	"repro/internal/models"
@@ -16,9 +17,9 @@ type HRNet struct {
 	// UseQuantized selects the int8 path when a quantized form exists.
 	UseQuantized bool
 
-	in  *Tensor      // reused input tensor
 	inB *BatchTensor // reused batched-input tensor
 	zB  []float32    // reused batched-output buffer
+	one [1]float64   // EstimateHR's batch-of-one output
 }
 
 // NewEstimator wraps a trained float network.
@@ -51,17 +52,13 @@ func (h *HRNet) Ops() int64 { return h.net.MACs() }
 // Params implements models.HREstimator.
 func (h *HRNet) Params() int64 { return h.net.NumParams() }
 
-// EstimateHR implements models.HREstimator.
+// EstimateHR implements models.HREstimator: the window runs as a batch
+// of one through EstimateHRBatch, so the single-window estimate is the
+// batched one by construction. The batch is a one-element view of the
+// caller's window, so the estimator holds no reference to it.
 func (h *HRNet) EstimateHR(w *dalia.Window) float64 {
-	x := ensureTensor(&h.in, InputChannels, len(w.PPG))
-	WindowIntoTensor(x, w)
-	var z float32
-	if h.Quantized() {
-		z = h.qnet.Forward(x)
-	} else {
-		z = h.net.Forward(x)
-	}
-	return models.ClampHR(DenormalizeHR(z))
+	h.EstimateHRBatch(unsafe.Slice(w, 1), h.one[:])
+	return h.one[0]
 }
 
 // batchChunk bounds how many windows one batched forward pass carries.
@@ -72,8 +69,9 @@ const batchChunk = 32
 
 // EstimateHRBatch implements models.BatchHREstimator: windows flow through
 // the GEMM-backed batch kernels in chunks of batchChunk. Every estimate is
-// bitwise identical to EstimateHR on the same window; after the first call
-// the path performs no heap allocations.
+// independent of the window's batch-mates (bitwise identical to EstimateHR
+// on the same window); after the first call the path performs no heap
+// allocations.
 func (h *HRNet) EstimateHRBatch(ws []dalia.Window, out []float64) {
 	for start := 0; start < len(ws); start += batchChunk {
 		end := start + batchChunk

@@ -67,39 +67,12 @@ func cloneLayerDeep(l Layer) Layer {
 	}
 }
 
-// qOp is one stage of the quantized pipeline. forwardBatch (see
-// quantbatch.go) must be bitwise identical to forward per sample.
+// qOp is one stage of the quantized pipeline (see quantbatch.go). Its
+// per-window scalar reference, forward, lives with the tests that pin
+// forwardBatch bitwise against it.
 type qOp interface {
-	forward(x *qTensor) *qTensor
 	forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor
 	macs() int64
-}
-
-// qTensor is an int8 activation tensor with its dequantization scale.
-type qTensor struct {
-	C, T  int
-	Data  []int8
-	Scale float32 // real value = Data * Scale
-}
-
-// ensureQTensor is the int8 twin of ensureTensor: ops keep their output
-// tensors in slots so steady-state quantized inference does not allocate.
-func ensureQTensor(slot **qTensor, c, t int, scale float32) *qTensor {
-	q := *slot
-	if q == nil || q.C != c || q.T != t {
-		q = &qTensor{C: c, T: t, Data: make([]int8, c*t)}
-		*slot = q
-	}
-	q.Scale = scale
-	return q
-}
-
-func quantizeTensorInto(slot **qTensor, x *Tensor, scale float32) *qTensor {
-	q := ensureQTensor(slot, x.C, x.T, scale)
-	for i, v := range x.Data {
-		q.Data[i] = gemm.Requantize(v/scale, -127)
-	}
-	return q
 }
 
 // reluFloor is gemm.Requantize's lower clamp bound for an op: 0 under a
@@ -121,7 +94,6 @@ type qConv struct {
 	inScale, outScale                   float32
 	relu                                bool
 	inT                                 int
-	out                                 *qTensor
 
 	// packed is weight as gemm.PackA pair rows, built once by Quantize
 	// and shared by every worker clone.
@@ -134,31 +106,6 @@ type qConv struct {
 func (l *qConv) padLeft() int {
 	total := (l.kernel - 1) * l.dilation
 	return total - total/2
-}
-
-func (l *qConv) forward(x *qTensor) *qTensor {
-	outT := (x.T-1)/l.stride + 1
-	y := ensureQTensor(&l.out, l.outC, outT, l.outScale)
-	padL := l.padLeft()
-	lo := reluFloor(l.relu)
-	for o := 0; o < l.outC; o++ {
-		mult := l.inScale * l.wScale[o] / l.outScale
-		for t := 0; t < outT; t++ {
-			acc := l.bias[o]
-			for ci := 0; ci < l.inC; ci++ {
-				wBase := (o*l.inC + ci) * l.kernel
-				xBase := ci * x.T
-				for k := 0; k < l.kernel; k++ {
-					src := t*l.stride + k*l.dilation - padL
-					if src >= 0 && src < x.T {
-						acc += int32(l.weight[wBase+k]) * int32(x.Data[xBase+src])
-					}
-				}
-			}
-			y.Data[o*outT+t] = gemm.Requantize(float32(acc)*mult, lo)
-		}
-	}
-	return y
 }
 
 func (l *qConv) macs() int64 {
@@ -177,8 +124,6 @@ type qDense struct {
 	outScale float32
 	relu     bool
 	last     bool
-	lastOut  []float32
-	outBuf   *qTensor
 
 	// panels is weight as gemm.PackBT panels (columns past out zero),
 	// built once by Quantize and shared by every worker clone.
@@ -187,26 +132,6 @@ type qDense struct {
 	// Batched-path output arenas (see quantbatch.go).
 	outBB    *qBatchTensor
 	lastOutB []float32
-}
-
-func (l *qDense) forward(x *qTensor) *qTensor {
-	if l.last && l.lastOut == nil {
-		l.lastOut = make([]float32, l.out)
-	}
-	y := ensureQTensor(&l.outBuf, l.out, 1, l.outScale)
-	for o := 0; o < l.out; o++ {
-		acc := l.bias[o]
-		row := l.weight[o*l.in : (o+1)*l.in]
-		for i, xv := range x.Data {
-			acc += int32(row[i]) * int32(xv)
-		}
-		if l.last {
-			l.lastOut[o] = l.dequant(acc, o)
-		} else {
-			y.Data[o] = l.requant(acc, o)
-		}
-	}
-	return y
 }
 
 // dequant is the final head's float output for accumulator acc of unit o.
@@ -236,9 +161,8 @@ type QuantNetwork struct {
 	norm     *InputNorm
 	inScale  float32
 	ops      []qOp
-	qin      *qTensor      // reused quantized-input buffer
-	qinB     *qBatchTensor // batched twin of qin
-	scratch  qScratch      // batched-path scratch every op shares
+	qinB     *qBatchTensor // reused quantized-input batch
+	scratch  qScratch      // scratch every op shares
 }
 
 // CloneForWorker returns a copy sharing the immutable int8 weights and
@@ -252,13 +176,10 @@ func (q *QuantNetwork) CloneForWorker() *QuantNetwork {
 		switch v := op.(type) {
 		case *qConv:
 			cp := *v
-			cp.out = nil
 			cp.outB = nil
 			c.ops[i] = &cp
 		case *qDense:
 			cp := *v
-			cp.outBuf = nil
-			cp.lastOut = nil
 			cp.outBB, cp.lastOutB = nil, nil
 			c.ops[i] = &cp
 		default:
@@ -485,23 +406,6 @@ func quantizeDense(v *Dense, inScale, outScale float32) *qDense {
 	qd.bias = quantizeBias(v.Bias.W, inScale, qd.wScale)
 	gemm.PackBT(qd.panels, qd.weight, v.Out, v.In)
 	return qd
-}
-
-// Forward runs int8 inference and returns the scalar float output.
-func (q *QuantNetwork) Forward(x *Tensor) float32 {
-	normed := q.norm.Forward(x)
-	cur := quantizeTensorInto(&q.qin, normed, q.inScale)
-	var lastDense *qDense
-	for _, op := range q.ops {
-		cur = op.forward(cur)
-		if d, ok := op.(*qDense); ok && d.last {
-			lastDense = d
-		}
-	}
-	if lastDense == nil || len(lastDense.lastOut) != 1 {
-		panic("tcn: quantized network lacks a scalar head")
-	}
-	return lastDense.lastOut[0]
 }
 
 // MACs returns the int8 multiply-accumulate count per inference.

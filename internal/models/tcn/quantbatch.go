@@ -6,15 +6,16 @@ import (
 	"repro/internal/gemm"
 )
 
-// This file is the batched form of the int8 deployment path: the same
-// im2col + GEMM lowering as the float batch kernels, but with int8
-// operands, int32 accumulators and the per-output-channel rescale of the
-// serial ops. Integer accumulation is exact (so the bias can be added
-// after the GEMM rather than seeded before it), and the rescale applies
-// the identical float expressions element-wise, so batched int8
-// inference is bitwise identical to QuantNetwork.Forward run window by
-// window — the property the record builder and the paper tables rely on
-// for the deployed wearable path.
+// This file is the int8 deployment path: the same im2col + GEMM lowering
+// as the float batch kernels, but with int8 operands, int32 accumulators
+// and a per-output-channel rescale. It is the only int8 inference path;
+// a single window runs as a batch of one. Integer accumulation is exact
+// (so the bias can be added after the GEMM rather than seeded before it),
+// and the rescale applies the scalar reference's float expressions
+// element-wise, so every window's result is bitwise identical to the
+// scalar reference kernels (quantref_test.go) run on it alone, whatever
+// its batch-mates — the property the record builder, the serving engine
+// and the paper tables rely on for the deployed wearable path.
 
 // qBatchTensor is the batched int8 activation tensor, sample-major like
 // BatchTensor: element (n, c, t) lives at Data[(n*C+c)*T+t].
@@ -48,8 +49,8 @@ func ensureQBatchTensor(slot **qBatchTensor, n, c, t int, scale float32) *qBatch
 	return q
 }
 
-// quantizeBatchInto quantizes a float batch with quantizeTensorInto's
-// per-element expression, through gemm's SIMD input row.
+// quantizeBatchInto quantizes a float batch element-wise with
+// gemm.Requantize(v/scale, −127), through gemm's SIMD input row.
 func quantizeBatchInto(slot **qBatchTensor, x *BatchTensor, scale float32) *qBatchTensor {
 	q := ensureQBatchTensor(slot, x.N, x.C, x.T, scale)
 	gemm.QuantizeRow(q.Data, x.Data, scale)
@@ -67,11 +68,11 @@ type qScratch struct {
 	acc     []int32 // int32 accumulators
 }
 
-// rescaleRow applies the per-output-channel rescale of the serial kernel
-// (gemm.Requantize with the optional fused ReLU) to one row of
-// zero-seeded accumulators, adding the channel's bias on the way — the
-// exact per-element expressions of qConv.forward, since int32 addition
-// is associative.
+// rescaleRow applies the per-output-channel rescale (gemm.Requantize
+// with the optional fused ReLU) to one row of zero-seeded accumulators,
+// adding the channel's bias on the way — the exact per-element
+// expressions of the scalar reference, since int32 addition is
+// associative.
 func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
 	gemm.RescaleRow(yr, ar, l.bias[o], l.inScale*l.wScale[o]/l.outScale, reluFloor(l.relu))
 }
@@ -80,10 +81,10 @@ func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
 // straight into the int16 pair panels of gemm.S8Panels (panelIm2col), one
 // panel product against the pre-packed weights runs on zeroed int32
 // accumulators, and each output row takes the per-output-channel bias
-// and rescale of the serial kernel. Large layers run sample by sample;
-// small ones put the whole batch's panels side by side in one product
-// (the cross-sample heuristic of the float path). Integer accumulation
-// is exact, so the result is the serial one either way.
+// and rescale. Large layers run sample by sample; small ones put the
+// whole batch's panels side by side in one product (the cross-sample
+// heuristic of the float path). Integer accumulation is exact, so the
+// result is the scalar reference's either way.
 func (l *qConv) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 	outT := (x.T-1)/l.stride + 1
 	y := ensureQBatchTensor(&l.outB, x.N, l.outC, outT, l.outScale)
@@ -139,9 +140,9 @@ func (l *qConv) tapGeometry(s *qScratch, inT, np int) (rowLen int) {
 }
 
 // panelIm2col writes the im2col matrix of one C×T sample xs — tap rows
-// (ci, k) in ascending order, the serial accumulation order — as np
-// int16 pair panels: it copies xs into the padded rows of tapGeometry and
-// lets gemm.PackRows gather each tap's run.
+// (ci, k) in ascending order, the scalar reference's accumulation order
+// — as np int16 pair panels: it copies xs into the padded rows of
+// tapGeometry and lets gemm.PackRows gather each tap's run.
 func (l *qConv) panelIm2col(s *qScratch, dst []int16, xs []int8, inT, np, rowLen int) {
 	pad := ensureSlice(&s.pad, l.inC*rowLen)
 	clear(pad)
@@ -161,8 +162,8 @@ func denseCols(out int) int {
 // forwardBatch implements qOp for qDense: the whole batch is one panel
 // product of the widened activations against the pre-packed weight
 // panels (accumulators bias-seeded; the zero columns past out are never
-// read), followed by the serial rescale — into float for the final head,
-// re-quantized otherwise.
+// read), followed by the per-unit rescale — into float for the final
+// head, re-quantized otherwise.
 func (l *qDense) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 	N := x.N
 	ldc := denseCols(l.out)
@@ -191,9 +192,9 @@ func (l *qDense) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 	return y
 }
 
-// ForwardBatch runs batched int8 inference, writing each sample's scalar
-// float output into out (length x.N). Results are bitwise identical to
-// Forward per window.
+// ForwardBatch runs int8 inference, writing each sample's scalar float
+// output into out (length x.N). Each result depends only on its own
+// sample: N = 1 gives the same bits as the sample's slot in any batch.
 func (q *QuantNetwork) ForwardBatch(x *BatchTensor, out []float32) {
 	if len(out) != x.N {
 		panic(fmt.Sprintf("tcn: quantized %s batch output has %d slots, want %d", q.Topology, len(out), x.N))

@@ -522,16 +522,17 @@ func (c *cycleScratch) release() {
 	clear(c.batch)
 }
 
-// inferChunk runs one coalesced batch on one model instance. A batch
-// panic falls back to serial per-window inference with per-window
-// recovery, so one poisoned window costs itself (OutcomePanic) and not
-// its batch-mates — batched and serial paths are bitwise identical, so
-// the fallback is invisible in the healthy windows' results.
+// inferChunk runs one coalesced batch on one model instance; a batch
+// model takes every chunk, a lone window included, as one batch. A batch
+// panic falls back to per-window inference with per-window recovery, so
+// one poisoned window costs itself (OutcomePanic) and not its
+// batch-mates — a window's estimate does not depend on its batch-mates,
+// so the fallback is invisible in the healthy windows' results.
 func (e *Engine) inferChunk(ch *chunk) {
 	m, shared := ch.slot.acquire()
 	defer ch.slot.release(m, shared)
 
-	if batcher, ok := m.(models.BatchHREstimator); ok && len(ch.jobs) > 1 {
+	if batcher, ok := m.(models.BatchHREstimator); ok {
 		if tryBatch(batcher, ch) {
 			return
 		}
@@ -541,8 +542,8 @@ func (e *Engine) inferChunk(ch *chunk) {
 	}
 }
 
-// tryBatch attempts the wide batched path; it reports false (leaving all
-// jobs unestimated, to be retried serially) if the batch panicked.
+// tryBatch attempts the batched path; it reports false (leaving all jobs
+// unestimated, to be retried window by window) if the batch panicked.
 func tryBatch(m models.BatchHREstimator, ch *chunk) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -18,7 +18,8 @@ import (
 const wedgeStart = -1234
 
 // blockEst behaves like biasEst except on wedge-marked windows, where it
-// blocks until unblock is closed.
+// blocks until unblock is closed — in both serial and batched paths, since
+// the engine hands even a lone window to the batch path.
 type blockEst struct {
 	biasEst
 	unblock chan struct{}
@@ -29,6 +30,12 @@ func (e *blockEst) EstimateHR(w *dalia.Window) float64 {
 		<-e.unblock
 	}
 	return e.biasEst.EstimateHR(w)
+}
+
+func (e *blockEst) EstimateHRBatch(ws []dalia.Window, out []float64) {
+	for i := range ws {
+		out[i] = e.EstimateHR(&ws[i])
+	}
 }
 
 func (e *blockEst) CloneEstimator() models.HREstimator { return e }
