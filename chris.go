@@ -23,8 +23,9 @@
 //     deterministic under a ServeVirtualClock, whose CRC-protected
 //     snapshots are rejected with typed errors (ErrSnapshotCorrupt,
 //     ErrSnapshotStale; see examples/durability),
-//   - the belief layer's transition-prior codec (SaveBeliefTable,
-//     LoadBeliefTable; see examples/belief).
+//   - the belief layer's transition prior, stored in the same
+//     CRC-protected snapshot frame (SaveBeliefTable, LoadBeliefTable; see
+//     examples/belief).
 //
 // See examples/quickstart for the three-call happy path: BuildPipeline →
 // Engine → Predict.
@@ -219,8 +220,10 @@ var (
 // Belief-propagation re-exports (internal/belief: an HMM over quantized
 // HR bins whose posterior width gates offloads via Engine.DispatchGated).
 var (
-	// SaveBeliefTable and LoadBeliefTable round-trip the binary codec of
-	// the learned HR-transition prior.
+	// SaveBeliefTable and LoadBeliefTable round-trip the learned
+	// HR-transition prior as a CHSS frame (snapshot.KindBeliefTable)
+	// bound to a caller-chosen config hash; SaveBeliefTable publishes
+	// crash-safely.
 	SaveBeliefTable = belief.SaveTable
 	LoadBeliefTable = belief.LoadTable
 )

@@ -36,18 +36,18 @@ func main() {
 	fmt.Printf("transition prior: %d bins of %g BPM covering %g..%g BPM\n",
 		g.Bins, g.BinW, g.MinHR, g.MaxHR())
 
-	// Round-trip the prior through the binary codec, as a deployment
+	// Round-trip the prior through its snapshot frame, as a deployment
 	// shipping the learned table to a watch would.
 	dir, err := os.MkdirTemp("", "belief")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "prior.chbp")
-	if err := chris.SaveBeliefTable(table, path); err != nil {
+	path := filepath.Join(dir, "prior.chss")
+	if err := chris.SaveBeliefTable(table, path, 0); err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := chris.LoadBeliefTable(path)
+	loaded, err := chris.LoadBeliefTable(path, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 package belief
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
+
+	"repro/internal/snapshot"
 )
 
 // Table is a row-stochastic HR-transition prior over a Grid: P[i*Bins+j]
@@ -49,100 +50,70 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// The binary codec: a fixed little-endian layout so an accepted byte
-// stream re-encodes to the identical bytes (the FuzzTransitionPrior
-// round-trip invariant). Layout:
-//
-//	offset 0  magic "CHBP"
-//	offset 4  uint32 version (1)
-//	offset 8  uint32 bins
-//	offset 12 uint32 reserved (must be 0)
-//	offset 16 float64 minHR
-//	offset 24 float64 binW
-//	offset 32 bins×bins float64 probabilities, row-major
-const (
-	tableMagic   = "CHBP"
-	tableVersion = 1
-	tableHeader  = 32
-)
+// The codec: a table is the payload of a snapshot.KindBeliefTable frame,
+// so framing, integrity (CRC) and typed rejection come from
+// internal/snapshot, and the frame is bound to the caller's config hash.
+// Payload, in order: bins u64, minHR f64, binW f64, then the bins×bins
+// probabilities row-major as an f64 slice. The encoding is a pure
+// function of the table's float bits, so an accepted frame re-encodes to
+// the identical bytes (the FuzzTransitionPrior round-trip invariant).
 
-// EncodeTable serializes the table. The output is a pure function of the
-// table's float bits.
-func EncodeTable(t *Table) ([]byte, error) {
+// EncodeTable serializes the table into a frame bound to configHash.
+func EncodeTable(t *Table, configHash uint64) ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	k := t.Grid.Bins
-	out := make([]byte, tableHeader+8*k*k)
-	copy(out, tableMagic)
-	binary.LittleEndian.PutUint32(out[4:], tableVersion)
-	binary.LittleEndian.PutUint32(out[8:], uint32(k))
-	binary.LittleEndian.PutUint32(out[12:], 0)
-	binary.LittleEndian.PutUint64(out[16:], math.Float64bits(t.Grid.MinHR))
-	binary.LittleEndian.PutUint64(out[24:], math.Float64bits(t.Grid.BinW))
-	for i, v := range t.P {
-		binary.LittleEndian.PutUint64(out[tableHeader+8*i:], math.Float64bits(v))
-	}
-	return out, nil
+	w := snapshot.NewWriterSize(snapshot.KindBeliefTable, configHash, 3*8+4+8*len(t.P))
+	w.U64(uint64(t.Grid.Bins))
+	w.F64(t.Grid.MinHR)
+	w.F64(t.Grid.BinW)
+	w.F64s(t.P)
+	return w.Finish(), nil
 }
 
-// ParseTable decodes and validates an encoded transition prior. It
-// rejects wrong magic/version, wrong geometry (including trailing bytes),
-// non-finite or negative entries, and non-row-stochastic tables. Accepted
-// input re-encodes byte-identically.
-func ParseTable(data []byte) (*Table, error) {
-	if len(data) < tableHeader {
-		return nil, fmt.Errorf("belief: table truncated at %d bytes (header is %d)", len(data), tableHeader)
+// ParseTable decodes and validates an encoded transition prior. Framing
+// damage and malformed payloads (bins outside [2, maxBins], wrong
+// geometry, trailing bytes, non-finite or negative entries, rows that do
+// not sum to 1) fail with snapshot.ErrCorrupt; an intact frame of another
+// kind or config hash fails with snapshot.ErrStale. Accepted input
+// re-encodes byte-identically.
+func ParseTable(data []byte, configHash uint64) (*Table, error) {
+	r, err := snapshot.Open(data, snapshot.KindBeliefTable, configHash)
+	if err != nil {
+		return nil, fmt.Errorf("belief: table: %w", err)
 	}
-	if string(data[:4]) != tableMagic {
-		return nil, fmt.Errorf("belief: bad magic %q", data[:4])
+	bins := r.U64()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("belief: table: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != tableVersion {
-		return nil, fmt.Errorf("belief: unsupported table version %d", v)
-	}
-	bins := binary.LittleEndian.Uint32(data[8:])
 	if bins < 2 || bins > maxBins {
-		return nil, fmt.Errorf("belief: bins %d outside [2, %d]", bins, maxBins)
+		return nil, fmt.Errorf("belief: table: %w: bins %d outside [2, %d]", snapshot.ErrCorrupt, bins, maxBins)
 	}
-	if r := binary.LittleEndian.Uint32(data[12:]); r != 0 {
-		return nil, fmt.Errorf("belief: reserved header field is %d, want 0", r)
-	}
-	k := int(bins)
-	want := tableHeader + 8*k*k
-	if len(data) != want {
-		return nil, fmt.Errorf("belief: %d-bin table needs exactly %d bytes, got %d", k, want, len(data))
-	}
-	t := &Table{
-		Grid: Grid{
-			Bins:  k,
-			MinHR: math.Float64frombits(binary.LittleEndian.Uint64(data[16:])),
-			BinW:  math.Float64frombits(binary.LittleEndian.Uint64(data[24:])),
-		},
-		P: make([]float64, k*k),
-	}
-	for i := range t.P {
-		t.P[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[tableHeader+8*i:]))
+	t := &Table{Grid: Grid{Bins: int(bins), MinHR: r.F64(), BinW: r.F64()}, P: r.F64s()}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("belief: table: %w", err)
 	}
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
 	return t, nil
 }
 
-// SaveTable writes the encoded table to path.
-func SaveTable(t *Table, path string) error {
-	data, err := EncodeTable(t)
+// SaveTable publishes the encoded table at path through
+// snapshot.WriteFile, so a crash never leaves a torn table behind.
+func SaveTable(t *Table, path string, configHash uint64) error {
+	data, err := EncodeTable(t, configHash)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return snapshot.WriteFile(path, data)
 }
 
 // LoadTable reads and validates an encoded table from path.
-func LoadTable(path string) (*Table, error) {
+func LoadTable(path string, configHash uint64) (*Table, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return ParseTable(data)
+	return ParseTable(data, configHash)
 }

@@ -3,19 +3,25 @@ package belief
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/snapshot"
 )
+
+// testHash is the config hash the codec tests bind their frames to.
+const testHash = 0x5eed
 
 func TestTableCodecRoundTrip(t *testing.T) {
 	tab := learnedTable(t)
-	data, err := EncodeTable(tab)
+	data, err := EncodeTable(tab, testHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseTable(data)
+	got, err := ParseTable(data, testHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +34,7 @@ func TestTableCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Re-encoding an accepted table must reproduce the input bytes.
-	re, err := EncodeTable(got)
+	re, err := EncodeTable(got, testHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +45,12 @@ func TestTableCodecRoundTrip(t *testing.T) {
 
 func TestTableSaveLoad(t *testing.T) {
 	tab := learnedTable(t)
-	path := filepath.Join(t.TempDir(), "prior.chbp")
-	if err := SaveTable(tab, path); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "prior.chss")
+	if err := SaveTable(tab, path, testHash); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadTable(path)
+	got, err := LoadTable(path, testHash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,44 +59,93 @@ func TestTableSaveLoad(t *testing.T) {
 			t.Fatalf("cell %d changed across disk round-trip", i)
 		}
 	}
-	if _, err := LoadTable(filepath.Join(t.TempDir(), "missing.chbp")); err == nil {
+	if _, err := LoadTable(path, testHash+1); !errors.Is(err, snapshot.ErrStale) {
+		t.Errorf("table under another config hash: err = %v, want ErrStale", err)
+	}
+	if _, err := LoadTable(filepath.Join(dir, "missing.chss"), testHash); err == nil {
 		t.Error("loading a missing file succeeded")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Errorf("save left %d entries in its directory, want 1", len(ents))
+	}
+}
+
+// sealTable writes a table frame from raw payload fields and seals it
+// with a valid CRC, so a malformed payload reaches ParseTable's payload
+// checks rather than failing the frame's integrity check.
+func sealTable(fill func(w *snapshot.Writer)) []byte {
+	w := snapshot.NewWriter(snapshot.KindBeliefTable, testHash)
+	fill(w)
+	return w.Finish()
+}
+
+// tableFields writes the payload fields in codec order.
+func tableFields(bins uint64, minHR, binW float64, p []float64) func(w *snapshot.Writer) {
+	return func(w *snapshot.Writer) {
+		w.U64(bins)
+		w.F64(minHR)
+		w.F64(binW)
+		w.F64s(p)
 	}
 }
 
 func TestParseTableRejectsHostileBytes(t *testing.T) {
-	valid, err := EncodeTable(learnedTable(t))
+	tab := learnedTable(t)
+	g := tab.Grid
+	valid, err := EncodeTable(tab, testHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mut := func(f func(b []byte)) []byte {
-		b := append([]byte(nil), valid...)
-		f(b)
-		return b
+	// The sealing helper itself produces an accepted frame, so each case
+	// below fails on its own mutation.
+	if _, err := ParseTable(sealTable(tableFields(uint64(g.Bins), g.MinHR, g.BinW, tab.P)), testHash); err != nil {
+		t.Fatalf("resealed valid table rejected: %v", err)
 	}
-	cases := map[string][]byte{
-		"empty":          nil,
-		"short-header":   valid[:tableHeader-1],
-		"truncated-body": valid[:len(valid)-8],
-		"oversized":      append(append([]byte(nil), valid...), 0),
-		"bad-magic":      mut(func(b []byte) { b[0] = 'X' }),
-		"bad-version":    mut(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 99) }),
-		"zero-bins":      mut(func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 0) }),
-		"huge-bins":      mut(func(b []byte) { binary.LittleEndian.PutUint32(b[8:], maxBins+1) }),
-		"reserved-set":   mut(func(b []byte) { b[12] = 1 }),
-		"nan-cell": mut(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[tableHeader:], math.Float64bits(math.NaN()))
-		}),
-		"non-stochastic-row": mut(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[tableHeader:], math.Float64bits(0.999))
-		}),
-		"bad-geometry": mut(func(b []byte) {
-			binary.LittleEndian.PutUint64(b[16:], math.Float64bits(-5)) // MinHR < 0
-		}),
+	withCell := func(i int, v float64) []float64 {
+		p := append([]float64(nil), tab.P...)
+		p[i] = v
+		return p
 	}
-	for name, data := range cases {
-		if _, err := ParseTable(data); err == nil {
-			t.Errorf("%s: hostile input accepted", name)
+	// The parent codec's layout: magic "CHBP", version, bins, reserved,
+	// minHR, binW, then the cells.
+	chbp := append([]byte("CHBP"), make([]byte, 28+8*len(tab.P))...)
+	binary.LittleEndian.PutUint32(chbp[4:], 1)
+	binary.LittleEndian.PutUint32(chbp[8:], uint32(g.Bins))
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 1
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"empty", nil, snapshot.ErrCorrupt},
+		{"parent-chbp", chbp, snapshot.ErrCorrupt},
+		{"truncated-frame", valid[:len(valid)-1], snapshot.ErrCorrupt},
+		{"bit-flip", flipped, snapshot.ErrCorrupt},
+		{"other-kind", func() []byte {
+			w := snapshot.NewWriter(snapshot.KindWeights, testHash)
+			tableFields(uint64(g.Bins), g.MinHR, g.BinW, tab.P)(w)
+			return w.Finish()
+		}(), snapshot.ErrStale},
+		{"zero-bins", sealTable(tableFields(0, g.MinHR, g.BinW, tab.P)), snapshot.ErrCorrupt},
+		{"huge-bins", sealTable(tableFields(maxBins+1, g.MinHR, g.BinW, tab.P)), snapshot.ErrCorrupt},
+		{"nan-cell", sealTable(tableFields(uint64(g.Bins), g.MinHR, g.BinW, withCell(0, math.NaN()))), snapshot.ErrCorrupt},
+		{"non-stochastic-row", sealTable(tableFields(uint64(g.Bins), g.MinHR, g.BinW, withCell(0, 0.999))), snapshot.ErrCorrupt},
+		{"negative-minhr", sealTable(tableFields(uint64(g.Bins), -5, g.BinW, tab.P)), snapshot.ErrCorrupt},
+		{"short-cells", sealTable(tableFields(uint64(g.Bins), g.MinHR, g.BinW, tab.P[:len(tab.P)-1])), snapshot.ErrCorrupt},
+		{"truncated-payload", sealTable(func(w *snapshot.Writer) {
+			w.U64(uint64(g.Bins))
+			w.F64(g.MinHR)
+			w.F64(g.BinW)
+		}), snapshot.ErrCorrupt},
+		{"trailing", sealTable(func(w *snapshot.Writer) {
+			tableFields(uint64(g.Bins), g.MinHR, g.BinW, tab.P)(w)
+			w.U8(0)
+		}), snapshot.ErrCorrupt},
+	}
+	for _, c := range cases {
+		if _, err := ParseTable(c.data, testHash); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 }
@@ -122,8 +178,8 @@ func TestTableValidate(t *testing.T) {
 func TestSaveTableRefusesInvalid(t *testing.T) {
 	tab := learnedTable(t)
 	bad := &Table{Grid: tab.Grid, P: make([]float64, tab.Grid.Bins*tab.Grid.Bins)}
-	path := filepath.Join(t.TempDir(), "bad.chbp")
-	if err := SaveTable(bad, path); err == nil {
+	path := filepath.Join(t.TempDir(), "bad.chss")
+	if err := SaveTable(bad, path, testHash); err == nil {
 		t.Fatal("all-zero table saved")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {

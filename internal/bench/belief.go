@@ -2,22 +2,23 @@ package bench
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
 	"path/filepath"
 	"sort"
 
 	"repro/internal/belief"
 	"repro/internal/core"
 	"repro/internal/hw/power"
-	"repro/internal/reccache"
 	"repro/internal/sim"
 )
 
 // beliefMarker fingerprints everything the cached transition prior
 // depends on: codec version, grid geometry, learning knobs, and the suite
-// configuration that generated the training windows. It is stored as the
-// cache file's single column name, so a stale cache fails reccache's
-// geometry check instead of silently serving the wrong prior.
+// configuration that generated the training windows. Its FNV-64a hash is
+// the config hash the cache frame is bound to, so a stale cache fails
+// with snapshot.ErrStale instead of silently serving the wrong prior.
 func (s *Suite) beliefMarker(g belief.Grid, lc belief.LearnConfig) string {
 	return fmt.Sprintf("beliefprior:v1:g%dx%gx%g:sm%g:b%g:%s",
 		g.Bins, g.MinHR, g.BinW, lc.Smoothing, lc.BandBPM, s.Cfg.key())
@@ -25,59 +26,32 @@ func (s *Suite) beliefMarker(g belief.Grid, lc belief.LearnConfig) string {
 
 // BeliefTable learns the HR-transition prior from the suite's training
 // subjects (the same split that trains the networks and the difficulty
-// forest), caching it in CacheDir through reccache like the trained
-// weights and records: cell (i,j) is record i·Bins+j's single prediction
-// column.
+// forest), caching it in CacheDir as a belief.SaveTable frame bound to
+// the hash of beliefMarker. Any load error counts as a miss: the prior is
+// learned again and the file rewritten.
 func (s *Suite) BeliefTable() (*belief.Table, error) {
 	g := belief.DefaultGrid()
 	lc := belief.DefaultLearnConfig()
 	if s.Cfg.CacheDir == "" {
 		return belief.LearnWindows(g, s.TrainWindows, lc)
 	}
-	marker := s.beliefMarker(g, lc)
-	path := filepath.Join(s.Cfg.CacheDir, fmt.Sprintf("belief_%s.chrc", s.Cfg.key()))
-	k := g.Bins
+	h := fnv.New64a()
+	h.Write([]byte(s.beliefMarker(g, lc)))
+	hash := h.Sum64()
+	path := filepath.Join(s.Cfg.CacheDir, fmt.Sprintf("belief_%s.chss", s.Cfg.key()))
 
-	if r, err := reccache.Open(path); err == nil {
-		t := &belief.Table{Grid: g, P: make([]float64, k*k)}
-		names := r.Names()
-		ok := len(names) == 1 && names[0] == marker && r.Count() == k*k
-		if ok {
-			err = r.Iter(func(i int, rec *core.WindowRecord) bool {
-				if len(rec.Preds) != 1 {
-					ok = false
-					return false
-				}
-				t.P[i] = rec.Preds[0]
-				return true
-			})
-			ok = ok && err == nil
-		}
-		r.Close()
-		if ok && t.Validate() == nil {
-			s.Cfg.logf("loaded cached transition prior from %s", path)
-			return t, nil
-		}
+	if t, err := belief.LoadTable(path, hash); err == nil {
+		s.Cfg.logf("loaded cached transition prior from %s", path)
+		return t, nil
 	}
-
 	t, err := belief.LearnWindows(g, s.TrainWindows, lc)
 	if err != nil {
 		return nil, err
 	}
-	w, err := reccache.Create(path, []string{marker}, k*k)
-	if err != nil {
+	if err := os.MkdirAll(s.Cfg.CacheDir, 0o755); err != nil {
 		return nil, err
 	}
-	header := core.NewRecordHeader(marker)
-	recs := make([]core.WindowRecord, k*k)
-	for i := range t.P {
-		recs[i] = core.WindowRecord{Header: header, Preds: t.P[i : i+1 : i+1]}
-	}
-	if err := w.WriteSegment(0, recs); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Finalize(); err != nil {
+	if err := belief.SaveTable(t, path, hash); err != nil {
 		return nil, err
 	}
 	s.Cfg.logf("cached transition prior to %s", path)

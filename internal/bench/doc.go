@@ -5,10 +5,13 @@
 // artifacts; the repository-root benchmarks expose one testing.B target
 // per artifact.
 //
-// Suite construction caches its two expensive products under
-// SuiteConfig.CacheDir, both crash-safely (temp file + atomic rename):
-// trained TCN weights in the tcn weight format, and per-window inference
-// records in the columnar format of internal/reccache. Record builds
+// Suite construction caches its expensive products under
+// SuiteConfig.CacheDir, all crash-safely (partial file + atomic rename):
+// trained TCN weights and the learned belief transition prior as CHSS
+// frames (internal/snapshot; the prior's frame is bound to a hash of
+// everything it was learned from), and per-window inference records in
+// the columnar format of internal/reccache. Any cache file that fails to
+// load is rebuilt, not migrated. Record builds
 // stream worker chunks through a checkpointing reccache.Writer, so an
 // interrupted run restarts from its last completed chunk under
 // SuiteConfig.Resume (chrisbench -resume) and still produces a

@@ -8,9 +8,11 @@ import (
 )
 
 // Plan holds the precomputed tables for forward real-input radix-2 FFTs
-// of one size: the bit-reversal permutation and the twiddle factors, plus
-// a chain of half-size plans used by the real-input transform. Building a
-// plan costs O(n); every transform through it is allocation-free.
+// of one size n. The real transform runs as one n/2-point complex FFT, so
+// the plan keeps exactly what that reads: the n/2-point bit-reversal
+// permutation and DIT stage twiddles, plus the unpacking twiddles.
+// Building a plan costs O(n); every transform through it is
+// allocation-free.
 //
 // A Plan's tables are read-only after construction, so RealFFTInto may be
 // called concurrently from multiple goroutines. PowerSpectrumInto reuses
@@ -18,13 +20,12 @@ import (
 // same Plan.
 type Plan struct {
 	n   int
-	rev []int32      // bit-reversal permutation
-	tw  []complex128 // tw[k] = exp(-2πik/n), k < n/2 (real-unpack table)
-	// stages[s] holds the twiddles of DIT stage size 4<<s contiguously
-	// (one table per stage keeps the hot loop free of stride arithmetic).
-	stages [][]complex128
-
-	half    *Plan // (n/2)-point plan backing the real-input transform
+	rev []int32      // bit-reversal permutation of n/2 points
+	tw  []complex128 // tw[k] = exp(-2πik/n), k < n/4 (real-unpack table)
+	// stages[s] holds the twiddles of the n/2-point FFT's DIT stage size
+	// 4<<s contiguously (one table per stage keeps the hot loop free of
+	// stride arithmetic).
+	stages  [][]complex128
 	scratch []complex128
 }
 
@@ -35,20 +36,20 @@ func NewPlan(n int) *Plan {
 		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", n))
 	}
 	p := &Plan{n: n}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	p.rev = make([]int32, n)
-	for i := 0; i < n; i++ {
-		if n == 1 {
-			break
+	m := n / 2
+	p.rev = make([]int32, m)
+	if m > 1 {
+		shift := 64 - uint(bits.TrailingZeros(uint(m)))
+		for i := range p.rev {
+			p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 		}
-		p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 	}
-	p.tw = make([]complex128, n/2)
+	p.tw = make([]complex128, n/4)
 	for k := range p.tw {
 		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 		p.tw[k] = complex(c, s)
 	}
-	for size := 4; size <= n; size <<= 1 {
+	for size := 4; size <= m; size <<= 1 {
 		tbl := make([]complex128, size/2)
 		for k := range tbl {
 			s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(size))
@@ -56,19 +57,16 @@ func NewPlan(n int) *Plan {
 		}
 		p.stages = append(p.stages, tbl)
 	}
-	if n >= 2 {
-		p.half = NewPlan(n / 2)
-	}
 	return p
 }
 
 // Size returns the transform length the plan was built for.
 func (p *Plan) Size() int { return p.n }
 
-// butterflies runs the forward DIT stages over x, which must already be
-// in bit-reversed order.
+// butterflies runs the forward DIT stages of the n/2-point FFT over x,
+// which must already be in bit-reversed order.
 func (p *Plan) butterflies(x []complex128) {
-	n := p.n
+	n := len(p.rev)
 	switch {
 	case n == 2:
 		a, b := x[0], x[1]
@@ -178,12 +176,12 @@ func (p *Plan) RealFFTInto(dst []complex128, x []float64) []complex128 {
 	m := p.n / 2
 	dst = dst[:m+1]
 	z := dst[:m]
-	// Pack even/odd sample pairs directly in the half plan's bit-reversed
-	// order, fusing the permutation pass into the load.
-	for j, src := range p.half.rev {
+	// Pack even/odd sample pairs directly in bit-reversed order, fusing
+	// the permutation pass into the load.
+	for j, src := range p.rev {
 		z[j] = complex(x[2*src], x[2*src+1])
 	}
-	p.half.butterflies(z)
+	p.butterflies(z)
 
 	// Unpack: with z[j] = even[j] + i·odd[j] and Z its m-point spectrum,
 	// Fe[k] = (Z[k]+conj(Z[m-k]))/2, Fo[k] = -i(Z[k]-conj(Z[m-k]))/2 and
@@ -229,10 +227,10 @@ func (p *Plan) PowerSpectrumInto(dst []float64, x []float64) []float64 {
 		p.scratch = make([]complex128, m)
 	}
 	z := p.scratch[:m]
-	for j, src := range p.half.rev {
+	for j, src := range p.rev {
 		z[j] = complex(x[2*src], x[2*src+1])
 	}
-	p.half.butterflies(z)
+	p.butterflies(z)
 	// Same unpacking as RealFFTInto, but squared on the fly — conjugation
 	// drops out of |·|², so the magnitudes come straight from fe ± t.
 	dst = dst[:m+1]

@@ -172,3 +172,28 @@ func BenchmarkPowerSpectrum256Seed(b *testing.B) {
 		seedPowerSpectrum(x)
 	}
 }
+
+// TestPlanTablesSizedToWhatTransformsRead: a plan holds only the n/2-point
+// FFT's permutation and stage twiddles plus the n/4 unpacking twiddles the
+// real transform reads — no chain of smaller plans.
+func TestPlanTablesSizedToWhatTransformsRead(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 8, 16, 256, 512} {
+		p := NewPlan(n)
+		m := n / 2
+		if len(p.rev) != m || len(p.tw) != n/4 {
+			t.Errorf("n=%d: rev %d, tw %d entries; want %d, %d", n, len(p.rev), len(p.tw), m, n/4)
+		}
+		wantStages := 0
+		for size := 4; size <= m; size <<= 1 {
+			wantStages++
+		}
+		if len(p.stages) != wantStages {
+			t.Fatalf("n=%d: %d stage tables, want %d", n, len(p.stages), wantStages)
+		}
+		for s, tbl := range p.stages {
+			if len(tbl) != (4<<s)/2 {
+				t.Errorf("n=%d: stage %d has %d twiddles, want %d", n, s, len(tbl), (4<<s)/2)
+			}
+		}
+	}
+}

@@ -15,8 +15,8 @@ import (
 	"repro/internal/hw/power"
 	"repro/internal/models"
 	"repro/internal/models/rf"
-	"repro/internal/reccache"
 	"repro/internal/sim"
+	"repro/internal/snapshot"
 )
 
 const daySeconds = 86400
@@ -391,7 +391,7 @@ func (f *Fleet) simulateUser(id int, statePath string, interrupted func() bool) 
 			if st.Done {
 				break
 			}
-			if err := reccache.WriteFileAtomic(statePath, sim.EncodeState(&st, f.cfg.hash64())); err != nil {
+			if err := snapshot.WriteFile(statePath, sim.EncodeState(&st, f.cfg.hash64())); err != nil {
 				return nil, fmt.Errorf("fleet: user %d snapshot: %w", id, err)
 			}
 			if interrupted != nil && interrupted() {

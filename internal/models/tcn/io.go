@@ -1,108 +1,56 @@
 package tcn
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
-	"path/filepath"
+
+	"repro/internal/snapshot"
 )
 
-// Weight-file format (little endian):
-//
-//	magic "TCNW"  version u32  topologyLen u32  topology bytes
-//	paramCount u32, then per parameter: nameLen u32, name, elems u32,
-//	elems × float32.
-//
-// Weights are matched to the freshly built topology by order and name, so
-// a file can only be loaded into the topology that produced it.
+// A weight file is one snapshot.KindWeights frame, so framing, the CRC
+// and typed rejection (snapshot.ErrCorrupt, snapshot.ErrStale) come from
+// internal/snapshot. Payload, in order: the topology name, the parameter
+// count, then per parameter its name and float32 values. Weights are
+// matched to the freshly built topology by order and name, so a file can
+// only be loaded into the topology that produced it; the frame's config
+// hash is 0, because the topology name is what binds it.
 
-const weightMagic = "TCNW"
-const weightVersion = 1
-
-// Save writes the network's parameters to path. The write is crash-safe:
-// it goes to a temporary file in the destination directory and is renamed
-// into place only after a successful flush, so an interrupted run can
-// never leave a truncated weight file behind (which would poison every
-// later cache load).
-func Save(n *Network, path string) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err := saveTo(f, n); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func saveTo(f *os.File, n *Network) error {
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(weightMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(weightVersion)); err != nil {
-		return err
-	}
-	if err := writeString(w, n.Topology); err != nil {
-		return err
-	}
+// Save writes the network's parameters to path. The write is crash-safe
+// (snapshot.WriteFile): an interrupted run can never leave a truncated
+// weight file behind, which would poison every later cache load.
+func Save(n *Network, path string) error {
 	params := n.Params()
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(params))); err != nil {
-		return err
-	}
+	w := snapshot.NewWriter(snapshot.KindWeights, 0)
+	w.String(n.Topology)
+	w.U64(uint64(len(params)))
 	for _, p := range params {
-		if err := writeString(w, p.Name); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(p.W))); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, p.W); err != nil {
-			return err
-		}
+		w.String(p.Name)
+		w.F32s(p.W)
 	}
-	return w.Flush()
+	return snapshot.WriteFile(path, w.Finish())
 }
 
 // Load reads a weight file and returns a network of the stored topology.
+// Besides the frame's own checks it rejects an unknown topology, a
+// parameter count, name order or element count that does not match that
+// topology, and non-finite weights, all as snapshot.ErrCorrupt. The
+// returned network keeps no reference to the file's bytes.
 func Load(path string) (*Network, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != weightMagic {
-		return nil, fmt.Errorf("tcn: %s is not a weight file", path)
-	}
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != weightVersion {
-		return nil, fmt.Errorf("tcn: unsupported weight version %d", version)
-	}
-	topology, err := readString(r)
+	r, err := snapshot.Open(data, snapshot.KindWeights, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tcn: %s: %w", path, err)
+	}
+	corrupt := func(format string, args ...interface{}) error {
+		return fmt.Errorf("tcn: %s: %w: %s", path, snapshot.ErrCorrupt, fmt.Sprintf(format, args...))
+	}
+	topology := r.String()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("tcn: %s: %w", path, err)
 	}
 	var net *Network
 	switch topology {
@@ -111,69 +59,36 @@ func Load(path string) (*Network, error) {
 	case BigName:
 		net = NewTimePPGBig()
 	default:
-		return nil, fmt.Errorf("tcn: unknown topology %q", topology)
-	}
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, err
+		return nil, corrupt("unknown topology %q", topology)
 	}
 	params := net.Params()
-	if int(count) != len(params) {
-		return nil, fmt.Errorf("tcn: %s has %d params, topology needs %d", path, count, len(params))
+	if count := r.U64(); r.Err() == nil && count != uint64(len(params)) {
+		return nil, corrupt("%d params, topology needs %d", count, len(params))
 	}
 	for _, p := range params {
-		name, err := readString(r)
-		if err != nil {
-			return nil, err
+		name := r.String()
+		w := r.F32s()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("tcn: %s: %w", path, err)
 		}
 		if name != p.Name {
-			return nil, fmt.Errorf("tcn: parameter order mismatch: file %q, topology %q", name, p.Name)
+			return nil, corrupt("parameter order mismatch: file %q, topology %q", name, p.Name)
 		}
-		var elems uint32
-		if err := binary.Read(r, binary.LittleEndian, &elems); err != nil {
-			return nil, err
+		if len(w) != len(p.W) {
+			return nil, corrupt("parameter %q has %d elements, want %d", name, len(w), len(p.W))
 		}
-		if int(elems) != len(p.W) {
-			return nil, fmt.Errorf("tcn: parameter %q has %d elements, want %d", name, elems, len(p.W))
-		}
-		if err := binary.Read(r, binary.LittleEndian, p.W); err != nil {
-			return nil, err
-		}
-		for i, v := range p.W {
+		for i, v := range w {
 			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				return nil, fmt.Errorf("tcn: parameter %q element %d is not finite", name, i)
+				return nil, corrupt("parameter %q element %d is not finite", name, i)
 			}
 		}
+		copy(p.W, w)
 	}
-	// A weight file is exactly its parameters: trailing bytes mean the
-	// file was written by something else (or corrupted past the point the
-	// per-parameter checks can see), so refuse it rather than silently
-	// ignoring the tail.
-	if _, err := r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("tcn: %s has trailing data after last parameter", path)
+	// A weight file is exactly its parameters: trailing payload bytes
+	// mean it was written by something else, so refuse it rather than
+	// silently ignoring the tail.
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("tcn: %s: %w", path, err)
 	}
 	return net, nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("tcn: unreasonable string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

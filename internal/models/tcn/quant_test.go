@@ -1,11 +1,17 @@
 package tcn
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 func trainedTinyNet(t *testing.T) (*Network, []Sample) {
@@ -99,13 +105,116 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// weightFields writes a weight payload: the topology name, a parameter
+// count, then each parameter's name and values after edit (nil keeps
+// them).
+func weightFields(topology string, count int, params []*Param, edit func(i int, name string, w []float32) (string, []float32)) func(w *snapshot.Writer) {
+	return func(w *snapshot.Writer) {
+		w.String(topology)
+		w.U64(uint64(count))
+		for i, p := range params {
+			name, vals := p.Name, p.W
+			if edit != nil {
+				name, vals = edit(i, name, vals)
+			}
+			w.String(name)
+			w.F32s(vals)
+		}
+	}
+}
+
+// sealWeights seals a payload into a frame of the given kind with a valid
+// CRC, so a malformed payload reaches Load's payload checks.
+func sealWeights(kind snapshot.Kind, fill func(w *snapshot.Writer)) []byte {
+	w := snapshot.NewWriter(kind, 0)
+	fill(w)
+	return w.Finish()
+}
+
+// parentWeightFile encodes net in the pre-CHSS TCNW layout: magic,
+// version u32, topology, parameter count u32, then per parameter its
+// name, element count u32 and float32 values.
+func parentWeightFile(net *Network) []byte {
+	var b bytes.Buffer
+	str := func(s string) {
+		binary.Write(&b, binary.LittleEndian, uint32(len(s)))
+		b.WriteString(s)
+	}
+	b.WriteString("TCNW")
+	binary.Write(&b, binary.LittleEndian, uint32(1))
+	str(net.Topology)
+	params := net.Params()
+	binary.Write(&b, binary.LittleEndian, uint32(len(params)))
+	for _, p := range params {
+		str(p.Name)
+		binary.Write(&b, binary.LittleEndian, uint32(len(p.W)))
+		binary.Write(&b, binary.LittleEndian, p.W)
+	}
+	return b.Bytes()
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bogus.tcnw")
-	if err := Save(NewTimePPGSmall(), path); err != nil {
+	net := NewTimePPGSmall()
+	net.InitWeights(3)
+	params := net.Params()
+	dir := t.TempDir()
+	validPath := filepath.Join(dir, "valid.tcnw")
+	if err := Save(net, validPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.tcnw")); err == nil {
-		t.Error("missing file loaded")
+	valid, err := os.ReadFile(validPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sealing helpers reproduce Save's bytes, so each case below
+	// fails on its own mutation.
+	if !bytes.Equal(sealWeights(snapshot.KindWeights, weightFields(SmallName, len(params), params, nil)), valid) {
+		t.Fatal("resealed weights differ from Save's encoding")
+	}
+	reseal := func(edit func(i int, name string, w []float32) (string, []float32)) []byte {
+		return sealWeights(snapshot.KindWeights, weightFields(SmallName, len(params), params, edit))
+	}
+	first := func(f func(name string, w []float32) (string, []float32)) func(int, string, []float32) (string, []float32) {
+		return func(i int, name string, w []float32) (string, []float32) {
+			if i == 0 {
+				return f(name, w)
+			}
+			return name, w
+		}
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"parent-tcnw", parentWeightFile(net), snapshot.ErrCorrupt},
+		{"truncated-frame", valid[:len(valid)/2], snapshot.ErrCorrupt},
+		{"belief-kind", sealWeights(snapshot.KindBeliefTable, weightFields(SmallName, len(params), params, nil)), snapshot.ErrStale},
+		{"nan-weight", reseal(first(func(name string, w []float32) (string, []float32) {
+			w = append([]float32(nil), w...)
+			w[len(w)/2] = float32(math.NaN())
+			return name, w
+		})), snapshot.ErrCorrupt},
+		{"unknown-topology", sealWeights(snapshot.KindWeights, weightFields("TimePPG-Huge", len(params), params, nil)), snapshot.ErrCorrupt},
+		{"param-count", sealWeights(snapshot.KindWeights, weightFields(SmallName, len(params)+1, params, nil)), snapshot.ErrCorrupt},
+		{"swapped-name", reseal(first(func(_ string, w []float32) (string, []float32) { return params[1].Name, w })), snapshot.ErrCorrupt},
+		{"short-elements", reseal(first(func(name string, w []float32) (string, []float32) { return name, w[:len(w)-1] })), snapshot.ErrCorrupt},
+		{"trailing-byte", sealWeights(snapshot.KindWeights, func(w *snapshot.Writer) {
+			weightFields(SmallName, len(params), params, nil)(w)
+			w.U8(0)
+		}), snapshot.ErrCorrupt},
+	}
+	for _, c := range cases {
+		path := filepath.Join(dir, c.name+".tcnw")
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+	if _, err := Load(filepath.Join(dir, "missing.tcnw")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err = %v", err)
 	}
 }
 

@@ -68,8 +68,9 @@
 // # Crash safety and resume
 //
 // A Writer works at PartialPath(path) (path + ".partial") and renames
-// onto path only in Finalize, after a checkpoint and fsync — mirroring
-// tcn.Save, a file under the final name is always complete. Flush
+// onto path only in Finalize, after a checkpoint and fsync — the same
+// publish step snapshot.WriteFile takes for every single-blob file, so a
+// file under the final name is always complete. Flush
 // persists the contiguous completed prefix into the count field, syncing
 // the column data first so the checkpoint holds across OS crashes and
 // power loss, not just process kills; a run killed between checkpoints

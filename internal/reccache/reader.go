@@ -91,13 +91,6 @@ func (r *Reader) Count() int { return int(r.count) }
 // Capacity returns the record capacity the file was laid out for.
 func (r *Reader) Capacity() int { return int(r.lay.capacity) }
 
-// Names returns the model-name columns in dense order.
-func (r *Reader) Names() []string { return r.lay.names }
-
-// Header returns the shared prediction header every loaded record points
-// to.
-func (r *Reader) Header() *core.RecordHeader { return r.header }
-
 // Records loads every complete record. Equivalent to RecordsInto(nil).
 func (r *Reader) Records() ([]core.WindowRecord, error) {
 	return r.RecordsInto(nil)

@@ -127,9 +127,6 @@ func (w *Writer) Count() int {
 // Capacity returns the record capacity the file was laid out for.
 func (w *Writer) Capacity() int { return int(w.lay.capacity) }
 
-// Names returns the model-name columns.
-func (w *Writer) Names() []string { return w.lay.names }
-
 // WriteSegment writes recs as records [start, start+len(recs)). Segments
 // may overlap previously written ranges (a resumed run rewrites its
 // unflushed tail) and may be written concurrently as long as concurrent
@@ -252,9 +249,9 @@ func (w *Writer) Flush() error {
 }
 
 // Finalize requires every record to be present, checkpoints, syncs and
-// atomically renames the partial file onto the final path — mirroring
-// tcn.Save, an interrupted run can never leave a truncated file under the
-// final name.
+// atomically renames the partial file onto the final path — as
+// snapshot.WriteFile does for single blobs, an interrupted run can never
+// leave a truncated file under the final name.
 func (w *Writer) Finalize() error {
 	if got, want := w.Count(), w.Capacity(); got != want {
 		return fmt.Errorf("reccache: finalize with %d of %d records", got, want)

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"repro/internal/hw/power"
-	"repro/internal/reccache"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
@@ -114,11 +113,11 @@ func (e *Engine) encodeSessions(w *snapshot.Writer, now float64, sessions []*Ses
 	}
 }
 
-// Checkpoint writes Snapshot() to path with the reccache atomic
+// Checkpoint writes Snapshot() to path with snapshot.WriteFile's
 // partial-file+rename discipline: readers observe either the previous
 // complete checkpoint or the new one, never a torn write.
 func (e *Engine) Checkpoint(path string) error {
-	return reccache.WriteFileAtomic(path, e.Snapshot())
+	return snapshot.WriteFile(path, e.Snapshot())
 }
 
 // Restore rebuilds every checkpointed session inside a freshly opened

@@ -1,8 +1,10 @@
 // Package snapshot implements the CHSS ("CHRIS session snapshot") binary
-// framing shared by every durable-state codec in the repository: the
-// streaming engine's per-session checkpoints (internal/serve) and the
-// simulator's mid-run state records (internal/sim, used by fleet
-// mid-day resume).
+// framing shared by every durable blob in the repository outside the
+// record columns (internal/reccache): the streaming engine's per-session
+// checkpoints (internal/serve), the simulator's mid-run state records
+// (internal/sim, used by fleet mid-day resume), the learned HR-transition
+// prior (internal/belief) and the TCN weight files (internal/models/tcn).
+// WriteFile publishes any of them crash-safely.
 //
 // A CHSS blob is one self-validating frame:
 //
@@ -30,6 +32,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
 )
 
 // Version is the current CHSS frame version. Bump it when the framing
@@ -50,6 +53,13 @@ const (
 	// layout with a separate link-edge flag; it is retired, so such
 	// frames open as ErrStale.
 	KindSimState Kind = 4
+	// KindBeliefTable frames a belief.Table: the learned HR-transition
+	// prior and its grid.
+	KindBeliefTable Kind = 5
+	// KindWeights frames one TCN's parameters: its topology name and
+	// parameter count, then every parameter's name and float32 values in
+	// topology order.
+	KindWeights Kind = 6
 )
 
 // ErrCorrupt reports damaged bytes: bad magic, failed CRC, truncation, or
@@ -163,6 +173,18 @@ func (w *Writer) F64s(vs []float64) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(vs)))
 	for _, v := range vs {
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+	}
+}
+
+// F32s appends a u32 count prefix and each element's exact bit pattern.
+func (w *Writer) F32s(vs []float32) {
+	if w.sizing {
+		w.n += 4 + 4*len(vs)
+		return
+	}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(vs)))
+	for _, v := range vs {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, math.Float32bits(v))
 	}
 }
 
@@ -303,6 +325,24 @@ func (r *Reader) F64s() []float64 {
 	return vs
 }
 
+// F32s reads a u32-count-prefixed float32 slice.
+func (r *Reader) F32s() []float32 {
+	b := r.take(4)
+	if b == nil {
+		return nil
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	raw := r.take(n * 4)
+	if raw == nil {
+		return nil
+	}
+	vs := make([]float32, n)
+	for i := range vs {
+		vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	}
+	return vs
+}
+
 // Err returns the sticky payload error, if any.
 func (r *Reader) Err() error { return r.err }
 
@@ -316,4 +356,35 @@ func (r *Reader) Done() error {
 		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.payload)-r.off)
 	}
 	return nil
+}
+
+// WriteFile publishes data at path with the record cache's partial-file
+// discipline: bytes land in path+".partial" (reccache.PartialPath), are
+// fsynced, and only then rename onto path. Readers therefore see either
+// the previous complete file or the new complete file — never a torn
+// write — and a crash at any instant leaves at worst a stale .partial
+// alongside an intact published file. Every CHSS blob on disk goes
+// through it: serve checkpoints, fleet session snapshots, the cached
+// transition prior and the TCN weight files.
+func WriteFile(path string, data []byte) error {
+	tmp := path + ".partial"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/faults"
@@ -27,6 +29,7 @@ func writeFields(w *Writer) {
 	w.F64(math.Pi)
 	w.String("hello, CHSS")
 	w.F64s([]float64{0.25, 0.5, 0.25})
+	w.F32s([]float32{1.5, -2})
 }
 
 // TestSizerPresizesExactly: a sizer counts exactly the payload the same
@@ -84,8 +87,83 @@ func TestRoundTrip(t *testing.T) {
 	if len(vs) != 3 || vs[0] != 0.25 || vs[1] != 0.5 || vs[2] != 0.25 {
 		t.Errorf("F64s = %v", vs)
 	}
+	fs := r.F32s()
+	if len(fs) != 2 || fs[0] != 1.5 || fs[1] != -2 {
+		t.Errorf("F32s = %v", fs)
+	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
+	}
+}
+
+// TestF32sExactBits: F32s carries bit patterns, not values, so negative
+// zero, subnormals and a NaN payload survive the round trip; a count that
+// runs past the payload is rejected before anything is sized from it.
+func TestF32sExactBits(t *testing.T) {
+	in := []float32{
+		float32(math.Copysign(0, -1)),
+		math.Float32frombits(1),          // smallest subnormal
+		math.Float32frombits(0x007fffff), // largest subnormal
+		math.Float32frombits(0x7fc01234), // quiet NaN with a payload
+		math.Float32frombits(0xff800001), // signalling NaN, sign set
+		math.MaxFloat32,
+	}
+	w := NewWriter(KindWeights, 9)
+	w.F32s(in)
+	r, err := Open(w.Finish(), KindWeights, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := r.F32s()
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("%d elements back, want %d", len(out), len(in))
+	}
+	for i := range in {
+		if math.Float32bits(out[i]) != math.Float32bits(in[i]) {
+			t.Errorf("element %d: bits %#08x, want %#08x", i, math.Float32bits(out[i]), math.Float32bits(in[i]))
+		}
+	}
+
+	// A count of 3 over two elements' worth of payload.
+	w = NewWriter(KindWeights, 9)
+	w.U8(3)
+	w.U8(0)
+	w.U8(0)
+	w.U8(0)
+	w.F64(0)
+	r, err = Open(w.Finish(), KindWeights, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.F32s(); got != nil {
+		t.Errorf("overlong count decoded %v", got)
+	}
+	if err := r.Done(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Done = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWriteFilePublishesWhole: WriteFile replaces the file's content and
+// leaves no partial file behind.
+func TestWriteFilePublishesWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "blob.chss")
+	for _, data := range [][]byte{frame(t), []byte("second")} {
+		if err := WriteFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("read back %q, want %q", got, data)
+		}
+		if _, err := os.Stat(path + ".partial"); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("partial file left behind: %v", err)
+		}
 	}
 }
 
