@@ -49,10 +49,10 @@ type Decision struct {
 // consults once per window. The trained activity forest (*rf.Classifier)
 // is the production implementation; the fleet simulator substitutes an
 // O(1) replay table precomputed over each user's unique windows, which is
-// what lets the population-scale tick loop run at about 110 ns/window
-// (370 ns with fault injection; traced perfbench fleet split, 2-vCPU
-// Xeon) instead of re-extracting RF features 43 200 times per simulated
-// user-day.
+// what lets the population-scale tick loop run at about 75 ns/window
+// (190-200 ns with fault injection; perfbench fleet --trace 1, seeds 41
+// and 42, 2-vCPU Xeon) instead of re-extracting RF features 43 200 times
+// per simulated user-day.
 type DifficultyRater interface {
 	// DifficultyID returns the 1-based difficulty rank (1..9) of the
 	// window's predicted activity.

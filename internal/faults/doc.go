@@ -21,7 +21,10 @@
 // the Table I/III and figure artifacts cannot be perturbed by it.
 //
 // Hot paths: the per-packet Rand draws inside ble.Channel and the
-// per-window Injector lookups in sim's tick loop. Both are covered by
-// the SimRun1h/faults kernel in BENCH_*.json next to its clean
-// reference.
+// per-window Injector lookups in sim's tick loop. Every lookup first maps
+// the time onto the scenario period, which is exact math.Mod made cheap:
+// one division and one fused multiply-add in the common case, with Mod
+// itself as the fallback (FuzzWrapMatchesMod pins the two bitwise). Both
+// are covered by the SimRun1h/faults kernel in BENCH_*.json next to its
+// clean reference.
 package faults

@@ -157,12 +157,28 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// wrap maps an absolute simulation time onto the scenario timeline.
+// wrap maps an absolute simulation time onto the scenario timeline. It
+// returns math.Mod(t, PeriodSeconds) bit for bit (FuzzWrapMatchesMod)
+// without Mod's per-exponent reduction loop on the common path: when
+// k = ⌊t/p⌋ is the true quotient, the remainder t − k·p is exactly
+// representable, so the fused multiply-add rounds nothing. A quotient off
+// by one puts the rounded r outside [0, p) (rounding is monotone and
+// cannot make a nonzero multiple of the operands' ulp zero), and that
+// case, negative t and non-finite t take Mod itself.
 func (s *Scenario) wrap(t float64) float64 {
-	if s.PeriodSeconds > 0 {
-		return math.Mod(t, s.PeriodSeconds)
+	p := s.PeriodSeconds
+	if p <= 0 {
+		return t
 	}
-	return t
+	if t >= 0 {
+		if t < p {
+			return t
+		}
+		if r := math.FMA(-math.Floor(t/p), p, t); r >= 0 && r < p {
+			return r
+		}
+	}
+	return math.Mod(t, p)
 }
 
 // Injector is one replayable instance of a scenario: the scenario script

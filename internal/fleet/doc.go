@@ -31,8 +31,9 @@
 // once at setup: the difficulty forest and a surrogate model zoo
 // (name-calibrated ops/energy, per-user bias + motion-scaled error) fill
 // O(1) replay tables, and the per-user engine then ticks through sim.Run
-// at about 110 ns/window without fault injection and 370 ns/window with
-// it (the traced perfbench fleet split on a 2-vCPU Xeon). This is what
+// at about 75 ns/window without fault injection and 190-200 ns/window with
+// it (perfbench fleet --trace 1, seeds 41 and 42: sim.clean_ns_per_window
+// and sim.faults_ns_per_window on a 2-vCPU Xeon). This is what
 // makes "1M user-days overnight on one box" a sizing statement rather
 // than a wish; BENCH_*.json's fleet section reports the measured
 // windows/sec.

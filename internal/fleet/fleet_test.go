@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -336,5 +337,29 @@ func TestResumeWithoutPartialStartsFresh(t *testing.T) {
 	}
 	if sum.Users != cfg.Users {
 		t.Fatalf("fresh -resume run covered %d users, want %d", sum.Users, cfg.Users)
+	}
+}
+
+// TestSummaryDayGolden pins a whole fleet — 64 users for one simulated
+// day on the default cohort mix, clean and fault-injected users alike —
+// as a JSON golden of its Summary, so any drift in user build, the
+// per-window step or aggregation shows up bitwise.
+func TestSummaryDayGolden(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Users = 64
+	sum, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(sum, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "summary_64users_1day.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.TrimSpace(want), got) {
+		t.Errorf("fleet summary drifted from the golden:\n%s", got)
 	}
 }

@@ -135,9 +135,9 @@ type User struct {
 // replayModel is an HREstimator whose predictions were precomputed over
 // one user's unique windows: EstimateHR is an index lookup keyed by the
 // window's start offset, which is what holds the fleet tick loop at about
-// 110 ns/window without fault injection (370 ns with it; traced perfbench
-// fleet split, 2-vCPU Xeon). It only answers for the exact windows it was
-// built on.
+// 75 ns/window without fault injection (190-200 ns with it; perfbench
+// fleet --trace 1, seeds 41 and 42, 2-vCPU Xeon). It only answers for the
+// exact windows it was built on.
 type replayModel struct {
 	name        string
 	ops, params int64

@@ -10,8 +10,11 @@
 // whose numbers reproduce Tables I-III. Energy queries are pure
 // arithmetic over a model's Ops()/Params() and the calibrated constants.
 //
-// Hot paths: none — every query is O(1) and the profiler calls them once
-// per configuration, not per window. No BENCH kernels; correctness is
+// Hot paths: none — every query is O(1) and runs once per configuration,
+// not per window: the profiler calls them per configuration, and the
+// per-window step (sim.Step) resolves each selectable model's Cost when
+// it is built, which is why System's cycle tables are read-only from
+// then on. No BENCH kernels; correctness is
 // pinned by the calibration tests (hw_test.go) and the Table I/III
 // headline metrics in BENCH_*.json.
 package hw

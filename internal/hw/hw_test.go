@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dalia"
 	"repro/internal/hw/ble"
+	"repro/internal/models"
 	"repro/internal/models/at"
 	"repro/internal/models/tcn"
 )
@@ -117,19 +118,6 @@ func TestIdleAccounting(t *testing.T) {
 	}
 }
 
-func TestPredictionLatency(t *testing.T) {
-	s := NewSystem()
-	big := tcn.NewEstimator(tcn.NewTimePPGBig())
-	local := s.PredictionLatency(big, false)
-	remote := s.PredictionLatency(big, true)
-	if local <= remote {
-		t.Errorf("Big local latency %.3f s should exceed offloaded %.3f s", local, remote)
-	}
-	if remote <= s.Phone.ComputeSeconds(big) {
-		t.Error("offload latency must include BLE time")
-	}
-}
-
 type customModel struct{}
 
 func (c *customModel) Name() string                       { return "custom" }
@@ -157,5 +145,28 @@ func TestSensorAndBattery(t *testing.T) {
 	drain := s.BatteryDrainPerWindow(load)
 	if math.Abs(float64(drain)-float64(load)/0.9) > 1e-12 {
 		t.Errorf("converter drain %v for load %v, want load/0.9", drain, load)
+	}
+}
+
+// TestCostMatchesQueries: Cost is the per-window step's cached copy of
+// the per-model queries, so each field must equal its query bitwise, for
+// calibrated models and for the ops-based fallback alike.
+func TestCostMatchesQueries(t *testing.T) {
+	s := NewSystem()
+	for _, m := range []models.HREstimator{
+		at.New(),
+		tcn.NewEstimator(tcn.NewTimePPGSmall()),
+		tcn.NewEstimator(tcn.NewTimePPGBig()),
+		&customModel{},
+	} {
+		want := Cost{
+			MCUSeconds:   s.MCU.ComputeSeconds(m),
+			MCUEnergy:    s.WatchLocalActiveEnergy(m),
+			PhoneSeconds: s.Phone.ComputeSeconds(m),
+			PhoneEnergy:  s.PhoneEnergy(m),
+		}
+		if got := s.Cost(m); got != want {
+			t.Errorf("%s: Cost = %+v, queries give %+v", m.Name(), got, want)
+		}
 	}
 }

@@ -13,7 +13,11 @@ import (
 // 2 s (the windowing stride of the paper).
 const DefaultPeriodSeconds = 2.0
 
-// System is the assembled platform.
+// System is the assembled platform. Its component calibrations — the
+// MCU and phone cycle tables, clocks and power levels — are read-only once
+// a per-window step (sim.Step) is built on it: the step resolves each
+// model's Cost when it is built, so a later edit would reach only some of
+// the accounting.
 type System struct {
 	MCU       *mcu.STM32WB55
 	Phone     *phone.RPi3
@@ -69,13 +73,27 @@ func (s *System) PhoneEnergy(est models.HREstimator) power.Energy {
 	return s.Phone.ComputeEnergy(est)
 }
 
-// PredictionLatency returns the end-to-end latency of one prediction:
-// local compute, or BLE streaming plus phone compute when offloaded.
-func (s *System) PredictionLatency(est models.HREstimator, offloaded bool) float64 {
-	if !offloaded {
-		return s.MCU.ComputeSeconds(est)
+// Cost is one model's per-inference cost on the platform: the watch
+// MCU's latency and active energy of running it locally, and the phone's
+// latency and energy of running it after an offload.
+type Cost struct {
+	MCUSeconds   float64
+	MCUEnergy    power.Energy
+	PhoneSeconds float64
+	PhoneEnergy  power.Energy
+}
+
+// Cost resolves est's per-inference costs through the cycle tables. The
+// values are exactly those of MCU.ComputeSeconds, WatchLocalActiveEnergy,
+// Phone.ComputeSeconds and PhoneEnergy, so the per-window step resolves
+// them once per configuration and never consults the tables per window.
+func (s *System) Cost(est models.HREstimator) Cost {
+	return Cost{
+		MCUSeconds:   s.MCU.ComputeSeconds(est),
+		MCUEnergy:    s.MCU.ActiveEnergy(est),
+		PhoneSeconds: s.Phone.ComputeSeconds(est),
+		PhoneEnergy:  s.PhoneEnergy(est),
 	}
-	return s.Link.TransmitSeconds(ble.WindowBytes) + s.Phone.ComputeSeconds(est)
 }
 
 // SensorWindowEnergy is the always-on front-end energy per period (PPG

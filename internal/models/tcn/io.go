@@ -20,6 +20,11 @@ import (
 // (snapshot.WriteFile): an interrupted run can never leave a truncated
 // weight file behind, which would poison every later cache load.
 func Save(n *Network, path string) error {
+	return snapshot.WriteFile(path, encode(n))
+}
+
+// encode returns the network's weight frame: the bytes Save writes.
+func encode(n *Network) []byte {
 	params := n.Params()
 	w := snapshot.NewWriter(snapshot.KindWeights, 0)
 	w.String(n.Topology)
@@ -28,7 +33,7 @@ func Save(n *Network, path string) error {
 		w.String(p.Name)
 		w.F32s(p.W)
 	}
-	return snapshot.WriteFile(path, w.Finish())
+	return w.Finish()
 }
 
 // Load reads a weight file and returns a network of the stored topology.
@@ -41,16 +46,26 @@ func Load(path string) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := snapshot.Open(data, snapshot.KindWeights, 0)
+	net, err := decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("tcn: %s: %w", path, err)
 	}
+	return net, nil
+}
+
+// decode parses a weight frame held in memory, with every check Load
+// documents; Load prefixes its errors with the file's path.
+func decode(data []byte) (*Network, error) {
+	r, err := snapshot.Open(data, snapshot.KindWeights, 0)
+	if err != nil {
+		return nil, err
+	}
 	corrupt := func(format string, args ...interface{}) error {
-		return fmt.Errorf("tcn: %s: %w: %s", path, snapshot.ErrCorrupt, fmt.Sprintf(format, args...))
+		return fmt.Errorf("%w: %s", snapshot.ErrCorrupt, fmt.Sprintf(format, args...))
 	}
 	topology := r.String()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("tcn: %s: %w", path, err)
+		return nil, err
 	}
 	var net *Network
 	switch topology {
@@ -69,7 +84,7 @@ func Load(path string) (*Network, error) {
 		name := r.String()
 		w := r.F32s()
 		if err := r.Err(); err != nil {
-			return nil, fmt.Errorf("tcn: %s: %w", path, err)
+			return nil, err
 		}
 		if name != p.Name {
 			return nil, corrupt("parameter order mismatch: file %q, topology %q", name, p.Name)
@@ -88,7 +103,7 @@ func Load(path string) (*Network, error) {
 	// mean it was written by something else, so refuse it rather than
 	// silently ignoring the tail.
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("tcn: %s: %w", path, err)
+		return nil, err
 	}
 	return net, nil
 }

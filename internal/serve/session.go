@@ -229,7 +229,6 @@ func (s *Session) step1(now float64, j *job) {
 			s.restart(now)
 		}
 	}()
-	e := s.eng
 
 	// Rung 2: the deadline already passed while the window queued —
 	// discard before spending any inference on it.
@@ -256,7 +255,7 @@ func (s *Session) step1(now float64, j *job) {
 	r := &j.route
 	j.model = r.Model.Name()
 	for k := 0; k < r.Offload.PhoneComputes; k++ {
-		j.phoneEnergy += e.cfg.System.PhoneEnergy(r.Dispatched)
+		j.phoneEnergy += r.DispatchedCost.PhoneEnergy
 	}
 	switch {
 	case r.Fallback:

@@ -30,7 +30,8 @@
 //
 // Hot paths: the per-window tick loop. It is orders of magnitude lighter
 // than the inference pipeline (no model evaluation — it consumes
-// precomputed records/decisions and energy table lookups), but it is
+// precomputed records/decisions and per-model costs the Step resolved
+// once per configuration), but it is
 // dense enough to matter for long fault sweeps, so BENCH kernels
 // SimRun1h/clean and SimRun1h/faults track its throughput with and
 // without injection (internal/bench).

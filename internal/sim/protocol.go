@@ -7,7 +7,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
-	"repro/internal/models"
 )
 
 // This file holds the offload protocol state machine that Step runs for
@@ -59,18 +58,21 @@ func (p Protocol) backoff(attempt int) float64 {
 // ResolveOffload runs the full offload pipeline for one window arriving at
 // absolute time t: transmit over the burst channel, await the phone
 // response under the per-attempt timeout, retry with exponential backoff
-// inside the window deadline, then give up. All probabilistic outcomes
-// come from ch+rng and all time-dependent fault state from inj, so equal
+// inside the window deadline, then give up. phoneSeconds is the phone's
+// compute time for the offloaded model. All probabilistic outcomes come
+// from ch+rng and all time-dependent fault state from inj, so equal
 // inputs replay the exact attempt sequence. The channel's Markov state
-// persists across calls, exactly as a real fading link does.
+// persists across calls, exactly as a real fading link does. Every
+// attempt of a window is stamped with the window's arrival t, so the
+// loss segment is looked up once per window, not once per attempt.
 func (p Protocol) ResolveOffload(sys *hw.System, inj *faults.Injector, ch *ble.Channel,
-	rng *faults.Rand, model models.HREstimator, t, deadline float64) OffloadOutcome {
+	rng *faults.Rand, phoneSeconds, t, deadline float64) OffloadOutcome {
 
 	var out OffloadOutcome
 	elapsed := 0.0
 	cleanTx := sys.Link.WindowTransmitEnergy()
+	ch.SetParams(inj.ChannelAt(t))
 	for attempt := 0; ; attempt++ {
-		ch.SetParams(inj.ChannelAt(t))
 		tr := sys.Link.TransmitLossy(ble.WindowBytes, ch, rng)
 		out.RadioEnergy += tr.Energy
 		out.Busy += tr.Seconds
@@ -91,7 +93,7 @@ func (p Protocol) ResolveOffload(sys *hw.System, inj *faults.Injector, ch *ble.C
 			return out
 		}
 		if inj.PhoneAvailable(t) {
-			resp := sys.Phone.ComputeSeconds(model) + inj.ResponseLatency(t)
+			resp := phoneSeconds + inj.ResponseLatency(t)
 			// The phone computes even when its reply will arrive late;
 			// that energy is spent either way.
 			out.PhoneComputes++

@@ -30,7 +30,7 @@ func TestResolveOffloadZeroRetries(t *testing.T) {
 	sys, inj, ch, rng := protoFixture(t, phoneDownScenario())
 	p := DefaultProtocol()
 	p.MaxRetries = 0
-	out := p.ResolveOffload(sys, inj, ch, rng, at.New(), 0, 1.0)
+	out := p.ResolveOffload(sys, inj, ch, rng, sys.Phone.ComputeSeconds(at.New()), 0, 1.0)
 	if out.Success {
 		t.Fatal("offload succeeded with the phone down")
 	}
@@ -52,7 +52,7 @@ func TestResolveOffloadZeroRetries(t *testing.T) {
 func TestResolveOffloadZeroDeadline(t *testing.T) {
 	sys, inj, ch, rng := protoFixture(t, faults.None())
 	p := DefaultProtocol()
-	out := p.ResolveOffload(sys, inj, ch, rng, at.New(), 0, 0)
+	out := p.ResolveOffload(sys, inj, ch, rng, sys.Phone.ComputeSeconds(at.New()), 0, 0)
 	if out.Success {
 		t.Fatal("offload succeeded against a zero deadline")
 	}
@@ -73,7 +73,7 @@ func TestResolveOffloadZeroDeadline(t *testing.T) {
 func TestResolveOffloadFullPeriodDeadline(t *testing.T) {
 	sys, inj, ch, rng := protoFixture(t, faults.None())
 	p := DefaultProtocol()
-	out := p.ResolveOffload(sys, inj, ch, rng, at.New(), 0, sys.PeriodSeconds)
+	out := p.ResolveOffload(sys, inj, ch, rng, sys.Phone.ComputeSeconds(at.New()), 0, sys.PeriodSeconds)
 	if !out.Success {
 		t.Fatal("clean offload failed inside a full-period deadline")
 	}
@@ -93,12 +93,12 @@ func TestResolveOffloadFullPeriodDeadline(t *testing.T) {
 func TestResolveOffloadDeadlineBoundaryInclusive(t *testing.T) {
 	sys, inj, ch, rng := protoFixture(t, faults.None())
 	p := DefaultProtocol()
-	model := at.New()
-	exact := sys.Link.TransmitSeconds(ble.WindowBytes) + sys.Phone.ComputeSeconds(model)
-	if out := p.ResolveOffload(sys, inj, ch, rng, model, 0, exact); !out.Success {
+	phone := sys.Phone.ComputeSeconds(at.New())
+	exact := sys.Link.TransmitSeconds(ble.WindowBytes) + phone
+	if out := p.ResolveOffload(sys, inj, ch, rng, phone, 0, exact); !out.Success {
 		t.Fatal("response landing exactly on the deadline must succeed")
 	}
-	if out := p.ResolveOffload(sys, inj, ch, rng, model, 0, math.Nextafter(exact, 0)); out.Success {
+	if out := p.ResolveOffload(sys, inj, ch, rng, phone, 0, math.Nextafter(exact, 0)); out.Success {
 		t.Fatal("response one ulp past the deadline must degrade")
 	}
 }
@@ -114,7 +114,7 @@ func TestResolveOffloadBackoffOverflowTerminates(t *testing.T) {
 	}
 	sys, inj, ch, rng := protoFixture(t, phoneDownScenario())
 	p.MaxRetries = 1 << 20
-	out := p.ResolveOffload(sys, inj, ch, rng, at.New(), 0, math.MaxFloat64)
+	out := p.ResolveOffload(sys, inj, ch, rng, sys.Phone.ComputeSeconds(at.New()), 0, math.MaxFloat64)
 	if out.Success {
 		t.Fatal("offload succeeded with the phone down")
 	}

@@ -315,7 +315,7 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 				res.Retries += out.Retries
 				res.Timeouts += out.Timeouts
 				for i := 0; i < out.PhoneComputes; i++ {
-					res.PhoneEnergy += sys.PhoneEnergy(r.Dispatched)
+					res.PhoneEnergy += r.DispatchedCost.PhoneEnergy
 				}
 				if out.SupervisionDrop {
 					res.SupervisionDrops++
@@ -328,8 +328,8 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 				if r.Simple || r.Fallback {
 					res.SimpleRuns++
 				}
-				busy += sys.MCU.ComputeSeconds(r.Model)
-				compute := sys.MCU.ActiveEnergy(r.Model)
+				busy += r.Cost.MCUSeconds
+				compute := r.Cost.MCUEnergy
 				res.Watch.Compute += compute
 				windowWatch += compute
 			}

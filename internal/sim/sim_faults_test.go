@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -244,5 +247,43 @@ func TestRunTraceRoutesThroughLink(t *testing.T) {
 	}
 	if sys.Link.Trace() != nil {
 		t.Error("Run did not restore the link's previous trace")
+	}
+}
+
+// TestRunFaultsDayGolden pins the injected engine over one simulated day
+// of each lossy preset — flaps, burst loss with retransmissions and
+// supervision drops, latency spikes, phone outages, hysteresis and
+// brown-outs — with sensors and a battery on. The expected Results are a
+// JSON golden, so any drift in the fault queries, the offload protocol or
+// the per-window cost accounting shows up bitwise.
+func TestRunFaultsDayGolden(t *testing.T) {
+	sys, engine, ws := fixture(t)
+	got := map[string]Result{}
+	for i, sc := range []faults.Scenario{faults.Commute(), faults.Gym(), faults.WorstCase()} {
+		res, err := Run(Config{
+			System:          sys,
+			Engine:          engine,
+			Constraint:      core.MAEConstraint(6),
+			Windows:         ws,
+			DurationSeconds: 86400,
+			Battery:         power.NewLiIon370(),
+			IncludeSensors:  true,
+			Faults:          mustInjector(t, sc, uint64(41+i)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[sc.Name] = res
+	}
+	b, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "faults_day_result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.TrimSpace(want), b) {
+		t.Errorf("faulted day results drifted from the golden:\n%s", b)
 	}
 }

@@ -48,11 +48,15 @@ type Step struct {
 
 	current     core.Profile
 	currentName string
+	// cost holds the per-inference costs of the active configuration's
+	// simple (index 0) and complex (index 1) model.
+	cost [2]hw.Cost
 	// SelectConfig is a pure function of the profiles and the constraint,
-	// so both reselection targets (index 1: link up) and their names are
-	// computed once.
+	// so both reselection targets (index 1: link up), their names and
+	// their model costs are computed once.
 	target     [2]core.Profile
 	targetName [2]string
+	targetCost [2][2]hw.Cost
 	targetErr  [2]error
 
 	engineUp                         bool
@@ -64,6 +68,8 @@ type Step struct {
 // DefaultProtocol(); a nil inj selects the paper engine (see Step).
 // bf is the stream's belief filter; it is consulted only when pol sets
 // an uncertainty gate. Call Start or Resume before the first Window.
+// The Step keeps the model costs sys resolves now (hw.System documents
+// that its tables stay fixed from here on).
 func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol,
 	inj *faults.Injector, pol *belief.Policy, bf *belief.Filter) *Step {
 
@@ -90,6 +96,7 @@ func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol
 	for i, up := range [2]bool{false, true} {
 		if s.target[i], s.targetErr[i] = eng.SelectConfig(up, c); s.targetErr[i] == nil {
 			s.targetName[i] = s.target[i].Name()
+			s.targetCost[i] = configCost(sys, &s.target[i])
 		}
 	}
 	return s
@@ -136,6 +143,7 @@ func (s *Step) Resume(active string, p ProtoState) error {
 		return fmt.Errorf("configuration %q not in engine", active)
 	}
 	s.current, s.currentName = cur, active
+	s.cost = configCost(s.sys, &cur)
 	s.engineUp = p.EngineUp
 	s.linkDownUntil = p.LinkDownUntil
 	s.failStreak, s.goodStreak, s.cooldown = p.FailStreak, p.GoodStreak, p.Cooldown
@@ -182,6 +190,10 @@ type Route struct {
 	// or the configuration's simple model when the window fell back.
 	// Both are nil when the window was not dispatched.
 	Dispatched, Model models.HREstimator
+	// Cost and DispatchedCost are the per-inference costs of Model and
+	// Dispatched, resolved when the configuration was selected (zero when
+	// the window was not dispatched).
+	Cost, DispatchedCost hw.Cost
 	// Difficulty is the detector's activity rank.
 	Difficulty int
 	// Gated reports an offload demoted by the uncertainty gate.
@@ -242,13 +254,16 @@ func (s *Step) dispatch(t float64, w *dalia.Window, r *Route) {
 		d = s.eng.Dispatch(&s.current, w)
 	}
 	r.Dispatched, r.Model, r.Difficulty = d.Model, d.Model, d.Difficulty
+	// An offloaded decision is always the complex model; otherwise the
+	// name tells the two apart (a zoo's names are unique).
+	r.DispatchedCost = s.cost[1]
 	switch {
 	case d.Offloaded && r.Up:
 		r.Attempted = true
 		if s.inj == nil {
 			r.Offload = s.lossless
 		} else {
-			r.Offload = s.proto.ResolveOffload(s.sys, s.inj, &s.ch, s.rng, d.Model, t, s.deadline)
+			r.Offload = s.proto.ResolveOffload(s.sys, s.inj, &s.ch, s.rng, r.DispatchedCost.PhoneSeconds, t, s.deadline)
 			if r.Offload.SupervisionDrop {
 				s.linkDownUntil = t + s.proto.ReconnectSeconds
 			}
@@ -260,12 +275,21 @@ func (s *Step) dispatch(t float64, w *dalia.Window, r *Route) {
 		// The stack knows the link is down: nothing is transmitted.
 		r.Fallback = true
 	default:
-		r.Simple = d.Model.Name() == s.current.Simple.Name()
+		if r.Simple = d.Model.Name() == s.current.Simple.Name(); r.Simple {
+			r.DispatchedCost = s.cost[0]
+		}
 	}
+	r.Cost = r.DispatchedCost
 	if r.Fallback {
-		r.Model = s.current.Simple
+		r.Model, r.Cost = s.current.Simple, s.cost[0]
 		r.Fault = true
 	}
+}
+
+// configCost resolves the per-inference costs of p's simple and complex
+// model.
+func configCost(sys *hw.System, p *core.Profile) [2]hw.Cost {
+	return [2]hw.Cost{sys.Cost(p.Simple), sys.Cost(p.Complex)}
 }
 
 // hysteresis is the injected pipeline's reselection damper: the engine
@@ -311,7 +335,7 @@ func (s *Step) reselect(up bool) error {
 	if err := s.targetErr[i]; err != nil {
 		return err
 	}
-	s.current, s.currentName = s.target[i], s.targetName[i]
+	s.current, s.currentName, s.cost = s.target[i], s.targetName[i], s.targetCost[i]
 	s.engineUp = up
 	return nil
 }
