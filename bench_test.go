@@ -244,18 +244,20 @@ func BenchmarkFFT256(b *testing.B) {
 	}
 }
 
-// BenchmarkTCNTrainingStep measures one forward+backward of TimePPG-Small.
+// BenchmarkTCNTrainingStep measures one forward+backward of TimePPG-Small
+// on a batch of one window.
 func BenchmarkTCNTrainingStep(b *testing.B) {
 	net := tcn.NewTimePPGSmall()
 	net.InitWeights(1)
-	x := tcn.NewTensor(tcn.InputChannels, tcn.InputSamples)
+	x := tcn.NewBatchTensor(1, tcn.InputChannels, tcn.InputSamples)
 	for i := range x.Data {
 		x.Data[i] = float32(i%13) / 13
 	}
+	var p, g [1]float32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := net.Forward(x)
-		_, g := tcn.HuberLoss(p, 0.5)
-		net.Backward(g)
+		net.ForwardBatch(x, p[:])
+		_, g[0] = tcn.HuberLoss(p[0], 0.5)
+		net.BackwardBatch(g[:])
 	}
 }

@@ -20,9 +20,9 @@
 // Hot paths: none in bench itself — the package is the orchestrator. Its
 // kernels.go instead *measures* everything the repository optimizes:
 // KernelBenchmarks times FFT plans, the spectral-window estimator, Conv1D,
-// batched float32/int8 network forwards, raw GEMMs and the record cache's
-// encode/decode/first-record/iterate paths, most of them next to a
-// seed-equivalent reference, and BuildBenchReport
+// float32/int8 network forwards at one window and at 32, raw GEMMs and
+// the record cache's encode/decode/first-record/iterate paths, the
+// spectrum next to its seed-equivalent reference, and BuildBenchReport
 // writes the committed BENCH_*.json perf trajectory together with the
 // headline paper metrics.
 //

@@ -63,7 +63,8 @@ func runKernelScaled(name string, scale int, fn func(b *testing.B)) KernelResult
 }
 
 // KernelBenchmarks measures the DSP and TCN kernels this repository
-// optimizes, each against the seed implementation it replaced.
+// optimizes: the spectrum against the seed implementation it replaced,
+// the TCNs at one window against a 32-window batch.
 func KernelBenchmarks() []KernelResult {
 	sig := make([]float64, 256)
 	for i := range sig {
@@ -78,7 +79,7 @@ func KernelBenchmarks() []KernelResult {
 	for i := range conv.Weight.W {
 		conv.Weight.W[i] = float32(rng.NormFloat64())
 	}
-	x := tcn.NewTensor(48, 128)
+	x := tcn.NewBatchTensor(1, 48, 128)
 	for i := range x.Data {
 		x.Data[i] = float32(rng.NormFloat64())
 	}
@@ -86,10 +87,12 @@ func KernelBenchmarks() []KernelResult {
 	small.InitWeights(1)
 	big := tcn.NewTimePPGBig()
 	big.InitWeights(2)
-	in := tcn.NewTensor(tcn.InputChannels, tcn.InputSamples)
-	for i := range in.Data {
-		in.Data[i] = float32(rng.NormFloat64())
+	// A batch of one: the path a single-window EstimateHR takes.
+	inOne := tcn.NewBatchTensor(1, tcn.InputChannels, tcn.InputSamples)
+	for i := range inOne.Data {
+		inOne.Data[i] = float32(rng.NormFloat64())
 	}
+	outOne := make([]float32, 1)
 
 	// The int8 deployment form of TimePPG-Big (the path the suite actually
 	// profiles) plus a batch of windows for the GEMM-backed kernels.
@@ -115,10 +118,6 @@ func KernelBenchmarks() []KernelResult {
 		inB.Data[i] = float32(rng.NormFloat64())
 	}
 	outB := make([]float32, batch)
-	// A batch of one: the path a single-window EstimateHR takes.
-	inOne := tcn.NewBatchTensor(1, tcn.InputChannels, tcn.InputSamples)
-	copy(inOne.Data, in.Data)
-	outOne := make([]float32, 1)
 
 	// Raw GEMM micro-kernels at a representative TimePPG-Big conv shape:
 	// 48 output channels × (48·3) im2col rows × 128 output positions.
@@ -245,32 +244,27 @@ func KernelBenchmarks() []KernelResult {
 				est64.EstimateHR(specWin)
 			}
 		}),
-		runKernel("Conv1DForward48x128/opt", func(b *testing.B) {
+		// Float32 path: one window (a batch of one, as EstimateHR runs
+		// it) through a TimePPG-Big mid-block conv and through each whole
+		// network, against the per-window cost of a 32-window batch.
+		runKernel("Conv1DForward48x128/one", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				conv.Forward(x)
+				conv.ForwardBatch(x)
 			}
 		}),
-		runKernel("Conv1DForward48x128/seed", func(b *testing.B) {
+		runKernel("TimePPGSmallForward/one", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				seedConvForward(conv, x)
+				small.ForwardBatch(inOne, outOne)
 			}
 		}),
-		runKernel("TimePPGSmallForward", func(b *testing.B) {
+		runKernel("TimePPGBigForward/one", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				small.Forward(in)
+				big.ForwardBatch(inOne, outOne)
 			}
 		}),
-		runKernel("TimePPGBigForward", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				big.Forward(in)
-			}
-		}),
-		// Batched float32 path: per-window cost of the im2col+GEMM kernels
-		// over a 32-window batch, next to the serial TimePPGBigForward.
 		runKernelScaled("TimePPGBigForwardBatch32/win", batch, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -278,8 +272,7 @@ func KernelBenchmarks() []KernelResult {
 			}
 		}),
 		// Small-topology batch path: every conv layer rides the wide
-		// cross-sample im2col lowering (TimePPGSmallForward above is the
-		// serial reference).
+		// cross-sample im2col lowering, which a batch of one never takes.
 		runKernelScaled("TimePPGSmallForwardBatch32/win", batch, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -531,40 +524,4 @@ func seedPowerSpectrum(x []float64) []float64 {
 		out[i] = re*re + im*im
 	}
 	return out
-}
-
-// seedConvForward reproduces the pre-optimization convolution: per-sample
-// padding bounds checks in the innermost loop and a fresh output tensor
-// per call.
-func seedConvForward(l *tcn.Conv1D, x *tcn.Tensor) *tcn.Tensor {
-	_, outT := l.OutShape(x.C, x.T)
-	y := tcn.NewTensor(l.OutC, outT)
-	total := (l.Kernel - 1) * l.Dilation
-	padL := total - total/2
-	K, D, S := l.Kernel, l.Dilation, l.Stride
-	for o := 0; o < l.OutC; o++ {
-		yRow := y.Row(o)
-		bias := l.Bias.W[o]
-		for t := range yRow {
-			yRow[t] = bias
-		}
-		for ci := 0; ci < l.InC; ci++ {
-			xRow := x.Row(ci)
-			wBase := (o*l.InC + ci) * K
-			for k := 0; k < K; k++ {
-				w := l.Weight.W[wBase+k]
-				if w == 0 {
-					continue
-				}
-				off := k*D - padL
-				for t := 0; t < outT; t++ {
-					src := t*S + off
-					if src >= 0 && src < x.T {
-						yRow[t] += w * xRow[src]
-					}
-				}
-			}
-		}
-	}
-	return y
 }

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/dalia"
+)
 
 var kernelSink []byte
 
@@ -21,5 +25,30 @@ func TestRunKernelScaledFractionalAllocs(t *testing.T) {
 	}
 	if r.BytesPerOp <= 0 || r.BytesPerOp > 2*64.0/scale {
 		t.Errorf("bytes_per_op = %v, want about %v", r.BytesPerOp, 64.0/scale)
+	}
+}
+
+// keyRater rates a window by its (Subject, Start) key, so two subjects'
+// windows at the same offset get different verdicts.
+type keyRater struct{}
+
+func (keyRater) DifficultyID(w *dalia.Window) int { return 1 + (7*w.Subject+w.Start/3)%9 }
+
+// TestSimRaterKeysBySubjectAndStart pins the sim kernels' precomputed
+// rater to the rater it was built from on every window, for two subjects
+// whose windows share Start offsets.
+func TestSimRaterKeysBySubjectAndStart(t *testing.T) {
+	const stride, per = 3, 5
+	var ws []dalia.Window
+	for s := 0; s < 2; s++ {
+		for k := 0; k < per; k++ {
+			ws = append(ws, dalia.Window{Subject: s, Start: k * stride})
+		}
+	}
+	r := newSimRater(keyRater{}, ws, stride, 2)
+	for i := range ws {
+		if got, want := r.DifficultyID(&ws[i]), (keyRater{}).DifficultyID(&ws[i]); got != want {
+			t.Fatalf("subject %d start %d: rater %d, want %d", ws[i].Subject, ws[i].Start, got, want)
+		}
 	}
 }

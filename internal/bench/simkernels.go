@@ -26,9 +26,36 @@ func (e *simBiasEst) Ops() int64                         { return e.ops }
 func (e *simBiasEst) Params() int64                      { return 0 }
 func (e *simBiasEst) EstimateHR(w *dalia.Window) float64 { return models.ClampHR(w.TrueHR + e.bias) }
 
+// simRater is the fixture engine's core.DifficultyRater: a real
+// difficulty forest's verdict per fixture window, computed once, so the
+// sim and serve kernels time the loop they are named for rather than the
+// forest (classifying a window costs about 4 µs; the SimRun1h loop
+// without it, under 0.1 µs). ids[s][w.Start/stride] answers for subject
+// s, which keeps the two subjects' windows apart.
+type simRater struct {
+	stride int
+	ids    [][]int
+}
+
+func (r *simRater) DifficultyID(w *dalia.Window) int { return r.ids[w.Subject][w.Start/r.stride] }
+
+// newSimRater records cls's verdict on every window of ws: windows of
+// subjects 0..subjects-1, each subject's in stride order from Start 0.
+func newSimRater(cls core.DifficultyRater, ws []dalia.Window, stride, subjects int) *simRater {
+	r := &simRater{stride: stride, ids: make([][]int, subjects)}
+	for i := range ws {
+		w := &ws[i]
+		if w.Start != len(r.ids[w.Subject])*stride {
+			panic("bench: sim kernel windows are not in stride order")
+		}
+		r.ids[w.Subject] = append(r.ids[w.Subject], cls.DifficultyID(w))
+	}
+	return r
+}
+
 // simKernelFixture builds the small engine + window stream the sim
-// kernels replay: synthetic windows, a real difficulty forest, and a
-// two-model zoo with precomputed predictions.
+// kernels replay: synthetic windows, a real difficulty forest's
+// precomputed verdicts, and a two-model zoo with precomputed predictions.
 func simKernelFixture() (*hw.System, *core.Engine, []dalia.Window) {
 	c := dalia.DefaultConfig()
 	c.Subjects = 2
@@ -50,12 +77,13 @@ func simKernelFixture() (*hw.System, *core.Engine, []dalia.Window) {
 	sys := hw.NewSystem()
 
 	header := core.NewRecordHeader("cheap", "best")
+	rater := newSimRater(cls, ws, c.StrideSamples, c.Subjects)
 	recs := make([]core.WindowRecord, len(ws))
 	for i := range ws {
 		recs[i] = core.WindowRecord{
 			TrueHR:     ws[i].TrueHR,
 			Activity:   ws[i].Activity,
-			Difficulty: cls.DifficultyID(&ws[i]),
+			Difficulty: rater.DifficultyID(&ws[i]),
 			Header:     header,
 			Preds:      []float64{ws[i].TrueHR + 8, ws[i].TrueHR + 2},
 		}
@@ -68,7 +96,7 @@ func simKernelFixture() (*hw.System, *core.Engine, []dalia.Window) {
 	if err != nil {
 		panic("bench: sim kernel profiling: " + err.Error())
 	}
-	engine, err := core.NewEngine(profiles, cls)
+	engine, err := core.NewEngine(profiles, rater)
 	if err != nil {
 		panic("bench: sim kernel engine: " + err.Error())
 	}

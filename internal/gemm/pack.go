@@ -64,7 +64,9 @@ var (
 // phase whose GEMMs are much wider than what follows calls it when done,
 // so the process does not keep that phase's peak panels for its lifetime:
 // tcn.Fit does, because training batches pack panels that inference
-// never needs again. Later calls allocate fresh panels on first use.
+// never needs again, and so does tcn.Quantize's calibration pass, whose
+// float32 dense panels the int8 network never uses. Later calls allocate
+// fresh panels on first use.
 func ReleaseScratch() {
 	f32PackPool.release()
 	s8PanelPool.release()

@@ -94,11 +94,6 @@ func (l *Link) WindowTransmitEnergy() power.Energy {
 	return l.TransmitEnergy(WindowBytes)
 }
 
-// Connected reports the static link state only. Time-dependent callers
-// (the simulator) must use ConnectedAt, which also honours an attached
-// trace.
-func (l *Link) Connected() bool { return l.connected }
-
 // SetConnected forces the static link state (used by tests and
 // scenarios). An attached trace takes precedence over it — detach with
 // UseTrace(nil) first to make a forced state observable via ConnectedAt.
@@ -156,28 +151,4 @@ func (tr *ConnectivityTrace) UpAt(t float64) bool {
 		return tr.startUp
 	}
 	return !tr.startUp
-}
-
-// UptimeFraction integrates the up-state fraction over [0, horizon].
-func (tr *ConnectivityTrace) UptimeFraction(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	up := 0.0
-	state := tr.startUp
-	prev := 0.0
-	for _, t := range tr.toggles {
-		if t > horizon {
-			break
-		}
-		if state {
-			up += t - prev
-		}
-		prev = t
-		state = !state
-	}
-	if state {
-		up += horizon - prev
-	}
-	return up / horizon
 }

@@ -39,11 +39,11 @@ func TestPacketBoundaries(t *testing.T) {
 
 func TestConnectionState(t *testing.T) {
 	l := New()
-	if !l.Connected() {
+	if !l.ConnectedAt(0) {
 		t.Error("link should start connected")
 	}
 	l.SetConnected(false)
-	if l.Connected() || l.ConnectedAt(0) {
+	if l.ConnectedAt(0) {
 		t.Error("SetConnected(false) ignored")
 	}
 }
@@ -67,21 +67,6 @@ func TestConnectivityTrace(t *testing.T) {
 	}
 	if _, err := NewConnectivityTrace(true, 5, 5); err == nil {
 		t.Error("non-increasing toggles accepted")
-	}
-}
-
-func TestTraceUptimeFraction(t *testing.T) {
-	tr, _ := NewConnectivityTrace(true, 10, 20)
-	// Up [0,10), down [10,20), up [20,40): 30/40 = 0.75.
-	if got := tr.UptimeFraction(40); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("uptime = %v, want 0.75", got)
-	}
-	if got := tr.UptimeFraction(0); got != 0 {
-		t.Errorf("zero horizon uptime = %v", got)
-	}
-	down, _ := NewConnectivityTrace(false, 5)
-	if got := down.UptimeFraction(10); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("down-start uptime = %v, want 0.5", got)
 	}
 }
 
@@ -110,9 +95,6 @@ func TestTracePrecedenceOverForcedState(t *testing.T) {
 	if !l.ConnectedAt(10) {
 		t.Error("attached up-trace should override forced-down state")
 	}
-	if l.Connected() {
-		t.Error("Connected() should still report the static forced state")
-	}
 	l.UseTrace(nil)
 	if l.Trace() != nil || l.ConnectedAt(10) {
 		t.Error("detaching the trace should restore the forced state")
@@ -132,9 +114,6 @@ func TestConnectivityTraceEdges(t *testing.T) {
 	if atZero.UpAt(0.001) || atZero.UpAt(100) {
 		t.Error("state should flip just after the t=0 toggle")
 	}
-	if got := atZero.UptimeFraction(10); got != 0 {
-		t.Errorf("uptime after an immediate down-toggle = %v, want 0", got)
-	}
 
 	// Empty toggle list: the start state holds forever.
 	empty, err := NewConnectivityTrace(false)
@@ -146,19 +125,11 @@ func TestConnectivityTraceEdges(t *testing.T) {
 			t.Errorf("empty down-trace UpAt(%v) = true", tt)
 		}
 	}
-	if got := empty.UptimeFraction(100); got != 0 {
-		t.Errorf("empty down-trace uptime = %v, want 0", got)
-	}
 	emptyUp, _ := NewConnectivityTrace(true)
-	if got := emptyUp.UptimeFraction(100); got != 1 {
-		t.Errorf("empty up-trace uptime = %v, want 1", got)
-	}
-
-	// Horizon far past the last toggle: the final state fills the tail.
-	tail, _ := NewConnectivityTrace(true, 10, 20)
-	// Up [0,10) and [20,100): 90/100.
-	if got := tail.UptimeFraction(100); math.Abs(got-0.9) > 1e-12 {
-		t.Errorf("uptime past last toggle = %v, want 0.9", got)
+	for _, tt := range []float64{0, 1, 1e6} {
+		if !emptyUp.UpAt(tt) {
+			t.Errorf("empty up-trace UpAt(%v) = false", tt)
+		}
 	}
 
 	// Invalid toggle lists are rejected.

@@ -61,9 +61,6 @@ func (b *Battery) Drain(e Energy) error {
 	return nil
 }
 
-// Recharge restores the battery to full.
-func (b *Battery) Recharge() { b.remaining = b.Capacity }
-
 // Restore sets the remaining charge to a value previously captured with
 // Remaining — the battery half of resuming a checkpointed simulation.
 // The charge must be finite and within [0, Capacity].

@@ -94,9 +94,8 @@ func TestBatteryDrain(t *testing.T) {
 	if err := b.Drain(Energy(-1)); err == nil {
 		t.Error("negative drain accepted")
 	}
-	b.Recharge()
-	if b.SoC() != 1 {
-		t.Error("recharge failed")
+	if err := b.Restore(b.Capacity); err != nil || b.SoC() != 1 {
+		t.Errorf("restoring a full charge: SoC %v, err %v", b.SoC(), err)
 	}
 }
 

@@ -18,23 +18,16 @@ type MAX30101 struct {
 	// AcquisitionPower is the LED + analog front-end average power in
 	// continuous mode (datasheet-order figure: ≈600 µA at 1.8 V).
 	AcquisitionPower power.Power
-	// BytesPerSample on the I2C bus (18-bit sample in a 3-byte FIFO slot).
-	BytesPerSample int
 }
 
 // NewMAX30101 returns the sensor model.
 func NewMAX30101() *MAX30101 {
-	return &MAX30101{SampleRateHz: 32, AcquisitionPower: power.MilliWatts(1.08), BytesPerSample: 3}
+	return &MAX30101{SampleRateHz: 32, AcquisitionPower: power.MilliWatts(1.08)}
 }
 
 // WindowEnergy returns the acquisition energy over one window period.
 func (s *MAX30101) WindowEnergy(periodSeconds float64) power.Energy {
 	return s.AcquisitionPower.Over(periodSeconds)
-}
-
-// BusBytes returns the I2C traffic generated per period.
-func (s *MAX30101) BusBytes(periodSeconds float64) int {
-	return int(s.SampleRateHz*periodSeconds) * s.BytesPerSample
 }
 
 // LSM6DSM models the IMU and its machine-learning core (MLC). The MLC

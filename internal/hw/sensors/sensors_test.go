@@ -67,8 +67,4 @@ func TestSensorEnergies(t *testing.T) {
 	if float64(ppg.WindowEnergy(period)) < 5*float64(imu.WindowEnergy(period)) {
 		t.Error("MAX30101 should dominate LSM6DSM consumption")
 	}
-	// I2C traffic: 32 Hz × 2 s × 3 B = 192 B.
-	if got := ppg.BusBytes(period); got != 192 {
-		t.Errorf("BusBytes = %d, want 192", got)
-	}
 }

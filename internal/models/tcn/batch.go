@@ -7,15 +7,16 @@ import "fmt"
 // plus the im2col/col2im packing that lowers dilated 1-D convolution onto
 // the internal/gemm micro-kernels.
 //
-// Batched results are bitwise identical to running the serial per-window
-// kernels sample by sample: every sample occupies its own contiguous block,
-// each output element is accumulated bias-first in ascending (channel, tap)
-// order — exactly the serial order — and the gemm kernels never reassociate
-// the reduction. The record builder and the profiling tables rely on this.
+// A window's result does not depend on its batch-mates: every sample
+// occupies its own contiguous block, each output element is accumulated
+// bias-first in ascending (channel, tap) order — the plain convolution
+// loop's order — and the gemm kernels never reassociate the reduction. The
+// record builder and the profiling tables rely on this, and the tests pin
+// it against plain per-window reference loops (ref_test.go).
 
 // BatchTensor is a dense rank-3 array of float32 laid out sample-major:
 // element (n, c, t) lives at Data[(n*C+c)*T+t], so Sample(n) is the same
-// contiguous C×T block a serial Tensor would hold.
+// contiguous C×T block a single-window Tensor holds.
 type BatchTensor struct {
 	N, C, T int
 	Data    []float32
@@ -30,7 +31,7 @@ func NewBatchTensor(n, c, t int) *BatchTensor {
 }
 
 // Sample returns the contiguous C×T block of sample n (channel-major, the
-// serial Tensor layout).
+// Tensor layout).
 func (x *BatchTensor) Sample(n int) []float32 {
 	sz := x.C * x.T
 	return x.Data[n*sz : (n+1)*sz]
@@ -48,10 +49,12 @@ func (x *BatchTensor) SampleTensor(n int) Tensor {
 }
 
 // ensureBatchTensor returns *slot resized to n×c×t, reusing the backing
-// array whenever its capacity suffices. Unlike ensureTensor, reuse is
-// capacity-based rather than exact-shape: batch chunks shrink on ragged
-// tails and the steady-state path must stay allocation-free across the
-// full-chunk/tail-chunk alternation. Contents are NOT cleared.
+// array whenever its capacity suffices. It is the layer-local arena
+// primitive: reuse is capacity-based rather than exact-shape, because
+// batch chunks shrink on ragged tails and the steady-state path must stay
+// allocation-free across the full-chunk/tail-chunk alternation. Contents
+// are NOT cleared; callers overwrite or zero as their accumulation
+// pattern requires.
 func ensureBatchTensor(slot **BatchTensor, n, c, t int) *BatchTensor {
 	need := n * c * t
 	x := *slot
@@ -111,8 +114,8 @@ func im2colRow(row, xRow []float32, off, stride, inT, outT int) {
 // im2col packs one C×T sample (xs, channel-major) into col as a J×outT
 // row-major matrix with J = inC·kernel: col[(ci·K+k)·outT+t] holds
 // xs[ci·inT + t·stride + k·dilation − padL]. Rows are ordered (ci, k)
-// ascending — the serial kernels' accumulation order — so a GEMM over col
-// reproduces them bitwise.
+// ascending — the plain convolution loop's accumulation order — so a GEMM
+// over col reproduces it bitwise.
 func im2col(col, xs []float32, inC, inT, kernel, dilation, stride, padL, outT int) {
 	j := 0
 	for ci := 0; ci < inC; ci++ {
@@ -184,8 +187,8 @@ func col2imF32(gxs, dcol []float32, inC, inT, kernel, dilation, stride, padL, ou
 
 // ForwardBatch runs the network over a batch and writes each sample's
 // scalar output (the normalized HR) into out, which must have length
-// x.N. Results are bitwise identical to calling Forward per sample; see
-// the package documentation for why.
+// x.N. Each result is independent of the window's batch-mates; see the
+// package documentation for why.
 func (n *Network) ForwardBatch(x *BatchTensor, out []float32) {
 	if len(out) != x.N {
 		panic(fmt.Sprintf("tcn: network %s batch output has %d slots, want %d", n.Topology, len(out), x.N))
@@ -206,10 +209,10 @@ func (n *Network) ForwardBatch(x *BatchTensor, out []float32) {
 // ForwardBatch must have been called first on the same layer instances.
 // Unlike the bitwise-pinned forward pass, the batched reductions sum the
 // per-sample weight-gradient contributions in a different association than
-// sample-at-a-time Backward, so gradients may differ from the serial path
-// in the last bits (training tolerates this; see Fit).
+// a plain per-window loop, so gradients may differ from it in the last
+// bits (training tolerates this; see Fit).
 func (n *Network) BackwardBatch(outGrad []float32) {
-	grad := ensureBatchTensor(&n.outGradB, len(outGrad), 1, 1)
+	grad := ensureBatchTensor(&n.outGrad, len(outGrad), 1, 1)
 	copy(grad.Data, outGrad)
 	cur := grad
 	for i := len(n.Layers) - 1; i >= 0; i-- {

@@ -23,9 +23,9 @@ func randomBatch(rng *rand.Rand, n, c, t int) *BatchTensor {
 }
 
 // TestConv1DForwardBatchMatchesSerial sweeps kernels, dilations and strides
-// over several lengths and batch sizes: the im2col+GEMM path must match the
-// serial Forward bitwise on every sample (same bias-seeded, ascending-tap
-// accumulation order).
+// over several lengths in a 4-window batch: the im2col+GEMM path must match
+// the per-window reference loop naiveConvForward bitwise on every sample
+// (same bias-seeded, ascending-tap accumulation order).
 func TestConv1DForwardBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, kernel := range []int{1, 2, 3, 5, 8} {
@@ -37,7 +37,7 @@ func TestConv1DForwardBatchMatchesSerial(t *testing.T) {
 					yb := l.ForwardBatch(xb)
 					for n := 0; n < xb.N; n++ {
 						xs := xb.SampleTensor(n)
-						want := l.Forward(&xs)
+						want := naiveConvForward(l, &xs)
 						got := yb.Sample(n)
 						if len(got) != want.Numel() {
 							t.Fatalf("k%d d%d s%d T%d: batch sample %d has %d elems, want %d",
@@ -57,9 +57,10 @@ func TestConv1DForwardBatchMatchesSerial(t *testing.T) {
 }
 
 // TestConv1DBackwardBatchCloseToSerial checks the GEMM backward against
-// sample-at-a-time Backward. The batched weight- and input-gradient
-// reductions associate sums differently (per-tap partial sums vs col2im
-// scatter order), so equality is to a tight tolerance rather than bitwise.
+// the per-window reference loop naiveConvBackward, accumulated sample by
+// sample. The batched weight- and input-gradient reductions associate sums
+// differently (per-tap partial sums vs col2im scatter order), so equality
+// is to a tight tolerance rather than bitwise.
 func TestConv1DBackwardBatchCloseToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, kernel := range []int{1, 3, 5} {
@@ -71,29 +72,27 @@ func TestConv1DBackwardBatchCloseToSerial(t *testing.T) {
 				yb := l.ForwardBatch(xb)
 				gb := randomBatch(rng, N, yb.C, yb.T)
 
-				// Serial reference over the same samples.
-				ref := l.CloneForWorker().(*Conv1D)
+				// Per-window reference over the same samples.
+				wantWG := make([]float32, len(l.Weight.G))
+				wantBG := make([]float32, len(l.Bias.G))
 				wantGX := make([][]float32, N)
 				for n := 0; n < N; n++ {
-					xs := xb.SampleTensor(n)
-					ref.Forward(&xs)
-					gs := gb.SampleTensor(n)
-					gx := ref.Backward(&gs)
-					wantGX[n] = append([]float32(nil), gx.Data...)
+					xs, gs := xb.SampleTensor(n), gb.SampleTensor(n)
+					wantGX[n] = naiveConvBackward(l, &xs, &gs, wantWG, wantBG).Data
 				}
 
 				l.Weight.ZeroGrad()
 				l.Bias.ZeroGrad()
 				gxb := l.BackwardBatch(gb)
 				const tol = 1e-4
-				for i := range ref.Weight.G {
-					if d := float64(l.Weight.G[i] - ref.Weight.G[i]); math.Abs(d) > tol {
-						t.Fatalf("k%d d%d s%d: wG[%d] = %v, want %v", kernel, dil, stride, i, l.Weight.G[i], ref.Weight.G[i])
+				for i := range wantWG {
+					if d := float64(l.Weight.G[i] - wantWG[i]); math.Abs(d) > tol {
+						t.Fatalf("k%d d%d s%d: wG[%d] = %v, want %v", kernel, dil, stride, i, l.Weight.G[i], wantWG[i])
 					}
 				}
-				for i := range ref.Bias.G {
-					if d := float64(l.Bias.G[i] - ref.Bias.G[i]); math.Abs(d) > tol {
-						t.Fatalf("k%d d%d s%d: bG[%d] = %v, want %v", kernel, dil, stride, i, l.Bias.G[i], ref.Bias.G[i])
+				for i := range wantBG {
+					if d := float64(l.Bias.G[i] - wantBG[i]); math.Abs(d) > tol {
+						t.Fatalf("k%d d%d s%d: bG[%d] = %v, want %v", kernel, dil, stride, i, l.Bias.G[i], wantBG[i])
 					}
 				}
 				for n := 0; n < N; n++ {
@@ -170,8 +169,9 @@ func TestConvBatchWideMatchesPerSampleBitwise(t *testing.T) {
 }
 
 // TestDenseBatchMatchesSerialBitwise pins both directions of the dense
-// layer: the batched GEMM keeps the serial element order exactly, forward
-// and backward.
+// layer: the batched GEMM keeps the element order of the per-window
+// reference loops (refDense, refDenseBackward) exactly, forward and
+// backward.
 func TestDenseBatchMatchesSerialBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	l := NewDense("t.fc", 24, 7)
@@ -190,15 +190,14 @@ func TestDenseBatchMatchesSerialBitwise(t *testing.T) {
 	gxWant := make([][]float32, N)
 	for n := 0; n < N; n++ {
 		xs := xb.SampleTensor(n)
-		y := ref.Forward(&xs)
+		y := refDense(ref, &xs)
 		for o := 0; o < 7; o++ {
 			if yb.Sample(n)[o] != y.Data[o] {
 				t.Fatalf("forward sample %d out %d: %v vs %v", n, o, yb.Sample(n)[o], y.Data[o])
 			}
 		}
 		gs := gb.SampleTensor(n)
-		gx := ref.Backward(&gs)
-		gxWant[n] = append([]float32(nil), gx.Data...)
+		gxWant[n] = refDenseBackward(ref, &xs, &gs).Data
 	}
 	l.Weight.ZeroGrad()
 	l.Bias.ZeroGrad()
@@ -223,14 +222,14 @@ func TestDenseBatchMatchesSerialBitwise(t *testing.T) {
 	}
 }
 
-// TestNetworkForwardBatchMatchesSerial pins the whole float stack, for both
-// zoo topologies and every batch-size shape.
+// TestNetworkForwardBatchMatchesSerial pins the whole float stack against
+// the per-window reference refForward, for both zoo topologies and every
+// batch-size shape.
 func TestNetworkForwardBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, build := range []func() *Network{NewTimePPGSmall, NewTimePPGBig} {
 		net := build()
 		net.InitWeights(3)
-		ref := net.CloneForWorker()
 		sizes := batchSizes
 		if net.Topology == BigName {
 			sizes = []int{1, 3, 5} // Big is ~60× the work; small batches prove the point
@@ -241,11 +240,59 @@ func TestNetworkForwardBatchMatchesSerial(t *testing.T) {
 			net.ForwardBatch(xb, out)
 			for n := 0; n < N; n++ {
 				xs := xb.SampleTensor(n)
-				want := ref.Forward(&xs)
+				want := refForward(net, &xs)
 				if out[n] != want {
 					t.Fatalf("%s N=%d sample %d: batch %v, serial %v (must be bitwise equal)",
 						net.Topology, N, n, out[n], want)
 				}
+			}
+		}
+	}
+}
+
+// TestNetworkBackwardBatchCloseToSerial checks the whole batched backward
+// pass of the TimePPG-Small stack, with its affine layers moved off the
+// identity, against the per-window reference loops (refBackward)
+// accumulated sample by sample. The forward outputs must match refForward
+// bitwise; the gradients, whose batched reductions associate differently,
+// to a tight relative tolerance.
+func TestNetworkBackwardBatchCloseToSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	net := NewTimePPGSmall()
+	net.InitWeights(13)
+	for _, l := range net.Layers {
+		if a, ok := l.(*ChannelAffine); ok {
+			for c := range a.Gamma.W {
+				a.Gamma.W[c] = 1 + 0.3*float32(rng.NormFloat64())
+				a.Beta.W[c] = 0.2 * float32(rng.NormFloat64())
+			}
+		}
+	}
+	const N = 3
+	xb := randomBatch(rng, N, InputChannels, InputSamples)
+	out := make([]float32, N)
+	grads := make([]float32, N)
+	for n := range grads {
+		grads[n] = float32(rng.NormFloat64())
+	}
+	net.ZeroGrad()
+	net.ForwardBatch(xb, out)
+	net.BackwardBatch(grads)
+
+	ref := net.CloneForWorker() // shared weights, zeroed private gradients
+	for n := 0; n < N; n++ {
+		xs := xb.SampleTensor(n)
+		if want := refForward(ref, &xs); out[n] != want {
+			t.Fatalf("sample %d: batch %v, serial %v (must be bitwise equal)", n, out[n], want)
+		}
+		refBackward(ref, &xs, grads[n])
+	}
+	got, want := net.Params(), ref.Params()
+	for pi, p := range want {
+		for i, w := range p.G {
+			g := got[pi].G[i]
+			if d := math.Abs(float64(g - w)); d > 1e-4*(1+math.Abs(float64(w))) {
+				t.Fatalf("%s[%d]: batch gradient %v, serial %v", p.Name, i, g, w)
 			}
 		}
 	}
@@ -311,8 +358,9 @@ func synthWindows(rng *rand.Rand, n int) []dalia.Window {
 
 // TestEstimateHRBatchMatchesSerial pins the estimator API in both float32
 // and int8 form over a ragged window count (two full chunks plus a tail)
-// against the scalar reference (Network.Forward, and the int8 kernels of
-// quantref_test.go), including that chunk boundaries leave no trace.
+// against the per-window references (refForward of ref_test.go, and the
+// int8 kernels of quantref_test.go), including that chunk boundaries leave
+// no trace.
 func TestEstimateHRBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	ws := synthWindows(rng, 2*batchChunk+3)
@@ -330,7 +378,7 @@ func TestEstimateHRBatchMatchesSerial(t *testing.T) {
 			if ref.Quantized() {
 				z = ref.qnet.Forward(WindowToTensor(&ws[i]))
 			} else {
-				z = ref.net.Forward(WindowToTensor(&ws[i]))
+				z = refForward(ref.net, WindowToTensor(&ws[i]))
 			}
 			if want := models.ClampHR(DenormalizeHR(z)); out[i] != want {
 				t.Fatalf("%s window %d: batch %v, serial %v (must be bitwise equal)", mode, i, out[i], want)
@@ -468,30 +516,6 @@ func TestBatchPathZeroAllocSteadyState(t *testing.T) {
 	qb.ForwardBatch(xb3, out3)
 	if n := testing.AllocsPerRun(5, func() { qb.ForwardBatch(xb3, out3) }); n != 0 {
 		t.Errorf("QuantNetwork.ForwardBatch (TimePPG-Big) allocates %v per run in steady state", n)
-	}
-}
-
-// TestBatchSerialInterleaveIsSafe guards that the scalar and batched paths
-// keep separate arenas on one instance: interleaving them must not corrupt
-// either result.
-func TestBatchSerialInterleaveIsSafe(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	net := NewTimePPGSmall()
-	net.InitWeights(11)
-	xb := randomBatch(rng, 3, InputChannels, InputSamples)
-	out := make([]float32, 3)
-	net.ForwardBatch(xb, out)
-	x0 := xb.SampleTensor(0)
-	serial := net.Forward(&x0)
-	again := make([]float32, 3)
-	net.ForwardBatch(xb, again)
-	if serial != out[0] {
-		t.Fatalf("serial after batch %v, batch %v", serial, out[0])
-	}
-	for i := range out {
-		if out[i] != again[i] {
-			t.Fatalf("batch after serial diverged at %d: %v vs %v", i, again[i], out[i])
-		}
 	}
 }
 

@@ -19,24 +19,19 @@ type Conv1D struct {
 	Weight *Param // shape [OutC, InC, Kernel]
 	Bias   *Param // shape [OutC]
 
-	x  *Tensor // cached input for backward
-	y  *Tensor // reused output (layer-local arena)
-	gx *Tensor // reused input gradient
-
-	// Batched-path arenas: input cache, output, input gradient, and the
-	// im2col/ dcol/ Wᵀ packing buffers the GEMM lowering works out of.
-	// ywBuf/gwBuf are the channel-major staging panels of the wide
-	// cross-sample path (GEMM output before the sample-major scatter, and
-	// the gathered dY operand of the backward GEMMs).
-	xb      *BatchTensor
-	yb, gxb *BatchTensor
-	colBuf  []float32
-	dcolBuf []float32
-	wTBuf   []float32
-	ywBuf   []float32
-	gwBuf   []float32
+	// Arenas: input cache, output, input gradient, and the im2col/ dcol/
+	// Wᵀ packing buffers the GEMM lowering works out of. ywBuf/gwBuf are
+	// the channel-major staging panels of the wide cross-sample path (GEMM
+	// output before the sample-major scatter, and the gathered dY operand
+	// of the backward GEMMs).
+	x, y, gx *BatchTensor
+	colBuf   []float32
+	dcolBuf  []float32
+	wTBuf    []float32
+	ywBuf    []float32
+	gwBuf    []float32
 	// colWideValid records that colBuf holds the wide cross-sample panel
-	// of the current xb, letting BackwardBatch skip the re-pack the
+	// of the current x, letting BackwardBatch skip the re-pack the
 	// per-sample path cannot avoid (its buffer only ever holds the last
 	// sample). Any non-wide ForwardBatch invalidates it.
 	colWideValid bool
@@ -85,7 +80,6 @@ func (l *Conv1D) CloneForWorker() Layer {
 	c.Weight = l.Weight.shadow()
 	c.Bias = l.Bias.shadow()
 	c.x, c.y, c.gx = nil, nil, nil
-	c.xb, c.yb, c.gxb = nil, nil, nil
 	c.colBuf, c.dcolBuf, c.wTBuf = nil, nil, nil
 	c.ywBuf, c.gwBuf = nil, nil
 	c.colWideValid = false
@@ -129,149 +123,21 @@ func tapRange(off, stride, inT, outT int) (t0, t1 int) {
 	return t0, t1
 }
 
-// Forward implements Layer. The output tensor is owned by the layer and
-// overwritten by the next call; after the first call on a given shape the
-// pass performs no heap allocations.
-func (l *Conv1D) Forward(x *Tensor) *Tensor {
-	if x.C != l.InC {
-		panic(fmt.Sprintf("tcn: conv %s expects %d channels, got %d", l.Name(), l.InC, x.C))
-	}
-	l.x = x
-	_, outT := l.OutShape(x.C, x.T)
-	y := ensureTensor(&l.y, l.OutC, outT)
-	padL := l.padLeft()
-	K, D, S := l.Kernel, l.Dilation, l.Stride
-	for o := 0; o < l.OutC; o++ {
-		yRow := y.Row(o)
-		bias := l.Bias.W[o]
-		for t := range yRow {
-			yRow[t] = bias
-		}
-		for ci := 0; ci < l.InC; ci++ {
-			xRow := x.Row(ci)
-			wBase := (o*l.InC + ci) * K
-			if S == 1 && K <= maxFusedTaps {
-				convRowFused(yRow, xRow, l.Weight.W[wBase:wBase+K], D, padL, x.T, outT)
-				continue
-			}
-			for k := 0; k < K; k++ {
-				w := l.Weight.W[wBase+k]
-				if w == 0 {
-					continue
-				}
-				off := k*D - padL
-				t0, t1 := tapRange(off, S, x.T, outT)
-				if t1 < t0 {
-					continue
-				}
-				src := t0*S + off
-				for t := t0; t <= t1; t++ {
-					yRow[t] += w * xRow[src]
-					src += S
-				}
-			}
-		}
-	}
-	return y
-}
-
-// maxFusedTaps bounds the stack-allocated tap descriptors of the fused
-// stride-1 kernel; larger kernels take the generic per-tap path.
-const maxFusedTaps = 8
-
-// convRowFused accumulates every nonzero kernel tap into yRow in a single
-// sweep: the interior range where all taps read valid samples runs one
-// load/store of y per element (instead of one per tap), with the taps
-// added in ascending-k order inside a register accumulator — so the result
-// stays bitwise identical to the naive per-tap loops. Edge positions are
-// finished with short per-tap loops.
-func convRowFused(yRow, xRow, w []float32, dilation, padL, inT, outT int) {
-	var ws [maxFusedTaps]float32
-	var offs, lo, hi [maxFusedTaps]int
-	nt := 0
-	it0, it1 := 0, outT-1
-	for k, wk := range w {
-		if wk == 0 {
-			continue
-		}
-		off := k*dilation - padL
-		t0, t1 := tapRange(off, 1, inT, outT)
-		if t1 < t0 {
-			continue
-		}
-		ws[nt], offs[nt], lo[nt], hi[nt] = wk, off, t0, t1
-		if t0 > it0 {
-			it0 = t0
-		}
-		if t1 < it1 {
-			it1 = t1
-		}
-		nt++
-	}
-	if nt == 0 {
-		return
-	}
-	if it1 < it0 {
-		// No common interior (tiny outputs): plain per-tap loops.
-		for i := 0; i < nt; i++ {
-			wk, off := ws[i], offs[i]
-			for t := lo[i]; t <= hi[i]; t++ {
-				yRow[t] += wk * xRow[t+off]
-			}
-		}
-		return
-	}
-	// Left and right edges, per tap, ascending k.
-	for i := 0; i < nt; i++ {
-		wk, off := ws[i], offs[i]
-		for t := lo[i]; t < it0; t++ {
-			yRow[t] += wk * xRow[t+off]
-		}
-		for t := it1 + 1; t <= hi[i]; t++ {
-			yRow[t] += wk * xRow[t+off]
-		}
-	}
-	// Fused interior.
-	ys := yRow[it0 : it1+1]
-	if nt == 3 { // the whole TimePPG topology is kernel-3
-		w0, w1, w2 := ws[0], ws[1], ws[2]
-		x0 := xRow[it0+offs[0]:]
-		x1 := xRow[it0+offs[1]:]
-		x2 := xRow[it0+offs[2]:]
-		for i := range ys {
-			acc := ys[i]
-			acc += w0 * x0[i]
-			acc += w1 * x1[i]
-			acc += w2 * x2[i]
-			ys[i] = acc
-		}
-		return
-	}
-	for i := range ys {
-		acc := ys[i]
-		t := it0 + i
-		for j := 0; j < nt; j++ {
-			acc += ws[j] * xRow[t+offs[j]]
-		}
-		ys[i] = acc
-	}
-}
-
 // ForwardBatch implements Layer: each sample's receptive fields are packed
 // with im2col and multiplied against the weight matrix by the blocked GEMM
 // micro-kernel — per sample for large layers, or in one wide cross-sample
 // GEMM when the heuristic says the per-sample panels would underfeed the
 // kernels. Per output element the accumulation is bias-seeded and runs
-// over (channel, tap) in ascending order — the serial Forward order — so
-// the batch result is bitwise identical to Forward sample by sample on
-// either path.
+// over (channel, tap) in ascending order — the plain convolution loop's
+// order — so every window's result is bitwise the same on either path and
+// at any N.
 func (l *Conv1D) ForwardBatch(x *BatchTensor) *BatchTensor {
 	if x.C != l.InC {
 		panic(fmt.Sprintf("tcn: conv %s expects %d channels, got %d", l.Name(), l.InC, x.C))
 	}
-	l.xb = x
+	l.x = x
 	_, outT := l.OutShape(x.C, x.T)
-	y := ensureBatchTensor(&l.yb, x.N, l.OutC, outT)
+	y := ensureBatchTensor(&l.y, x.N, l.OutC, outT)
 	J := l.InC * l.Kernel
 	padL := l.padLeft()
 	if crossSampleWorthIt(x.N, l.OutC, outT) {
@@ -331,8 +197,8 @@ func (l *Conv1D) forwardBatchWide(x, y *BatchTensor, J, padL, outT int) {
 // depends only on shapes, so the two passes always agree). ForwardBatch
 // must have been called first.
 func (l *Conv1D) BackwardBatch(grad *BatchTensor) *BatchTensor {
-	x := l.xb
-	gx := ensureBatchTensor(&l.gxb, x.N, x.C, x.T)
+	x := l.x
+	gx := ensureBatchTensor(&l.gx, x.N, x.C, x.T)
 	outT := grad.T
 	J := l.InC * l.Kernel
 	wT := ensureSlice(&l.wTBuf, J*l.OutC)
@@ -392,7 +258,7 @@ func (l *Conv1D) backwardBatchWide(grad, x, gx *BatchTensor, wT []float32, J, pa
 			copy(gw[o*wide+n*outT:o*wide+(n+1)*outT], g[o*outT:(o+1)*outT])
 		}
 	}
-	// Reuse the wide panel ForwardBatch packed from the same xb — the
+	// Reuse the wide panel ForwardBatch packed from the same x — the
 	// cross-sample layout is what makes the forward's im2col work
 	// recoverable here (the per-sample buffer only ever holds the last
 	// sample's patches).
@@ -413,57 +279,6 @@ func (l *Conv1D) backwardBatchWide(grad, x, gx *BatchTensor, wT []float32, J, pa
 	for n := 0; n < x.N; n++ {
 		col2imF32(gx.Sample(n), dcol[n*outT:], l.InC, x.T, l.Kernel, l.Dilation, l.Stride, padL, outT, wide)
 	}
-}
-
-// Backward implements Layer. Like Forward, the returned gradient tensor is
-// layer-owned and reused across calls.
-func (l *Conv1D) Backward(grad *Tensor) *Tensor {
-	x := l.x
-	gx := ensureTensor(&l.gx, x.C, x.T)
-	gx.Zero()
-	padL := l.padLeft()
-	K, D, S := l.Kernel, l.Dilation, l.Stride
-	for o := 0; o < l.OutC; o++ {
-		gRow := grad.Row(o)
-		var gb float32
-		for _, g := range gRow {
-			gb += g
-		}
-		l.Bias.G[o] += gb
-		for ci := 0; ci < l.InC; ci++ {
-			xRow := x.Row(ci)
-			gxRow := gx.Row(ci)
-			wBase := (o*l.InC + ci) * K
-			for k := 0; k < K; k++ {
-				off := k*D - padL
-				t0, t1 := tapRange(off, S, x.T, len(gRow))
-				if t1 < t0 {
-					continue
-				}
-				var gw float32
-				w := l.Weight.W[wBase+k]
-				if S == 1 {
-					gs := gRow[t0 : t1+1]
-					xs := xRow[t0+off : t1+off+1]
-					gxs := gxRow[t0+off : t1+off+1]
-					for i, g := range gs {
-						gw += g * xs[i]
-						gxs[i] += g * w
-					}
-				} else {
-					src := t0*S + off
-					for t := t0; t <= t1; t++ {
-						g := gRow[t]
-						gw += g * xRow[src]
-						gxRow[src] += g * w
-						src += S
-					}
-				}
-				l.Weight.G[wBase+k] += gw
-			}
-		}
-	}
-	return gx
 }
 
 var _ Layer = (*Conv1D)(nil)

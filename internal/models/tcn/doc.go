@@ -14,29 +14,25 @@
 //
 // # Inference paths
 //
-// Every float layer has two forms. The scalar path (Forward/Backward over
-// C×T Tensors) is the reference: fused, allocation-free-after-warm-up
-// kernels whose per-element accumulation order defines the numbers
-// everything else must reproduce; the trainer's gradient checks and the
-// calibration head run it. The batched path (ForwardBatch/
-// BackwardBatch over (N, C, T) BatchTensors) lowers convolution and dense
-// layers onto the blocked, register-unrolled GEMM micro-kernels of
-// internal/gemm via im2col packing — the CMSIS-NN-style structure the
-// paper's deployed int8 kernels use — and is how the record builder, the
-// estimator API and the trainer actually run. A single-window
-// HRNet.EstimateHR is a batch of one through it. The int8 network has
-// only the batched form; its scalar kernels are kept in the tests
-// (quantref_test.go) as the reference the batch pins compare against.
-// Batched float32 and int8 forward results are bitwise identical to the
-// scalar loops: the GEMMs accumulate each output element bias-seeded in
-// ascending (channel, tap) order without reassociation, and the int8 ops
-// use exact int32 arithmetic with the scalar rescale expressions.
-// Batched training additionally fuses the cross-worker gradient reduction
-// and the Adam update into one parallel pass over parameter shards
-// (Adam.StepFused).
+// Every float layer has one form: ForwardBatch/BackwardBatch over
+// (N, C, T) BatchTensors. Convolution and dense layers lower onto the
+// blocked, register-unrolled GEMM micro-kernels of internal/gemm via
+// im2col packing — the CMSIS-NN-style structure the paper's deployed int8
+// kernels use — and the record builder, the estimator API, calibration
+// and the trainer all run them. A single window is a batch of one:
+// HRNet.EstimateHR is EstimateHRBatch at N = 1. The int8 network has only
+// the batched form too. The per-window references are plain loops kept in
+// the tests (ref_test.go and conv_equiv_test.go for float32,
+// quantref_test.go for int8), which the batch pins compare against. Every
+// window's float32 and int8 forward result is bitwise the same at any N
+// and equal to those loops: the GEMMs accumulate each output element
+// bias-seeded in ascending (channel, tap) order without reassociation,
+// and the int8 ops use exact int32 arithmetic with the reference rescale
+// expressions. Batched training additionally fuses the cross-worker
+// gradient reduction and the Adam update into one parallel pass over
+// parameter shards (Adam.StepFused).
 //
 // All layer and network instances reuse their activation arenas between
-// calls (scalar and batched arenas are separate), so none are safe for
-// concurrent use; CloneForWorker/Clone produce worker copies sharing
-// weights.
+// calls, so none are safe for concurrent use; CloneForWorker/Clone
+// produce worker copies sharing weights.
 package tcn

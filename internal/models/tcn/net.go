@@ -9,45 +9,17 @@ import (
 
 // Network is an ordered stack of layers with a scalar regression head.
 //
-// Layers reuse their output and gradient tensors between calls (a
-// layer-local scratch arena), so after warm-up a forward or backward pass
-// performs zero heap allocations — and a network instance must not be
-// shared between goroutines; use CloneForWorker for data-parallel work.
+// Layers reuse their output and gradient batches between calls (a
+// layer-local scratch arena whose capacity only grows), so once a batch
+// of the largest size has run, a forward or backward pass performs zero
+// heap allocations — and a network instance must not be shared between
+// goroutines; use CloneForWorker for data-parallel work.
 type Network struct {
 	Topology string // e.g. "TimePPG-Small"
 	InC, InT int
 	Layers   []Layer
 
-	outGrad  *Tensor      // reused seed tensor for Backward
-	outGradB *BatchTensor // reused seed tensor for BackwardBatch
-}
-
-// Forward runs the network on one input tensor and returns the scalar
-// output (the normalized HR).
-func (n *Network) Forward(x *Tensor) float32 {
-	cur := x
-	for _, l := range n.Layers {
-		cur = l.Forward(cur)
-	}
-	if cur.Numel() != 1 {
-		panic(fmt.Sprintf("tcn: network %s output has %d elements, want 1", n.Topology, cur.Numel()))
-	}
-	return cur.Data[0]
-}
-
-// Backward propagates the scalar output gradient through the stack,
-// accumulating parameter gradients. Forward must have been called first on
-// the same layer instances.
-func (n *Network) Backward(outGrad float32) {
-	grad := ensureTensor(&n.outGrad, 1, 1)
-	grad.Data[0] = outGrad
-	cur := grad
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		cur = n.Layers[i].Backward(cur)
-		if cur == nil && i != 0 {
-			panic(fmt.Sprintf("tcn: layer %s returned nil gradient mid-stack", n.Layers[i].Name()))
-		}
-	}
+	outGrad *BatchTensor // reused seed batch for BackwardBatch
 }
 
 // Params returns all learnable parameters in a stable order.

@@ -268,18 +268,16 @@ func quantizeFolded(n, folded *Network, maxAbs []float32) (*QuantNetwork, error)
 	return q, nil
 }
 
-// calibChunk bounds how many calibration windows run through the conv
-// stack at once, so the batch buffers of Quantize stay the same size for
+// calibChunk bounds how many calibration windows run through the network
+// at once, so the batch buffers of Quantize stay the same size for
 // any number of calibration windows.
 const calibChunk = 64
 
 // calibrate returns the max-abs activation after each layer of the folded
-// network over the calibration windows. The stack before Flatten runs the
-// windows in batches of at most calibChunk: ForwardBatch is bitwise
-// identical to Forward per window, and a maximum does not depend on the
-// order it is taken in. The head after Flatten runs window by window on
-// views of each batch, so the dense layers' batched transpose panel is
-// never allocated.
+// network over the calibration windows. The windows run through every
+// layer in batches of at most calibChunk: a window's activations do not
+// depend on its batch-mates, and a maximum does not depend on the order
+// it is taken in.
 func calibrate(folded *Network, calib []*Tensor) ([]float32, error) {
 	if len(folded.Layers) == 0 {
 		return nil, fmt.Errorf("tcn: cannot quantize an empty network")
@@ -294,25 +292,6 @@ func calibrate(folded *Network, calib []*Tensor) ([]float32, error) {
 		}
 	}
 	maxAbs := make([]float32, len(folded.Layers)+1)
-	record := func(li int, data []float32) {
-		m := maxAbs[li]
-		for _, v := range data {
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
-			}
-		}
-		maxAbs[li] = m
-	}
-	head := len(folded.Layers)
-	for li, l := range folded.Layers {
-		if _, ok := l.(*Flatten); ok {
-			head = li
-			break
-		}
-	}
 	xb := NewBatchTensor(min(len(calib), calibChunk), c, t)
 	for lo := 0; lo < len(calib); lo += calibChunk {
 		chunk := calib[lo:min(lo+calibChunk, len(calib))]
@@ -321,19 +300,24 @@ func calibrate(folded *Network, calib []*Tensor) ([]float32, error) {
 			copy(xb.Sample(i), x.Data)
 		}
 		cur := xb
-		for li, l := range folded.Layers[:head] {
+		for li, l := range folded.Layers {
 			cur = l.ForwardBatch(cur)
-			record(li, cur.Data)
-		}
-		for i := 0; i < cur.N; i++ {
-			x := cur.SampleTensor(i)
-			s := &x
-			for li := head; li < len(folded.Layers); li++ {
-				s = folded.Layers[li].Forward(s)
-				record(li, s.Data)
+			m := maxAbs[li]
+			for _, v := range cur.Data {
+				if v < 0 {
+					v = -v
+				}
+				if v > m {
+					m = v
+				}
 			}
+			maxAbs[li] = m
 		}
 	}
+	// The dense layers' GEMMs packed Bᵀ panels as large as their weights
+	// (TimePPG-Big's first is 2048×84), which the int8 network never
+	// uses: drop them rather than keep them for the process's lifetime.
+	gemm.ReleaseScratch()
 	return maxAbs, nil
 }
 

@@ -32,8 +32,8 @@ func TestFoldAffineEquivalence(t *testing.T) {
 	folded := FoldAffine(net)
 	for i := 0; i < 16; i++ {
 		x := train[i].X
-		a := net.Forward(x)
-		b := folded.Forward(x)
+		a := refForward(net, x)
+		b := refForward(folded, x)
 		if math.Abs(float64(a-b)) > 1e-3 {
 			t.Fatalf("folded output %v differs from original %v", b, a)
 		}
@@ -58,7 +58,7 @@ func TestQuantizedCloseToFloat(t *testing.T) {
 	}
 	var maxDiff float64
 	for i := 32; i < 64; i++ {
-		f := DenormalizeHR(net.Forward(train[i].X))
+		f := DenormalizeHR(refForward(net, train[i].X))
 		qv := DenormalizeHR(q.Forward(train[i].X))
 		d := math.Abs(f - qv)
 		if d > maxDiff {
@@ -97,8 +97,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("topology %q, want %q", loaded.Topology, net.Topology)
 	}
 	for i := 0; i < 8; i++ {
-		a := net.Forward(train[i].X)
-		b := loaded.Forward(train[i].X)
+		a := refForward(net, train[i].X)
+		b := refForward(loaded, train[i].X)
 		if a != b {
 			t.Fatalf("loaded network output %v differs from original %v", b, a)
 		}
@@ -250,14 +250,14 @@ func TestDescribe(t *testing.T) {
 }
 
 // serialMaxAbs is the reference calibration pass: every window through
-// every layer of the folded network with the single-window Forward,
-// recording each stage's activation max-abs.
+// every layer of the folded network with the per-window reference loops
+// (refLayer), recording each stage's activation max-abs.
 func serialMaxAbs(folded *Network, calib []*Tensor) []float32 {
 	maxAbs := make([]float32, len(folded.Layers)+1)
 	for _, x := range calib {
 		cur := x
 		for li, l := range folded.Layers {
-			cur = l.Forward(cur)
+			cur = refLayer(l, cur)
 			for _, v := range cur.Data {
 				a := v
 				if a < 0 {

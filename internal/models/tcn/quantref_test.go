@@ -75,7 +75,7 @@ func (l *qDense) forward(x *qTensor, head []float32) *qTensor {
 // Forward runs the scalar int8 reference on one window and returns the
 // scalar float output.
 func (q *QuantNetwork) Forward(x *Tensor) float32 {
-	normed := q.norm.Forward(x)
+	normed := refInputNorm(x)
 	cur := quantizeTensor(normed, q.inScale)
 	var head []float32
 	for _, op := range q.ops {

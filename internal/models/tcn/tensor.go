@@ -24,9 +24,6 @@ func (x *Tensor) At(c, t int) float32 { return x.Data[c*x.T+t] }
 // Set assigns element (c, t).
 func (x *Tensor) Set(c, t int, v float32) { x.Data[c*x.T+t] = v }
 
-// Row returns the slice backing channel c.
-func (x *Tensor) Row(c int) []float32 { return x.Data[c*x.T : (c+1)*x.T] }
-
 // Clone returns a deep copy.
 func (x *Tensor) Clone() *Tensor {
 	out := NewTensor(x.C, x.T)
@@ -34,30 +31,8 @@ func (x *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Zero clears all elements.
-func (x *Tensor) Zero() {
-	for i := range x.Data {
-		x.Data[i] = 0
-	}
-}
-
 // Numel returns the number of elements.
 func (x *Tensor) Numel() int { return len(x.Data) }
-
-// ensureTensor returns *slot when it already has shape c×t, allocating a
-// fresh tensor into the slot otherwise. It is the layer-local arena
-// primitive: every layer keeps its output (and gradient) tensors in such
-// slots, so a forward or backward pass allocates only on the first call
-// for a given shape. Contents are NOT cleared; callers overwrite or Zero
-// as their accumulation pattern requires.
-func ensureTensor(slot **Tensor, c, t int) *Tensor {
-	if x := *slot; x != nil && x.C == c && x.T == t {
-		return x
-	}
-	x := NewTensor(c, t)
-	*slot = x
-	return x
-}
 
 // Param is one learnable parameter array with its gradient accumulator.
 type Param struct {

@@ -197,9 +197,9 @@ func Fit(net *Network, train []Sample, cfg TrainConfig) (finalLoss float64, err 
 }
 
 // Evaluate returns the MAE in BPM of the network over the samples. It runs
-// the batched forward path in chunks; because batched forward is bitwise
-// identical to per-sample Forward, the reported MAE is exactly the serial
-// loop's (raw denormalized outputs, no physiological clamp).
+// the batched forward path in chunks; because a window's output does not
+// depend on its batch-mates, the reported MAE does not depend on the
+// chunking (raw denormalized outputs, no physiological clamp).
 func Evaluate(net *Network, samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0

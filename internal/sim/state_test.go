@@ -19,7 +19,9 @@ import (
 // boundaries too.
 func smallBattery(capacity power.Energy) *power.Battery {
 	b := &power.Battery{Capacity: capacity}
-	b.Recharge()
+	if err := b.Restore(capacity); err != nil {
+		panic(err)
+	}
 	return b
 }
 
