@@ -30,11 +30,11 @@ type KernelResult struct {
 	Note        string  `json:"note,omitempty"`
 }
 
-// s8PerCallNote marks the int8 GEMM kernels: gemm.S8 and gemm.S8NT pack
-// both operands on every call, which the int8 TCN does not do.
-const s8PerCallNote = "gemm.S8/S8NT entry point, not called by the int8 TCN: packs both " +
-	"operands per call; TCN layers pack weights once and run PackRows + S8Panels (conv) " +
-	"or S8Panels alone (head)"
+// s8PerCallNote marks the int8 GEMM kernels: they time the int8 TCN's
+// per-call work, the weights packed once outside the loop.
+const s8PerCallNote = "pre-packed weights, as the int8 TCN layers run them: " +
+	"GemmS8_* is PackRows (the conv im2col) + S8Panels, GemmS8NT_* PackA (the head's " +
+	"activations) + S8Panels against PackBT weight panels"
 
 // withNote returns r annotated with note.
 func withNote(r KernelResult, note string) KernelResult {
@@ -121,8 +121,8 @@ func KernelBenchmarks() []KernelResult {
 
 	// Raw GEMM micro-kernels at a representative TimePPG-Big conv shape:
 	// 48 output channels × (48·3) im2col rows × 128 output positions.
-	// gemm.S8 packs both operands on every call; the int8 conv packs its
-	// weights once at quantization and im2cols straight into panels.
+	// The int8 form packs A (the weights) once and B (the im2col) from
+	// its rows on every call, as the int8 conv does.
 	const gm, gk, gn = 48, 144, 128
 	ga := make([]float32, gm*gk)
 	gb := make([]float32, gk*gn)
@@ -135,29 +135,31 @@ func KernelBenchmarks() []KernelResult {
 	}
 	sa := make([]int8, gm*gk)
 	sb := make([]int8, gk*gn)
-	sc := make([]int32, gm*gn)
 	for i := range sa {
 		sa[i] = int8(rng.Intn(255) - 127)
 	}
 	for i := range sb {
 		sb[i] = int8(rng.Intn(255) - 127)
 	}
+	sconv := newS8ConvKernel(sa, sb, gm, gk, gn)
 
-	// The TimePPG-Big head shape as one batched S8NT: 28 windows × the
-	// 2048-wide flattened map against 84 weight rows. S8NT packs the weight
-	// rows into five 16-column panels per call and finishes a 4-column
-	// scalar tail; the int8 head packs them once into six zero-padded
-	// panels and has no tail.
+	// The TimePPG-Big head shape as one batched product: 28 windows × the
+	// 2048-wide flattened map against 84 weight rows, packed once into six
+	// zero-padded panels as the int8 head packs them.
 	const hm, hk, hn = 28, 2048, 84
 	ha := make([]int8, hm*hk)
 	hb := make([]int8, hn*hk)
-	hc := make([]int32, hm*hn)
 	for i := range ha {
 		ha[i] = int8(rng.Intn(255) - 127)
 	}
 	for i := range hb {
 		hb[i] = int8(rng.Intn(255) - 127)
 	}
+	var hw gemm.Panels
+	gemm.PackBT(&hw, hb, hn, hk)
+	var hin gemm.PackedA
+	hldc := (hn + gemm.PanelCols - 1) / gemm.PanelCols * gemm.PanelCols
+	hc := make([]int32, hm*hldc)
 
 	// The int8 epilogue after each int8 GEMM: 8192 int32 accumulators
 	// through gemm.RescaleRow (folded bias, float32 multiplier, ReLU
@@ -185,13 +187,14 @@ func KernelBenchmarks() []KernelResult {
 	}
 	sa2 := make([]int8, sm*sk)
 	sb2 := make([]int8, sk*snWide)
-	sc2 := make([]int32, sm*snWide)
 	for i := range sa2 {
 		sa2[i] = int8(rng.Intn(255) - 127)
 	}
 	for i := range sb2 {
 		sb2[i] = int8(rng.Intn(255) - 127)
 	}
+	sconv2 := newS8ConvKernel(sa2, sb2[:sk*sn], sm, sk, sn)
+	sconv2Wide := newS8ConvKernel(sa2, sb2, sm, sk, snWide)
 
 	// The plan kernels again at 4096 points.
 	sig4k := make([]float64, 4096)
@@ -320,7 +323,7 @@ func KernelBenchmarks() []KernelResult {
 		withNote(runKernel("GemmS8_48x144x128", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				gemm.S8(sc, sa, sb, gm, gk, gn)
+				sconv.run()
 			}
 		}), s8PerCallNote),
 		runKernel("RequantS8_8192", func(b *testing.B) {
@@ -332,7 +335,8 @@ func KernelBenchmarks() []KernelResult {
 		withNote(runKernel("GemmS8NT_28x2048x84", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				gemm.S8NT(hc, ha, hb, hm, hk, hn)
+				gemm.PackA(&hin, ha, hm, hk)
+				gemm.S8Panels(hc, hldc, &hin, &hw)
 			}
 		}), s8PerCallNote),
 		runKernel("GemmF32_8x24x32", func(b *testing.B) {
@@ -350,13 +354,13 @@ func KernelBenchmarks() []KernelResult {
 		withNote(runKernel("GemmS8_8x24x32", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				gemm.S8(sc2, sa2, sb2, sm, sk, sn)
+				sconv2.run()
 			}
 		}), s8PerCallNote),
 		withNote(runKernel("GemmS8_8x24x1024", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				gemm.S8(sc2, sa2, sb2, sm, sk, snWide)
+				sconv2Wide.run()
 			}
 		}), s8PerCallNote),
 	}
@@ -365,6 +369,33 @@ func KernelBenchmarks() []KernelResult {
 	results = append(results, fleetKernels()...)
 	results = append(results, beliefKernels()...)
 	return append(results, serveKernels()...)
+}
+
+// s8ConvKernel is one int8 GEMM C += A·B (A m×k, B k×n with n a
+// multiple of 16) the way the int8 convolution runs it: A packed once, B
+// packed from its rows by PackRows on every call, then S8Panels.
+type s8ConvKernel struct {
+	a    gemm.PackedA
+	b    gemm.Panels
+	src  []int8
+	offs []int
+	c    []int32
+	np   int
+}
+
+func newS8ConvKernel(a, b []int8, m, k, n int) *s8ConvKernel {
+	s := &s8ConvKernel{src: b, offs: make([]int, k), c: make([]int32, m*n), np: n / gemm.PanelCols}
+	gemm.PackA(&s.a, a, m, k)
+	for p := range s.offs {
+		s.offs[p] = p * n
+	}
+	s.b.Resize(k, s.np)
+	return s
+}
+
+func (s *s8ConvKernel) run() {
+	gemm.PackRows(&s.b, 0, s.src, s.offs, 1, s.np)
+	gemm.S8Panels(s.c, s.np*gemm.PanelCols, &s.a, &s.b)
 }
 
 // cacheRecordCount sizes the record-cache kernels: large enough that a

@@ -3,47 +3,52 @@
 #include "textflag.h"
 
 // The wide int8 kernels the CPUID selection in cpu_amd64.go picks from:
-// the panel product on Y registers (AVX2, AVX-VNNI) and Z registers
-// (AVX512_VNNI), and the 16-lane requantize rows. Operands, layouts and
-// results are those of the SSE2 kernels in gemm_amd64.s.
+// the panel product on Y registers (AVX2 on pairs, AVX-VNNI on quads)
+// and Z registers (AVX512_VNNI on quads), and the 16-lane requantize
+// rows. Layouts and results are those of panels.go; doc.go has the
+// exactness argument of both layouts.
 //
-// 256-bit panel kernels. One body, S8_PANELS_Y, serves the two 256-bit kernels,
-// which differ only in the multiply-accumulate step MACrh: row r (0-3)
-// of the current four, half h (L = columns 0-7, H = 8-15). Rows 0 and 2
-// broadcast their A pair dword into Y10, rows 1 and 3 into Y11; the
-// panel's pair q is Y8 (columns 0-7) and Y9 (8-15), the accumulators
-// Y0-Y7 (row r in Y2r, Y2r+1), so MACrh is Y(2r+h) += pairs(Y10|Y11)·Y(8+h).
-//  - AVX2: VPMADDWD into a scratch register (Y12-Y15), then VPADDD.
-//  - AVX-VNNI: one VEX-encoded VPDPWSSD, hand-encoded (C4 C2 vvvv 52
-//    ModRM; the assembler emits only the EVEX form, which needs
-//    AVX512_VNNI — a separate CPUID bit).
-// VPDPWSSD adds the two pair products and the accumulator with int32
-// wraparound, exactly VPMADDWD + VPADDD; the saturating VPDPWSSDS would
-// not be, and is never used. A trailing m mod 4 rows run one at a time
-// on Y0, Y1 with MAC0L/MAC0H. No legacy-SSE instruction appears in a
-// 256- or 512-bit kernel: on the reference host one SSE instruction with
-// the upper register halves dirty cost microseconds per call.
+// 256-bit panel kernels. One body, S8_PANELS_Y, serves the two 256-bit
+// kernels. A row of A is steps dwords (pairs or quads) and a panel step
+// is 64 bytes in both layouts, so they differ only in three hooks: the
+// multiply-accumulate step MACrh, for row r (0-3) of the current four and
+// half h (L = columns 0-7, H = 8-15), and the row seeding CORR4/CORR1
+// with its cursor LOAD_CORR. Rows 0 and 2 broadcast their A dword into
+// Y10, rows 1 and 3 into Y11; the panel's step is Y8 (columns 0-7) and
+// Y9 (8-15), the accumulators Y0-Y7 (row r in Y2r, Y2r+1).
+//  - AVX2 (pairs): MACrh is VPMADDWD into a scratch register (Y12-Y15),
+//    then VPADDD; the rows need no seeding.
+//  - AVX-VNNI (quads): MACrh is one VEX-encoded VPDPBUSD, hand-encoded
+//    (C4 C2 vvvv 50 ModRM; the assembler emits only the EVEX form, which
+//    needs AVX512_VNNI — a separate CPUID bit). Its unsigned operand is
+//    VEX.vvvv, so vvvv holds the B step (Y8/Y9) and ModRM.rm the signed
+//    A broadcast (Y10/Y11). Each row is seeded with its correction.
+// VPDPBUSD adds the four u8·s8 products and the accumulator with int32
+// wraparound; the saturating VPDPBUSDS would not, and is never used. A
+// trailing m mod 4 rows run one at a time on Y0, Y1 with MAC0L/MAC0H. No
+// legacy-SSE instruction appears in a 256- or 512-bit kernel: on the
+// reference host one SSE instruction with the upper register halves
+// dirty cost microseconds per call.
 //
 // Registers: DI c panel, CX c row, SI a row, BX a cursor, DX b panel,
-// AX b cursor (c row 2 while loading and storing), R15 pairs left, R14
+// AX b cursor (c row 2 while loading and storing), R15 steps left, R14
 // rows left, R11 panels left, R10 c row stride, R12 a row stride, R8
-// three a rows, R13 b panel stride.
+// three a rows, R9 steps, R13 correction cursor (quads).
 #define S8_PANELS_Y \
 	MOVQ c+0(FP), DI; \
 	MOVQ b+16(FP), DX; \
-	MOVQ kp+32(FP), R9; \
-	MOVQ n+40(FP), R10; \
+	MOVQ steps+32(FP), R9; \
+	MOVQ ldc+40(FP), R10; \
 	SHLQ $2, R10; \
 	MOVQ np+48(FP), R11; \
 	MOVQ R9, R12; \
 	SHLQ $2, R12; \
 	LEAQ (R12)(R12*2), R8; \
-	MOVQ R9, R13; \
-	SHLQ $6, R13; \
 yPanel: \
 	MOVQ DI, CX; \
 	MOVQ a+8(FP), SI; \
 	MOVQ m+24(FP), R14; \
+	LOAD_CORR; \
 yRows4: \
 	CMPQ    R14, $4; \
 	JLT     yRow1; \
@@ -56,6 +61,7 @@ yRows4: \
 	VMOVDQU 32(AX), Y5; \
 	VMOVDQU (AX)(R10*1), Y6; \
 	VMOVDQU 32(AX)(R10*1), Y7; \
+	CORR4; \
 	MOVQ    SI, BX; \
 	MOVQ    DX, AX; \
 	MOVQ    R9, R15; \
@@ -96,6 +102,7 @@ yRow1: \
 	JZ      yNext; \
 	VMOVDQU (CX), Y0; \
 	VMOVDQU 32(CX), Y1; \
+	CORR1; \
 	MOVQ    SI, BX; \
 	MOVQ    DX, AX; \
 	MOVQ    R9, R15; \
@@ -117,27 +124,53 @@ yK1: \
 	JMP     yRow1; \
 yNext: \
 	ADDQ $64, DI; \
-	ADDQ R13, DX; \
+	MOVQ R9, AX; \
+	SHLQ $6, AX; \
+	ADDQ AX, DX; \
 	DECQ R11; \
 	JNZ  yPanel; \
 	VZEROUPPER; \
 	RET
 
-#define MAC0L VPMADDWD Y8, Y10, Y12; VPADDD Y12, Y0, Y0
-#define MAC0H VPMADDWD Y9, Y10, Y13; VPADDD Y13, Y1, Y1
-#define MAC1L VPMADDWD Y8, Y11, Y14; VPADDD Y14, Y2, Y2
-#define MAC1H VPMADDWD Y9, Y11, Y15; VPADDD Y15, Y3, Y3
-#define MAC2L VPMADDWD Y8, Y10, Y12; VPADDD Y12, Y4, Y4
-#define MAC2H VPMADDWD Y9, Y10, Y13; VPADDD Y13, Y5, Y5
-#define MAC3L VPMADDWD Y8, Y11, Y14; VPADDD Y14, Y6, Y6
-#define MAC3H VPMADDWD Y9, Y11, Y15; VPADDD Y15, Y7, Y7
+// AVX-VNNI on quads: VEX.256.66.0F38.W0 50 /r with ModRM.reg = the
+// accumulator, VEX.vvvv = B (Y8: 0x3D, Y9: 0x35), ModRM.rm = A
+// (Y10/Y11, VEX.B set: 0xC2).
+#define MAC0L BYTE $0xC4; BYTE $0xC2; BYTE $0x3D; BYTE $0x50; BYTE $0xC2
+#define MAC0H BYTE $0xC4; BYTE $0xC2; BYTE $0x35; BYTE $0x50; BYTE $0xCA
+#define MAC1L BYTE $0xC4; BYTE $0xC2; BYTE $0x3D; BYTE $0x50; BYTE $0xD3
+#define MAC1H BYTE $0xC4; BYTE $0xC2; BYTE $0x35; BYTE $0x50; BYTE $0xDB
+#define MAC2L BYTE $0xC4; BYTE $0xC2; BYTE $0x3D; BYTE $0x50; BYTE $0xE2
+#define MAC2H BYTE $0xC4; BYTE $0xC2; BYTE $0x35; BYTE $0x50; BYTE $0xEA
+#define MAC3L BYTE $0xC4; BYTE $0xC2; BYTE $0x3D; BYTE $0x50; BYTE $0xF3
+#define MAC3H BYTE $0xC4; BYTE $0xC2; BYTE $0x35; BYTE $0x50; BYTE $0xFB
 
-// func s8PanelsAVX2(c *int32, a, b *int16, m, kp, n, np int)
-TEXT ·s8PanelsAVX2(SB), NOSPLIT, $0-56
+// The quad rows start from their corrections −128·Σₖ a[i][k], which
+// cancel the +128 the B panels carry (doc.go).
+#define LOAD_CORR MOVQ corr+56(FP), R13
+#define CORR4 \
+	VPBROADCASTD (R13), Y12; \
+	VPBROADCASTD 4(R13), Y13; \
+	VPBROADCASTD 8(R13), Y14; \
+	VPBROADCASTD 12(R13), Y15; \
+	VPADDD       Y12, Y0, Y0; \
+	VPADDD       Y12, Y1, Y1; \
+	VPADDD       Y13, Y2, Y2; \
+	VPADDD       Y13, Y3, Y3; \
+	VPADDD       Y14, Y4, Y4; \
+	VPADDD       Y14, Y5, Y5; \
+	VPADDD       Y15, Y6, Y6; \
+	VPADDD       Y15, Y7, Y7; \
+	ADDQ         $16, R13
+#define CORR1 \
+	VPBROADCASTD (R13), Y12; \
+	VPADDD       Y12, Y0, Y0; \
+	VPADDD       Y12, Y1, Y1; \
+	ADDQ         $4, R13
+
+// func s8QuadsAVXVNNI(c *int32, a *int8, b *uint8, m, steps, ldc, np int, corr *int32)
+TEXT ·s8QuadsAVXVNNI(SB), NOSPLIT, $0-64
 	S8_PANELS_Y
 
-// VEX.256.66.0F38.W0 52 /r with ModRM.reg = accumulator, VEX.vvvv = A
-// (Y10: 0x2D, Y11: 0x25), ModRM.rm = B (Y8/Y9, VEX.B set: 0xC2).
 #undef MAC0L
 #undef MAC0H
 #undef MAC1L
@@ -146,17 +179,25 @@ TEXT ·s8PanelsAVX2(SB), NOSPLIT, $0-56
 #undef MAC2H
 #undef MAC3L
 #undef MAC3H
-#define MAC0L BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xC0
-#define MAC0H BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xC9
-#define MAC1L BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xD0
-#define MAC1H BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xD9
-#define MAC2L BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xE0
-#define MAC2H BYTE $0xC4; BYTE $0xC2; BYTE $0x2D; BYTE $0x52; BYTE $0xE9
-#define MAC3L BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xF0
-#define MAC3H BYTE $0xC4; BYTE $0xC2; BYTE $0x25; BYTE $0x52; BYTE $0xF9
+#undef LOAD_CORR
+#undef CORR4
+#undef CORR1
 
-// func s8PanelsAVXVNNI(c *int32, a, b *int16, m, kp, n, np int)
-TEXT ·s8PanelsAVXVNNI(SB), NOSPLIT, $0-56
+// AVX2 on pairs: no correction.
+#define MAC0L VPMADDWD Y8, Y10, Y12; VPADDD Y12, Y0, Y0
+#define MAC0H VPMADDWD Y9, Y10, Y13; VPADDD Y13, Y1, Y1
+#define MAC1L VPMADDWD Y8, Y11, Y14; VPADDD Y14, Y2, Y2
+#define MAC1H VPMADDWD Y9, Y11, Y15; VPADDD Y15, Y3, Y3
+#define MAC2L VPMADDWD Y8, Y10, Y12; VPADDD Y12, Y4, Y4
+#define MAC2H VPMADDWD Y9, Y10, Y13; VPADDD Y13, Y5, Y5
+#define MAC3L VPMADDWD Y8, Y11, Y14; VPADDD Y14, Y6, Y6
+#define MAC3H VPMADDWD Y9, Y11, Y15; VPADDD Y15, Y7, Y7
+#define LOAD_CORR
+#define CORR4
+#define CORR1
+
+// func s8PanelsAVX2(c *int32, a, b *int16, m, steps, ldc, np int)
+TEXT ·s8PanelsAVX2(SB), NOSPLIT, $0-56
 	S8_PANELS_Y
 
 
@@ -252,65 +293,75 @@ qr16Loop:
 	VZEROUPPER
 	RET
 
-// func s8PanelsVNNI(c *int32, a, b *int16, m, kp, n, np int)
+// func s8QuadsVNNI(c *int32, a *int8, b *uint8, m, steps, ldc, np int, corr *int32)
 //
-// The AVX512_VNNI panel kernel: a panel's 16 columns are one Z register,
-// so eight rows of A run per pass on Z0-Z7. Per pair q the panel vector
-// Z8 is loaded once and each row adds VPDPWSSD of it against its own
-// [a[2q], a[2q+1]] dword, broadcast from memory by the instruction
-// ({1to16}). A trailing m mod 8 rows run one at a time on Z0.
+// The AVX512_VNNI quad kernel: a panel's 16 columns are one Z register,
+// so eight rows of A run per pass on Z0-Z7, each first seeded with its
+// correction (VPADDD of the broadcast corr[i]). Per quad q the panel
+// step Z8 is loaded once and each row adds VPDPBUSD of it (unsigned, the
+// vvvv operand) against its own signed [a[4q], …, a[4q+3]] dword,
+// broadcast from memory by the instruction ({1to16}). A trailing m mod 8
+// rows run one at a time on Z0.
 //
 // Registers: DI c panel, CX c row, SI a row, BX a cursor (rows 0-3), R9
 // a cursor (rows 4-7), DX b panel, AX b cursor (c row 2, 4, 6 while
-// loading and storing), R15 pairs left, R14 rows left, R11 panels left,
-// R10 c row stride, R12 a row stride, R8 three a rows, R13 b panel
-// stride.
-TEXT ·s8PanelsVNNI(SB), NOSPLIT, $0-56
+// loading and storing), R15 quads left, R14 rows left, R11 panels left,
+// R10 c row stride, R12 a row stride, R8 three a rows, R13 correction
+// cursor.
+TEXT ·s8QuadsVNNI(SB), NOSPLIT, $0-64
 	MOVQ c+0(FP), DI
 	MOVQ b+16(FP), DX
-	MOVQ n+40(FP), R10
+	MOVQ ldc+40(FP), R10
 	SHLQ $2, R10
 	MOVQ np+48(FP), R11
-	MOVQ kp+32(FP), R12
-	MOVQ R12, R13
+	MOVQ steps+32(FP), R12
 	SHLQ $2, R12
 	LEAQ (R12)(R12*2), R8
-	SHLQ $6, R13
 
 zPanel:
 	MOVQ DI, CX
 	MOVQ a+8(FP), SI
 	MOVQ m+24(FP), R14
+	MOVQ corr+56(FP), R13
 
 zRows8:
-	CMPQ      R14, $8
-	JLT       zRow1
-	LEAQ      (CX)(R10*2), AX
-	VMOVDQU32 (CX), Z0
-	VMOVDQU32 (CX)(R10*1), Z1
-	VMOVDQU32 (AX), Z2
-	VMOVDQU32 (AX)(R10*1), Z3
-	LEAQ      (AX)(R10*2), AX
-	VMOVDQU32 (AX), Z4
-	VMOVDQU32 (AX)(R10*1), Z5
-	LEAQ      (AX)(R10*2), AX
-	VMOVDQU32 (AX), Z6
-	VMOVDQU32 (AX)(R10*1), Z7
-	MOVQ      SI, BX
-	LEAQ      (SI)(R12*4), R9
-	MOVQ      DX, AX
-	MOVQ      kp+32(FP), R15
+	CMPQ        R14, $8
+	JLT         zRow1
+	LEAQ        (CX)(R10*2), AX
+	VMOVDQU32   (CX), Z0
+	VMOVDQU32   (CX)(R10*1), Z1
+	VMOVDQU32   (AX), Z2
+	VMOVDQU32   (AX)(R10*1), Z3
+	LEAQ        (AX)(R10*2), AX
+	VMOVDQU32   (AX), Z4
+	VMOVDQU32   (AX)(R10*1), Z5
+	LEAQ        (AX)(R10*2), AX
+	VMOVDQU32   (AX), Z6
+	VMOVDQU32   (AX)(R10*1), Z7
+	VPADDD.BCST (R13), Z0, Z0
+	VPADDD.BCST 4(R13), Z1, Z1
+	VPADDD.BCST 8(R13), Z2, Z2
+	VPADDD.BCST 12(R13), Z3, Z3
+	VPADDD.BCST 16(R13), Z4, Z4
+	VPADDD.BCST 20(R13), Z5, Z5
+	VPADDD.BCST 24(R13), Z6, Z6
+	VPADDD.BCST 28(R13), Z7, Z7
+	ADDQ        $32, R13
+	MOVQ        SI, BX
+	LEAQ        (SI)(R12*4), R9
+	MOVQ        DX, AX
+	MOVQ        steps+32(FP), R15
 
 zK8:
 	VMOVDQU32     (AX), Z8
-	VPDPWSSD.BCST (BX), Z8, Z0
-	VPDPWSSD.BCST (BX)(R12*1), Z8, Z1
-	VPDPWSSD.BCST (BX)(R12*2), Z8, Z2
-	VPDPWSSD.BCST (BX)(R8*1), Z8, Z3
-	VPDPWSSD.BCST (R9), Z8, Z4
-	VPDPWSSD.BCST (R9)(R12*1), Z8, Z5
-	VPDPWSSD.BCST (R9)(R12*2), Z8, Z6
-	VPDPWSSD.BCST (R9)(R8*1), Z8, Z7
+	VPDPBUSD.BCST (BX), Z8, Z0
+	VPDPBUSD.BCST (BX)(R12*1), Z8, Z1
+	VPDPBUSD.BCST (BX)(R12*2), Z8, Z2
+	VPDPBUSD.BCST (BX)(R8*1), Z8, Z3
+	VPDPBUSD.BCST (R9), Z8, Z4
+	VPDPBUSD.BCST (R9)(R12*1), Z8, Z5
+	VPDPBUSD.BCST (R9)(R12*2), Z8, Z6
+	VPDPBUSD.BCST (R9)(R8*1), Z8, Z7
 	ADDQ          $4, BX
 	ADDQ          $4, R9
 	ADDQ          $64, AX
@@ -334,16 +385,18 @@ zK8:
 	JMP       zRows8
 
 zRow1:
-	TESTQ     R14, R14
-	JZ        zNext
-	VMOVDQU32 (CX), Z0
-	MOVQ      SI, BX
-	MOVQ      DX, AX
-	MOVQ      kp+32(FP), R15
+	TESTQ       R14, R14
+	JZ          zNext
+	VMOVDQU32   (CX), Z0
+	VPADDD.BCST (R13), Z0, Z0
+	ADDQ        $4, R13
+	MOVQ        SI, BX
+	MOVQ        DX, AX
+	MOVQ        steps+32(FP), R15
 
 zK1:
 	VMOVDQU32     (AX), Z8
-	VPDPWSSD.BCST (BX), Z8, Z0
+	VPDPBUSD.BCST (BX), Z8, Z0
 	ADDQ          $4, BX
 	ADDQ          $64, AX
 	DECQ          R15
@@ -357,7 +410,9 @@ zK1:
 
 zNext:
 	ADDQ $64, DI
-	ADDQ R13, DX
+	MOVQ steps+32(FP), AX
+	SHLQ $6, AX
+	ADDQ AX, DX
 	DECQ R11
 	JNZ  zPanel
 	VZEROUPPER

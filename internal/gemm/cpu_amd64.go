@@ -2,13 +2,14 @@
 
 package gemm
 
-// s8Level is the int8 panel kernel S8, S8NT and S8Panels run, chosen once
-// at init: the VNNI forms where the CPU has VPDPWSSD (the 512-bit one
-// first), AVX2 where it has 256-bit integer ops, SSE2 otherwise. From
-// AVX2 up it also widens the requantize rows to 16 lanes. There is no
-// flag or environment override; the kernels are exact-integer equal, so
-// the choice changes only speed. Tests force each supported kernel in
-// turn.
+// s8Level is the int8 panel kernel S8Panels runs — and so the operand
+// layout PackA, PackBT and Resize pack — chosen once at init: the VNNI
+// forms on quads where the CPU has VPDPBUSD (the 512-bit one first), AVX2
+// on pairs where it has 256-bit integer ops, SSE2 on pairs otherwise.
+// From AVX2 up it also widens the requantize rows to 16 lanes. There is
+// no flag or environment override; the kernels are exact-integer equal,
+// so the choice changes only speed. Tests force each supported kernel in
+// turn, repacking their operands.
 var s8Level = func() s8Kernel {
 	ks := s8Kernels()
 	return ks[len(ks)-1]

@@ -1,7 +1,8 @@
 // Package gemm provides the matrix-multiply micro-kernels the TCN batch
 // inference and training paths lower onto: a float32 kernel pair (plain
-// and B-transposed: F32, F32NT) and an int8 pair with int32 accumulators
-// (S8, S8NT), the CMSIS-NN-style shape the deployed quantized path uses,
+// and B-transposed: F32, F32NT), an int8 panel product with int32
+// accumulators on pre-packed operands (S8Panels, fed by PackA, PackBT and
+// PackRows), the CMSIS-NN-style shape the deployed quantized path uses,
 // plus that path's int8 requantize epilogue (Requantize, RescaleRow,
 // QuantizeRow).
 //
@@ -32,52 +33,82 @@
 // fuzz_test.go). The float32 panels come 16-, 8- and 4-columns wide with
 // sub-4 tails finished by the scalar loop.
 //
-// The int8 kernels multiply int16 pair panels. B is packed into
-// 16-column panels of interleaved int16 pairs [b[2q][j], b[2q+1][j]]
-// (⌈k/2⌉ × 64 bytes per panel) and A into rows of [a[2q], a[2q+1]] pair
-// dwords; the panel kernel then runs several rows of A per pass against
-// each panel, broadcasting a row's pair dword and multiply-adding it
-// against the panel's pair vector. An odd k pairs its last element with
-// zero. The k-pair fold is unobservable: int16 products of int8 operands
-// are exact (a pair sums to at most 2·128² = 32 768, well inside int32)
-// and two's-complement addition is associative.
+// The int8 panel kernels come in two operand layouts (next section):
+// int16 pairs for the kernels without VNNI, u8×s8 byte quads for the two
+// VNNI kernels. Either way the panel kernel runs several rows of A per
+// pass against each 16-column B panel, broadcasting a row's pair or quad
+// dword and multiply-adding it against the panel's vector, one output
+// column per int32 lane.
 //
 // The panel kernel is chosen once at init from CPUID and XGETBV (a small
 // asm stub, cpu_amd64.s; the OS must save the register state a kernel
 // uses), most preferred first:
 //
-//   - avx512vnni: VPDPWSSD on Z registers — one row's 16 columns in one
-//     register, eight rows per pass, A broadcast by the instruction;
-//   - avxvnni: the VEX-encoded VPDPWSSD on Y registers, four rows per
+//   - avx512vnni: VPDPBUSD on quads in Z registers — one row's 16
+//     columns in one register, eight rows per pass, A broadcast by the
+//     instruction;
+//   - avxvnni: the VEX-encoded VPDPBUSD on quads in Y registers, four
+//     rows per pass;
+//   - avx2: VPMADDWD then VPADDD on pairs in Y registers, four rows per
 //     pass;
-//   - avx2: VPMADDWD then VPADDD on Y registers, four rows per pass;
-//   - sse2: PMADDWL then PADDL on X registers, two rows per pass (the
-//     GOAMD64=v1 baseline).
+//   - sse2: PMADDWL then PADDL on pairs in X registers, two rows per pass
+//     (the GOAMD64=v1 baseline).
 //
-// VPDPWSSD adds both pair products to the accumulator with int32
-// wraparound, which is exactly PMADDWL/VPMADDWD followed by an int32 add
-// (the pair sum itself never wraps); the saturating VPDPWSSDS would
-// differ and is never used. So every kernel is exact-integer equal to
-// the scalar loop. There is no flag, environment variable or build tag;
-// the tests force each kernel the host supports through the same parity
-// suites and fuzz targets (an unexported hook), and
-// TestS8KernelSelection logs the kernel a run selected.
+// There is no flag, environment variable or build tag; the tests force
+// each kernel the host supports through the same parity suites and fuzz
+// target (an unexported hook), and TestS8KernelSelection logs the kernel
+// a run selected and the layout each kernel packs.
 //
 // # Packed int8 operands
 //
-// A caller whose operand is constant packs it once (panels.go): PackA
-// widens A into pair rows and PackBT packs B from its transpose (a dense
-// layer's weight rows) into panels zero-padded to a multiple of 16
-// columns, so no column is left to a scalar tail. PackRows builds B panels from rows
+// S8Panels multiplies a PackedA (A, m×k) by a Panels (B as np 16-column
+// panels) into a C whose row stride may exceed 16·np, leaving the columns
+// past the last panel untouched. A caller whose operand is constant packs
+// it once: PackA for A (a convolution's weights), PackBT for B from its
+// transpose (a dense layer's weight rows), zero-padded to whole panels so
+// no column is left to a scalar tail. PackRows writes B panels from rows
 // that sit anywhere in a buffer, read at stride 1 or 2 — the int8
 // convolution's im2col, each row one tap's view of the zero-padded input
-// — without first materializing the int8 im2col matrix. S8Panels then
-// multiplies pre-packed A by np panels into a C whose row stride may
-// exceed 16·np, leaving the columns past the last panel untouched. S8
-// and S8NT are the per-call form of the same API: they pack A with
-// PackA and the first ⌊n/16⌋ panels of B with PackRows (PackBT for
-// S8NT) into pooled scratch on every call, run S8Panels, and finish the
-// remaining columns with the scalar loop. No TCN layer calls them.
+// — into any run of panels of a Panels that Resize sized, without first
+// materializing the int8 im2col matrix. The operands own their storage
+// and reuse it, so a steady-state pack allocates nothing.
+//
+// Each operand is packed in the layout of the kernel selected when it was
+// packed, and records it: S8Panels and PackRows panic on an operand of
+// the other layout, so a test that forces another kernel cannot misread
+// a stale operand.
+//
+// Pairs (generic, sse2, avx2). A rows hold int16 pairs [a[2q], a[2q+1]],
+// B panels the pairs [b[2q][j], b[2q+1][j]] of each column j (⌈k/2⌉ × 64
+// bytes per panel); an odd k pairs its last element with zero. A pair
+// multiply-add sums two int16 products of int8 operands: at most
+// 2·128² = 32 768, exact in the int32 lane.
+//
+// Quads (avxvnni, avx512vnni). VPDPBUSD multiplies unsigned bytes of one
+// operand by signed bytes of the other, four per lane, so B is stored
+// offset: panels hold the quads [u[4q][j], …, u[4q+3][j]] with u = b + 128
+// (b XOR 0x80) as unsigned bytes, the columns past n stored as u = 128
+// (b = 0); A rows hold the signed quads [a[4q], …, a[4q+3]], zero-padded
+// to a multiple of four — so B's rows past k multiply zeros and may hold
+// anything (PackRows repeats a real row there) — and PackA stores each
+// row's correction −128·Σₖ a[i][k].
+// S8Panels seeds each row with its correction and then adds Σₖ a·u, and
+//
+//	−128·Σₖ a[i][k] + Σₖ a[i][k]·(b[k][j] + 128) = Σₖ a[i][k]·b[k][j]
+//
+// exactly in int32 wraparound arithmetic: each u8·s8 product (at most
+// 255·128) and each quad sum fits an int32 lane, VPDPBUSD adds to the
+// accumulator with wraparound, and two's-complement addition is
+// associative, so the correction can come first. A padded column reads
+// u = 128 on every row and gains 128·Σₖ a − 128·Σₖ a = 0. The same
+// identity serves both int8 layers: a convolution's A is its weights,
+// whose corrections PackA computes once at quantization; a dense layer's
+// A is the activations, summed as PackA packs them. The saturating
+// VPDPBUSDS and the int16-saturating VPMADDUBSW would break the identity
+// and are never used, and without VNNI a u8·s8 quad has no exact
+// multiply, which is why the other kernels keep pairs. The pair
+// instructions obey the same rule: VPMADDWD/PMADDWL's pair sum never
+// saturates, and the saturating VPDPWSSDS is never used.
 //
 // # Int8 epilogue
 //
@@ -108,34 +139,37 @@
 // F32NT reaches the float32 panels by packing B into a pooled k×n Bᵀ
 // panel first (pack.go): the transpose changes which operand is
 // contiguous, not the per-element reduction order, so bitwise equality
-// carries over. S8NT needs no transpose: row j of B already holds column
-// j's (b[j][2q], b[j][2q+1]) pairs, so PackBT packs straight into the
-// int16 panels with a 4×4 dword transpose in registers. Both NT forms are gated
-// on m ≥ ntPackMinM — below that the k·n pack cannot amortize and the
-// scalar dot-product form is already the right shape. The layout is
+// carries over. PackBT needs no transpose pass: row j of Bᵀ already holds
+// column j's adjacent elements, so the pair form packs straight into the
+// int16 panels with a 4×4 dword transpose in registers. F32NT is gated on
+// m ≥ ntPackMinM — below that the k·n pack cannot amortize and the
+// scalar dot-product form is already the right shape. The layouts are
 // deliberately ISA-agnostic: an arm64 NEON port implements the same
 // panels behind gemm_noasm.go's build tags without touching callers
-// (float32 lanes carry the identical chain on any IEEE vector unit).
+// (float32 lanes carry the identical chain on any IEEE vector unit, and
+// SDOT/USDOT multiply byte quads like VPDPBUSD).
 //
 // Hot paths: the panel inner loops are the single hottest code in the
 // repository — every Conv1D and Dense layer of both TCN topologies,
 // float32 and int8, serial-equivalent batch inference and training
 // backprop all funnel through them via im2col (internal/models/tcn; the
 // int8 layers pack their weights once at quantization and write their
-// im2col straight into pair panels with PackRows), per-sample for
+// im2col straight into panels with PackRows), per-sample for
 // TimePPG-Big and packed across the batch for
 // TimePPG-Small's small panels (the cross-sample lowering; see
 // tcn.crossSampleMaxPanel).
 //
-// BENCH kernels: GemmF32_48x144x128 and GemmS8_48x144x128 measure F32
-// and S8 (per-call packing included) at a representative TimePPG-Big
-// convolution shape,
-// RequantS8_8192 the int8 epilogue over 8192 accumulators,
-// GemmS8NT_28x2048x84 S8NT at the TimePPG-Big head shape batched over
-// 28 windows,
-// GemmF32_8x24x{32,1024} and GemmS8_8x24x{32,1024} at the TimePPG-Small
+// BENCH kernels: GemmF32_48x144x128 measures F32 at a representative
+// TimePPG-Big convolution shape and GemmS8_48x144x128 the int8
+// convolution's per-call work there (PackRows + S8Panels on weights
+// packed once), RequantS8_8192 the int8 epilogue over 8192 accumulators,
+// GemmS8NT_28x2048x84 the TimePPG-Big head batched over 28 windows
+// (PackA of the activations + S8Panels on PackBT weight panels),
+// GemmF32_8x24x{32,1024} and GemmS8_8x24x{32,1024} the TimePPG-Small
 // final-block shape per-sample and at the cross-sample width;
 // TimePPG{Small,Big}ForwardBatch32/win and Quant{Small,Big}ForwardBatch32/win
 // measure them through the full networks against the serial references
-// (BENCH_*.json, written by chrisbench -json).
+// (BENCH_*.json, written by chrisbench -json). BenchmarkS8Panels times
+// the panel product alone at TimePPG-Big's nine convolution shapes on
+// every kernel the host supports.
 package gemm

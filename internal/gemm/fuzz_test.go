@@ -17,9 +17,9 @@ import (
 // rather than a false pass on untested code.
 
 // fuzzShape folds raw fuzz integers into kernel shapes that cross every
-// dispatch boundary: m over the 4-row NT blocking, n over the 16/8/4/
-// scalar panel widths, k over the dual-MAC pairing (odd and even) and the
-// empty reduction.
+// dispatch boundary: m over the 2-, 4- and 8-row blockings, n over the
+// 16/8/4/scalar panel widths, k over the pair and quad steps (every
+// residue mod 4) and the empty reduction.
 func fuzzShape(m, k, n uint8) (int, int, int) {
 	return 1 + int(m)%21, int(k) % 40, 1 + int(n)%70
 }
@@ -33,15 +33,24 @@ func fuzzF32Data(seed int64, n int) []float32 {
 	return out[: n : n+1]
 }
 
-// fuzzS8Data draws from the full int8 range: S8 is a general kernel, not
-// only one for clamped [−127, 127] activations.
+// fuzzS8Data draws from the full int8 range — the packed product is a
+// general kernel, not only one for clamped [−127, 127] activations — with
+// one draw in eight at an end of it (−128 or 127), where the quad
+// layout's +128 offset and the pair sums are largest.
 func fuzzS8Data(seed int64, n int) []int8 {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]int8, n+1)
+	out := make([]int8, n)
 	for i := range out {
-		out[i] = int8(rng.Intn(256) - 128)
+		switch rng.Intn(16) {
+		case 0:
+			out[i] = -128
+		case 1:
+			out[i] = 127
+		default:
+			out[i] = int8(rng.Intn(256) - 128)
+		}
 	}
-	return out[: n : n+1]
+	return out
 }
 
 // fuzzSeeds covers the interesting boundaries even when the fuzzer only
@@ -105,78 +114,71 @@ func FuzzF32NTAsmMatchesGeneric(f *testing.F) {
 	})
 }
 
+// fuzzS8Acc seeds the int8 accumulators within 2¹⁶ of the int32 wrap on
+// either side, so a saturating instruction or a lost +128 correction
+// shows.
+func fuzzS8Acc(seed int64, n int) []int32 {
+	rng := rand.New(rand.NewSource(seed))
+	c := make([]int32, n)
+	for i := range c {
+		c[i] = math.MaxInt32 - int32(rng.Intn(1<<16))
+		if rng.Intn(2) == 0 {
+			c[i] = math.MinInt32 + int32(rng.Intn(1<<16))
+		}
+	}
+	return c
+}
+
+// FuzzS8AsmMatchesGeneric multiplies C += A·B through the int8 entry
+// points under every kernel the host supports — A packed by PackA, B by
+// PackRows (the convolution's im2col) at strides 1 to 3 — and checks
+// each product against s8Generic on operands spanning the full int8
+// range.
 func FuzzS8AsmMatchesGeneric(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint8, seed int64) {
 		m, k, n := fuzzShape(mr, kr, nr)
 		a := fuzzS8Data(seed, m*k)
 		b := fuzzS8Data(seed+1, k*n)
-		rng := rand.New(rand.NewSource(seed + 2))
-		c0 := make([]int32, m*n)
-		for i := range c0 {
-			c0[i] = int32(rng.Intn(2000) - 1000)
-		}
-		want := append([]int32(nil), c0...)
-		s8Generic(want, a, b, m, k, n, 0)
-		forEachS8Kernel(func(kern s8Kernel) {
-			got := append([]int32(nil), c0...)
-			if k > 0 {
-				s8Packed(got, a, b, m, k, n, false)
-			} else {
-				S8(got, a, b, m, k, n)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v %dx%dx%d: elem %d = %d, want %d", kern, m, k, n, i, got[i], want[i])
-				}
-			}
+		c0 := fuzzS8Acc(seed+2, m*n)
+		rng := rand.New(rand.NewSource(seed + 3))
+		forEachS8Kernel(func(s8Kernel) {
+			checkS8Packed(t, rng, c0, a, b, m, k, n, 1, 2, 3)
 		})
 	})
 }
 
+// FuzzS8NTAsmMatchesGeneric is the Bᵀ form: B is packed by PackBT from
+// its n×k transpose (the dense layer's weights), zero-padded to whole
+// panels, and the product checked against s8Generic under every kernel.
 func FuzzS8NTAsmMatchesGeneric(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint8, seed int64) {
 		m, k, n := fuzzShape(mr, kr, nr)
-		if k == 0 {
-			k = 1
-		}
 		a := fuzzS8Data(seed, m*k)
-		b := fuzzS8Data(seed+1, n*k)
-		rng := rand.New(rand.NewSource(seed + 2))
-		c0 := make([]int32, m*n)
-		for i := range c0 {
-			c0[i] = int32(rng.Intn(2000) - 1000)
-		}
-		want := append([]int32(nil), c0...)
-		s8NTGeneric(want, a, b, m, k, n, 0)
-		forEachS8Kernel(func(kern s8Kernel) {
-			got := append([]int32(nil), c0...)
-			s8Packed(got, a, b, m, k, n, true)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v %dx%dx%d: elem %d = %d, want %d", kern, m, k, n, i, got[i], want[i])
-				}
-			}
-			// The pre-packed form: B packed once from its transpose,
-			// zero-padded to whole panels.
-			checkS8Panels(t, kern, rng, m, k, n)
+		b := fuzzS8Data(seed+1, k*n)
+		c0 := fuzzS8Acc(seed+2, m*n)
+		rng := rand.New(rand.NewSource(seed + 3))
+		forEachS8Kernel(func(s8Kernel) {
+			checkS8Packed(t, rng, c0, a, b, m, k, n, 0)
 		})
 	})
 }
 
-// TestS8AsmMinInt8 pins the largest pair sum of the dual-MAC: with A and
-// B all −128 every pair adds (−128)² + (−128)² = 32 768, one past int16
-// (PMADDWL, VPMADDWD and VPDPWSSD still hold it exactly in the int32
-// lane). Accumulators seeded just below MaxInt32 pin the int32
-// wraparound of the scalar loop, which the saturating VPDPWSSDS would
-// clamp instead. Even and odd k cover the zero-partner pair, m ∈ {1, …,
-// 9} the two-, four- and eight-row blocks and their trailing rows, n =
-// 37 two panels and a scalar tail.
+// TestS8AsmMinInt8 pins the extreme products: with A and B all −128 every
+// pair adds (−128)² + (−128)² = 32 768, one past int16 (PMADDWL,
+// VPMADDWD hold it exactly in the int32 lane), and every quad reads B as
+// u = 0 against A's −128 with the whole product in the correction.
+// Accumulators seeded just below MaxInt32 pin the int32 wraparound of
+// the scalar loop, which the saturating VPDPBUSDS would clamp instead. k
+// of every residue mod 4 covers the zero partners and padded quads, m ∈
+// {1, …, 9} the two-, four- and eight-row blocks and their trailing
+// rows, n = 37 three panels, the last one padded.
 func TestS8AsmMinInt8(t *testing.T) {
 	const n = 37
 	forEachS8Kernel(func(kern s8Kernel) {
-		for _, k := range []int{16, 17} {
+		rng := rand.New(rand.NewSource(13))
+		for _, k := range []int{16, 17, 18, 19} {
 			for m := 1; m <= 9; m++ {
 				a := make([]int8, m*k)
 				b := make([]int8, k*n)
@@ -188,16 +190,16 @@ func TestS8AsmMinInt8(t *testing.T) {
 				}
 				for _, c0 := range []int32{0, math.MaxInt32 - 1000} {
 					want := c0 + int32(k)*128*128 // wraps for the high seed
-					got := make([]int32, m*n)
-					gotNT := make([]int32, m*n)
-					for i := range got {
-						got[i], gotNT[i] = c0, c0
-					}
-					s8Packed(got, a, b, m, k, n, false)
-					s8Packed(gotNT, a, b, m, k, n, true) // B all −128 reads the same as n×k
-					for i := range got {
-						if got[i] != want || gotNT[i] != want {
-							t.Fatalf("%v m=%d k=%d c0=%d: elem %d = %d (S8), %d (S8NT), want %d", kern, m, k, c0, i, got[i], gotNT[i], want)
+					for _, stride := range []int{0, 1} {
+						got := make([]int32, m*n)
+						for i := range got {
+							got[i] = c0
+						}
+						mulPacked(t, rng, got, a, b, m, k, n, stride)
+						for i := range got {
+							if got[i] != want {
+								t.Fatalf("%v stride %d m=%d k=%d c0=%d: elem %d = %d, want %d", kern, stride, m, k, c0, i, got[i], want)
+							}
 						}
 					}
 				}
@@ -224,7 +226,7 @@ func TestTransposeInto(t *testing.T) {
 }
 
 // TestNTPackZeroAllocSteadyState guards the pooled Bᵀ panels: once a
-// worker has warmed the pool, the packed NT path must not allocate.
+// worker has warmed the pool, F32NT's packed path must not allocate.
 func TestNTPackZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const m, k, n = 16, 96, 48 // comfortably over the asm-pack thresholds
@@ -240,18 +242,5 @@ func TestNTPackZeroAllocSteadyState(t *testing.T) {
 	F32NT(c, a, b, m, k, n)
 	if allocs := testing.AllocsPerRun(20, func() { F32NT(c, a, b, m, k, n) }); allocs != 0 {
 		t.Errorf("F32NT allocates %v per run in steady state", allocs)
-	}
-	as := make([]int8, m*k)
-	bs := make([]int8, n*k)
-	for i := range as {
-		as[i] = int8(rng.Intn(255) - 127)
-	}
-	for i := range bs {
-		bs[i] = int8(rng.Intn(255) - 127)
-	}
-	cs := make([]int32, m*n)
-	S8NT(cs, as, bs, m, k, n)
-	if allocs := testing.AllocsPerRun(20, func() { S8NT(cs, as, bs, m, k, n) }); allocs != 0 {
-		t.Errorf("S8NT allocates %v per run in steady state", allocs)
 	}
 }

@@ -41,7 +41,7 @@ func s8Widen8(dst *int16, src *int8, blocks int)
 //go:noescape
 func s8PackBT8(dst *int16, b *int8, k, np int)
 
-// s8Panels computes C += A·B over np packed 16-column panels with exact
+// s8Panels computes C += A·B over np pair-layout panels with exact
 // int32 accumulators: A is m rows of kp int16 pairs, C row-major with row
 // length n. Two rows of A share each panel load; PMADDWL folds the pair
 // a[2q]·b[2q][j] + a[2q+1]·b[2q+1][j] into one dual-MAC per lane — int16
@@ -55,39 +55,72 @@ func s8Panels(c *int32, a, b *int16, m, kp, n, np int)
 // each row's 16 columns in two accumulators, VPMADDWD then VPADDD.
 //
 //go:noescape
-func s8PanelsAVX2(c *int32, a, b *int16, m, kp, n, np int)
+func s8PanelsAVX2(c *int32, a, b *int16, m, steps, ldc, np int)
 
-// s8PanelsAVXVNNI is s8PanelsAVX2 with each VPMADDWD+VPADDD fused into
-// one VEX-encoded VPDPWSSD (AVX-VNNI).
+// s8QuadsAVXVNNI is the quad-layout product on 256-bit registers: four
+// rows of A per pass, one VEX-encoded VPDPBUSD (AVX-VNNI) per row and
+// half panel per quad, each row seeded with its correction corr[i].
 //
 //go:noescape
-func s8PanelsAVXVNNI(c *int32, a, b *int16, m, kp, n, np int)
+func s8QuadsAVXVNNI(c *int32, a *int8, b *uint8, m, steps, ldc, np int, corr *int32)
 
-// s8PanelsVNNI is the AVX512_VNNI kernel: one Z register per row's 16
-// columns, eight rows per pass, VPDPWSSD with a broadcast memory operand.
+// s8QuadsVNNI is the AVX512_VNNI quad kernel: one Z register per row's
+// 16 columns, eight rows per pass, VPDPBUSD with A's quad broadcast from
+// memory.
 //
 //go:noescape
-func s8PanelsVNNI(c *int32, a, b *int16, m, kp, n, np int)
+func s8QuadsVNNI(c *int32, a *int8, b *uint8, m, steps, ldc, np int, corr *int32)
 
 // s8PackRows packs pairs row pairs (offs[2q], offs[2q+1]) of src, read
 // at stride 1 or 2 over 16·np columns, as pair q of np panels kp pairs
-// long (PackRows).
+// long (PackRows, pair layout).
 //
 //go:noescape
 func s8PackRows(dst *int16, src *int8, offs *int, stride, pairs, kp, np int)
 
-// s8PanelsAsm runs the panel product on the kernel s8Level selects.
-func s8PanelsAsm(c *int32, a, b *int16, m, kp, n, np int) {
-	switch s8Level {
-	case kernelAVXVNNI:
-		s8PanelsAVXVNNI(c, a, b, m, kp, n, np)
-	case kernelVNNI:
-		s8PanelsVNNI(c, a, b, m, kp, n, np)
-	case kernelAVX2:
-		s8PanelsAVX2(c, a, b, m, kp, n, np)
-	default:
-		s8Panels(c, a, b, m, kp, n, np)
+// s8PackQuads packs quads row quads (offs[4q], …, offs[4q+3]) of src,
+// read at stride 1 or 2 over 16·np columns, as quad q of np panels kq
+// quads long, each byte offset by +128 (PackRows, quad layout).
+//
+//go:noescape
+func s8PackQuads(dst *uint8, src *int8, offs *int, stride, quads, kq, np int)
+
+// s8Sum16 returns the sum of blocks×16 int8 values.
+//
+//go:noescape
+func s8Sum16(src *int8, blocks int) int32
+
+// s8PairsAsm runs the pair-layout panel product on the kernel s8Level
+// selects.
+func s8PairsAsm(c *int32, a, b *int16, m, kp, ldc, np int) {
+	if s8Level == kernelAVX2 {
+		s8PanelsAVX2(c, a, b, m, kp, ldc, np)
+		return
 	}
+	s8Panels(c, a, b, m, kp, ldc, np)
+}
+
+// s8QuadsAsm runs the quad-layout panel product on the kernel s8Level
+// selects.
+func s8QuadsAsm(c *int32, a *int8, b *uint8, m, kq, ldc, np int, corr *int32) {
+	if s8Level == kernelVNNI {
+		s8QuadsVNNI(c, a, b, m, kq, ldc, np, corr)
+		return
+	}
+	s8QuadsAVXVNNI(c, a, b, m, kq, ldc, np, corr)
+}
+
+// rowSum returns the int32 sum of row, wrapping like Go's.
+func rowSum(row []int8) int32 {
+	var s int32
+	n := len(row) &^ 15
+	if n > 0 {
+		s = s8Sum16(&row[0], n/16)
+	}
+	for _, v := range row[n:] {
+		s += int32(v)
+	}
+	return s
 }
 
 // rescaleRow8 runs RescaleRow's element expression over blocks×8
@@ -174,8 +207,8 @@ func f32NTAsm(c, a, b []float32, m, k, n int) {
 	f32PackPool.put(bt)
 }
 
-// s8PackA widens A (m×k) into m rows of ⌈k/2⌉ int16 pairs; an odd k pads
-// each row with a zero partner.
+// s8PackA widens A (m×k) into m rows of ⌈k/2⌉ int16 pairs, the pair
+// layout; an odd k pads each row with a zero partner.
 func s8PackA(dst []int16, a []int8, m, k int) {
 	if k%2 == 0 {
 		s8Widen(dst, a)

@@ -2,11 +2,10 @@
 
 #include "textflag.h"
 
-// SSE2 panel kernels for the GEMM micro-kernels, plus the int8
-// requantize epilogue. All four exported GEMM kernels funnel into these
-// panels, and every panel vectorizes over INDEPENDENT OUTPUT COLUMNS
-// only: one XMM lane owns one output element, the reduction dimension k
-// advances scalar-wise through the loop. Per k
+// SSE2 panel kernels for the GEMM micro-kernels, plus the int8 packers
+// and requantize epilogue. Every panel vectorizes over INDEPENDENT OUTPUT
+// COLUMNS only: one XMM lane owns one output element, the reduction
+// dimension k advances scalar-wise through the loop. Per k
 // step the float32 panels run exactly one MULPS and one ADDPS per
 // accumulator register — the same multiply-then-add with per-operation
 // IEEE rounding (no FMA) as the scalar reference — so each lane
@@ -14,17 +13,20 @@
 // Lanes never sum across k (that would reassociate the float32 chain),
 // which is also why no horizontal operations appear anywhere in this file.
 //
-// The int8 path is allowed one k-wise fusion the float panels are not:
+// The int8 path is allowed k-wise fusion the float panels are not:
 // PMADDWL folds the pair a[p]·b[p][j] + a[p+1]·b[p+1][j] into one
-// dual-MAC. int16 products of int8 operands are exact (|a·b| ≤ 16 384, a
-// pair sum ≤ 32 768) and two's-complement int32 addition is associative
-// even on wraparound, so the pairing is unobservable in the result. Its
-// operands are widened once, not once per row of A: s8Widen8 sign-extends
-// A into pair dwords, s8PackRows / s8PackBT8 pack B (or Bᵀ) into
-// 16-column panels of interleaved int16 pairs, and s8Panels runs two rows
-// of A per pass against each panel with PMADDWL and PADDL only.
-// avx_amd64.s holds the wider forms of s8Panels and of the requantize
-// rows that CPUs with AVX2 or VNNI run instead.
+// dual-MAC (and the VNNI kernels of avx_amd64.s fold four products).
+// int16 products of int8 operands are exact (|a·b| ≤ 16 384, a pair sum
+// ≤ 32 768) and two's-complement int32 addition is associative even on
+// wraparound, so the fusion is unobservable in the result. Its operands
+// are packed once, not once per row of A, in one of two layouts
+// (panels.go): int16 pairs — s8Widen8 sign-extends A into pair dwords,
+// s8PackRows / s8PackBT8 pack B (or Bᵀ) into 16-column panels of
+// interleaved int16 pairs, and s8Panels runs two rows of A per pass
+// against each panel with PMADDWL and PADDL only — or, for the VNNI
+// kernels, byte quads packed by s8PackQuads, with s8Sum16 summing A's
+// rows for their correction. avx_amd64.s holds the wider panel kernels
+// and requantize rows that CPUs with AVX2 or VNNI run instead.
 //
 // The int8 epilogue (rescaleRow8, quantizeRow8) is the one place lanes
 // hold float32 values derived from int32: each lane requantizes one
@@ -188,14 +190,11 @@ f4KDone:
 f4Done:
 	RET
 
-// Int8 path: B is packed once per call into 16-column panels of int16
-// pairs, then one panel kernel streams A against them.
-//
-// Panel layout (shared by S8 and S8NT): panel P covers output columns
-// 16P..16P+15; pair q of the panel is 64 bytes holding, for each of the 16
-// columns j, the int16 pair [b[2q][j], b[2q+1][j]] — exactly the operand
-// PMADDWL wants against a broadcast [a[2q], a[2q+1]] dword. Panels are kp
-// = ⌈k/2⌉ pairs long; an odd k pairs its last row with zero.
+// Int8 pair layout: panel P covers output columns 16P..16P+15; pair q
+// of the panel is 64 bytes holding, for each of the 16 columns j, the
+// int16 pair [b[2q][j], b[2q+1][j]] — exactly the operand PMADDWL wants
+// against a broadcast [a[2q], a[2q+1]] dword. Panels are kp = ⌈k/2⌉
+// pairs long; an odd k pairs its last row with zero.
 
 // func s8Widen8(dst *int16, src *int8, blocks int)
 //
@@ -244,7 +243,7 @@ w8Loop:
 
 // func s8PackBT8(dst *int16, b *int8, k, np int)
 //
-// Packs Bᵀ for S8NT: B is n×k, so row j's adjacent bytes (b[j][2q],
+// Packs Bᵀ (PackBT, pair layout): B is n×k, so row j's adjacent bytes (b[j][2q],
 // b[j][2q+1]) already form column j's pair q. Four B rows × 8 bytes are
 // widened to four rows of four pair-dwords and transposed 4×4 (PUNPCK?LQ
 // then PUNPCK?QDQ), giving four pairs of four columns each. Covers pairs
@@ -519,6 +518,148 @@ prNext:
 	ADDQ $64, R8
 	DECQ R11
 	JNZ  prPair
+	RET
+
+// Quad-layout packers for the VNNI kernels (panels.go): bytes, not
+// words, and each B byte offset by +128 (XOR 0x80) so VPDPBUSD can read
+// it as unsigned. bias80 holds that 0x80 per byte.
+DATA bias80<>+0(SB)/8, $0x8080808080808080
+DATA bias80<>+8(SB)/8, $0x8080808080808080
+GLOBL bias80<>(SB), RODATA|NOPTR, $16
+
+// PACK_QUADS interleaves rows X0-X3 (b_4q … b_4q+3, 16 columns each)
+// into the 16 column quads [u_4q[j], u_4q+1[j], u_4q+2[j], u_4q+3[j]] at
+// (DI), u = b XOR 0x80 (X6): PUNPCK?BW pairs rows 0/1 and 2/3 per
+// column, PUNPCK?WL joins the two pairs into the column's dword.
+// Clobbers X0-X4.
+#define PACK_QUADS \
+	PXOR      X6, X0; \
+	PXOR      X6, X1; \
+	PXOR      X6, X2; \
+	PXOR      X6, X3; \
+	MOVOU     X0, X4; \
+	PUNPCKLBW X1, X4; \
+	PUNPCKHBW X1, X0; \
+	MOVOU     X2, X1; \
+	PUNPCKLBW X3, X1; \
+	PUNPCKHBW X3, X2; \
+	MOVOU     X4, X3; \
+	PUNPCKLWL X1, X3; \
+	PUNPCKHWL X1, X4; \
+	MOVOU     X0, X1; \
+	PUNPCKLWL X2, X1; \
+	PUNPCKHWL X2, X0; \
+	MOVOU     X3, (DI); \
+	MOVOU     X4, 16(DI); \
+	MOVOU     X1, 32(DI); \
+	MOVOU     X0, 48(DI)
+
+// EVEN16(r, x) loads the 16 even bytes of the 32 at (r) into x (PAND
+// 0x00ff per word from X5, then PACKUSWB, exact on 0..255). Clobbers X7.
+#define EVEN16(r, x) \
+	MOVOU    (r), x; \
+	MOVOU    16(r), X7; \
+	PAND     X5, x; \
+	PAND     X5, X7; \
+	PACKUSWB X7, x
+
+// func s8PackQuads(dst *uint8, src *int8, offs *int, stride, quads, kq, np int)
+//
+// The quad form of s8PackRows: rows 4q … 4q+3 of B, read from
+// src[offs[p] + j·stride] for the np×16 columns j, become quad q of
+// every panel. Quads go outer, so the four source rows are read
+// sequentially; panels are kq × 64 bytes apart.
+TEXT ·s8PackQuads(SB), NOSPLIT, $0-56
+	MOVQ    dst+0(FP), R8
+	MOVQ    src+8(FP), R9
+	MOVQ    offs+16(FP), R10
+	MOVQ    stride+24(FP), R14
+	MOVQ    quads+32(FP), R11
+	MOVQ    kq+40(FP), R13
+	SHLQ    $6, R13          // panel stride, bytes
+	MOVQ    np+48(FP), R12
+	PCMPEQW X5, X5
+	PSRLW   $8, X5           // 0x00ff per word
+	MOVOU   bias80<>(SB), X6
+
+pqQuad:
+	MOVQ (R10), SI
+	ADDQ R9, SI              // row 4q
+	MOVQ 8(R10), BX
+	ADDQ R9, BX              // row 4q+1
+	MOVQ 16(R10), DX
+	ADDQ R9, DX              // row 4q+2
+	MOVQ 24(R10), AX
+	ADDQ R9, AX              // row 4q+3
+	MOVQ R8, DI
+	MOVQ R12, CX
+	CMPQ R14, $2
+	JEQ  pqPanel2
+
+pqPanel1:
+	MOVOU (SI), X0
+	MOVOU (BX), X1
+	MOVOU (DX), X2
+	MOVOU (AX), X3
+	PACK_QUADS
+	ADDQ  $16, SI
+	ADDQ  $16, BX
+	ADDQ  $16, DX
+	ADDQ  $16, AX
+	ADDQ  R13, DI
+	DECQ  CX
+	JNZ   pqPanel1
+	JMP   pqNext
+
+pqPanel2:
+	EVEN16(SI, X0)
+	EVEN16(BX, X1)
+	EVEN16(DX, X2)
+	EVEN16(AX, X3)
+	PACK_QUADS
+	ADDQ $32, SI
+	ADDQ $32, BX
+	ADDQ $32, DX
+	ADDQ $32, AX
+	ADDQ R13, DI
+	DECQ CX
+	JNZ  pqPanel2
+
+pqNext:
+	ADDQ $32, R10
+	ADDQ $64, R8
+	DECQ R11
+	JNZ  pqQuad
+	RET
+
+// func s8Sum16(src *int8, blocks int) int32
+//
+// Sums blocks×16 int8 values for a quad row's correction: XOR 0x80 reads
+// each as a + 128 unsigned, PSADBW against zero adds eight of them per
+// 64-bit lane, and 128·16·blocks comes off the total at the end. The
+// 64-bit sum is exact, so its low 32 bits are Go's wrapping int32 sum.
+TEXT ·s8Sum16(SB), NOSPLIT, $0-20
+	MOVQ  src+0(FP), SI
+	MOVQ  blocks+8(FP), CX
+	MOVQ  CX, DX
+	SHLQ  $11, DX            // 128 × 16 per block
+	MOVOU bias80<>(SB), X2
+	PXOR  X1, X1
+	PXOR  X3, X3
+
+sumLoop:
+	MOVOU  (SI), X0
+	PXOR   X2, X0
+	PSADBW X1, X0
+	PADDQ  X0, X3
+	ADDQ   $16, SI
+	DECQ   CX
+	JNZ    sumLoop
+	PSHUFL $0x4e, X3, X0     // swap the two 64-bit lanes
+	PADDQ  X0, X3
+	MOVQ   X3, AX
+	SUBQ   DX, AX
+	MOVL   AX, ret+16(FP)
 	RET
 
 // Int8 epilogue: the two requantize rows. Both run Requantize's

@@ -36,6 +36,21 @@ func s8PackBT(dst []int16, b []int8, k, np int) { packBTGeneric(dst, b, 16*np, k
 func s8PackRows(dst *int16, src *int8, offs *int, stride, pairs, kp, np int) {
 	panic("gemm: no asm packer in portable builds")
 }
-func s8PanelsAsm(c *int32, a, b *int16, m, kp, n, np int) {
+func s8PackQuads(dst *uint8, src *int8, offs *int, stride, quads, kq, np int) {
+	panic("gemm: no asm packer in portable builds")
+}
+func s8PairsAsm(c *int32, a, b *int16, m, kp, ldc, np int) {
 	panic("gemm: no asm panel kernel in portable builds")
+}
+func s8QuadsAsm(c *int32, a *int8, b *uint8, m, kq, ldc, np int, corr *int32) {
+	panic("gemm: no asm panel kernel in portable builds")
+}
+
+// rowSum returns the int32 sum of row, wrapping like Go's.
+func rowSum(row []int8) int32 {
+	var s int32
+	for _, v := range row {
+		s += int32(v)
+	}
+	return s
 }

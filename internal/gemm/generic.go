@@ -1,9 +1,10 @@
 package gemm
 
-// This file holds the portable scalar kernels: the reference semantics the
-// SIMD panels in gemm_amd64.s must reproduce bitwise, the only
-// implementation off amd64 (or under -tags purego), and the column-tail
-// finisher for panel widths the vector path does not cover. They are
+// This file holds the portable scalar float kernels and requantize rows:
+// the reference semantics the SIMD panels in gemm_amd64.s must reproduce
+// bitwise, the only implementation off amd64 (or under -tags purego), and
+// the column-tail finisher for panel widths the vector path does not
+// cover. (The portable int8 panel product is in panels.go.) They are
 // blocked for locality and register-unrolled 8- then 4-wide over
 // independent output elements — never over the reduction dimension.
 
@@ -168,110 +169,6 @@ func f32NTGeneric(c, a, b []float32, m, k, n int) {
 			acc := c[i*n+j]
 			for p, bv := range br {
 				acc += ar[p] * bv
-			}
-			c[i*n+j] = acc
-		}
-	}
-}
-
-// s8Generic computes the S8 update over columns [j0, n) with exact int32
-// accumulation.
-func s8Generic(c []int32, a, b []int8, m, k, n, j0 int) {
-	j := j0
-	for ; j+8 <= n; j += 8 {
-		for i := 0; i < m; i++ {
-			ar := a[i*k : i*k+k]
-			ci := i*n + j
-			cr := c[ci : ci+8 : ci+8]
-			c0, c1, c2, c3 := cr[0], cr[1], cr[2], cr[3]
-			c4, c5, c6, c7 := cr[4], cr[5], cr[6], cr[7]
-			bi := j
-			for p := 0; p < k; p++ {
-				av := int32(ar[p])
-				br := b[bi : bi+8 : bi+8]
-				c0 += av * int32(br[0])
-				c1 += av * int32(br[1])
-				c2 += av * int32(br[2])
-				c3 += av * int32(br[3])
-				c4 += av * int32(br[4])
-				c5 += av * int32(br[5])
-				c6 += av * int32(br[6])
-				c7 += av * int32(br[7])
-				bi += n
-			}
-			cr[0], cr[1], cr[2], cr[3] = c0, c1, c2, c3
-			cr[4], cr[5], cr[6], cr[7] = c4, c5, c6, c7
-		}
-	}
-	for ; j+4 <= n; j += 4 {
-		for i := 0; i < m; i++ {
-			ar := a[i*k : i*k+k]
-			ci := i*n + j
-			cr := c[ci : ci+4 : ci+4]
-			c0, c1, c2, c3 := cr[0], cr[1], cr[2], cr[3]
-			bi := j
-			for p := 0; p < k; p++ {
-				av := int32(ar[p])
-				br := b[bi : bi+4 : bi+4]
-				c0 += av * int32(br[0])
-				c1 += av * int32(br[1])
-				c2 += av * int32(br[2])
-				c3 += av * int32(br[3])
-				bi += n
-			}
-			cr[0], cr[1], cr[2], cr[3] = c0, c1, c2, c3
-		}
-	}
-	for ; j < n; j++ {
-		for i := 0; i < m; i++ {
-			ar := a[i*k : i*k+k]
-			acc := c[i*n+j]
-			bi := j
-			for p := 0; p < k; p++ {
-				acc += int32(ar[p]) * int32(b[bi])
-				bi += n
-			}
-			c[i*n+j] = acc
-		}
-	}
-}
-
-// s8NTGeneric computes the S8NT update over columns [j0, n):
-// C[i][j] += Σ_p A[i][p]·B[j][p] with int8 operands and exact int32
-// accumulators.
-func s8NTGeneric(c []int32, a, b []int8, m, k, n, j0 int) {
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		a0 := a[i*k : i*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k]
-		a2 := a[(i+2)*k : (i+2)*k+k]
-		a3 := a[(i+3)*k : (i+3)*k+k]
-		for j := j0; j < n; j++ {
-			br := b[j*k : j*k+k]
-			c0 := c[i*n+j]
-			c1 := c[(i+1)*n+j]
-			c2 := c[(i+2)*n+j]
-			c3 := c[(i+3)*n+j]
-			for p, bv := range br {
-				w := int32(bv)
-				c0 += int32(a0[p]) * w
-				c1 += int32(a1[p]) * w
-				c2 += int32(a2[p]) * w
-				c3 += int32(a3[p]) * w
-			}
-			c[i*n+j] = c0
-			c[(i+1)*n+j] = c1
-			c[(i+2)*n+j] = c2
-			c[(i+3)*n+j] = c3
-		}
-	}
-	for ; i < m; i++ {
-		ar := a[i*k : i*k+k]
-		for j := j0; j < n; j++ {
-			br := b[j*k : j*k+k]
-			acc := c[i*n+j]
-			for p, bv := range br {
-				acc += int32(ar[p]) * int32(bv)
 			}
 			c[i*n+j] = acc
 		}

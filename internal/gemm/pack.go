@@ -7,39 +7,39 @@ import "sync"
 // walking the packed panel's rows in ascending p visits exactly the
 // operands B[j][p] of the dot-product form, so the per-element
 // accumulation chain (and with it float32 bitwise reproducibility) is
-// untouched. The int8 kernels pack both operands into int16 pair panels
-// instead (s8Packed, panels.go). Panels come from free lists so concurrent
-// record-builder and trainer goroutines each get their own scratch with
-// zero steady-state allocations.
+// untouched. (The int8 operands are packed by their callers, into the
+// PackedA and Panels they own: panels.go.) Panels come from a free list
+// so concurrent record-builder and trainer goroutines each get their own
+// scratch with zero steady-state allocations.
 
 // bufStack is a minimal LIFO free list for the packing panels. It is
 // deliberately not a sync.Pool: the pool drops entries randomly under the
 // race detector and empties on GC, either of which would make the
-// AllocsPerRun guards on the NT paths flaky. Entries live until
+// AllocsPerRun guard on F32NT flaky. Entries live until
 // ReleaseScratch — the working set is bounded by peak GEMM concurrency
 // times the largest panel, the same lifetime the per-layer arenas have.
-type bufStack[T any] struct {
+type bufStack struct {
 	mu   sync.Mutex
-	free [][]T
+	free [][]float32
 }
 
 // get returns a panel with at least n elements (length n).
-func (s *bufStack[T]) get(n int) []T {
+func (s *bufStack) get(n int) []float32 {
 	s.mu.Lock()
-	var buf []T
+	var buf []float32
 	if len(s.free) > 0 {
 		buf = s.free[len(s.free)-1]
 		s.free = s.free[:len(s.free)-1]
 	}
 	s.mu.Unlock()
 	if cap(buf) < n {
-		buf = make([]T, n)
+		buf = make([]float32, n)
 	}
 	return buf[:n]
 }
 
 // put hands a panel back for reuse.
-func (s *bufStack[T]) put(buf []T) {
+func (s *bufStack) put(buf []float32) {
 	s.mu.Lock()
 	s.free = append(s.free, buf)
 	s.mu.Unlock()
@@ -47,20 +47,16 @@ func (s *bufStack[T]) put(buf []T) {
 
 // release drops the parked panels; panels in use return to the emptied
 // list as usual.
-func (s *bufStack[T]) release() {
+func (s *bufStack) release() {
 	s.mu.Lock()
 	clear(s.free)
 	s.free = nil
 	s.mu.Unlock()
 }
 
-var (
-	f32PackPool bufStack[float32]
-	s8PanelPool bufStack[int16]
-	s8OffsPool  bufStack[int]
-)
+var f32PackPool bufStack
 
-// ReleaseScratch drops every packing panel parked on the free lists. A
+// ReleaseScratch drops every packing panel parked on the free list. A
 // phase whose GEMMs are much wider than what follows calls it when done,
 // so the process does not keep that phase's peak panels for its lifetime:
 // tcn.Fit does, because training batches pack panels that inference
@@ -69,8 +65,6 @@ var (
 // fresh panels on first use.
 func ReleaseScratch() {
 	f32PackPool.release()
-	s8PanelPool.release()
-	s8OffsPool.release()
 }
 
 // packBlock tiles the transpose so both the contiguous reads and the

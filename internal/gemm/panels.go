@@ -1,94 +1,221 @@
 package gemm
 
+import "fmt"
+
 // This file holds the pre-packed int8 operands (see "Packed int8
-// operands" in doc.go): the pair-row and pair-panel layouts S8Panels
-// runs on, the packers that build them, and the portable panel kernel.
-// A caller whose int8 operand is constant (a layer's weights) packs it
-// once and reuses it; a caller that builds the other operand itself
-// (im2col) writes it straight into panels with PackRows.
+// operands" in doc.go): the two layouts S8Panels runs on, the packers
+// that build them, and the portable panel kernel. A caller whose int8
+// operand is constant (a layer's weights) packs it once and reuses it; a
+// caller that builds the other operand itself (im2col) writes it straight
+// into panels with PackRows.
 
 // PanelCols is the column width of one packed B panel.
 const PanelCols = 16
 
-// Pairs returns ⌈k/2⌉: the number of int16 pairs in one packed row of A
-// or one packed panel of B for reduction length k.
-func Pairs(k int) int { return (k + 1) / 2 }
+// layout is the packed-operand format of an int8 panel kernel. The zero
+// value is no layout: an operand that was never packed.
+type layout uint8
 
-// PanelLen returns the int16 length of one packed B panel for reduction
-// length k (Pairs(k) pairs of 16 columns).
-func PanelLen(k int) int { return Pairs(k) * 2 * PanelCols }
+const (
+	// pairLayout holds int16 pairs: A rows of [a[2q], a[2q+1]] and B
+	// panels of [b[2q][j], b[2q+1][j]], zero-padded to an even k.
+	pairLayout layout = iota + 1
+	// quadLayout holds byte quads: A rows of signed [a[4q], …, a[4q+3]],
+	// zero-padded to a multiple of four, with each row's correction
+	// −128·Σₖ a[i][k], and B panels of unsigned [u[4q][j], …,
+	// u[4q+3][j]], u = b + 128. Columns past n hold u = 128 (b = 0);
+	// rows past k may hold anything, since A's padding zeroes them.
+	quadLayout
+)
 
-// PackA widens A (m×k int8, row-major) into dst as m rows of Pairs(k)
-// int16 pairs [a[i][2q], a[i][2q+1]], the A operand of S8Panels. An odd k
-// pairs each row's last element with zero. dst must hold m·2·Pairs(k)
-// elements.
-func PackA(dst []int16, a []int8, m, k int) {
+func (l layout) String() string {
+	switch l {
+	case pairLayout:
+		return "pairs"
+	case quadLayout:
+		return "quads"
+	}
+	return "none"
+}
+
+// steps returns how many pairs or quads cover reduction length k: the
+// dwords in one packed row of A, the 64-byte steps in one panel of B.
+func (l layout) steps(k int) int {
+	if l == quadLayout {
+		return (k + 3) / 4
+	}
+	return (k + 1) / 2
+}
+
+// layout returns the operand layout kernel k multiplies.
+func (k s8Kernel) layout() layout {
+	if k >= kernelAVXVNNI {
+		return quadLayout
+	}
+	return pairLayout
+}
+
+// checkLayout panics unless an operand packed in lay can run on the
+// selected kernel.
+func checkLayout(what string, lay layout) {
+	if want := s8Level.layout(); lay != want {
+		panic(fmt.Sprintf("gemm: %s packed as %v, but the %v kernel multiplies %v", what, lay, s8Level, want))
+	}
+}
+
+// PackedA is the A operand of S8Panels: an m×k int8 matrix packed in the
+// layout of the kernel selected when it was packed. The zero value is an
+// empty operand; PackA fills it, reusing its storage.
+type PackedA struct {
+	m, k  int
+	lay   layout
+	pairs []int16 // pairLayout: m rows of steps(k) pairs
+	quads []int8  // quadLayout: m rows of steps(k) quads
+	corr  []int32 // quadLayout: −128·Σₖ a[i][k] per row
+}
+
+// Panels is the B operand of S8Panels: a k×(16·np) int8 matrix packed as
+// np 16-column panels in the layout of the kernel selected when it was
+// sized. The zero value holds no panels; Resize or PackBT sizes it,
+// reusing its storage.
+type Panels struct {
+	k, np int
+	lay   layout
+	pairs []int16 // pairLayout: steps(k) × 32 values per panel
+	quads []uint8 // quadLayout: steps(k) × 64 bytes per panel
+}
+
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is short. Contents are not preserved.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// Resize makes b hold np panels for reduction length k in the layout of
+// the selected kernel. Their contents are undefined until PackRows fills
+// them.
+func (b *Panels) Resize(k, np int) {
+	b.k, b.np, b.lay = k, np, s8Level.layout()
+	n := b.lay.steps(k) * np
+	if b.lay == quadLayout {
+		b.quads = grow(b.quads, n*4*PanelCols)
+	} else {
+		b.pairs = grow(b.pairs, n*2*PanelCols)
+	}
+}
+
+// PackA packs A (m×k int8, row-major) into dst in the selected kernel's
+// layout.
+func PackA(dst *PackedA, a []int8, m, k int) {
+	dst.m, dst.k, dst.lay = max(m, 0), max(k, 0), s8Level.layout()
 	if m <= 0 || k <= 0 {
 		return
 	}
 	_ = a[m*k-1]
-	_ = dst[m*2*Pairs(k)-1]
-	s8PackA(dst, a, m, k)
+	if dst.lay == quadLayout {
+		w := 4 * dst.lay.steps(k)
+		dst.quads = grow(dst.quads, m*w)
+		dst.corr = grow(dst.corr, m)
+		for i := range m {
+			row := dst.quads[i*w : (i+1)*w]
+			copy(row, a[i*k:(i+1)*k])
+			clear(row[k:])
+			dst.corr[i] = -128 * rowSum(row)
+		}
+		return
+	}
+	dst.pairs = grow(dst.pairs, m*2*dst.lay.steps(k))
+	s8PackA(dst.pairs, a, m, k)
 }
 
-// PackBT packs B (k×n) from its transpose — bt holds n rows of k int8
-// values, the layout of a dense layer's weight matrix — into ⌈n/16⌉
-// panels; columns past n are zero, so a product over the padded panel
-// adds nothing to them. dst must hold ⌈n/16⌉·PanelLen(k) elements.
-func PackBT(dst []int16, bt []int8, n, k int) {
+// PackBT sizes dst to ⌈n/16⌉ panels and packs B (k×n) into them from its
+// transpose — bt holds n rows of k int8 values, the layout of a dense
+// layer's weight matrix. Columns past n are zero, so a product over the
+// padded panel adds nothing to them.
+func PackBT(dst *Panels, bt []int8, n, k int) {
+	np := (max(n, 0) + PanelCols - 1) / PanelCols
+	dst.Resize(max(k, 0), np)
 	if n <= 0 || k <= 0 {
 		return
 	}
-	np := (n + PanelCols - 1) / PanelCols
 	_ = bt[n*k-1]
-	_ = dst[np*PanelLen(k)-1]
+	if dst.lay == quadLayout {
+		packBTQuads(dst.quads, bt, n, k)
+		return
+	}
 	j := 0
 	if haveAsmKernels && n >= PanelCols {
-		s8PackBT(dst, bt, k, n/PanelCols)
+		s8PackBT(dst.pairs, bt, k, n/PanelCols)
 		j = n / PanelCols * PanelCols
 	}
-	packBTGeneric(dst, bt, n, k, j)
+	packBTGeneric(dst.pairs, bt, n, k, j)
 }
 
 // PackRows packs an int8 matrix B (k×16·np) whose rows lie anywhere in
-// src into np panels: element (p, j) is src[offs[p] + j·stride], k =
-// len(offs). It is the im2col of a convolution, where row p is one tap's
-// view of a zero-padded input row, read at the convolution's stride.
-// src must extend stride·16·np bytes past every offset; dst must hold
-// np·PanelLen(k) elements.
-func PackRows(dst []int16, src []int8, offs []int, stride, np int) {
+// src into panels [p0, p0+np) of dst, which Resize sized for k = len(offs)
+// and at least p0+np panels: element (p, j) is src[offs[p] + j·stride].
+// It is the im2col of a convolution, where row p is one tap's view of a
+// zero-padded input row, read at the convolution's stride. src must
+// extend stride·16·np bytes past every offset.
+func PackRows(dst *Panels, p0 int, src []int8, offs []int, stride, np int) {
 	k := len(offs)
 	if k == 0 || np <= 0 {
 		return
 	}
+	checkLayout("PackRows panels", dst.lay)
+	if k != dst.k || p0 < 0 || p0+np > dst.np {
+		panic(fmt.Sprintf("gemm: PackRows of %d rows into panels [%d, %d) of %d sized for k = %d", k, p0, p0+np, dst.np, dst.k))
+	}
 	if stride <= 0 {
 		panic("gemm: PackRows stride must be positive")
 	}
-	kp := Pairs(k)
-	_ = dst[np*PanelLen(k)-1]
 	for _, o := range offs {
 		_ = src[o]
 		_ = src[o+stride*np*PanelCols-1]
 	}
+	if dst.lay == quadLayout {
+		kq := dst.lay.steps(k)
+		d := dst.quads[p0*kq*4*PanelCols:]
+		if stride > 2 {
+			packRowsQuads(d, src, offs, stride, kq, np)
+			return
+		}
+		if q := k / 4; q > 0 {
+			s8PackQuads(&d[0], &src[0], &offs[0], stride, q, kq, np)
+		}
+		if r := k % 4; r > 0 {
+			// The last quad's rows past k repeat row k−r: A's zero
+			// padding multiplies them, so any value is exact.
+			var last [4]int
+			for i := range last {
+				last[i] = offs[k-r+min(i, r-1)]
+			}
+			s8PackQuads(&d[(kq-1)*4*PanelCols], &src[0], &last[0], stride, 1, kq, np)
+		}
+		return
+	}
+	kp := dst.lay.steps(k)
+	d := dst.pairs[p0*kp*2*PanelCols:]
 	q := 0
 	if haveAsmKernels && stride <= 2 {
-		q = k / 2
-		if q > 0 {
-			s8PackRows(&dst[0], &src[0], &offs[0], stride, q, kp, np)
+		if q = k / 2; q > 0 {
+			s8PackRows(&d[0], &src[0], &offs[0], stride, q, kp, np)
 		}
 	}
-	var zero [PanelCols]int8
 	var r0, r1 [PanelCols]int8
 	for ; q < kp; q++ {
 		for p := 0; p < np; p++ {
 			gather(&r0, src, offs[2*q]+p*PanelCols*stride, stride)
-			r1 = zero // an odd k's last row pairs with zero
+			r1 = [PanelCols]int8{} // an odd k's last row pairs with zero
 			if 2*q+1 < k {
 				gather(&r1, src, offs[2*q+1]+p*PanelCols*stride, stride)
 			}
-			d := (*[2 * PanelCols]int16)(dst[(p*kp+q)*2*PanelCols:])
+			dp := (*[2 * PanelCols]int16)(d[(p*kp+q)*2*PanelCols:])
 			for j := range r0 {
-				d[2*j], d[2*j+1] = int16(r0[j]), int16(r1[j])
+				dp[2*j], dp[2*j+1] = int16(r0[j]), int16(r1[j])
 			}
 		}
 	}
@@ -105,30 +232,38 @@ func gather(r *[PanelCols]int8, src []int8, o, stride int) {
 	}
 }
 
-// S8Panels computes C += A·B with exact int32 accumulators, A (m×k)
-// packed by PackA and B as np panels packed by PackBT or PackRows. C is
-// m×(16·np) with row stride ldc ≥ 16·np; panel P updates columns
-// [16P, 16P+16) of every row.
-func S8Panels(c []int32, ldc int, a []int16, m, k int, b []int16, np int) {
-	if m <= 0 || k <= 0 || np <= 0 {
+// S8Panels computes C += A·B with exact int32 accumulators, A packed by
+// PackA and B by PackBT or PackRows for the same k. C is m×(16·np) with
+// row stride ldc ≥ 16·np; panel P updates columns [16P, 16P+16) of every
+// row. Both operands must be in the selected kernel's layout: one packed
+// before s8Level changed panics rather than being misread.
+func S8Panels(c []int32, ldc int, a *PackedA, b *Panels) {
+	m, k, np := a.m, a.k, b.np
+	if m == 0 || k == 0 || np == 0 {
 		return
 	}
-	kp := Pairs(k)
+	checkLayout("S8Panels A", a.lay)
+	checkLayout("S8Panels B", b.lay)
+	if b.k != k {
+		panic(fmt.Sprintf("gemm: S8Panels A has k = %d, B k = %d", k, b.k))
+	}
 	if ldc < np*PanelCols {
 		panic("gemm: S8Panels row stride shorter than its panels")
 	}
-	_ = a[m*2*kp-1]
-	_ = b[np*PanelLen(k)-1]
 	_ = c[(m-1)*ldc+np*PanelCols-1]
-	if haveAsmKernels {
-		s8PanelsAsm(&c[0], &a[0], &b[0], m, kp, ldc, np)
-		return
+	steps := a.lay.steps(k)
+	switch {
+	case a.lay == quadLayout:
+		s8QuadsAsm(&c[0], &a.quads[0], &b.quads[0], m, steps, ldc, np, &a.corr[0])
+	case haveAsmKernels:
+		s8PairsAsm(&c[0], &a.pairs[0], &b.pairs[0], m, steps, ldc, np)
+	default:
+		s8PanelsGeneric(c, ldc, a.pairs, m, steps, b.pairs, np)
 	}
-	s8PanelsGeneric(c, ldc, a, m, kp, b, np)
 }
 
 // s8PanelsGeneric is the portable S8Panels: per output element and pair
-// q it adds a[2q]·b[2q][j] + a[2q+1]·b[2q+1][j], the dual-MAC every SIMD
+// q it adds a[2q]·b[2q][j] + a[2q+1]·b[2q+1][j], the dual-MAC every pair
 // kernel performs, a whole panel row per pass in registers.
 func s8PanelsGeneric(c []int32, ldc int, a []int16, m, kp int, b []int16, np int) {
 	const pl = 2 * PanelCols // int16 values per pair of a panel
@@ -165,9 +300,9 @@ func s8PanelsGeneric(c []int32, ldc int, a []int16, m, kp int, b []int16, np int
 	}
 }
 
-// packAGeneric is the portable PackA.
+// packAGeneric is the portable pair-layout PackA.
 func packAGeneric(dst []int16, a []int8, m, k int) {
-	kp := Pairs(k)
+	kp := pairLayout.steps(k)
 	for i := 0; i < m; i++ {
 		row := dst[i*2*kp : (i+1)*2*kp]
 		for p, v := range a[i*k : (i+1)*k] {
@@ -179,10 +314,10 @@ func packAGeneric(dst []int16, a []int8, m, k int) {
 	}
 }
 
-// packBTGeneric packs rows [j0, n) of bt (n×k) as panel columns and
-// zero-fills the last panel's columns past n.
+// packBTGeneric packs rows [j0, n) of bt (n×k) as pair-layout panel
+// columns and zero-fills the last panel's columns past n.
 func packBTGeneric(dst []int16, bt []int8, n, k, j0 int) {
-	kp := Pairs(k)
+	kp := pairLayout.steps(k)
 	np := (n + PanelCols - 1) / PanelCols
 	for j := j0; j < np*PanelCols; j++ {
 		base := (j/PanelCols*kp)*2*PanelCols + j%PanelCols*2
@@ -201,17 +336,54 @@ func packBTGeneric(dst []int16, bt []int8, n, k, j0 int) {
 	}
 }
 
+// packBTQuads packs bt (n×k) as quad-layout panel columns, b + 128 per
+// byte, padding rows past k and columns past n with 128 (b = 0).
+func packBTQuads(dst []uint8, bt []int8, n, k int) {
+	kq := quadLayout.steps(k)
+	np := (n + PanelCols - 1) / PanelCols
+	for j := 0; j < np*PanelCols; j++ {
+		base := j/PanelCols*kq*4*PanelCols + j%PanelCols*4
+		for p := 0; p < 4*kq; p++ {
+			u := uint8(0x80)
+			if j < n && p < k {
+				u ^= uint8(bt[j*k+p])
+			}
+			dst[base+p/4*4*PanelCols+p%4] = u
+		}
+	}
+}
+
+// packRowsQuads is the portable quad-layout PackRows: it packs np panels
+// kq quads long, b + 128 per byte, with rows past k read as b = 0.
+func packRowsQuads(dst []uint8, src []int8, offs []int, stride, kq, np int) {
+	var r [PanelCols]int8
+	for q := 0; q < kq; q++ {
+		for p := 0; p < np; p++ {
+			d := (*[4 * PanelCols]uint8)(dst[(p*kq+q)*4*PanelCols:])
+			for i := range 4 {
+				r = [PanelCols]int8{}
+				if row := 4*q + i; row < len(offs) {
+					gather(&r, src, offs[row]+p*PanelCols*stride, stride)
+				}
+				for j, v := range r {
+					d[4*j+i] = uint8(v) ^ 0x80
+				}
+			}
+		}
+	}
+}
+
 // s8Kernel names one implementation of the int8 panel product. All of
-// them are exact-integer equal: each output lane adds the same pair
-// products, and two's-complement addition is associative.
+// them are exact-integer equal: each output lane adds the same products,
+// and two's-complement addition is associative.
 type s8Kernel int
 
 const (
 	kernelGeneric s8Kernel = iota // portable Go: purego and non-amd64 builds
-	kernelSSE2                    // PMADDWL + PADDL, two rows per pass
-	kernelAVX2                    // VPMADDWD + VPADDD on Y registers, four rows per pass
-	kernelAVXVNNI                 // VEX VPDPWSSD on Y registers (AVX-VNNI), four rows per pass
-	kernelVNNI                    // EVEX VPDPWSSD on Z registers (AVX512_VNNI), eight rows per pass
+	kernelSSE2                    // PMADDWL + PADDL on pairs, two rows per pass
+	kernelAVX2                    // VPMADDWD + VPADDD on pairs in Y registers, four rows per pass
+	kernelAVXVNNI                 // VEX VPDPBUSD on quads in Y registers (AVX-VNNI), four rows per pass
+	kernelVNNI                    // EVEX VPDPBUSD on quads in Z registers (AVX512_VNNI), eight rows per pass
 )
 
 func (k s8Kernel) String() string {

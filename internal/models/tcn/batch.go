@@ -85,7 +85,7 @@ func ensureSlice[T any](buf *[]T, n int) []T {
 // im2colRow fills one tap row of an im2col panel: row[t] =
 // xRow[t·stride + off], or 0 where the tap reads outside [0, inT) — the
 // exact additive identity. (The int8 path builds its im2col straight
-// into gemm's pair panels instead; see qConv.panelIm2col.)
+// into gemm's packed panels instead; see qConv.panelIm2col.)
 func im2colRow(row, xRow []float32, off, stride, inT, outT int) {
 	t0, t1 := tapRange(off, stride, inT, outT)
 	if t1 < t0 {

@@ -28,9 +28,10 @@
 // and equal to those loops: the GEMMs accumulate each output element
 // bias-seeded in ascending (channel, tap) order without reassociation,
 // and the int8 ops use exact int32 arithmetic with the reference rescale
-// expressions. Batched training additionally fuses the cross-worker
-// gradient reduction and the Adam update into one parallel pass over
-// parameter shards (Adam.StepFused).
+// expressions, so golden_test.go pins both int8 topologies' outputs bit
+// for bit on whichever gemm kernel the host selects. Batched training
+// additionally fuses the cross-worker gradient reduction and the Adam
+// update into one parallel pass over parameter shards (Adam.StepFused).
 //
 // All layer and network instances reuse their activation arenas between
 // calls, so none are safe for concurrent use; CloneForWorker/Clone

@@ -95,9 +95,9 @@ type qConv struct {
 	relu                                bool
 	inT                                 int
 
-	// packed is weight as gemm.PackA pair rows, built once by Quantize
-	// and shared by every worker clone.
-	packed []int16
+	// packed is weight as the A operand of gemm.S8Panels, built once by
+	// Quantize and shared by every worker clone.
+	packed *gemm.PackedA
 
 	// Batched-path output arena (see quantbatch.go).
 	outB *qBatchTensor
@@ -127,7 +127,7 @@ type qDense struct {
 
 	// panels is weight as gemm.PackBT panels (columns past out zero),
 	// built once by Quantize and shared by every worker clone.
-	panels []int16
+	panels *gemm.Panels
 
 	// Batched-path output arenas (see quantbatch.go).
 	outBB    *qBatchTensor
@@ -368,7 +368,7 @@ func quantizeConv(v *Conv1D, inScale, outScale float32, inT int) *qConv {
 		inScale:  inScale,
 		outScale: outScale,
 		inT:      inT,
-		packed:   make([]int16, v.OutC*2*gemm.Pairs(J)),
+		packed:   new(gemm.PackedA),
 	}
 	qc.wScale = quantizeWeights(qc.weight, v.Weight.W, v.OutC, J)
 	qc.bias = quantizeBias(v.Bias.W, inScale, qc.wScale)
@@ -384,7 +384,7 @@ func quantizeDense(v *Dense, inScale, outScale float32) *qDense {
 		weight:   make([]int8, len(v.Weight.W)),
 		inScale:  inScale,
 		outScale: outScale,
-		panels:   make([]int16, denseCols(v.Out)/gemm.PanelCols*gemm.PanelLen(v.In)),
+		panels:   new(gemm.Panels),
 	}
 	qd.wScale = quantizeWeights(qd.weight, v.Weight.W, v.Out, v.In)
 	qd.bias = quantizeBias(v.Bias.W, inScale, qd.wScale)

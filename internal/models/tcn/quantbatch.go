@@ -62,10 +62,11 @@ func quantizeBatchInto(slot **qBatchTensor, x *BatchTensor, scale float32) *qBat
 // forwardBatch, so they share one set: the largest layer sizes it, not
 // the sum of them.
 type qScratch struct {
-	pad     []int8  // zero-padded input rows (qConv)
-	tapOffs []int   // im2col row offsets into pad (qConv)
-	panels  []int16 // im2col pair panels (qConv), widened inputs (qDense)
-	acc     []int32 // int32 accumulators
+	pad     []int8       // zero-padded input rows (qConv)
+	tapOffs []int        // im2col row offsets into pad (qConv)
+	im2col  gemm.Panels  // im2col panels (qConv)
+	in      gemm.PackedA // packed inputs (qDense)
+	acc     []int32      // int32 accumulators
 }
 
 // rescaleRow applies the per-output-channel rescale (gemm.Requantize
@@ -78,7 +79,7 @@ func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
 }
 
 // forwardBatch implements qOp for qConv. Each sample's im2col is written
-// straight into the int16 pair panels of gemm.S8Panels (panelIm2col), one
+// straight into the B panels of gemm.S8Panels (panelIm2col), one
 // panel product against the pre-packed weights runs on zeroed int32
 // accumulators, and each output row takes the per-output-channel bias
 // and rescale. Large layers run sample by sample; small ones put the
@@ -94,17 +95,16 @@ func (l *qConv) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 	if crossSampleWorthIt(x.N, l.outC, outT) {
 		group = x.N
 	}
-	per := np * gemm.PanelLen(J)
-	panels := ensureSlice(&s.panels, group*per)
+	s.im2col.Resize(J, group*np)
 	ldc := group * np * gemm.PanelCols
 	acc := ensureSlice(&s.acc, l.outC*ldc)
 	rowLen := l.tapGeometry(s, x.T, np)
 	for n0 := 0; n0 < x.N; n0 += group {
 		for g := 0; g < group; g++ {
-			l.panelIm2col(s, panels[g*per:(g+1)*per], x.Sample(n0+g), x.T, np, rowLen)
+			l.panelIm2col(s, g*np, x.Sample(n0+g), x.T, np, rowLen)
 		}
 		clear(acc)
-		gemm.S8Panels(acc, ldc, l.packed, l.outC, J, panels, group*np)
+		gemm.S8Panels(acc, ldc, l.packed, &s.im2col)
 		for g := 0; g < group; g++ {
 			ys := y.Sample(n0 + g)
 			for o := 0; o < l.outC; o++ {
@@ -141,16 +141,16 @@ func (l *qConv) tapGeometry(s *qScratch, inT, np int) (rowLen int) {
 
 // panelIm2col writes the im2col matrix of one C×T sample xs — tap rows
 // (ci, k) in ascending order, the scalar reference's accumulation order
-// — as np int16 pair panels: it copies xs into the padded rows of
-// tapGeometry and lets gemm.PackRows gather each tap's run.
-func (l *qConv) panelIm2col(s *qScratch, dst []int16, xs []int8, inT, np, rowLen int) {
+// — as panels [p0, p0+np) of s.im2col: it copies xs into the padded rows
+// of tapGeometry and lets gemm.PackRows gather each tap's run.
+func (l *qConv) panelIm2col(s *qScratch, p0 int, xs []int8, inT, np, rowLen int) {
 	pad := ensureSlice(&s.pad, l.inC*rowLen)
 	clear(pad)
 	padL := l.padLeft()
 	for ci := 0; ci < l.inC; ci++ {
 		copy(pad[ci*rowLen+padL:], xs[ci*inT:(ci+1)*inT])
 	}
-	gemm.PackRows(dst, pad, s.tapOffs, l.stride, np)
+	gemm.PackRows(&s.im2col, p0, pad, s.tapOffs, l.stride, np)
 }
 
 // denseCols is the accumulator row length of a dense layer's batched
@@ -160,7 +160,7 @@ func denseCols(out int) int {
 }
 
 // forwardBatch implements qOp for qDense: the whole batch is one panel
-// product of the widened activations against the pre-packed weight
+// product of the packed activations against the pre-packed weight
 // panels (accumulators bias-seeded; the zero columns past out are never
 // read), followed by the per-unit rescale — into float for the final
 // head, re-quantized otherwise.
@@ -171,9 +171,8 @@ func (l *qDense) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 	for n := 0; n < N; n++ {
 		copy(acc[n*ldc:n*ldc+l.out], l.bias)
 	}
-	in := ensureSlice(&s.panels, N*2*gemm.Pairs(l.in))
-	gemm.PackA(in, x.Data, N, l.in)
-	gemm.S8Panels(acc, ldc, in, N, l.in, l.panels, ldc/gemm.PanelCols)
+	gemm.PackA(&s.in, x.Data, N, l.in)
+	gemm.S8Panels(acc, ldc, &s.in, l.panels)
 	y := ensureQBatchTensor(&l.outBB, N, l.out, 1, l.outScale)
 	var head []float32
 	if l.last {

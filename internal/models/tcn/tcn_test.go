@@ -14,6 +14,20 @@ func randTensor(rng *rand.Rand, c, t int) *Tensor {
 	return x
 }
 
+// At returns element (c, t). It, Set and Clone are element helpers for
+// the tests; the library addresses Data directly.
+func (x *Tensor) At(c, t int) float32 { return x.Data[c*x.T+t] }
+
+// Set assigns element (c, t).
+func (x *Tensor) Set(c, t int, v float32) { x.Data[c*x.T+t] = v }
+
+// Clone returns a deep copy.
+func (x *Tensor) Clone() *Tensor {
+	out := NewTensor(x.C, x.T)
+	copy(out.Data, x.Data)
+	return out
+}
+
 func TestTensorBasics(t *testing.T) {
 	x := NewTensor(3, 4)
 	x.Set(2, 1, 5)

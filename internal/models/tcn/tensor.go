@@ -18,19 +18,6 @@ func NewTensor(c, t int) *Tensor {
 	return &Tensor{C: c, T: t, Data: make([]float32, c*t)}
 }
 
-// At returns element (c, t).
-func (x *Tensor) At(c, t int) float32 { return x.Data[c*x.T+t] }
-
-// Set assigns element (c, t).
-func (x *Tensor) Set(c, t int, v float32) { x.Data[c*x.T+t] = v }
-
-// Clone returns a deep copy.
-func (x *Tensor) Clone() *Tensor {
-	out := NewTensor(x.C, x.T)
-	copy(out.Data, x.Data)
-	return out
-}
-
 // Numel returns the number of elements.
 func (x *Tensor) Numel() int { return len(x.Data) }
 
