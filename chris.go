@@ -21,8 +21,8 @@
 //     cmd/chrisfleet),
 //   - the streaming multi-session engine (OpenServeEngine, ServeSession),
 //     deterministic under a ServeVirtualClock, whose CRC-protected
-//     snapshots are rejected with typed errors (ErrSnapshotCorrupt,
-//     ErrSnapshotStale; see examples/durability),
+//     snapshots are rejected with typed errors (ErrSnapshotCorrupt; see
+//     examples/durability),
 //   - the belief layer's transition prior, stored in the same
 //     CRC-protected snapshot frame (SaveBeliefTable, LoadBeliefTable; see
 //     examples/belief).
@@ -55,7 +55,6 @@ import (
 	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
 	"repro/internal/models"
-	"repro/internal/models/tcn"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -68,22 +67,12 @@ type (
 	// it run whole window slices through GEMM-backed kernels, bitwise
 	// identical to window-at-a-time EstimateHR.
 	BatchHREstimator = models.BatchHREstimator
-	// Zoo is the Models Zoo.
-	Zoo = core.Zoo
 	// Engine is the two-stage decision engine.
 	Engine = core.Engine
 	// Constraint is a user bound on MAE or energy.
 	Constraint = core.Constraint
-	// Execution selects Local or Hybrid execution.
-	Execution = core.Execution
 	// Window is one 8-second analysis window.
 	Window = dalia.Window
-)
-
-// Execution targets.
-const (
-	Local  = core.Local
-	Hybrid = core.Hybrid
 )
 
 // Re-exported constructors and functions.
@@ -110,10 +99,6 @@ var (
 	MilliJoules = power.MilliJoules
 )
 
-// NewTimePPGSmall returns an untrained TimePPG-Small network wrapped as an
-// estimator. Train it with TrainTimePPG or load cached weights.
-func NewTimePPGSmall() *tcn.HRNet { return tcn.NewEstimator(tcn.NewTimePPGSmall()) }
-
 // PipelineConfig sizes BuildPipeline. It is the experiment-harness
 // configuration re-exported.
 type PipelineConfig = bench.SuiteConfig
@@ -121,10 +106,6 @@ type PipelineConfig = bench.SuiteConfig
 // Pipeline is a fully assembled CHRIS deployment: dataset, trained models,
 // difficulty detector, profiled configurations and hardware models.
 type Pipeline = bench.Suite
-
-// DefaultPipelineConfig is the full-size pipeline (trains TCNs on first
-// use; caches under testdata/cache).
-func DefaultPipelineConfig() PipelineConfig { return bench.DefaultSuiteConfig() }
 
 // QuickPipelineConfig is a scaled-down pipeline that builds in seconds.
 func QuickPipelineConfig() PipelineConfig { return bench.QuickSuiteConfig() }
@@ -170,8 +151,6 @@ type (
 	ServeResult = serve.WindowResult
 	// ServeStats aggregates one session's robustness counters.
 	ServeStats = serve.SessionStats
-	// ServeOutcome places a window on the overload ladder.
-	ServeOutcome = serve.Outcome
 	// ServeVirtualClock drives deterministic lockstep runs.
 	ServeVirtualClock = serve.VirtualClock
 )
@@ -182,24 +161,15 @@ var (
 	OpenServeEngine = serve.Open
 	// NewServeVirtualClock returns a manually advanced clock at t=0.
 	NewServeVirtualClock = serve.NewVirtualClock
-	// ErrSnapshotCorrupt and ErrSnapshotStale classify rejected engine
-	// snapshots: damaged bytes versus intact frames from another
-	// configuration or codec version. Both degrade deterministically to
-	// a fresh session via ServeEngine.AttachOrFresh.
+	// ErrSnapshotCorrupt classifies a rejected engine snapshot with
+	// damaged bytes; it degrades deterministically to a fresh session via
+	// ServeEngine.AttachOrFresh.
 	ErrSnapshotCorrupt = serve.ErrSnapshotCorrupt
-	ErrSnapshotStale   = serve.ErrSnapshotStale
 )
 
-// Overload-ladder outcomes (see serve.Outcome).
-const (
-	ServeOutcomeFull     = serve.OutcomeFull
-	ServeOutcomeSimple   = serve.OutcomeSimple
-	ServeOutcomeFallback = serve.OutcomeFallback
-	ServeOutcomeShed     = serve.OutcomeShed
-	ServeOutcomeExpired  = serve.OutcomeExpired
-	ServeOutcomeLate     = serve.OutcomeLate
-	ServeOutcomePanic    = serve.OutcomePanic
-)
+// ServeOutcomeShed marks a window the overloaded engine degraded to the
+// watch-side model (see serve.Outcome).
+const ServeOutcomeShed = serve.OutcomeShed
 
 // Fleet-simulation re-exports (internal/fleet: a synthetic population of
 // independent users — per-user physiology, scenario and constraint drawn

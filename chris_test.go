@@ -3,6 +3,8 @@ package chris
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var (
@@ -59,7 +61,7 @@ func TestFacadeZooAndPareto(t *testing.T) {
 	}
 	local := FilterLocal(pipe.Profiles)
 	for _, p := range local {
-		if p.Exec != Local {
+		if p.Exec != core.Local {
 			t.Fatal("FilterLocal leaked a hybrid config")
 		}
 	}

@@ -17,9 +17,9 @@ func main() {
 	log.SetFlags(0)
 
 	// Build the scaled-down pipeline: synthetic cohort, trained models,
-	// difficulty detector, profiled configurations. The full-size
-	// pipeline is chris.DefaultPipelineConfig() (first run trains the
-	// networks and takes minutes).
+	// difficulty detector, profiled configurations. (chrisbench without
+	// -quick builds the full-size pipeline, training the networks for
+	// minutes on first use.)
 	pipe, err := chris.BuildPipeline(chris.QuickPipelineConfig())
 	if err != nil {
 		log.Fatal(err)

@@ -35,10 +35,11 @@ func TestCredibleIntervalCalibration(t *testing.T) {
 			prevSubject = w.Subject
 		}
 		f.ObserveGaussian(w.TrueHR+rng.NormFloat64()*sigma, sigma)
-		if f.Covers(mass, w.TrueHR) {
+		width, ok := f.Credible(mass, w.TrueHR)
+		if ok {
 			covered++
 		}
-		widthSum += f.Width(mass)
+		widthSum += width
 		total++
 	}
 	if total < 50 {

@@ -290,12 +290,15 @@ func (f *Filter) Width(mass float64) float64 {
 	return hi - lo
 }
 
-// Covers reports whether the central credible interval of the given mass
-// contains hr, by bin index (so edge values count as covered).
-func (f *Filter) Covers(mass, hr float64) bool {
-	loIdx, hiIdx := f.t.Grid.intervalIdx(f.post, f.cum, mass)
-	b := f.t.Grid.Bin(hr)
-	return b >= loIdx && b <= hiIdx
+// Credible returns Width(mass) and whether that central credible
+// interval contains hr, by bin index (so edge values count as covered),
+// from one pass over the posterior.
+func (f *Filter) Credible(mass, hr float64) (width float64, covers bool) {
+	g := f.t.Grid
+	loIdx, hiIdx := g.intervalIdx(f.post, f.cum, mass)
+	lo, hi := g.edges(loIdx, hiIdx)
+	b := g.Bin(hr)
+	return hi - lo, b >= loIdx && b <= hiIdx
 }
 
 // PredictiveWidth is the credible-interval width of the one-step
@@ -373,7 +376,11 @@ const restoreMassTol = 1e-9
 // interval computes the central credible interval over dist (not
 // necessarily normalized), reusing cum as scratch.
 func (g Grid) interval(dist, cum []float64, mass float64) (lo, hi float64) {
-	loIdx, hiIdx := g.intervalIdx(dist, cum, mass)
+	return g.edges(g.intervalIdx(dist, cum, mass))
+}
+
+// edges returns the HR bounds of bins loIdx..hiIdx.
+func (g Grid) edges(loIdx, hiIdx int) (lo, hi float64) {
 	return g.MinHR + float64(loIdx)*g.BinW, g.MinHR + float64(hiIdx+1)*g.BinW
 }
 

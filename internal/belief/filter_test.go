@@ -154,7 +154,7 @@ func TestStreamingZeroAlloc(t *testing.T) {
 		_ = f.MAP()
 		_ = f.Entropy()
 		_ = f.Width(0.9)
-		_ = f.Covers(0.9, hr)
+		_, _ = f.Credible(0.9, hr)
 		f.Coast()
 		hr += 0.5
 	})
@@ -280,8 +280,8 @@ func TestPosteriorTracksObservations(t *testing.T) {
 	if w := f.Width(0.9); w <= 0 || w > 40 {
 		t.Errorf("interval width %v unreasonable after 30 consistent observations", w)
 	}
-	if !f.Covers(0.9, 142) {
-		t.Error("Covers(0.9, 142) = false after observing 142 thirty times")
+	if w, ok := f.Credible(0.9, 142); !ok || w != f.Width(0.9) {
+		t.Errorf("Credible(0.9, 142) = %v, %v after observing 142 thirty times; want %v, true", w, ok, f.Width(0.9))
 	}
 }
 

@@ -13,9 +13,12 @@ import (
 
 // TestSimServeAgree pins the offline simulator and the streaming engine
 // to one per-window pipeline: a lockstep session fed one window per
-// cycle at t = k·period must report exactly what sim.Run reports for the
-// same windows, scenario and fault seed, with the simulator's injector
-// seeded the way NewSession forks a session's stream.
+// cycle at t = k·period must fold exactly the sim.Ledger the simulator
+// folds for the same windows, scenario and fault seed, with the
+// simulator's injector seeded the way NewSession forks a session's
+// stream. Both route each window through sim.Step.Window and tally it
+// through sim.Step.Complete, so every counter, energy and error sum must
+// compare equal as a whole.
 //
 // Serve has no model of the watch MCU being busy with a local inference,
 // so the fixture's complex model has 3 M ops: its local run takes
@@ -34,14 +37,16 @@ func TestSimServeAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	gated := belief.DefaultPolicy(tab)
+	// Motion-scaled sigmas, so the test also pins serve's per-window
+	// motion RMS to the simulator's precomputed table.
 	gated.Sigmas = map[string]belief.SigmaSpec{
-		"cheap": {Base: 8, Motion: 0},
-		"best":  {Base: 2.5, Motion: 0},
+		"cheap": {Base: 8, Motion: 4},
+		"best":  {Base: 2.5, Motion: 1},
 	}
 	gated.Smooth = true
 	gated.GateBPM = 40
 
-	totalGated := 0
+	var totalGated uint64
 	for _, name := range []string{"none", "commute", "gym", "worstcase"} {
 		sc, ok := faults.ByName(name)
 		if !ok {
@@ -56,7 +61,8 @@ func TestSimServeAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := sim.Run(sim.Config{
+				var st sim.State
+				err = sim.RunState(sim.Config{
 					System:          sys,
 					Engine:          eng,
 					Constraint:      constraint,
@@ -64,12 +70,12 @@ func TestSimServeAgree(t *testing.T) {
 					DurationSeconds: windows * period,
 					Faults:          inj,
 					Belief:          pol,
-				})
+				}, &st, 0)
 				if err != nil {
 					t.Fatalf("%s: sim: %v", label, err)
 				}
-				if want.SkippedWindows != 0 {
-					t.Fatalf("%s: sim skipped %d windows; the fixture must keep local runs inside the period", label, want.SkippedWindows)
+				if st.Res.SkippedWindows != 0 {
+					t.Fatalf("%s: sim skipped %d windows; the fixture must keep local runs inside the period", label, st.Res.SkippedWindows)
 				}
 
 				vc := NewVirtualClock()
@@ -102,6 +108,11 @@ func TestSimServeAgree(t *testing.T) {
 				results := s.Drain()
 				got := s.Stats()
 
+				want := st.Ledger
+				if got.Ledger != want {
+					t.Errorf("%s: ledgers differ:\nsim   %+v\nserve %+v", label, want, got.Ledger)
+				}
+				// The reported estimates are the ones the ledger scored.
 				var absErrSum float64
 				for k, r := range results {
 					if r.Outcome.Discarded() {
@@ -109,32 +120,11 @@ func TestSimServeAgree(t *testing.T) {
 					}
 					absErrSum += models.AbsError(r.HR, ws[k%len(ws)].TrueHR)
 				}
-				mae := absErrSum / float64(len(results))
-
-				checks := []struct {
-					what      string
-					sim, serv any
-				}{
-					{"predictions", want.Predictions, len(results)},
-					{"offloaded", uint64(want.Offloaded), got.Offloaded},
-					{"fallback windows", uint64(want.FallbackWindows), got.FallbackWindows},
-					{"deadline misses", uint64(want.DeadlineMisses), got.DeadlineMisses},
-					{"retries", uint64(want.Retries), got.Retries},
-					{"timeouts", uint64(want.Timeouts), got.Timeouts},
-					{"supervision drops", uint64(want.SupervisionDrops), got.SupervisionDrops},
-					{"reselections", uint64(want.Reselections), got.Reselections},
-					{"gated windows", uint64(want.GatedOffloads), got.GatedWindows},
-					{"radio energy", want.Watch.Radio, got.RadioEnergy},
-					{"phone energy", want.PhoneEnergy, got.PhoneEnergy},
-					{"retransmit energy", want.RetransmitEnergy, got.RetransmitEnergy},
-					{"MAE", want.MAE, mae},
+				if uint64(len(results)) != want.Predictions || absErrSum != want.AbsErrSum {
+					t.Errorf("%s: results: %d windows, error sum %v; sim ledger %d, %v",
+						label, len(results), absErrSum, want.Predictions, want.AbsErrSum)
 				}
-				for _, c := range checks {
-					if c.sim != c.serv {
-						t.Errorf("%s: %s: sim %v, serve %v", label, c.what, c.sim, c.serv)
-					}
-				}
-				totalGated += want.GatedOffloads
+				totalGated += want.GatedWindows
 			}
 		}
 	}

@@ -23,10 +23,14 @@
 // the belief-gated dispatch, the offload protocol with fallback to the
 // simple model, and reselection hysteresis. Stage 2 groups runnable
 // windows across sessions by (model, sample length); stage 3 runs each
-// group in batch chunks on worker clones; stage 4 folds results and
-// counters back per session. The step splits at the inference boundary:
-// it decides which model produces each window's estimate, and the
-// coalesced stages 2–3 compute it.
+// group in batch chunks on worker clones; stage 4 judges each window's
+// deadline and hands it to the step's Complete, which runs the belief
+// update and folds the window into the session's sim.Ledger (embedded
+// in SessionStats, the same tally the simulator keeps). The step splits
+// at the inference boundary: Window decides which model produces each
+// window's estimate, the coalesced stages 2–3 compute it, and Complete
+// accounts for it. The session keeps only the overload ladder's own
+// counts (full, shed, expired, late, panic), admission and results.
 //
 // Every session runs a fault injector (faults.None when Config.Faults is
 // nil), so its reselection waits out the hysteresis of Config.Protocol.

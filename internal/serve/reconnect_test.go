@@ -37,7 +37,7 @@ func TestReconnectHoldoffWindowBoundary(t *testing.T) {
 		if err := s.step.Window(&r, at, &ws[0], false); err != nil {
 			t.Fatal(err)
 		}
-		return r.Up
+		return !r.Down
 	}
 	if up(math.Nextafter(boundary, 0)) {
 		t.Fatal("link reported up one ulp before the reconnect holdoff expired")

@@ -1,6 +1,6 @@
 package serve
 
-import "repro/internal/hw/power"
+import "repro/internal/sim"
 
 // Outcome classifies how one window travelled through the overload
 // ladder. The rungs are ordered by precedence: a window is judged at
@@ -104,27 +104,20 @@ type SessionStats struct {
 	Accepted  uint64 // admitted to the mailbox
 	Dropped   uint64 // rejected: mailbox full (ladder rung 1)
 	Rejected  uint64 // rejected: engine-wide admission bound or closed
-	// Processing outcomes (sum equals finished windows).
-	FullRuns        uint64
-	SimpleRuns      uint64
-	FallbackWindows uint64
-	ShedWindows     uint64
-	Expired         uint64
-	Late            uint64
-	Panics          uint64
-	// Offload protocol counters (mirroring sim.Result).
-	Offloaded         uint64
-	Retries           uint64
-	Timeouts          uint64
-	SupervisionDrops  uint64
-	DeadlineMisses    uint64
-	RetransmitPackets uint64
-	// GatedWindows counts offloads demoted by the uncertainty gate
-	// (belief mode only).
-	GatedWindows uint64
+	// Processing outcomes the Ledger does not count. With its SimpleRuns
+	// and FallbackWindows they sum to the finished windows.
+	FullRuns    uint64
+	ShedWindows uint64
+	Expired     uint64
+	Late        uint64
+	Panics      uint64
+	// Ledger is the per-window tally sim.Step.Complete folds, the same
+	// one the offline simulator keeps: offload and protocol counters,
+	// reselections, gated windows, radio/retransmit/phone energy, and the
+	// MAE and belief-coverage sums over the windows with an estimate.
+	sim.Ledger
 	// Supervision.
-	Restarts     uint64
-	Reselections uint64
+	Restarts uint64
 	// Durability. Migrations counts how many times this session's state
 	// was attached from a Detach frame; RestoreFailures counts restore
 	// attempts that degraded to a fresh session (corrupt or stale
@@ -132,10 +125,6 @@ type SessionStats struct {
 	Migrations      uint64
 	RestoreFailures uint64
 	RestoreError    string
-	// Energy accounting (watch radio + phone side).
-	RadioEnergy      power.Energy
-	RetransmitEnergy power.Energy
-	PhoneEnergy      power.Energy
 	// ActiveConfig is the session's currently selected configuration.
 	ActiveConfig string
 }

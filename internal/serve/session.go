@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/belief"
 	"repro/internal/dalia"
-	"repro/internal/hw/power"
 	"repro/internal/sim"
 )
 
@@ -53,15 +52,13 @@ type job struct {
 	arrival  float64
 	deadline float64
 
-	shed        bool // mailbox past high water at collect: degrade to simple
-	route       sim.Route
-	model       string // route.Model's name; "" once discarded
-	outcome     Outcome
-	skip        bool // no inference (expired or panicked in stage 1)
-	panicked    bool
-	phoneEnergy power.Energy
-	hr          float64
-	ciWidth     float64 // posterior credible-interval width after fusion
+	shed     bool // mailbox past high water at collect: degrade to simple
+	route    sim.Route
+	model    string // route.Model's name; "" once discarded
+	outcome  Outcome
+	skip     bool // no inference (expired or panicked in stage 1)
+	panicked bool
+	hr       float64
 }
 
 // Session is one user's isolated slice of the engine: a bounded mailbox,
@@ -91,9 +88,10 @@ type Session struct {
 	// cycle runs at a time), never concurrently with itself.
 	step *sim.Step
 	// bf is the session's belief filter (nil unless Config.Belief is
-	// set); rmsBuf is its reusable motion-RMS scratch. Unlike the step's
-	// pipeline state, the filter deliberately survives restart: it
-	// tracks the stream's history, not the pipeline's health.
+	// set), updated through step; rmsBuf is its reusable motion-RMS
+	// scratch. Unlike the step's pipeline state, the filter deliberately
+	// survives restart: it tracks the stream's history, not the
+	// pipeline's health.
 	bf     *belief.Filter
 	rmsBuf []float64
 }
@@ -201,7 +199,6 @@ func (s *Session) restart(t float64) {
 	_ = s.step.Start(t)
 	s.smu.Lock()
 	s.stats.Restarts++
-	s.stats.ActiveConfig = s.step.ActiveConfig()
 	s.smu.Unlock()
 }
 
@@ -218,14 +215,15 @@ func (s *Session) stage1(now float64, jobs []job) []job {
 
 // step1 handles one job; recover converts a panic into an OutcomePanic
 // window plus a session restart, leaving later windows to proceed on the
-// fresh state.
+// fresh state. A reselection the panicking Window already made is not
+// counted: the restart selects afresh.
 func (s *Session) step1(now float64, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.panicked = true
 			j.skip = true
 			j.outcome = OutcomePanic
-			j.route.Model = nil
+			j.route.Model, j.route.Reselected = nil, false
 			s.restart(now)
 		}
 	}()
@@ -254,9 +252,6 @@ func (s *Session) step1(now float64, j *job) {
 	_ = s.step.Window(&j.route, j.arrival, j.w, true)
 	r := &j.route
 	j.model = r.Model.Name()
-	for k := 0; k < r.Offload.PhoneComputes; k++ {
-		j.phoneEnergy += r.DispatchedCost.PhoneEnergy
-	}
 	switch {
 	case r.Fallback:
 		j.outcome = OutcomeFallback
@@ -264,12 +259,6 @@ func (s *Session) step1(now float64, j *job) {
 		j.outcome = OutcomeSimple
 	default:
 		j.outcome = OutcomeFull
-	}
-	if r.Reselected {
-		s.smu.Lock()
-		s.stats.Reselections++
-		s.stats.ActiveConfig = s.step.ActiveConfig()
-		s.smu.Unlock()
 	}
 }
 
@@ -293,67 +282,35 @@ func (s *Session) finalize(completion float64, jobs []job) {
 			j.outcome = OutcomeLate
 			j.hr = 0
 		}
-		if s.bf != nil {
-			// Fuse in submission order: discarded windows coast (time
-			// passes for the hidden chain with no estimate), everything
-			// else updates the posterior with the producing model's
-			// motion-scaled sigma.
-			if j.outcome.Discarded() {
-				s.bf.Coast()
-			} else {
-				pol := e.cfg.Belief
-				var rms float64
-				rms, s.rmsBuf = belief.MotionRMS(j.w, s.rmsBuf)
-				s.bf.ObserveGaussian(j.hr, pol.Sigma(j.model, rms))
-				j.ciWidth = s.bf.Width(pol.Mass)
-				if pol.Smooth {
-					j.hr = s.bf.Mean()
-				}
-			}
-			if j.route.Gated {
-				s.stats.GatedWindows++
-			}
+		// Fold in submission order: a discarded window coasts the belief
+		// filter, any other updates it with the producing model's
+		// motion-scaled sigma.
+		discarded := j.outcome.Discarded()
+		var rms float64
+		if s.bf != nil && !discarded {
+			rms, s.rmsBuf = belief.MotionRMS(j.w, s.rmsBuf)
 		}
+		hr, width := s.step.Complete(&s.stats.Ledger, &j.route, j.hr, j.w.TrueHR, rms, discarded)
 		switch j.outcome {
 		case OutcomeFull:
 			s.stats.FullRuns++
-			if j.route.Offloaded {
-				s.stats.Offloaded++
-			}
-		case OutcomeSimple:
-			s.stats.SimpleRuns++
-		case OutcomeFallback:
-			s.stats.FallbackWindows++
-			if j.route.Attempted {
-				s.stats.DeadlineMisses++
-			}
 		case OutcomeShed:
 			s.stats.ShedWindows++
 		case OutcomeExpired:
 			s.stats.Expired++
 		}
-		out := &j.route.Offload
-		s.stats.Retries += uint64(out.Retries)
-		s.stats.Timeouts += uint64(out.Timeouts)
-		s.stats.RetransmitPackets += uint64(out.RetransmitPackets)
-		if out.SupervisionDrop {
-			s.stats.SupervisionDrops++
-		}
-		s.stats.RadioEnergy += out.RadioEnergy
-		s.stats.RetransmitEnergy += out.RetransmitEnergy
-		s.stats.PhoneEnergy += j.phoneEnergy
 		s.stats.ActiveConfig = s.step.ActiveConfig()
 		s.results = append(s.results, WindowResult{
 			Seq:        j.seq,
 			Arrival:    j.arrival,
-			HR:         j.hr,
+			HR:         hr,
 			Model:      j.model,
 			Outcome:    j.outcome,
 			Offloaded:  j.route.Offloaded,
 			Difficulty: j.route.Difficulty,
 			Latency:    completion - j.arrival,
 			Gated:      j.route.Gated,
-			CIWidth:    j.ciWidth,
+			CIWidth:    width,
 		})
 	}
 	clear(jobs)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/hw/power"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
@@ -296,27 +295,15 @@ func (s *Session) encode(w *snapshot.Writer) {
 	w.U64(stats.Dropped)
 	w.U64(stats.Rejected)
 	w.U64(stats.FullRuns)
-	w.U64(stats.SimpleRuns)
-	w.U64(stats.FallbackWindows)
 	w.U64(stats.ShedWindows)
 	w.U64(stats.Expired)
 	w.U64(stats.Late)
 	w.U64(stats.Panics)
-	w.U64(stats.Offloaded)
-	w.U64(stats.Retries)
-	w.U64(stats.Timeouts)
-	w.U64(stats.SupervisionDrops)
-	w.U64(stats.DeadlineMisses)
-	w.U64(stats.RetransmitPackets)
-	w.U64(stats.GatedWindows)
+	stats.Ledger.Encode(w)
 	w.U64(stats.Restarts)
-	w.U64(stats.Reselections)
 	w.U64(stats.Migrations)
 	w.U64(stats.RestoreFailures)
 	w.String(stats.RestoreError)
-	w.F64(float64(stats.RadioEnergy))
-	w.F64(float64(stats.RetransmitEnergy))
-	w.F64(float64(stats.PhoneEnergy))
 	w.String(stats.ActiveConfig)
 
 	w.U64(uint64(len(results)))
@@ -360,32 +347,23 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	stats.Dropped = r.U64()
 	stats.Rejected = r.U64()
 	stats.FullRuns = r.U64()
-	stats.SimpleRuns = r.U64()
-	stats.FallbackWindows = r.U64()
 	stats.ShedWindows = r.U64()
 	stats.Expired = r.U64()
 	stats.Late = r.U64()
 	stats.Panics = r.U64()
-	stats.Offloaded = r.U64()
-	stats.Retries = r.U64()
-	stats.Timeouts = r.U64()
-	stats.SupervisionDrops = r.U64()
-	stats.DeadlineMisses = r.U64()
-	stats.RetransmitPackets = r.U64()
-	stats.GatedWindows = r.U64()
+	stats.Ledger = sim.DecodeLedger(r)
 	stats.Restarts = r.U64()
-	stats.Reselections = r.U64()
 	stats.Migrations = r.U64()
 	stats.RestoreFailures = r.U64()
 	stats.RestoreError = r.String()
-	stats.RadioEnergy = power.Energy(r.F64())
-	stats.RetransmitEnergy = power.Energy(r.F64())
-	stats.PhoneEnergy = power.Energy(r.F64())
 	stats.ActiveConfig = r.String()
 
 	nres := r.U64()
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	if err := stats.Ledger.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrCorrupt, id, err)
 	}
 	results := make([]WindowResult, 0, nres)
 	for i := uint64(0); i < nres; i++ {

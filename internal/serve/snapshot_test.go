@@ -15,6 +15,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/dalia"
 	"repro/internal/faults"
+	"repro/internal/hw/power"
+	"repro/internal/sim"
 )
 
 // durableConfig is the maximal-state lockstep config: worst-case faults
@@ -383,6 +385,63 @@ func TestAttachOrFreshDegradation(t *testing.T) {
 	}
 	if mig.Stats().Migrations != 1 || mig.Stats().RestoreFailures != 0 {
 		t.Errorf("pristine attach stats: %+v", mig.Stats())
+	}
+}
+
+// TestAttachRejectsForgedLedger: a CRC-intact session frame whose ledger
+// holds a tally no stream can produce is rejected as corrupt, on the same
+// decode path Restore takes.
+func TestAttachRejectsForgedLedger(t *testing.T) {
+	_, _, ws := fixture(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mod  func(l *sim.Ledger)
+	}{
+		{"unmodified", nil},
+		{"NaN phone energy", func(l *sim.Ledger) { l.PhoneEnergy = power.Energy(nan) }},
+		{"negative radio energy", func(l *sim.Ledger) { l.RadioEnergy = -5 }},
+		{"infinite retransmit energy", func(l *sim.Ledger) { l.RetransmitEnergy = power.Energy(inf) }},
+		{"infinite error sum", func(l *sim.Ledger) { l.AbsErrSum = inf }},
+		{"negative fault error sum", func(l *sim.Ledger) { l.FaultAbsErrSum = -1 }},
+		{"NaN belief width sum", func(l *sim.Ledger) { l.BeliefWidthSum = nan }},
+		{"more covered than predicted", func(l *sim.Ledger) { l.BeliefCovered = l.Predictions + 1 }},
+	}
+	for _, tc := range cases {
+		cfg, vc := durableConfig(t)
+		src, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := src.NewSession("u00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveCycles(src, vc, []*Session{s}, ws, 0, 4)
+		if tc.mod != nil {
+			s.smu.Lock()
+			tc.mod(&s.stats.Ledger)
+			s.smu.Unlock()
+		}
+		frame, err := src.Detach("u00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
+
+		cfgD, _ := durableConfig(t)
+		dst, err := Open(cfgD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = dst.Attach(frame)
+		switch {
+		case tc.mod == nil && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.mod != nil && !errors.Is(err, ErrSnapshotCorrupt):
+			t.Errorf("%s: err = %v, want ErrSnapshotCorrupt", tc.name, err)
+		}
+		dst.Close()
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // beliefPolicy learns a prior from the fixture's own windows and names
 // the fixture estimators in the sigma map.
-func beliefPolicy(t *testing.T, ws []dalia.Window) *belief.Policy {
+func beliefPolicy(t testing.TB, ws []dalia.Window) *belief.Policy {
 	t.Helper()
 	tab, err := belief.LearnWindows(belief.DefaultGrid(), ws, belief.DefaultLearnConfig())
 	if err != nil {

@@ -9,13 +9,16 @@
 // (internal/dalia) into a tick loop; the examples/ directory drives it
 // for the battery-life and connection-loss scenarios.
 //
-// One Step (step.go) makes every per-window decision: the link check,
-// the belief-gated dispatch, the offload protocol with graceful
+// One Step (step.go) makes every per-window decision in Window: the link
+// check, the belief-gated dispatch, the offload protocol with graceful
 // degradation to the watch-side fallback model, and configuration
-// re-selection. RunState's single tick loop adds what only the watch
-// has around it: the MCU busy with an earlier inference, energy
-// accounting, the belief observation and the battery. The streaming
-// engine (internal/serve) drives the same Step per session.
+// re-selection. Its Complete folds the outcome once the estimate exists:
+// the belief observation (or coast) and every counter, energy and error
+// sum into one Ledger (ledger.go). RunState's single tick loop adds what
+// only the watch has around them: the MCU busy with an earlier
+// inference, compute/idle/sensor energy and the battery. The streaming
+// engine (internal/serve) drives the same Window and Complete per
+// session and embeds the same Ledger in its stats.
 //
 // Config.Faults selects the Step's semantics. Without an injector it is
 // the paper's engine: lossless, always-timely transfers and immediate

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
-	"repro/internal/models"
 )
 
 // Config describes one simulation scenario.
@@ -113,10 +112,15 @@ type Breakdown struct {
 // Total sums the breakdown.
 func (b Breakdown) Total() power.Energy { return b.Compute + b.Radio + b.Idle + b.Sensors }
 
-// Result aggregates a simulation run.
+// Result aggregates a simulation run. Its counters, radio, retransmit
+// and phone energy, MAE and belief summary mirror the run's Ledger (see
+// State); the rest is RunState's own watch-side accounting.
 type Result struct {
 	SimulatedSeconds float64
 	Predictions      int
+	// SimpleRuns is the Ledger's SimpleRuns plus FallbackWindows: every
+	// local run of the simple model (Route.Simple is set only on the
+	// dispatcher's healthy path, so the two never overlap).
 	SimpleRuns       int
 	Offloaded        int
 	SkippedWindows   int // MCU still busy with the previous prediction
@@ -166,7 +170,7 @@ type Result struct {
 	// BeliefBins is the HR-grid resolution of the active filter.
 	BeliefBins int
 	// GatedOffloads counts offload decisions demoted to the local simple
-	// model by the uncertainty gate.
+	// model by the uncertainty gate (the Ledger's GatedWindows).
 	GatedOffloads int
 	// BeliefWidthMean is the mean credible-interval width (BPM) across
 	// observed windows; BeliefCoverage the fraction of observed windows
@@ -195,8 +199,9 @@ func Run(cfg Config) (Result, error) {
 // trajectory is bitwise independent of segmentation.
 //
 // The tick loop wraps the per-window Step in what only the watch has: the
-// MCU busy with an earlier local inference (the window is skipped),
-// energy accounting, the belief observation, and the battery.
+// MCU busy with an earlier local inference (the window is skipped), the
+// MCU, idle and sensor energy, and the battery. Step.Complete tallies the
+// rest of each window into the state's Ledger.
 func RunState(cfg Config, st *State, stopSeconds float64) error {
 	switch {
 	case cfg.System == nil || cfg.Engine == nil:
@@ -213,8 +218,8 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 		if st.HasBattery != (cfg.Battery != nil) {
 			return fmt.Errorf("sim: state battery presence %v does not match config", st.HasBattery)
 		}
-		if st.HasBelief != (cfg.Belief != nil) {
-			return fmt.Errorf("sim: state belief presence %v does not match config", st.HasBelief)
+		if hasBelief := len(st.BeliefPost) > 0; hasBelief != (cfg.Belief != nil) {
+			return fmt.Errorf("sim: state belief presence %v does not match config", hasBelief)
 		}
 		if cfg.Battery != nil {
 			if err := cfg.Battery.Restore(st.BatteryRemaining); err != nil {
@@ -232,25 +237,20 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 		sys.Link.UseTrace(cfg.Trace)
 		defer sys.Link.UseTrace(prev)
 	}
-	bs, err := restoreBelief(&cfg, st)
+	bf, rms, err := restoreBelief(&cfg, st)
 	if err != nil {
 		return err
 	}
-	var bf *belief.Filter
-	if bs != nil {
-		bf = bs.f
-	}
 	step := NewStep(sys, cfg.Engine, cfg.Constraint, cfg.Protocol, cfg.Faults, cfg.Belief, bf)
-	res := st.Res
+	res, led := st.Res, st.Ledger
 	if st.Started {
-		if err := step.Resume(st.ActiveConfig, st.Proto); err != nil {
+		if err := step.Resume(res.ActiveConfig, st.Proto); err != nil {
 			return fmt.Errorf("sim: resume: %w", err)
 		}
 	} else {
 		if err := step.Start(0); err != nil {
 			return err
 		}
-		res.ActiveConfig = step.ActiveConfig()
 		if cfg.Faults != nil {
 			res.FaultScenario = cfg.Faults.Scenario().Name
 			res.FaultSeed = cfg.Faults.Seed()
@@ -258,24 +258,17 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 	}
 
 	period := sys.PeriodSeconds
-	absErrSum, faultAbsErrSum := st.AbsErrSum, st.FaultAbsErrSum
 	busyUntil := st.BusyUntil
 	wi := st.WI
 	var r Route
 	t := st.T
 	for ; t < stop; t += period {
 		res.SimulatedSeconds = t + period
-		w := &cfg.Windows[wi%len(cfg.Windows)]
+		i := wi % len(cfg.Windows)
+		w := &cfg.Windows[i]
 		wi++
 		if err := step.Window(&r, t, w, t >= busyUntil); err != nil {
 			return err
-		}
-		if r.Reselected {
-			res.Reselections++
-			res.ActiveConfig = step.ActiveConfig()
-		}
-		if !r.Up {
-			res.LinkDownWindows++
 		}
 
 		// Per-window watch-side energy, assembled component by component.
@@ -288,7 +281,9 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 			windowWatch += se
 		}
 
-		if r.Model == nil {
+		var hr, motion float64
+		skipped := r.Model == nil
+		if skipped {
 			// Previous local inference still running: this window is
 			// dropped; its compute energy was charged when it started.
 			// Once that burst finishes mid-window, the rest of the window
@@ -300,67 +295,30 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 				res.Watch.Idle += idleE
 				windowWatch += idleE
 			}
-			if bs != nil {
-				bs.coast()
-			}
 		} else {
 			var busy float64
 			if r.Attempted {
-				out := &r.Offload
-				res.Watch.Radio += out.RadioEnergy
-				windowWatch += out.RadioEnergy
-				busy += out.Busy
-				res.RetransmitPackets += out.RetransmitPackets
-				res.RetransmitEnergy += out.RetransmitEnergy
-				res.Retries += out.Retries
-				res.Timeouts += out.Timeouts
-				for i := 0; i < out.PhoneComputes; i++ {
-					res.PhoneEnergy += r.DispatchedCost.PhoneEnergy
-				}
-				if out.SupervisionDrop {
-					res.SupervisionDrops++
-				}
+				busy = r.Offload.Busy
+				windowWatch += r.Offload.RadioEnergy
 			}
-			hr := r.Model.EstimateHR(w)
-			if r.Offloaded {
-				res.Offloaded++
-			} else {
-				if r.Simple || r.Fallback {
-					res.SimpleRuns++
-				}
+			hr = r.Model.EstimateHR(w)
+			if !r.Offloaded {
 				busy += r.Cost.MCUSeconds
 				compute := r.Cost.MCUEnergy
 				res.Watch.Compute += compute
 				windowWatch += compute
 			}
-			if r.Fallback {
-				res.FallbackWindows++
-				if r.Attempted {
-					res.DeadlineMisses++
-				}
-			}
-
-			res.Predictions++
-			if bs != nil {
-				if r.Gated {
-					bs.gated++
-				}
-				hr = bs.observe(r.Model.Name(), (wi-1)%len(cfg.Windows), hr, w.TrueHR)
-			}
-			e := models.AbsError(hr, w.TrueHR)
-			absErrSum += e
-			if r.Fault {
-				res.FaultWindows++
-				faultAbsErrSum += e
-			}
 			busyUntil = t + busy
-			idle := period - busy
-			if idle > 0 {
+			if idle := period - busy; idle > 0 {
 				idleE := sys.MCU.IdlePower.Over(idle)
 				res.Watch.Idle += idleE
 				windowWatch += idleE
 			}
+			if rms != nil {
+				motion = rms[i]
+			}
 		}
+		step.Complete(&led, &r, hr, w.TrueHR, motion, skipped)
 
 		if cfg.Battery != nil {
 			drain := sys.BatteryDrainPerWindow(windowWatch)
@@ -375,24 +333,44 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 			res.BatteryDrain += drain
 			if err := cfg.Battery.Drain(drain); err != nil {
 				res.BatteryExhausted = true
-				st.capture(&cfg, t, wi, busyUntil, absErrSum, faultAbsErrSum, &res, bs, step)
-				st.finishRun(&cfg, bs)
+				st.capture(&cfg, t, wi, busyUntil, &res, &led, bf, step)
+				st.finishRun(&cfg)
 				return nil
 			}
 		}
 	}
-	st.capture(&cfg, t, wi, busyUntil, absErrSum, faultAbsErrSum, &res, bs, step)
+	st.capture(&cfg, t, wi, busyUntil, &res, &led, bf, step)
 	if stop >= cfg.DurationSeconds {
-		st.finishRun(&cfg, bs)
+		st.finishRun(&cfg)
 	}
 	return nil
 }
 
-func (r *Result) finish(absErrSum, faultAbsErrSum float64) {
-	if r.Predictions > 0 {
-		r.MAE = absErrSum / float64(r.Predictions)
+// restoreBelief builds the belief wiring for a segment: the filter, with
+// a resumed posterior installed exactly, and the motion RMS of every
+// unique window (the stream replays cyclically, so each is computed once
+// per segment and the per-window update never allocates). Both are nil
+// without a belief policy.
+func restoreBelief(cfg *Config, st *State) (*belief.Filter, []float64, error) {
+	if cfg.Belief == nil {
+		return nil, nil, nil
 	}
-	if r.FaultWindows > 0 {
-		r.FaultMAE = faultAbsErrSum / float64(r.FaultWindows)
+	if err := cfg.Belief.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("sim: belief policy: %w", err)
 	}
+	f, err := belief.NewFilter(cfg.Belief.Table)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: belief filter: %w", err)
+	}
+	if st.Started {
+		if err := f.Restore(st.BeliefPost, st.BeliefPredicted); err != nil {
+			return nil, nil, fmt.Errorf("sim: resume: %w", err)
+		}
+	}
+	rms := make([]float64, len(cfg.Windows))
+	var scratch []float64
+	for i := range cfg.Windows {
+		rms[i], scratch = belief.MotionRMS(&cfg.Windows[i], scratch)
+	}
+	return f, rms, nil
 }

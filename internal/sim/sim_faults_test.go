@@ -14,7 +14,7 @@ import (
 	"repro/internal/hw/power"
 )
 
-func mustInjector(t *testing.T, sc faults.Scenario, seed uint64) *faults.Injector {
+func mustInjector(t testing.TB, sc faults.Scenario, seed uint64) *faults.Injector {
 	t.Helper()
 	inj, err := faults.NewInjector(sc, seed)
 	if err != nil {

@@ -31,7 +31,7 @@ func (b *biasEst) Params() int64                      { return 0 }
 func (b *biasEst) EstimateHR(w *dalia.Window) float64 { return models.ClampHR(w.TrueHR + b.bias) }
 
 // fixture builds a small engine over fake models plus real windows/RF.
-func fixture(t *testing.T) (*hw.System, *core.Engine, []dalia.Window) {
+func fixture(t testing.TB) (*hw.System, *core.Engine, []dalia.Window) {
 	t.Helper()
 	c := dalia.DefaultConfig()
 	c.Subjects = 2

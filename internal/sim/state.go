@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/belief"
 	"repro/internal/hw/power"
 	"repro/internal/snapshot"
 )
@@ -88,117 +89,114 @@ type State struct {
 	WI int
 	// BusyUntil carries an in-flight local inference across the boundary.
 	BusyUntil float64
-	// Res holds the accumulators folded so far. MAE/FaultMAE and the
-	// belief summary fields are only computed at completion.
+	// Ledger is the per-window tally Step.Complete folded so far.
+	Ledger Ledger
+	// Res is the result so far: RunState's watch-side accumulators, with
+	// the Ledger mirrored in at every boundary.
 	Res Result
-	// AbsErrSum/FaultAbsErrSum are the MAE numerators.
-	AbsErrSum, FaultAbsErrSum float64
-	// Proto is the per-window Step's carry.
+	// Proto is the per-window Step's carry; Res.ActiveConfig names the
+	// configuration that goes with it.
 	Proto ProtoState
-	// ActiveConfig names the currently selected configuration.
-	ActiveConfig string
 	// HasBattery records whether the run drains a battery;
 	// BatteryRemaining is its charge at the boundary.
 	HasBattery       bool
 	BatteryRemaining power.Energy
-	// HasBelief records whether the belief filter runs; the fields below
-	// it carry the posterior and the observation counters.
-	HasBelief       bool
+	// BeliefPost and BeliefPredicted carry the belief filter's posterior;
+	// BeliefPost is empty when the run has no filter.
 	BeliefPost      []float64
 	BeliefPredicted bool
-	BeliefGated     int
-	BeliefObserved  int
-	BeliefCovered   int
-	BeliefWidthSum  float64
 }
 
 // capture folds the loop carry back into the state at a segment
 // boundary.
-func (st *State) capture(cfg *Config, t float64, wi int, busyUntil, absErrSum, faultAbsErrSum float64, res *Result, bs *beliefState, step *Step) {
+func (st *State) capture(cfg *Config, t float64, wi int, busyUntil float64, res *Result, led *Ledger, bf *belief.Filter, step *Step) {
 	st.Started = true
 	st.T = t
 	st.WI = wi
 	st.BusyUntil = busyUntil
-	st.AbsErrSum = absErrSum
-	st.FaultAbsErrSum = faultAbsErrSum
+	st.Ledger = *led
 	st.Res = *res
-	st.ActiveConfig = res.ActiveConfig
+	st.Res.ActiveConfig = step.ActiveConfig()
 	st.Proto = step.State()
 	st.HasBattery = cfg.Battery != nil
 	if cfg.Battery != nil {
 		st.BatteryRemaining = cfg.Battery.Remaining()
 	}
-	st.HasBelief = bs != nil
-	if bs != nil {
-		st.BeliefPost, st.BeliefPredicted = bs.f.Snapshot(st.BeliefPost)
-		st.BeliefGated = bs.gated
-		st.BeliefObserved = bs.observed
-		st.BeliefCovered = bs.covered
-		st.BeliefWidthSum = bs.widthSum
+	if bf != nil {
+		st.BeliefPost, st.BeliefPredicted = bf.Snapshot(st.BeliefPost)
 	}
+	st.summarize()
 }
 
 // finishRun finalizes the result at completion (normal end or battery
-// exhaustion): the derived summary fields are computed exactly once.
-func (st *State) finishRun(cfg *Config, bs *beliefState) {
+// exhaustion).
+func (st *State) finishRun(cfg *Config) {
 	if cfg.Battery != nil {
 		st.Res.FinalSoC = cfg.Battery.SoC()
 	}
-	if bs != nil {
-		bs.fold(&st.Res)
-	}
-	st.Res.finish(st.AbsErrSum, st.FaultAbsErrSum)
 	st.Done = true
 }
 
-// restoreBelief rebuilds the belief wiring for a segment: the filter and
-// RMS table are reconstructed (both pure functions of the config), then a
-// resumed posterior and the observation counters are installed exactly.
-func restoreBelief(cfg *Config, st *State) (*beliefState, error) {
-	if cfg.Belief == nil {
-		return nil, nil
-	}
-	bs, err := newBeliefState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if st.Started {
-		if err := bs.f.Restore(st.BeliefPost, st.BeliefPredicted); err != nil {
-			return nil, fmt.Errorf("sim: resume: %w", err)
-		}
-		bs.gated = st.BeliefGated
-		bs.observed = st.BeliefObserved
-		bs.covered = st.BeliefCovered
-		bs.widthSum = st.BeliefWidthSum
-	}
-	return bs, nil
+// summarize mirrors the Ledger into Res.
+func (st *State) summarize() {
+	r, l := &st.Res, &st.Ledger
+	r.Predictions = int(l.Predictions)
+	r.SimpleRuns = int(l.SimpleRuns + l.FallbackWindows)
+	r.Offloaded = int(l.Offloaded)
+	r.LinkDownWindows = int(l.LinkDownWindows)
+	r.Reselections = int(l.Reselections)
+	r.Watch.Radio = l.RadioEnergy
+	r.PhoneEnergy = l.PhoneEnergy
+	r.Retries = int(l.Retries)
+	r.Timeouts = int(l.Timeouts)
+	r.SupervisionDrops = int(l.SupervisionDrops)
+	r.FallbackWindows = int(l.FallbackWindows)
+	r.DeadlineMisses = int(l.DeadlineMisses)
+	r.RetransmitPackets = int(l.RetransmitPackets)
+	r.RetransmitEnergy = l.RetransmitEnergy
+	r.FaultWindows = int(l.FaultWindows)
+	r.GatedOffloads = int(l.GatedWindows)
+	r.MAE = l.MAE()
+	r.FaultMAE = l.FaultMAE()
+	r.BeliefBins = len(st.BeliefPost)
+	r.BeliefWidthMean = l.BeliefWidthMean()
+	r.BeliefCoverage = l.BeliefCoverage()
+}
+
+// floats lists the state's own float accumulators, every one finite and
+// non-negative, in codec order.
+func (st *State) floats() [10]*float64 {
+	r := &st.Res
+	return [...]*float64{&st.T, &st.BusyUntil, (*float64)(&st.BatteryRemaining),
+		&r.SimulatedSeconds, (*float64)(&r.Watch.Compute), (*float64)(&r.Watch.Idle),
+		(*float64)(&r.Watch.Sensors), (*float64)(&r.BatteryDrain), &r.FinalSoC,
+		(*float64)(&r.BrownOutEnergy)}
 }
 
 // EncodeState serializes st as a CHSS frame bound to configHash (the
 // caller's fingerprint of every trajectory-affecting knob — the fleet
 // uses its config hash, so a state file from a different fleet
-// configuration is rejected as stale).
+// configuration is rejected as stale). Res is written only where the
+// Ledger does not already determine it.
 func EncodeState(st *State, configHash uint64) []byte {
 	w := snapshot.NewWriter(snapshot.KindSimState, configHash)
 	w.Bool(st.Started)
 	w.Bool(st.Done)
-	w.F64(st.T)
 	w.I64(int64(st.WI))
-	w.F64(st.BusyUntil)
-	w.F64(st.AbsErrSum)
-	w.F64(st.FaultAbsErrSum)
 	st.Proto.Encode(w)
-	w.String(st.ActiveConfig)
 	w.Bool(st.HasBattery)
-	w.F64(float64(st.BatteryRemaining))
-	w.Bool(st.HasBelief)
 	w.F64s(st.BeliefPost)
 	w.Bool(st.BeliefPredicted)
-	w.I64(int64(st.BeliefGated))
-	w.I64(int64(st.BeliefObserved))
-	w.I64(int64(st.BeliefCovered))
-	w.F64(st.BeliefWidthSum)
-	encodeResult(w, &st.Res)
+	st.Ledger.Encode(w)
+	r := &st.Res
+	w.String(r.ActiveConfig)
+	w.I64(int64(r.SkippedWindows))
+	w.Bool(r.BatteryExhausted)
+	w.String(r.FaultScenario)
+	w.U64(r.FaultSeed)
+	for _, p := range st.floats() {
+		w.F64(*p)
+	}
 	return w.Finish()
 }
 
@@ -214,29 +212,28 @@ func DecodeState(data []byte, configHash uint64) (*State, error) {
 	st := &State{}
 	st.Started = r.Bool()
 	st.Done = r.Bool()
-	st.T = r.F64()
 	st.WI = int(r.I64())
-	st.BusyUntil = r.F64()
-	st.AbsErrSum = r.F64()
-	st.FaultAbsErrSum = r.F64()
 	st.Proto = DecodeProtoState(r)
-	st.ActiveConfig = r.String()
 	st.HasBattery = r.Bool()
-	st.BatteryRemaining = power.Energy(r.F64())
-	st.HasBelief = r.Bool()
 	st.BeliefPost = r.F64s()
 	st.BeliefPredicted = r.Bool()
-	st.BeliefGated = int(r.I64())
-	st.BeliefObserved = int(r.I64())
-	st.BeliefCovered = int(r.I64())
-	st.BeliefWidthSum = r.F64()
-	decodeResult(r, &st.Res)
+	st.Ledger = DecodeLedger(r)
+	res := &st.Res
+	res.ActiveConfig = r.String()
+	res.SkippedWindows = int(r.I64())
+	res.BatteryExhausted = r.Bool()
+	res.FaultScenario = r.String()
+	res.FaultSeed = r.U64()
+	for _, p := range st.floats() {
+		*p = r.F64()
+	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if err := st.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
 	}
+	st.summarize()
 	return st, nil
 }
 
@@ -244,105 +241,22 @@ func DecodeState(data []byte, configHash uint64) (*State, error) {
 // impossible: a CRC-intact but forged (or schema-confused) frame must not
 // poison a resumed run.
 func (st *State) validate() error {
-	fin := func(name string, v float64) error {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("sim state: %s is %v", name, v)
+	for i, p := range st.floats() {
+		if err := nonNegative(*p); err != nil {
+			return fmt.Errorf("sim state: accumulator %d: %v", i, err)
 		}
-		return nil
 	}
-	for name, v := range map[string]float64{
-		"T": st.T, "BusyUntil": st.BusyUntil, "AbsErrSum": st.AbsErrSum,
-		"FaultAbsErrSum":   st.FaultAbsErrSum,
-		"BatteryRemaining": float64(st.BatteryRemaining), "BeliefWidthSum": st.BeliefWidthSum,
-	} {
-		if err := fin(name, v); err != nil {
-			return err
-		}
+	if err := st.Ledger.Validate(); err != nil {
+		return fmt.Errorf("sim state: %v", err)
 	}
 	if err := st.Proto.Validate(); err != nil {
 		return fmt.Errorf("sim state: %v", err)
 	}
 	switch {
-	case st.T < 0 || st.WI < 0:
-		return fmt.Errorf("sim state: negative progress (T=%v, WI=%d)", st.T, st.WI)
-	case st.BeliefGated < 0 || st.BeliefObserved < 0 || st.BeliefCovered < 0:
-		return fmt.Errorf("sim state: negative belief counters")
-	case st.HasBelief != (len(st.BeliefPost) > 0):
-		return fmt.Errorf("sim state: belief flag and posterior disagree")
-	case st.Started && st.ActiveConfig == "":
+	case st.WI < 0 || st.Res.SkippedWindows < 0:
+		return fmt.Errorf("sim state: negative window count (WI=%d, skipped=%d)", st.WI, st.Res.SkippedWindows)
+	case st.Started && st.Res.ActiveConfig == "":
 		return fmt.Errorf("sim state: started without an active configuration")
 	}
 	return nil
-}
-
-func encodeResult(w *snapshot.Writer, r *Result) {
-	w.F64(r.SimulatedSeconds)
-	w.I64(int64(r.Predictions))
-	w.I64(int64(r.SimpleRuns))
-	w.I64(int64(r.Offloaded))
-	w.I64(int64(r.SkippedWindows))
-	w.I64(int64(r.LinkDownWindows))
-	w.I64(int64(r.Reselections))
-	w.F64(r.MAE)
-	w.F64(float64(r.Watch.Compute))
-	w.F64(float64(r.Watch.Radio))
-	w.F64(float64(r.Watch.Idle))
-	w.F64(float64(r.Watch.Sensors))
-	w.F64(float64(r.PhoneEnergy))
-	w.F64(float64(r.BatteryDrain))
-	w.Bool(r.BatteryExhausted)
-	w.F64(r.FinalSoC)
-	w.String(r.ActiveConfig)
-	w.String(r.FaultScenario)
-	w.U64(r.FaultSeed)
-	w.I64(int64(r.Retries))
-	w.I64(int64(r.Timeouts))
-	w.I64(int64(r.SupervisionDrops))
-	w.I64(int64(r.FallbackWindows))
-	w.I64(int64(r.DeadlineMisses))
-	w.I64(int64(r.RetransmitPackets))
-	w.F64(float64(r.RetransmitEnergy))
-	w.F64(float64(r.BrownOutEnergy))
-	w.I64(int64(r.FaultWindows))
-	w.F64(r.FaultMAE)
-	w.I64(int64(r.BeliefBins))
-	w.I64(int64(r.GatedOffloads))
-	w.F64(r.BeliefWidthMean)
-	w.F64(r.BeliefCoverage)
-}
-
-func decodeResult(rd *snapshot.Reader, r *Result) {
-	r.SimulatedSeconds = rd.F64()
-	r.Predictions = int(rd.I64())
-	r.SimpleRuns = int(rd.I64())
-	r.Offloaded = int(rd.I64())
-	r.SkippedWindows = int(rd.I64())
-	r.LinkDownWindows = int(rd.I64())
-	r.Reselections = int(rd.I64())
-	r.MAE = rd.F64()
-	r.Watch.Compute = power.Energy(rd.F64())
-	r.Watch.Radio = power.Energy(rd.F64())
-	r.Watch.Idle = power.Energy(rd.F64())
-	r.Watch.Sensors = power.Energy(rd.F64())
-	r.PhoneEnergy = power.Energy(rd.F64())
-	r.BatteryDrain = power.Energy(rd.F64())
-	r.BatteryExhausted = rd.Bool()
-	r.FinalSoC = rd.F64()
-	r.ActiveConfig = rd.String()
-	r.FaultScenario = rd.String()
-	r.FaultSeed = rd.U64()
-	r.Retries = int(rd.I64())
-	r.Timeouts = int(rd.I64())
-	r.SupervisionDrops = int(rd.I64())
-	r.FallbackWindows = int(rd.I64())
-	r.DeadlineMisses = int(rd.I64())
-	r.RetransmitPackets = int(rd.I64())
-	r.RetransmitEnergy = power.Energy(rd.F64())
-	r.BrownOutEnergy = power.Energy(rd.F64())
-	r.FaultWindows = int(rd.I64())
-	r.FaultMAE = rd.F64()
-	r.BeliefBins = int(rd.I64())
-	r.GatedOffloads = int(rd.I64())
-	r.BeliefWidthMean = rd.F64()
-	r.BeliefCoverage = rd.F64()
 }

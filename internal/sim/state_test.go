@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestRunStateConfigMismatch(t *testing.T) {
 	}
 
 	stc = *st
-	stc.ActiveConfig = "no-such-config"
+	stc.Res.ActiveConfig = "no-such-config"
 	if err := RunState(base, &stc, 0); err == nil {
 		t.Error("unknown active configuration accepted")
 	}
@@ -177,10 +178,13 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 	if _, err := DecodeState(blob, 0xdef); !errors.Is(err, snapshot.ErrStale) {
 		t.Errorf("config-hash mismatch = %v, want ErrStale", err)
 	}
-	// A frame of the retired sim-state kind (the layout before the link
-	// edge folded into Proto.EngineUp) is stale, not misparsed.
-	if _, err := DecodeState(snapshot.NewWriter(2, 0xabc).Finish(), 0xabc); !errors.Is(err, snapshot.ErrStale) {
-		t.Errorf("retired sim-state kind = %v, want ErrStale", err)
+	// Frames of the retired sim-state kinds (the layout before the link
+	// edge folded into Proto.EngineUp, and the one before the counters
+	// became a Ledger) are stale, not misparsed.
+	for _, kind := range []snapshot.Kind{2, 4} {
+		if _, err := DecodeState(snapshot.NewWriter(kind, 0xabc).Finish(), 0xabc); !errors.Is(err, snapshot.ErrStale) {
+			t.Errorf("retired sim-state kind %d = %v, want ErrStale", kind, err)
+		}
 	}
 	if _, err := DecodeState(blob, 0xabc); err != nil {
 		t.Errorf("pristine blob rejected: %v", err)
@@ -190,17 +194,32 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 // TestDecodeStateValidation: CRC-intact frames carrying impossible field
 // values are rejected as corrupt.
 func TestDecodeStateValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	mut := []struct {
 		name string
 		mod  func(st *State)
 	}{
 		{"negative WI", func(st *State) { st.WI = -3 }},
 		{"negative T", func(st *State) { st.T = -1 }},
-		{"belief flag without posterior", func(st *State) { st.HasBelief = true }},
-		{"started without config", func(st *State) { st.Started = true; st.ActiveConfig = "" }},
+		{"started without config", func(st *State) { st.Started = true; st.Res.ActiveConfig = "" }},
+		{"NaN phone energy", func(st *State) { st.Ledger.PhoneEnergy = power.Energy(nan) }},
+		{"negative radio energy", func(st *State) { st.Ledger.RadioEnergy = -5 }},
+		{"infinite error sum", func(st *State) { st.Ledger.AbsErrSum = inf }},
+		{"NaN belief width sum", func(st *State) { st.Ledger.BeliefWidthSum = nan }},
+		{"more covered than predicted", func(st *State) { st.Ledger.BeliefCovered = 1 }},
+		{"more fault windows than predicted", func(st *State) { st.Ledger.FaultWindows = 1 }},
+		{"NaN busy-until", func(st *State) { st.BusyUntil = nan }},
+		{"infinite idle energy", func(st *State) { st.Res.Watch.Idle = power.Energy(inf) }},
+		{"negative battery drain", func(st *State) { st.Res.BatteryDrain = -1 }},
+		{"NaN state of charge", func(st *State) { st.Res.FinalSoC = nan }},
+		{"negative skipped windows", func(st *State) { st.Res.SkippedWindows = -1 }},
+	}
+	base := func() *State { return &State{Started: true, Res: Result{ActiveConfig: "cfg"}, T: 10, WI: 5} }
+	if _, err := DecodeState(EncodeState(base(), 1), 1); err != nil {
+		t.Fatalf("unmodified state rejected: %v", err)
 	}
 	for _, tc := range mut {
-		st := &State{Started: true, ActiveConfig: "cfg", T: 10, WI: 5}
+		st := base()
 		tc.mod(st)
 		blob := EncodeState(st, 1)
 		if _, err := DecodeState(blob, 1); !errors.Is(err, snapshot.ErrCorrupt) {

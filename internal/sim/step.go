@@ -15,9 +15,11 @@ import (
 // Step is one stream's per-window offload pipeline: the link check, the
 // belief-gated dispatch, the offload protocol with graceful degradation
 // to the configuration's simple model, and configuration reselection
-// (§III-B). RunState drives it from the offline tick loop and
-// serve.Session drives it for every routed window, so the simulator and
-// the streaming engine share one implementation of the decision.
+// (§III-B) in Window; the belief update and the window's tally in
+// Complete. RunState drives it from the offline tick loop and
+// serve.Session drives it for every window, so the simulator and the
+// streaming engine share one implementation of the decision and of its
+// accounting.
 //
 // The injector selects the engine's semantics in exactly two places.
 // With a nil injector the Step is the paper's engine: it reselects the
@@ -40,11 +42,12 @@ type Step struct {
 	ch       ble.Channel
 	lossless OffloadOutcome // the nil injector's transfer
 
-	// The uncertainty gate reads bf's predictive width; gate is inert
-	// unless the belief policy sets GateBPM.
+	// pol and bf are the stream's belief policy and filter (nil without
+	// one). The uncertainty gate reads bf's predictive width; gate is
+	// inert unless the policy sets GateBPM.
+	pol  *belief.Policy
 	bf   *belief.Filter
 	gate core.UncertaintyGate
-	mass float64
 
 	current     core.Profile
 	currentName string
@@ -66,8 +69,9 @@ type Step struct {
 
 // NewStep wires the pipeline for one stream. A zero proto means
 // DefaultProtocol(); a nil inj selects the paper engine (see Step).
-// bf is the stream's belief filter; it is consulted only when pol sets
-// an uncertainty gate. Call Start or Resume before the first Window.
+// bf is the stream's belief filter, required with a non-nil pol: Complete
+// updates it, and Window reads it when pol sets an uncertainty gate.
+// Call Start or Resume before the first Window.
 // The Step keeps the model costs sys resolves now (hw.System documents
 // that its tables stay fixed from here on).
 func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol,
@@ -90,8 +94,8 @@ func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol
 	if inj != nil {
 		s.rng = inj.Rand()
 	}
-	if pol != nil && pol.GateBPM > 0 {
-		s.bf, s.gate, s.mass = bf, core.UncertaintyGate{MaxWidth: pol.GateBPM}, pol.Mass
+	if pol != nil {
+		s.pol, s.bf, s.gate = pol, bf, core.UncertaintyGate{MaxWidth: pol.GateBPM}
 	}
 	for i, up := range [2]bool{false, true} {
 		if s.target[i], s.targetErr[i] = eng.SelectConfig(up, c); s.targetErr[i] == nil {
@@ -179,9 +183,10 @@ func (s *Step) ActiveConfig() string { return s.currentName }
 
 // Route is one window's verdict from Step.Window.
 type Route struct {
-	// Up reports whether the offload link was usable at the window's
-	// arrival.
-	Up bool
+	// Down reports that the offload link was unusable at the window's
+	// arrival. A window that never reached Window (the zero Route) was
+	// not checked, so it is not Down.
+	Down bool
 	// Reselected reports a configuration switch during this window;
 	// Step.Current and Step.ActiveConfig return the new configuration.
 	Reselected bool
@@ -220,10 +225,11 @@ type Route struct {
 // reports a reselection into a link state in which no configuration
 // meets the constraint.
 func (s *Step) Window(r *Route, t float64, w *dalia.Window, dispatch bool) error {
-	*r = Route{Up: s.linkUp(t)}
-	if s.inj == nil && r.Up != s.engineUp {
+	up := s.linkUp(t)
+	*r = Route{Down: !up}
+	if s.inj == nil && up != s.engineUp {
 		// Paper engine: reselect at the link edge, before dispatch.
-		if err := s.reselect(r.Up); err != nil {
+		if err := s.reselect(up); err != nil {
 			return fmt.Errorf("sim: re-selection at t=%.1f: %w", t, err)
 		}
 		r.Reselected = true
@@ -248,7 +254,7 @@ func (s *Step) linkUp(t float64) bool {
 func (s *Step) dispatch(t float64, w *dalia.Window, r *Route) {
 	var d core.Decision
 	if s.gate.Active() {
-		c := core.Confidence{Width: s.bf.PredictiveWidth(s.mass)}
+		c := core.Confidence{Width: s.bf.PredictiveWidth(s.pol.Mass)}
 		d, r.Gated = s.eng.DispatchGated(&s.current, w, s.gate, c)
 	} else {
 		d = s.eng.Dispatch(&s.current, w)
@@ -258,7 +264,7 @@ func (s *Step) dispatch(t float64, w *dalia.Window, r *Route) {
 	// name tells the two apart (a zoo's names are unique).
 	r.DispatchedCost = s.cost[1]
 	switch {
-	case d.Offloaded && r.Up:
+	case d.Offloaded && !r.Down:
 		r.Attempted = true
 		if s.inj == nil {
 			r.Offload = s.lossless
@@ -286,6 +292,79 @@ func (s *Step) dispatch(t float64, w *dalia.Window, r *Route) {
 	}
 }
 
+// Complete folds one window's outcome into l and runs the belief update.
+// r is the route from Window (zero if the window never reached it), hr
+// the estimate, trueHR its label and rms its motion RMS (read only by
+// the belief filter).
+// A discarded window (skipped, expired, late or panicked) still folds
+// its route, including the offload's spent energy, and coasts the
+// filter; any other is counted as a prediction and fused into the
+// posterior. Complete returns the HR to report (the posterior mean when
+// the policy smooths) and the credible-interval width after fusion.
+func (s *Step) Complete(l *Ledger, r *Route, hr, trueHR, rms float64, discarded bool) (report, width float64) {
+	if r.Reselected {
+		l.Reselections++
+	}
+	if r.Down {
+		l.LinkDownWindows++
+	}
+	if r.Gated {
+		l.GatedWindows++
+	}
+	if r.Attempted {
+		out := &r.Offload
+		l.RadioEnergy += out.RadioEnergy
+		l.RetransmitPackets += uint64(out.RetransmitPackets)
+		l.RetransmitEnergy += out.RetransmitEnergy
+		l.Retries += uint64(out.Retries)
+		l.Timeouts += uint64(out.Timeouts)
+		for i := 0; i < out.PhoneComputes; i++ {
+			l.PhoneEnergy += r.DispatchedCost.PhoneEnergy
+		}
+		if out.SupervisionDrop {
+			l.SupervisionDrops++
+		}
+	}
+	if discarded {
+		if s.bf != nil {
+			// Time still passes for the hidden chain.
+			s.bf.Coast()
+		}
+		return hr, 0
+	}
+	l.Predictions++
+	switch {
+	case r.Offloaded:
+		l.Offloaded++
+	case r.Simple:
+		l.SimpleRuns++
+	case r.Fallback:
+		l.FallbackWindows++
+		if r.Attempted {
+			l.DeadlineMisses++
+		}
+	}
+	if s.bf != nil {
+		s.bf.ObserveGaussian(hr, s.pol.Sigma(r.Model.Name(), rms))
+		var covered bool
+		width, covered = s.bf.Credible(s.pol.Mass, trueHR)
+		l.BeliefWidthSum += width
+		if covered {
+			l.BeliefCovered++
+		}
+		if s.pol.Smooth {
+			hr = s.bf.Mean()
+		}
+	}
+	e := models.AbsError(hr, trueHR)
+	l.AbsErrSum += e
+	if r.Fault {
+		l.FaultWindows++
+		l.FaultAbsErrSum += e
+	}
+	return hr, width
+}
+
 // configCost resolves the per-inference costs of p's simple and complex
 // model.
 func configCost(sys *hw.System, p *core.Profile) [2]hw.Cost {
@@ -297,7 +376,7 @@ func configCost(sys *hw.System, p *core.Profile) [2]hw.Cost {
 // degraded or down windows, returns after RecoverWindows healthy ones,
 // and holds still through the cooldown after any switch.
 func (s *Step) hysteresis(t float64, r *Route) error {
-	if r.Up && !r.Fault {
+	if !r.Down && !r.Fault {
 		s.goodStreak++
 		s.failStreak = 0
 	} else {

@@ -40,19 +40,15 @@ import (
 const Version = 1
 
 // Kind namespaces payload schemas within the shared frame, so a fleet
-// user-state file can never be restored into a serve engine.
+// user-state file can never be restored into a serve engine. A changed
+// schema takes a new Kind, and frames of a retired kind open as ErrStale:
+// kinds 1 and 3 held the serve engine and session layouts and kind 4 the
+// sim-state layout from before the per-window counters became one
+// sim.Ledger; kind 2 held the sim-state layout with a separate link-edge
+// flag.
 type Kind uint16
 
 const (
-	// KindServeEngine frames a serve.EngineSnapshot payload.
-	KindServeEngine Kind = 1
-	// KindServeSession frames one serve session's state — the live
-	// migration unit (Engine.Detach / Engine.Attach).
-	KindServeSession Kind = 3
-	// KindSimState frames a sim.State payload. Kind 2 held the earlier
-	// layout with a separate link-edge flag; it is retired, so such
-	// frames open as ErrStale.
-	KindSimState Kind = 4
 	// KindBeliefTable frames a belief.Table: the learned HR-transition
 	// prior and its grid.
 	KindBeliefTable Kind = 5
@@ -60,6 +56,14 @@ const (
 	// parameter count, then every parameter's name and float32 values in
 	// topology order.
 	KindWeights Kind = 6
+	// KindServeEngine frames a serve engine checkpoint: every session's
+	// state in ID order.
+	KindServeEngine Kind = 7
+	// KindServeSession frames one serve session's state — the live
+	// migration unit (Engine.Detach / Engine.Attach).
+	KindServeSession Kind = 8
+	// KindSimState frames a sim.State payload.
+	KindSimState Kind = 9
 )
 
 // ErrCorrupt reports damaged bytes: bad magic, failed CRC, truncation, or
