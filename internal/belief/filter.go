@@ -331,13 +331,6 @@ func (f *Filter) Snapshot(dst []float64) ([]float64, bool) {
 	return f.Posterior(dst), f.predicted
 }
 
-// State is Snapshot without the copy, for encoders that serialize in
-// place: the posterior slice aliases the filter's own storage, so read it
-// before the next filter call and never modify it.
-func (f *Filter) State() (post []float64, predicted bool) {
-	return f.post, f.predicted
-}
-
 // Restore installs a posterior previously captured with Snapshot. The
 // bits are adopted exactly — no renormalization, so a restored filter's
 // future output is bitwise identical to the uninterrupted filter's — but

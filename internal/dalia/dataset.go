@@ -18,12 +18,6 @@ func New(cfg Config) (*Dataset, error) {
 	return &Dataset{cfg: cfg, cache: make(map[int]*Recording)}, nil
 }
 
-// Config returns the dataset configuration.
-func (d *Dataset) Config() Config { return d.cfg }
-
-// Subjects returns the cohort size.
-func (d *Dataset) Subjects() int { return d.cfg.Subjects }
-
 // Recording returns (generating and caching on first use) the recording of
 // one subject.
 func (d *Dataset) Recording(subject int) (*Recording, error) {

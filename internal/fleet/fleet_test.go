@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // testConfig is a fleet small enough for CI but broad enough to cross
@@ -202,18 +205,17 @@ func sidecars(t *testing.T, ck string) []string {
 	return paths
 }
 
-// interruptMidDay runs snapConfig(ck) with an interrupt that fires on the
-// 10th poll — mid-way through a user's day, between sidecar writes — and
-// returns the interrupted user's sidecar paths.
-func interruptMidDay(t *testing.T, ck string) []string {
+// interruptMidDay runs cfg (a snapConfig) with an interrupt that fires
+// on the 10th poll — mid-way through a user's day, between sidecar
+// writes — and returns the interrupted user's sidecar paths.
+func interruptMidDay(t *testing.T, cfg Config) []string {
 	t.Helper()
-	cfg := snapConfig(ck)
 	calls := 0
 	cfg.Interrupt = func(done int) bool { calls++; return calls >= 10 }
 	if _, err := Run(cfg); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
 	}
-	live := sidecars(t, ck)
+	live := sidecars(t, cfg.Checkpoint)
 	if len(live) == 0 {
 		t.Fatal("mid-day interrupt left no sidecar snapshot")
 	}
@@ -248,7 +250,7 @@ func TestSnapshotMidDayResume(t *testing.T) {
 
 	// Interrupt mid-day, then resume from the sidecar.
 	ck := filepath.Join(dir, "fleet.rec")
-	interruptMidDay(t, ck)
+	interruptMidDay(t, snapConfig(ck))
 	res := snapConfig(ck)
 	res.Resume = true
 	sum, err = Run(res)
@@ -265,38 +267,66 @@ func TestSnapshotMidDayResume(t *testing.T) {
 
 // TestSnapshotCorruptSidecarDegrades pins deterministic degradation: a
 // truncated, bit-flipped or garbage sidecar is rejected by the snapshot
-// codec and the affected user silently re-simulates from zero, so the
-// resumed summary still matches the uninterrupted run byte for byte.
+// codec, and a forged one — sealed with a valid CRC under the fleet's
+// config hash, but holding a state the user cannot resume — fails the
+// resume typed. Either way the affected user silently re-simulates from
+// zero, so the resumed summary still matches the uninterrupted run byte
+// for byte instead of the error aborting the whole fleet. The belief
+// layer is on, so the sidecars carry a posterior to forge.
 func TestSnapshotCorruptSidecarDegrades(t *testing.T) {
-	base, err := Run(testConfig())
+	withBelief := func(cfg Config) Config {
+		cfg.Belief = BeliefConfig{Enabled: true, Smooth: true, GateBPM: 20}
+		return cfg
+	}
+	base, err := Run(withBelief(testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseJSON := mustJSON(t, base)
+	hashed := withBelief(testConfig())
+	if err := hashed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	hash := hashed.hash64()
+	// forge re-seals a pristine sidecar after mod edits its state.
+	forge := func(mod func(st *sim.State)) func(t *testing.T, b []byte) []byte {
+		return func(t *testing.T, b []byte) []byte {
+			st, err := sim.DecodeState(b, hash)
+			if err != nil {
+				t.Fatalf("pristine sidecar rejected: %v", err)
+			}
+			mod(st)
+			return sim.EncodeState(st, hash)
+		}
+	}
 
 	corrupt := []struct {
 		name string
-		mut  func([]byte) []byte
+		mut  func(*testing.T, []byte) []byte
 	}{
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"bitflip", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
-		{"garbage", func([]byte) []byte { return []byte("not a snapshot") }},
+		{"truncated", func(_ *testing.T, b []byte) []byte { return b[:len(b)/2] }},
+		{"bitflip", func(_ *testing.T, b []byte) []byte { b[len(b)/2] ^= 0x40; return b }},
+		{"garbage", func(*testing.T, []byte) []byte { return []byte("not a snapshot") }},
+		{"NaN posterior bin", forge(func(st *sim.State) { st.Carry.Post[0] = math.NaN() })},
+		{"2-bin posterior", forge(func(st *sim.State) { st.Carry.Post = st.Carry.Post[:2] })},
+		{"unknown configuration", forge(func(st *sim.State) { st.Carry.Active = "no-such-config" })},
+		{"no belief", forge(func(st *sim.State) { st.Carry.Belief, st.Carry.Post = false, nil })},
+		{"no battery", forge(func(st *sim.State) { st.HasBattery = false })},
 	}
 	for _, tc := range corrupt {
 		t.Run(tc.name, func(t *testing.T) {
-			ck := filepath.Join(t.TempDir(), "fleet.rec")
-			for _, path := range interruptMidDay(t, ck) {
+			cfg := withBelief(snapConfig(filepath.Join(t.TempDir(), "fleet.rec")))
+			for _, path := range interruptMidDay(t, cfg) {
 				data, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, tc.mut(data), 0o644); err != nil {
+				if err := os.WriteFile(path, tc.mut(t, data), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			res := snapConfig(ck)
-			res.Resume = true
-			sum, err := Run(res)
+			cfg.Resume = true
+			sum, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("resume over %s sidecar: %v", tc.name, err)
 			}

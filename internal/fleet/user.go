@@ -102,12 +102,6 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// Config returns the validated configuration the fleet was built with.
-func (f *Fleet) Config() Config { return f.cfg }
-
-// System returns the shared hardware models (read-only).
-func (f *Fleet) System() *hw.System { return f.sys }
-
 // User is one fleet member's fully built simulation inputs. Everything in
 // it derives from (Config, ID) alone via label-keyed seed forks.
 type User struct {
@@ -385,7 +379,14 @@ func (f *Fleet) simulateUser(id int, statePath string, interrupted func() bool) 
 		}
 		seg := f.cfg.SnapshotDays * daySeconds
 		for !st.Done {
-			if err := sim.RunState(scfg, &st, st.T+seg); err != nil {
+			err := sim.RunState(scfg, &st, st.T+seg)
+			if errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrStale) {
+				// A decodable sidecar this user cannot resume (only a
+				// resume fails typed): start over with a fresh battery.
+				st, scfg = sim.State{}, f.SimConfig(u, power.NewLiIon370())
+				continue
+			}
+			if err != nil {
 				return nil, fmt.Errorf("fleet: user %d simulation: %w", id, err)
 			}
 			if st.Done {

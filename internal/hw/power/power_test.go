@@ -14,9 +14,6 @@ func TestUnitsRoundTrip(t *testing.T) {
 	if got := MicroJoules(179).MicroJoules(); math.Abs(got-179) > 1e-9 {
 		t.Errorf("µJ round trip = %v", got)
 	}
-	if got := MilliWatts(25.45).MilliWatts(); math.Abs(got-25.45) > 1e-12 {
-		t.Errorf("mW round trip = %v", got)
-	}
 }
 
 func TestPowerOver(t *testing.T) {

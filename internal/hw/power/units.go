@@ -38,9 +38,6 @@ func (e Energy) String() string {
 	}
 }
 
-// MilliWatts converts to mW.
-func (p Power) MilliWatts() float64 { return float64(p) * 1e3 }
-
 // String formats with an adaptive SI prefix.
 func (p Power) String() string {
 	v := float64(p)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/belief"
@@ -18,7 +19,9 @@ import (
 // simulator's injector seeded the way NewSession forks a session's
 // stream. Both route each window through sim.Step.Window and tally it
 // through sim.Step.Complete, so every counter, energy and error sum must
-// compare equal as a whole.
+// compare equal as a whole — and so must the step's end-of-run
+// sim.Carry: the active configuration, the protocol state and the belief
+// posterior, bit for bit.
 //
 // Serve has no model of the watch MCU being busy with a local inference,
 // so the fixture's complex model has 3 M ops: its local run takes
@@ -111,6 +114,14 @@ func TestSimServeAgree(t *testing.T) {
 				want := st.Ledger
 				if got.Ledger != want {
 					t.Errorf("%s: ledgers differ:\nsim   %+v\nserve %+v", label, want, got.Ledger)
+				}
+				var carry sim.Carry
+				s.step.Save(&carry)
+				if !reflect.DeepEqual(carry, st.Carry) {
+					t.Errorf("%s: carries differ:\nsim   %+v\nserve %+v", label, st.Carry, carry)
+				}
+				if len(carry.Post) == 0 && pol != nil {
+					t.Fatalf("%s: belief session carries no posterior", label)
 				}
 				// The reported estimates are the ones the ledger scored.
 				var absErrSum float64

@@ -85,9 +85,11 @@
 //
 // # Durability and migration
 //
-// Snapshot serializes the complete per-session state — offload state
-// machine, hysteresis streaks, reconnect holdoff, rng position, belief
-// posterior, counters and undrained results — as one CRC-protected CHSS
+// Snapshot serializes the complete per-session state — counters,
+// undrained results and the step's sim.Carry (offload state machine,
+// hysteresis streaks, reconnect holdoff, rng position, belief
+// posterior), written and restored by the same sim.Step.Save and
+// sim.Step.Restore the simulator uses — as one CRC-protected CHSS
 // frame bound to ConfigHash (fixed at Open, so a checkpoint costs only
 // its encoding, into one pre-sized frame); Checkpoint persists it with
 // the atomic partial-file+rename discipline (wall mode checkpoints itself

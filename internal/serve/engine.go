@@ -286,13 +286,10 @@ func (e *Engine) NewSession(id string) (*Session, error) {
 		return nil, fmt.Errorf("serve: session %q: %w", id, err)
 	}
 	s := &Session{id: id, eng: e}
-	if e.cfg.Belief != nil {
-		if s.bf, err = belief.NewFilter(e.cfg.Belief.Table); err != nil {
-			return nil, fmt.Errorf("serve: session %q: %w", id, err)
-		}
-	}
 	c := &e.cfg
-	s.step = sim.NewStep(c.System, c.Engine, c.Constraint, c.Protocol, inj, c.Belief, s.bf)
+	if s.step, err = sim.NewStep(c.System, c.Engine, c.Constraint, c.Protocol, inj, c.Belief); err != nil {
+		return nil, fmt.Errorf("serve: session %q: %w", id, err)
+	}
 	if err := s.step.Feasible(); err != nil {
 		return nil, fmt.Errorf("serve: session %q: %w", id, err)
 	}
@@ -346,6 +343,8 @@ type cycleScratch struct {
 	// chunks partition them, so parallel chunks never share an element.
 	batch []dalia.Window
 	hr    []float64
+	// carry is the scratch Session.encode saves each step into.
+	carry sim.Carry
 
 	now, completion float64
 }

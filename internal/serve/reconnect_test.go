@@ -27,9 +27,10 @@ func TestReconnectHoldoffWindowBoundary(t *testing.T) {
 
 	boundary := 3 * cfg.System.PeriodSeconds
 	_, _, ws := fixture(t)
-	p := s.step.State()
-	p.LinkDownUntil = boundary
-	if err := s.step.Resume(s.step.Current().Name(), p); err != nil {
+	var c sim.Carry
+	s.step.Save(&c)
+	c.LinkDownUntil = boundary
+	if err := s.step.Restore(&c); err != nil {
 		t.Fatal(err)
 	}
 	up := func(at float64) bool {

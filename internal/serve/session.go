@@ -85,14 +85,10 @@ type Session struct {
 	closed  bool
 
 	// Pipeline state below is touched only by the engine's cycle (one
-	// cycle runs at a time), never concurrently with itself.
-	step *sim.Step
-	// bf is the session's belief filter (nil unless Config.Belief is
-	// set), updated through step; rmsBuf is its reusable motion-RMS
-	// scratch. Unlike the step's pipeline state, the filter deliberately
-	// survives restart: it tracks the stream's history, not the
-	// pipeline's health.
-	bf     *belief.Filter
+	// cycle runs at a time), never concurrently with itself. step owns
+	// the session's belief filter when Config.Belief is set; rmsBuf is
+	// the filter update's reusable motion-RMS scratch.
+	step   *sim.Step
 	rmsBuf []float64
 }
 
@@ -287,7 +283,7 @@ func (s *Session) finalize(completion float64, jobs []job) {
 		// motion-scaled sigma.
 		discarded := j.outcome.Discarded()
 		var rms float64
-		if s.bf != nil && !discarded {
+		if e.cfg.Belief != nil && !discarded {
 			rms, s.rmsBuf = belief.MotionRMS(j.w, s.rmsBuf)
 		}
 		hr, width := s.step.Complete(&s.stats.Ledger, &j.route, j.hr, j.w.TrueHR, rms, discarded)

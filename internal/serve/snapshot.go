@@ -215,15 +215,7 @@ func (e *Engine) Detach(id string) ([]byte, error) {
 	s.encode(w)
 	frame := w.Finish()
 
-	e.mu.Lock()
-	delete(e.sessions, id)
-	for i, o := range e.order {
-		if o == s {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
-	e.mu.Unlock()
+	e.removeSession(s)
 	return frame, nil
 }
 
@@ -279,7 +271,7 @@ func (e *Engine) AttachOrFresh(id string, data []byte) (*Session, error) {
 
 // encode appends the session's durable state to w. Callers hold cycleMu
 // (excluding concurrent cycles); smu is held throughout for the guarded
-// fields, so results and the posterior are written in place, not copied.
+// fields, so results are written in place, not copied.
 func (s *Session) encode(w *snapshot.Writer) {
 	s.smu.Lock()
 	defer s.smu.Unlock()
@@ -321,15 +313,11 @@ func (s *Session) encode(w *snapshot.Writer) {
 		w.F64(r.CIWidth)
 	}
 
-	// Cycle-only pipeline state: offload machine, hysteresis, rng, belief.
-	w.String(s.step.ActiveConfig())
-	s.step.State().Encode(w)
-	w.Bool(s.bf != nil)
-	if s.bf != nil {
-		post, predicted := s.bf.State()
-		w.F64s(post)
-		w.Bool(predicted)
-	}
+	// Cycle-only pipeline state: the step's carry, saved into the
+	// engine's scratch (cycleMu is held), so no posterior is allocated.
+	c := &s.eng.cyc.carry
+	s.step.Save(c)
+	c.Encode(w)
 }
 
 // decodeSession reads one session's state from r and registers it in the
@@ -388,38 +376,18 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 		results = append(results, wr)
 	}
 
-	profileName := r.String()
-	p := sim.DecodeProtoState(r)
-	hasBelief := r.Bool()
-	var post []float64
-	var predicted bool
-	if hasBelief {
-		post = r.F64s()
-		predicted = r.Bool()
-	}
+	carry := sim.DecodeCarry(r)
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrCorrupt, id, err)
-	}
-	if hasBelief != (e.cfg.Belief != nil) {
-		return nil, fmt.Errorf("%w: session %q: belief presence mismatch", snapshot.ErrStale, id)
 	}
 
 	s, err := e.NewSession(id)
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore session %q: %w", id, err)
 	}
-	if err := s.step.Resume(profileName, p); err != nil {
+	if err := s.step.Restore(&carry); err != nil {
 		e.removeSession(s)
-		return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrStale, id, err)
-	}
-	if s.bf != nil {
-		if rerr := s.bf.Restore(post, predicted); rerr != nil {
-			e.removeSession(s)
-			return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrCorrupt, id, rerr)
-		}
+		return nil, fmt.Errorf("serve: restore session %q: %w", id, err)
 	}
 	s.smu.Lock()
 	s.seq = seq
@@ -430,8 +398,9 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	return s, nil
 }
 
-// removeSession unregisters a half-restored session after a late decode
-// failure, so a failed Restore leaves the engine exactly as it found it.
+// removeSession unregisters a session: a detached one, or a
+// half-restored one after a late decode failure, so a failed Restore
+// leaves the engine exactly as it found it.
 func (e *Engine) removeSession(s *Session) {
 	e.mu.Lock()
 	delete(e.sessions, s.id)

@@ -535,12 +535,12 @@ func FuzzSnapshot(f *testing.F) {
 		sessions := append([]*Session(nil), e.order...)
 		e.mu.Unlock()
 		for _, s := range sessions {
-			if s.bf == nil {
+			var c sim.Carry
+			if s.step.Save(&c); !c.Belief {
 				continue
 			}
-			post, _ := s.bf.Snapshot(nil)
 			sum := 0.0
-			for _, v := range post {
+			for _, v := range c.Post {
 				if v < 0 || math.IsNaN(v) {
 					t.Fatalf("restored posterior holds %v", v)
 				}

@@ -19,6 +19,9 @@
 // inference, compute/idle/sensor energy and the battery. The streaming
 // engine (internal/serve) drives the same Window and Complete per
 // session and embeds the same Ledger in its stats.
+// The Step owns the stream's belief filter; its whole durable state is
+// one Carry (state.go), which Save and Restore move across a segment
+// boundary (State, fleet sidecars) or a crash (serve checkpoints).
 //
 // Config.Faults selects the Step's semantics. Without an injector it is
 // the paper's engine: lossless, always-timely transfers and immediate

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
+	"repro/internal/snapshot"
 )
 
 // Config describes one simulation scenario.
@@ -196,7 +197,9 @@ func Run(cfg Config) (Result, error) {
 // call resumes. cfg must be the same configuration across segments —
 // battery and belief presence are checked, and the active configuration
 // is rebound by name — but the split points themselves are free: the
-// trajectory is bitwise independent of segmentation.
+// trajectory is bitwise independent of segmentation. A State the
+// configuration cannot resume fails with snapshot.ErrStale or
+// snapshot.ErrCorrupt (see Step.Restore), before the run advances.
 //
 // The tick loop wraps the per-window Step in what only the watch has: the
 // MCU busy with an earlier local inference (the window is skipped), the
@@ -214,16 +217,18 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 	if st.Done {
 		return nil
 	}
+	if cfg.Belief != nil {
+		if err := cfg.Belief.Validate(); err != nil {
+			return fmt.Errorf("sim: belief policy: %w", err)
+		}
+	}
 	if st.Started {
 		if st.HasBattery != (cfg.Battery != nil) {
-			return fmt.Errorf("sim: state battery presence %v does not match config", st.HasBattery)
-		}
-		if hasBelief := len(st.BeliefPost) > 0; hasBelief != (cfg.Belief != nil) {
-			return fmt.Errorf("sim: state belief presence %v does not match config", hasBelief)
+			return fmt.Errorf("sim: resume: %w: state battery presence %v does not match config", snapshot.ErrStale, st.HasBattery)
 		}
 		if cfg.Battery != nil {
 			if err := cfg.Battery.Restore(st.BatteryRemaining); err != nil {
-				return fmt.Errorf("sim: resume: %w", err)
+				return fmt.Errorf("sim: resume: %w: %v", snapshot.ErrCorrupt, err)
 			}
 		}
 	}
@@ -237,14 +242,13 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 		sys.Link.UseTrace(cfg.Trace)
 		defer sys.Link.UseTrace(prev)
 	}
-	bf, rms, err := restoreBelief(&cfg, st)
+	step, err := NewStep(sys, cfg.Engine, cfg.Constraint, cfg.Protocol, cfg.Faults, cfg.Belief)
 	if err != nil {
 		return err
 	}
-	step := NewStep(sys, cfg.Engine, cfg.Constraint, cfg.Protocol, cfg.Faults, cfg.Belief, bf)
 	res, led := st.Res, st.Ledger
 	if st.Started {
-		if err := step.Resume(res.ActiveConfig, st.Proto); err != nil {
+		if err := step.Restore(&st.Carry); err != nil {
 			return fmt.Errorf("sim: resume: %w", err)
 		}
 	} else {
@@ -257,6 +261,7 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 		}
 	}
 
+	rms := motionRMS(&cfg)
 	period := sys.PeriodSeconds
 	busyUntil := st.BusyUntil
 	wi := st.WI
@@ -333,44 +338,31 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 			res.BatteryDrain += drain
 			if err := cfg.Battery.Drain(drain); err != nil {
 				res.BatteryExhausted = true
-				st.capture(&cfg, t, wi, busyUntil, &res, &led, bf, step)
+				st.capture(&cfg, t, wi, busyUntil, &res, &led, step)
 				st.finishRun(&cfg)
 				return nil
 			}
 		}
 	}
-	st.capture(&cfg, t, wi, busyUntil, &res, &led, bf, step)
+	st.capture(&cfg, t, wi, busyUntil, &res, &led, step)
 	if stop >= cfg.DurationSeconds {
 		st.finishRun(&cfg)
 	}
 	return nil
 }
 
-// restoreBelief builds the belief wiring for a segment: the filter, with
-// a resumed posterior installed exactly, and the motion RMS of every
-// unique window (the stream replays cyclically, so each is computed once
-// per segment and the per-window update never allocates). Both are nil
-// without a belief policy.
-func restoreBelief(cfg *Config, st *State) (*belief.Filter, []float64, error) {
+// motionRMS computes the belief update's motion RMS of every unique
+// window (the stream replays cyclically, so each is computed once per
+// segment and the per-window update never allocates). It is nil without
+// a belief policy.
+func motionRMS(cfg *Config) []float64 {
 	if cfg.Belief == nil {
-		return nil, nil, nil
-	}
-	if err := cfg.Belief.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: belief policy: %w", err)
-	}
-	f, err := belief.NewFilter(cfg.Belief.Table)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: belief filter: %w", err)
-	}
-	if st.Started {
-		if err := f.Restore(st.BeliefPost, st.BeliefPredicted); err != nil {
-			return nil, nil, fmt.Errorf("sim: resume: %w", err)
-		}
+		return nil
 	}
 	rms := make([]float64, len(cfg.Windows))
 	var scratch []float64
 	for i := range cfg.Windows {
 		rms[i], scratch = belief.MotionRMS(&cfg.Windows[i], scratch)
 	}
-	return f, rms, nil
+	return rms
 }

@@ -5,17 +5,18 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/belief"
 	"repro/internal/hw/power"
 	"repro/internal/snapshot"
 )
 
-// ProtoState is the serializable carry of a Step: everything the
-// per-window pipeline remembers between windows besides the active
-// configuration and the result accumulators. RunState saves it in State
-// and serve.Session persists the same fields per session, so one schema
-// covers both the offline simulator and the streaming engine.
-type ProtoState struct {
+// Carry is a Step's durable state: everything the per-window pipeline
+// remembers between windows besides the Ledger. Step.Save writes it and
+// Step.Restore installs it; RunState keeps it in State and serve.Session
+// persists it per session, so one schema and one restore path cover both
+// the offline simulator and the streaming engine.
+type Carry struct {
+	// Active names the active configuration.
+	Active string
 	// EngineUp is the link state the active configuration was selected
 	// for (whether the engine selects from the full, hybrid-including
 	// store). Without an injector it is the last link state seen, the
@@ -29,24 +30,37 @@ type ProtoState struct {
 	ChannelBad bool
 	// RngState is the fault stream's splitmix64 position.
 	RngState uint64
+	// Belief reports a belief filter; Post is its posterior and Predicted
+	// whether the predictive has been rolled forward since the last
+	// observation (see belief.Filter.Snapshot). Post is empty without one.
+	Belief    bool
+	Post      []float64
+	Predicted bool
 }
 
-// Encode appends p to a CHSS payload; the sim-state and serve session
+// Encode appends c to a CHSS payload; the sim-state and serve session
 // frames both carry it in this field order.
-func (p ProtoState) Encode(w *snapshot.Writer) {
-	w.Bool(p.EngineUp)
-	w.F64(p.LinkDownUntil)
-	w.I64(int64(p.FailStreak))
-	w.I64(int64(p.GoodStreak))
-	w.I64(int64(p.Cooldown))
-	w.Bool(p.ChannelBad)
-	w.U64(p.RngState)
+func (c *Carry) Encode(w *snapshot.Writer) {
+	w.String(c.Active)
+	w.Bool(c.EngineUp)
+	w.F64(c.LinkDownUntil)
+	w.I64(int64(c.FailStreak))
+	w.I64(int64(c.GoodStreak))
+	w.I64(int64(c.Cooldown))
+	w.Bool(c.ChannelBad)
+	w.U64(c.RngState)
+	w.Bool(c.Belief)
+	if c.Belief {
+		w.F64s(c.Post)
+		w.Bool(c.Predicted)
+	}
 }
 
-// DecodeProtoState reads a ProtoState written by Encode. Check the
-// reader's error, then Validate, before using it.
-func DecodeProtoState(r *snapshot.Reader) ProtoState {
-	return ProtoState{
+// DecodeCarry reads a Carry written by Encode. Check the reader's error
+// before using it; Step.Restore validates it.
+func DecodeCarry(r *snapshot.Reader) Carry {
+	c := Carry{
+		Active:        r.String(),
 		EngineUp:      r.Bool(),
 		LinkDownUntil: r.F64(),
 		FailStreak:    int(r.I64()),
@@ -55,16 +69,28 @@ func DecodeProtoState(r *snapshot.Reader) ProtoState {
 		ChannelBad:    r.Bool(),
 		RngState:      r.U64(),
 	}
+	if c.Belief = r.Bool(); c.Belief {
+		c.Post = r.F64s()
+		c.Predicted = r.Bool()
+	}
+	return c
 }
 
 // Validate rejects values no Step can produce: a CRC-intact but forged
-// frame must not poison a resumed pipeline.
-func (p ProtoState) Validate() error {
+// frame must not poison a resumed pipeline. Whether the posterior fits
+// the filter (its length and total mass) only the restoring Step can
+// tell.
+func (c *Carry) Validate() error {
 	switch {
-	case p.FailStreak < 0 || p.GoodStreak < 0 || p.Cooldown < 0:
+	case c.FailStreak < 0 || c.GoodStreak < 0 || c.Cooldown < 0:
 		return errors.New("negative hysteresis counters")
-	case math.IsNaN(p.LinkDownUntil) || math.IsInf(p.LinkDownUntil, 0):
-		return fmt.Errorf("holdoff %v", p.LinkDownUntil)
+	case math.IsNaN(c.LinkDownUntil) || math.IsInf(c.LinkDownUntil, 0):
+		return fmt.Errorf("holdoff %v", c.LinkDownUntil)
+	}
+	for i, v := range c.Post {
+		if err := nonNegative(v); err != nil {
+			return fmt.Errorf("posterior bin %d: %v", i, err)
+		}
 	}
 	return nil
 }
@@ -92,38 +118,30 @@ type State struct {
 	// Ledger is the per-window tally Step.Complete folded so far.
 	Ledger Ledger
 	// Res is the result so far: RunState's watch-side accumulators, with
-	// the Ledger mirrored in at every boundary.
+	// the Ledger and Carry mirrored in at every boundary.
 	Res Result
-	// Proto is the per-window Step's carry; Res.ActiveConfig names the
-	// configuration that goes with it.
-	Proto ProtoState
+	// Carry is the per-window Step's durable state, belief posterior
+	// included; Res.ActiveConfig and Res.BeliefBins are read from it.
+	Carry Carry
 	// HasBattery records whether the run drains a battery;
 	// BatteryRemaining is its charge at the boundary.
 	HasBattery       bool
 	BatteryRemaining power.Energy
-	// BeliefPost and BeliefPredicted carry the belief filter's posterior;
-	// BeliefPost is empty when the run has no filter.
-	BeliefPost      []float64
-	BeliefPredicted bool
 }
 
 // capture folds the loop carry back into the state at a segment
 // boundary.
-func (st *State) capture(cfg *Config, t float64, wi int, busyUntil float64, res *Result, led *Ledger, bf *belief.Filter, step *Step) {
+func (st *State) capture(cfg *Config, t float64, wi int, busyUntil float64, res *Result, led *Ledger, step *Step) {
 	st.Started = true
 	st.T = t
 	st.WI = wi
 	st.BusyUntil = busyUntil
 	st.Ledger = *led
 	st.Res = *res
-	st.Res.ActiveConfig = step.ActiveConfig()
-	st.Proto = step.State()
+	step.Save(&st.Carry)
 	st.HasBattery = cfg.Battery != nil
 	if cfg.Battery != nil {
 		st.BatteryRemaining = cfg.Battery.Remaining()
-	}
-	if bf != nil {
-		st.BeliefPost, st.BeliefPredicted = bf.Snapshot(st.BeliefPost)
 	}
 	st.summarize()
 }
@@ -137,9 +155,10 @@ func (st *State) finishRun(cfg *Config) {
 	st.Done = true
 }
 
-// summarize mirrors the Ledger into Res.
+// summarize mirrors the Ledger and the Carry into Res.
 func (st *State) summarize() {
 	r, l := &st.Res, &st.Ledger
+	r.ActiveConfig = st.Carry.Active
 	r.Predictions = int(l.Predictions)
 	r.SimpleRuns = int(l.SimpleRuns + l.FallbackWindows)
 	r.Offloaded = int(l.Offloaded)
@@ -158,7 +177,7 @@ func (st *State) summarize() {
 	r.GatedOffloads = int(l.GatedWindows)
 	r.MAE = l.MAE()
 	r.FaultMAE = l.FaultMAE()
-	r.BeliefBins = len(st.BeliefPost)
+	r.BeliefBins = len(st.Carry.Post)
 	r.BeliefWidthMean = l.BeliefWidthMean()
 	r.BeliefCoverage = l.BeliefCoverage()
 }
@@ -177,19 +196,16 @@ func (st *State) floats() [10]*float64 {
 // caller's fingerprint of every trajectory-affecting knob — the fleet
 // uses its config hash, so a state file from a different fleet
 // configuration is rejected as stale). Res is written only where the
-// Ledger does not already determine it.
+// Ledger and the Carry do not already determine it.
 func EncodeState(st *State, configHash uint64) []byte {
 	w := snapshot.NewWriter(snapshot.KindSimState, configHash)
 	w.Bool(st.Started)
 	w.Bool(st.Done)
 	w.I64(int64(st.WI))
-	st.Proto.Encode(w)
+	st.Carry.Encode(w)
 	w.Bool(st.HasBattery)
-	w.F64s(st.BeliefPost)
-	w.Bool(st.BeliefPredicted)
 	st.Ledger.Encode(w)
 	r := &st.Res
-	w.String(r.ActiveConfig)
 	w.I64(int64(r.SkippedWindows))
 	w.Bool(r.BatteryExhausted)
 	w.String(r.FaultScenario)
@@ -213,13 +229,10 @@ func DecodeState(data []byte, configHash uint64) (*State, error) {
 	st.Started = r.Bool()
 	st.Done = r.Bool()
 	st.WI = int(r.I64())
-	st.Proto = DecodeProtoState(r)
+	st.Carry = DecodeCarry(r)
 	st.HasBattery = r.Bool()
-	st.BeliefPost = r.F64s()
-	st.BeliefPredicted = r.Bool()
 	st.Ledger = DecodeLedger(r)
 	res := &st.Res
-	res.ActiveConfig = r.String()
 	res.SkippedWindows = int(r.I64())
 	res.BatteryExhausted = r.Bool()
 	res.FaultScenario = r.String()
@@ -249,13 +262,13 @@ func (st *State) validate() error {
 	if err := st.Ledger.Validate(); err != nil {
 		return fmt.Errorf("sim state: %v", err)
 	}
-	if err := st.Proto.Validate(); err != nil {
+	if err := st.Carry.Validate(); err != nil {
 		return fmt.Errorf("sim state: %v", err)
 	}
 	switch {
 	case st.WI < 0 || st.Res.SkippedWindows < 0:
 		return fmt.Errorf("sim state: negative window count (WI=%d, skipped=%d)", st.WI, st.Res.SkippedWindows)
-	case st.Started && st.Res.ActiveConfig == "":
+	case st.Started && st.Carry.Active == "":
 		return fmt.Errorf("sim state: started without an active configuration")
 	}
 	return nil

@@ -123,7 +123,8 @@ func TestRunStateSegmentedBitwise(t *testing.T) {
 }
 
 // TestRunStateConfigMismatch: a state resumed under a structurally
-// different configuration must fail loudly, not silently diverge.
+// different configuration must fail loudly, not silently diverge, and
+// typed as stale, so callers can fall back to a fresh run.
 func TestRunStateConfigMismatch(t *testing.T) {
 	sys, engine, ws := fixture(t)
 	base := Config{System: sys, Engine: engine, Constraint: core.MAEConstraint(6),
@@ -136,21 +137,21 @@ func TestRunStateConfigMismatch(t *testing.T) {
 	withBelief := base
 	withBelief.Belief = beliefPolicy(t, ws)
 	stc := *st
-	if err := RunState(withBelief, &stc, 0); err == nil {
-		t.Error("belief-presence mismatch accepted")
+	if err := RunState(withBelief, &stc, 0); !errors.Is(err, snapshot.ErrStale) {
+		t.Errorf("belief-presence mismatch = %v, want ErrStale", err)
 	}
 
 	withBattery := base
 	withBattery.Battery = power.NewLiIon370()
 	stc = *st
-	if err := RunState(withBattery, &stc, 0); err == nil {
-		t.Error("battery-presence mismatch accepted")
+	if err := RunState(withBattery, &stc, 0); !errors.Is(err, snapshot.ErrStale) {
+		t.Errorf("battery-presence mismatch = %v, want ErrStale", err)
 	}
 
 	stc = *st
-	stc.Res.ActiveConfig = "no-such-config"
-	if err := RunState(base, &stc, 0); err == nil {
-		t.Error("unknown active configuration accepted")
+	stc.Carry.Active = "no-such-config"
+	if err := RunState(base, &stc, 0); !errors.Is(err, snapshot.ErrStale) {
+		t.Errorf("unknown active configuration = %v, want ErrStale", err)
 	}
 }
 
@@ -179,9 +180,10 @@ func TestDecodeStateRejectsCorruption(t *testing.T) {
 		t.Errorf("config-hash mismatch = %v, want ErrStale", err)
 	}
 	// Frames of the retired sim-state kinds (the layout before the link
-	// edge folded into Proto.EngineUp, and the one before the counters
-	// became a Ledger) are stale, not misparsed.
-	for _, kind := range []snapshot.Kind{2, 4} {
+	// edge folded into the carry's EngineUp, the one before the counters
+	// became a Ledger, and the one before the belief posterior joined the
+	// Carry) are stale, not misparsed.
+	for _, kind := range []snapshot.Kind{2, 4, 9} {
 		if _, err := DecodeState(snapshot.NewWriter(kind, 0xabc).Finish(), 0xabc); !errors.Is(err, snapshot.ErrStale) {
 			t.Errorf("retired sim-state kind %d = %v, want ErrStale", kind, err)
 		}
@@ -201,7 +203,7 @@ func TestDecodeStateValidation(t *testing.T) {
 	}{
 		{"negative WI", func(st *State) { st.WI = -3 }},
 		{"negative T", func(st *State) { st.T = -1 }},
-		{"started without config", func(st *State) { st.Started = true; st.Res.ActiveConfig = "" }},
+		{"started without config", func(st *State) { st.Started = true; st.Carry.Active = "" }},
 		{"NaN phone energy", func(st *State) { st.Ledger.PhoneEnergy = power.Energy(nan) }},
 		{"negative radio energy", func(st *State) { st.Ledger.RadioEnergy = -5 }},
 		{"infinite error sum", func(st *State) { st.Ledger.AbsErrSum = inf }},
@@ -213,8 +215,15 @@ func TestDecodeStateValidation(t *testing.T) {
 		{"negative battery drain", func(st *State) { st.Res.BatteryDrain = -1 }},
 		{"NaN state of charge", func(st *State) { st.Res.FinalSoC = nan }},
 		{"negative skipped windows", func(st *State) { st.Res.SkippedWindows = -1 }},
+		{"negative hysteresis counter", func(st *State) { st.Carry.Cooldown = -1 }},
+		{"NaN holdoff", func(st *State) { st.Carry.LinkDownUntil = nan }},
+		{"NaN posterior bin", func(st *State) { st.Carry.Post[1] = nan }},
+		{"negative posterior bin", func(st *State) { st.Carry.Post[0] = -0.5; st.Carry.Post[1] = 1.5 }},
 	}
-	base := func() *State { return &State{Started: true, Res: Result{ActiveConfig: "cfg"}, T: 10, WI: 5} }
+	base := func() *State {
+		return &State{Started: true, T: 10, WI: 5,
+			Carry: Carry{Active: "cfg", Belief: true, Post: []float64{0.25, 0.25, 0.5}}}
+	}
 	if _, err := DecodeState(EncodeState(base(), 1), 1); err != nil {
 		t.Fatalf("unmodified state rejected: %v", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/hw/ble"
 	"repro/internal/models"
+	"repro/internal/snapshot"
 )
 
 // Step is one stream's per-window offload pipeline: the link check, the
@@ -19,7 +20,9 @@ import (
 // Complete. RunState drives it from the offline tick loop and
 // serve.Session drives it for every window, so the simulator and the
 // streaming engine share one implementation of the decision and of its
-// accounting.
+// accounting. The Step owns the stream's belief filter, and Save and
+// Restore carry its whole durable state across a segment boundary or a
+// crash as one Carry.
 //
 // The injector selects the engine's semantics in exactly two places.
 // With a nil injector the Step is the paper's engine: it reselects the
@@ -68,14 +71,14 @@ type Step struct {
 }
 
 // NewStep wires the pipeline for one stream. A zero proto means
-// DefaultProtocol(); a nil inj selects the paper engine (see Step).
-// bf is the stream's belief filter, required with a non-nil pol: Complete
-// updates it, and Window reads it when pol sets an uncertainty gate.
-// Call Start or Resume before the first Window.
+// DefaultProtocol(); a nil inj selects the paper engine (see Step). A
+// non-nil pol gives the stream a filter over pol.Table (uniform prior)
+// that Complete updates and Window's uncertainty gate reads; the error
+// reports a table no filter runs on. Call Start or Restore first.
 // The Step keeps the model costs sys resolves now (hw.System documents
 // that its tables stay fixed from here on).
 func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol,
-	inj *faults.Injector, pol *belief.Policy, bf *belief.Filter) *Step {
+	inj *faults.Injector, pol *belief.Policy) (*Step, error) {
 
 	proto = proto.Resolved()
 	s := &Step{
@@ -95,6 +98,10 @@ func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol
 		s.rng = inj.Rand()
 	}
 	if pol != nil {
+		bf, err := belief.NewFilter(pol.Table)
+		if err != nil {
+			return nil, fmt.Errorf("sim: belief filter: %w", err)
+		}
 		s.pol, s.bf, s.gate = pol, bf, core.UncertaintyGate{MaxWidth: pol.GateBPM}
 	}
 	for i, up := range [2]bool{false, true} {
@@ -103,7 +110,7 @@ func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol
 			s.targetCost[i] = configCost(sys, &s.target[i])
 		}
 	}
-	return s
+	return s, nil
 }
 
 // Resolved returns p, or DefaultProtocol() when p is the zero value.
@@ -127,8 +134,9 @@ func (s *Step) Feasible() error {
 
 // Start (re)initializes the pipeline at time t: the configuration is
 // selected for the link state at t, and the channel, reconnect holdoff
-// and hysteresis counters are cleared. The random stream keeps its
-// position — a restart heals the pipeline, it does not rewind the faults.
+// and hysteresis counters are cleared. The random stream and the belief
+// filter keep their state — a restart heals the pipeline, it does not
+// rewind the faults or the stream's history.
 func (s *Step) Start(t float64) error {
 	s.ch = ble.Channel{}
 	s.linkDownUntil = 0
@@ -139,40 +147,60 @@ func (s *Step) Start(t float64) error {
 	return nil
 }
 
-// Resume restores a pipeline saved by State, rebinding the active
-// configuration by name.
-func (s *Step) Resume(active string, p ProtoState) error {
-	cur, ok := s.eng.ProfileByName(active)
-	if !ok {
-		return fmt.Errorf("configuration %q not in engine", active)
-	}
-	s.current, s.currentName = cur, active
-	s.cost = configCost(s.sys, &cur)
-	s.engineUp = p.EngineUp
-	s.linkDownUntil = p.LinkDownUntil
-	s.failStreak, s.goodStreak, s.cooldown = p.FailStreak, p.GoodStreak, p.Cooldown
-	s.ch.SetBad(p.ChannelBad)
-	if s.rng != nil {
-		s.rng.Restore(p.RngState)
-	}
-	return nil
-}
-
-// State returns the serializable carry of the pipeline; ActiveConfig
-// names the configuration that goes with it.
-func (s *Step) State() ProtoState {
-	p := ProtoState{
+// Save writes the pipeline's durable state into c, reusing c.Post's
+// storage for the belief posterior.
+func (s *Step) Save(c *Carry) {
+	*c = Carry{
+		Active:        s.currentName,
 		EngineUp:      s.engineUp,
 		LinkDownUntil: s.linkDownUntil,
 		FailStreak:    s.failStreak,
 		GoodStreak:    s.goodStreak,
 		Cooldown:      s.cooldown,
 		ChannelBad:    s.ch.Bad(),
+		Post:          c.Post[:0],
 	}
 	if s.rng != nil {
-		p.RngState = s.rng.State()
+		c.RngState = s.rng.State()
 	}
-	return p
+	if s.bf != nil {
+		c.Belief = true
+		c.Post, c.Predicted = s.bf.Snapshot(c.Post)
+	}
+}
+
+// Restore installs a carry written by Save, rebinding the active
+// configuration by name and the posterior bit for bit. An unknown
+// configuration or a belief filter on one side only is
+// snapshot.ErrStale; impossible values, a posterior that does not fit
+// the filter among them, are snapshot.ErrCorrupt. On error the Step is
+// unchanged.
+func (s *Step) Restore(c *Carry) error {
+	if err := c.Validate(); err != nil {
+		return fmt.Errorf("%w: carry: %v", snapshot.ErrCorrupt, err)
+	}
+	if c.Belief != (s.bf != nil) {
+		return fmt.Errorf("%w: carry belief presence %v does not match the policy", snapshot.ErrStale, c.Belief)
+	}
+	cur, ok := s.eng.ProfileByName(c.Active)
+	if !ok {
+		return fmt.Errorf("%w: configuration %q not in engine", snapshot.ErrStale, c.Active)
+	}
+	if s.bf != nil {
+		if err := s.bf.Restore(c.Post, c.Predicted); err != nil {
+			return fmt.Errorf("%w: %v", snapshot.ErrCorrupt, err)
+		}
+	}
+	s.current, s.currentName = cur, c.Active
+	s.cost = configCost(s.sys, &cur)
+	s.engineUp = c.EngineUp
+	s.linkDownUntil = c.LinkDownUntil
+	s.failStreak, s.goodStreak, s.cooldown = c.FailStreak, c.GoodStreak, c.Cooldown
+	s.ch.SetBad(c.ChannelBad)
+	if s.rng != nil {
+		s.rng.Restore(c.RngState)
+	}
+	return nil
 }
 
 // Current returns the active configuration.

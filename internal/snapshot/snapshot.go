@@ -45,7 +45,8 @@ const Version = 1
 // kinds 1 and 3 held the serve engine and session layouts and kind 4 the
 // sim-state layout from before the per-window counters became one
 // sim.Ledger; kind 2 held the sim-state layout with a separate link-edge
-// flag.
+// flag; kind 9 held the sim-state layout from before the belief
+// posterior and the active configuration joined the step's sim.Carry.
 type Kind uint16
 
 const (
@@ -57,13 +58,14 @@ const (
 	// topology order.
 	KindWeights Kind = 6
 	// KindServeEngine frames a serve engine checkpoint: every session's
-	// state in ID order.
+	// state in ID order, each ending in its step's sim.Carry.
 	KindServeEngine Kind = 7
 	// KindServeSession frames one serve session's state — the live
 	// migration unit (Engine.Detach / Engine.Attach).
 	KindServeSession Kind = 8
-	// KindSimState frames a sim.State payload.
-	KindSimState Kind = 9
+	// KindSimState frames a sim.State payload: the run's own fields, its
+	// sim.Ledger and its step's sim.Carry.
+	KindSimState Kind = 10
 )
 
 // ErrCorrupt reports damaged bytes: bad magic, failed CRC, truncation, or
