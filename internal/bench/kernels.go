@@ -30,11 +30,17 @@ type KernelResult struct {
 	Note        string  `json:"note,omitempty"`
 }
 
-// s8PerCallNote marks the int8 GEMM kernels: they time the int8 TCN's
-// per-call work, the weights packed once outside the loop.
-const s8PerCallNote = "pre-packed weights, as the int8 TCN layers run them: " +
-	"GemmS8_* is PackRows (the conv im2col) + S8Panels, GemmS8NT_* PackA (the head's " +
-	"activations) + S8Panels against PackBT weight panels"
+// s8PerCallNote marks the int8 GEMM kernels: they time per-call work on
+// weights packed once outside the loop.
+const s8PerCallNote = "pre-packed weights: GemmS8_* is PackRows (the conv im2col) + " +
+	"S8Panels, the int32 product alone (the int8 convolutions run the fused " +
+	"ConvS8_* step instead); GemmS8NT_* is PackA (the head's activations) + " +
+	"S8Panels against PackBT weight panels, as the int8 head runs it"
+
+// s8ConvNote marks the fused int8 convolution step.
+const s8ConvNote = "the int8 convolution's per-call step as the layers run it: " +
+	"PackRows (the im2col) + S8Rescale (product, bias, per-channel multiplier " +
+	"and fused ReLU, stored as int8 rows) on pre-packed weights"
 
 // withNote returns r annotated with note.
 func withNote(r KernelResult, note string) KernelResult {
@@ -326,6 +332,12 @@ func KernelBenchmarks() []KernelResult {
 				sconv.run()
 			}
 		}), s8PerCallNote),
+		withNote(runKernel("ConvS8_48x144x128", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sconv.rescale()
+			}
+		}), s8ConvNote),
 		runKernel("RequantS8_8192", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -371,9 +383,11 @@ func KernelBenchmarks() []KernelResult {
 	return append(results, serveKernels()...)
 }
 
-// s8ConvKernel is one int8 GEMM C += A·B (A m×k, B k×n with n a
-// multiple of 16) the way the int8 convolution runs it: A packed once, B
-// packed from its rows by PackRows on every call, then S8Panels.
+// s8ConvKernel is one int8 GEMM A·B (A m×k, B k×n with n a multiple of
+// 16) on the int8 convolution's operands: A packed once, B packed from
+// its rows by PackRows on every call, then either the plain product
+// C += A·B (run) or the convolution's fused step into int8 rows
+// (rescale).
 type s8ConvKernel struct {
 	a    gemm.PackedA
 	b    gemm.Panels
@@ -381,13 +395,23 @@ type s8ConvKernel struct {
 	offs []int
 	c    []int32
 	np   int
+
+	q    []int8
+	bias []int32
+	mult []float32
 }
 
 func newS8ConvKernel(a, b []int8, m, k, n int) *s8ConvKernel {
-	s := &s8ConvKernel{src: b, offs: make([]int, k), c: make([]int32, m*n), np: n / gemm.PanelCols}
+	s := &s8ConvKernel{
+		src: b, offs: make([]int, k), c: make([]int32, m*n), np: n / gemm.PanelCols,
+		q: make([]int8, m*n), bias: make([]int32, m), mult: make([]float32, m),
+	}
 	gemm.PackA(&s.a, a, m, k)
 	for p := range s.offs {
 		s.offs[p] = p * n
+	}
+	for o := range s.mult {
+		s.bias[o], s.mult[o] = int32(o*37-500), 1e-4
 	}
 	s.b.Resize(k, s.np)
 	return s
@@ -396,6 +420,12 @@ func newS8ConvKernel(a, b []int8, m, k, n int) *s8ConvKernel {
 func (s *s8ConvKernel) run() {
 	gemm.PackRows(&s.b, 0, s.src, s.offs, 1, s.np)
 	gemm.S8Panels(s.c, s.np*gemm.PanelCols, &s.a, &s.b)
+}
+
+func (s *s8ConvKernel) rescale() {
+	n := s.np * gemm.PanelCols
+	gemm.PackRows(&s.b, 0, s.src, s.offs, 1, s.np)
+	gemm.S8Rescale(s.q, n, n, &s.a, &s.b, s.bias, s.mult, 0)
 }
 
 // cacheRecordCount sizes the record-cache kernels: large enough that a

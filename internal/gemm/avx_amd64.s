@@ -2,11 +2,11 @@
 
 #include "textflag.h"
 
-// The wide int8 kernels the CPUID selection in cpu_amd64.go picks from:
-// the panel product on Y registers (AVX2 on pairs, AVX-VNNI on quads)
-// and Z registers (AVX512_VNNI on quads), and the 16-lane requantize
-// rows. Layouts and results are those of panels.go; doc.go has the
-// exactness argument of both layouts.
+// The 256-bit int8 kernels the CPUID selection in cpu_amd64.go picks
+// from: the panel product on Y registers (AVX2 on pairs, AVX-VNNI on
+// quads) and the 16-lane requantize rows. The AVX512_VNNI kernels are in
+// vnni_amd64.s. Layouts and results are those of panels.go; doc.go has
+// the exactness argument of both layouts.
 //
 // 256-bit panel kernels. One body, S8_PANELS_Y, serves the two 256-bit
 // kernels. A row of A is steps dwords (pairs or quads) and a panel step
@@ -290,130 +290,5 @@ qr16Loop:
 	ADDQ    $16, DI
 	DECQ    CX
 	JNZ     qr16Loop
-	VZEROUPPER
-	RET
-
-// func s8QuadsVNNI(c *int32, a *int8, b *uint8, m, steps, ldc, np int, corr *int32)
-//
-// The AVX512_VNNI quad kernel: a panel's 16 columns are one Z register,
-// so eight rows of A run per pass on Z0-Z7, each first seeded with its
-// correction (VPADDD of the broadcast corr[i]). Per quad q the panel
-// step Z8 is loaded once and each row adds VPDPBUSD of it (unsigned, the
-// vvvv operand) against its own signed [a[4q], …, a[4q+3]] dword,
-// broadcast from memory by the instruction ({1to16}). A trailing m mod 8
-// rows run one at a time on Z0.
-//
-// Registers: DI c panel, CX c row, SI a row, BX a cursor (rows 0-3), R9
-// a cursor (rows 4-7), DX b panel, AX b cursor (c row 2, 4, 6 while
-// loading and storing), R15 quads left, R14 rows left, R11 panels left,
-// R10 c row stride, R12 a row stride, R8 three a rows, R13 correction
-// cursor.
-TEXT ·s8QuadsVNNI(SB), NOSPLIT, $0-64
-	MOVQ c+0(FP), DI
-	MOVQ b+16(FP), DX
-	MOVQ ldc+40(FP), R10
-	SHLQ $2, R10
-	MOVQ np+48(FP), R11
-	MOVQ steps+32(FP), R12
-	SHLQ $2, R12
-	LEAQ (R12)(R12*2), R8
-
-zPanel:
-	MOVQ DI, CX
-	MOVQ a+8(FP), SI
-	MOVQ m+24(FP), R14
-	MOVQ corr+56(FP), R13
-
-zRows8:
-	CMPQ        R14, $8
-	JLT         zRow1
-	LEAQ        (CX)(R10*2), AX
-	VMOVDQU32   (CX), Z0
-	VMOVDQU32   (CX)(R10*1), Z1
-	VMOVDQU32   (AX), Z2
-	VMOVDQU32   (AX)(R10*1), Z3
-	LEAQ        (AX)(R10*2), AX
-	VMOVDQU32   (AX), Z4
-	VMOVDQU32   (AX)(R10*1), Z5
-	LEAQ        (AX)(R10*2), AX
-	VMOVDQU32   (AX), Z6
-	VMOVDQU32   (AX)(R10*1), Z7
-	VPADDD.BCST (R13), Z0, Z0
-	VPADDD.BCST 4(R13), Z1, Z1
-	VPADDD.BCST 8(R13), Z2, Z2
-	VPADDD.BCST 12(R13), Z3, Z3
-	VPADDD.BCST 16(R13), Z4, Z4
-	VPADDD.BCST 20(R13), Z5, Z5
-	VPADDD.BCST 24(R13), Z6, Z6
-	VPADDD.BCST 28(R13), Z7, Z7
-	ADDQ        $32, R13
-	MOVQ        SI, BX
-	LEAQ        (SI)(R12*4), R9
-	MOVQ        DX, AX
-	MOVQ        steps+32(FP), R15
-
-zK8:
-	VMOVDQU32     (AX), Z8
-	VPDPBUSD.BCST (BX), Z8, Z0
-	VPDPBUSD.BCST (BX)(R12*1), Z8, Z1
-	VPDPBUSD.BCST (BX)(R12*2), Z8, Z2
-	VPDPBUSD.BCST (BX)(R8*1), Z8, Z3
-	VPDPBUSD.BCST (R9), Z8, Z4
-	VPDPBUSD.BCST (R9)(R12*1), Z8, Z5
-	VPDPBUSD.BCST (R9)(R12*2), Z8, Z6
-	VPDPBUSD.BCST (R9)(R8*1), Z8, Z7
-	ADDQ          $4, BX
-	ADDQ          $4, R9
-	ADDQ          $64, AX
-	DECQ          R15
-	JNZ           zK8
-
-	LEAQ      (CX)(R10*2), AX
-	VMOVDQU32 Z0, (CX)
-	VMOVDQU32 Z1, (CX)(R10*1)
-	VMOVDQU32 Z2, (AX)
-	VMOVDQU32 Z3, (AX)(R10*1)
-	LEAQ      (AX)(R10*2), AX
-	VMOVDQU32 Z4, (AX)
-	VMOVDQU32 Z5, (AX)(R10*1)
-	LEAQ      (AX)(R10*2), AX
-	VMOVDQU32 Z6, (AX)
-	VMOVDQU32 Z7, (AX)(R10*1)
-	LEAQ      (AX)(R10*2), CX
-	LEAQ      (SI)(R12*8), SI
-	SUBQ      $8, R14
-	JMP       zRows8
-
-zRow1:
-	TESTQ       R14, R14
-	JZ          zNext
-	VMOVDQU32   (CX), Z0
-	VPADDD.BCST (R13), Z0, Z0
-	ADDQ        $4, R13
-	MOVQ        SI, BX
-	MOVQ        DX, AX
-	MOVQ        steps+32(FP), R15
-
-zK1:
-	VMOVDQU32     (AX), Z8
-	VPDPBUSD.BCST (BX), Z8, Z0
-	ADDQ          $4, BX
-	ADDQ          $64, AX
-	DECQ          R15
-	JNZ           zK1
-
-	VMOVDQU32 Z0, (CX)
-	ADDQ      R10, CX
-	ADDQ      R12, SI
-	DECQ      R14
-	JMP       zRow1
-
-zNext:
-	ADDQ $64, DI
-	MOVQ steps+32(FP), AX
-	SHLQ $6, AX
-	ADDQ AX, DX
-	DECQ R11
-	JNZ  zPanel
 	VZEROUPPER
 	RET

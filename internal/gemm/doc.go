@@ -4,11 +4,12 @@
 // accumulators on pre-packed operands (S8Panels, fed by PackA, PackBT and
 // PackRows), the CMSIS-NN-style shape the deployed quantized path uses,
 // plus that path's int8 requantize epilogue (Requantize, RescaleRow,
-// QuantizeRow).
+// QuantizeRow) and the int8 convolution's product and epilogue in one
+// step (S8Rescale).
 //
-// All kernels are accumulate-in-place: C must be pre-initialized by the
-// caller (bias rows, running gradients, or zeros) and each output element
-// is updated as one sequential chain
+// All the GEMM kernels but S8Rescale are accumulate-in-place: C must be
+// pre-initialized by the caller (bias rows, running gradients, or zeros)
+// and each output element is updated as one sequential chain
 //
 //	c = ((c + a·b₀) + a·b₁) + … + a·b_{k-1}
 //
@@ -45,8 +46,10 @@
 // uses), most preferred first:
 //
 //   - avx512vnni: VPDPBUSD on quads in Z registers — one row's 16
-//     columns in one register, eight rows per pass, A broadcast by the
-//     instruction;
+//     columns in one register, two panels by eight rows per pass (16
+//     independent accumulator chains), each row's A quad broadcast once
+//     for both panels, and the m mod 8 tail in a four-row block and
+//     single rows that still keep two chains each (vnni_amd64.s);
 //   - avxvnni: the VEX-encoded VPDPBUSD on quads in Y registers, four
 //     rows per pass;
 //   - avx2: VPMADDWD then VPADDD on pairs in Y registers, four rows per
@@ -71,10 +74,13 @@
 // convolution's im2col, each row one tap's view of the zero-padded input
 // — into any run of panels of a Panels that Resize sized, without first
 // materializing the int8 im2col matrix. The operands own their storage
-// and reuse it, so a steady-state pack allocates nothing.
+// and reuse it, so a steady-state pack allocates nothing. S8Rescale takes
+// the same operands as S8Panels — B as groups of ⌈cols/16⌉ panels, one
+// group per sample of a cross-sample im2col — and stores each group's
+// product, requantized, into that sample's int8 rows (next section).
 //
 // Each operand is packed in the layout of the kernel selected when it was
-// packed, and records it: S8Panels and PackRows panic on an operand of
+// packed, and records it: S8Panels, S8Rescale and PackRows panic on an operand of
 // the other layout, so a test that forces another kernel cannot misread
 // a stale operand.
 //
@@ -101,7 +107,10 @@
 // accumulator with wraparound, and two's-complement addition is
 // associative, so the correction can come first. A padded column reads
 // u = 128 on every row and gains 128·Σₖ a − 128·Σₖ a = 0. The same
-// identity serves both int8 layers: a convolution's A is its weights,
+// identity serves both int8 layers and both kernel forms: S8Rescale's
+// store form seeds each row with its correction plus the channel's bias,
+// and −128·Σₖ a + bias + Σₖ a·u = bias + Σₖ a·b in the same wraparound
+// arithmetic, the sum RescaleRow rounds. A convolution's A is its weights,
 // whose corrections PackA computes once at quantization; a dense layer's
 // A is the activations, summed as PackA packs them. The saturating
 // VPDPBUSDS and the int16-saturating VPMADDUBSW would break the identity
@@ -136,6 +145,32 @@
 // a stride of 251, the rounding ties, NaN payloads, wrapping biases),
 // and an exhaustive 2³² × 2-floor sweep found no mismatch.
 //
+// S8Rescale is the int8 convolution's product and epilogue in one step:
+// per output element Requantize(float32(Σₖ a·b + bias)·mult, lo), the
+// element expression of RescaleRow. Every kernel but avx512vnni runs it
+// as that composition — S8Panels on zeroed accumulators on the stack,
+// up to 16 rows by as many panels as fit, across the call's samples,
+// then RescaleRow — which is also its reference. On avx512vnni the product's
+// store form never writes an accumulator to memory: it seeds each row
+// with its correction plus the bias (the identity above), and after the
+// last quad rounds each Z register in place and narrows it with VPMOVDB
+// straight into the sample's int8 row, the last panel of a row under a
+// store mask of its cols mod 16 columns, so no byte past a row's end is
+// written. Its rounding is exact on doubled values. With
+// y = clamp(x, lo, 127) for x = float32(acc+bias)·mult, the kernel
+// computes z = clamp(float32(acc+bias)·2mult, 2lo, 254): scaling by two
+// commutes with float32 rounding, so z = 2y whenever x is a normal
+// float, and when x is subnormal both y and z round to 0 below. With u
+// the truncation of z (VCVTTPS2DQ), the round half away from zero of y
+// is sign(u)·⌊(|u| + 1)/2⌋, because ⌊(|z| + 1)/2⌋ = ⌊(⌊|z|⌋ + 1)/2⌋ for
+// integer halving; in two's complement that is (u + 1 + (u >> 31)) >> 1
+// with arithmetic shifts, one kernel for both floors. A finite mult
+// makes x finite or ±Inf, never NaN, and so does 2mult if
+// |mult| ≤ 2¹²⁶; S8Rescale sends any other multiplier to the
+// composition, which zeroes NaN. FuzzS8RescaleMatchesReference and
+// TestS8RescaleRounding pin the two forms together byte for byte on
+// every kernel the host supports, ties and wrapping seeds included.
+//
 // F32NT reaches the float32 panels by packing B into a pooled k×n Bᵀ
 // panel first (pack.go): the transpose changes which operand is
 // contiguous, not the per-element reduction order, so bitwise equality
@@ -154,15 +189,18 @@
 // float32 and int8, serial-equivalent batch inference and training
 // backprop all funnel through them via im2col (internal/models/tcn; the
 // int8 layers pack their weights once at quantization and write their
-// im2col straight into panels with PackRows), per-sample for
+// im2col straight into panels with PackRows, and the int8 convolutions
+// requantize inside S8Rescale), per-sample for
 // TimePPG-Big and packed across the batch for
 // TimePPG-Small's small panels (the cross-sample lowering; see
 // tcn.crossSampleMaxPanel).
 //
 // BENCH kernels: GemmF32_48x144x128 measures F32 at a representative
-// TimePPG-Big convolution shape and GemmS8_48x144x128 the int8
-// convolution's per-call work there (PackRows + S8Panels on weights
-// packed once), RequantS8_8192 the int8 epilogue over 8192 accumulators,
+// TimePPG-Big convolution shape, GemmS8_48x144x128 the int8 product on
+// the convolution's operands there (PackRows + S8Panels on weights
+// packed once) and ConvS8_48x144x128 the int8 convolution's whole
+// per-call step (PackRows + S8Rescale), RequantS8_8192 the int8
+// epilogue over 8192 accumulators,
 // GemmS8NT_28x2048x84 the TimePPG-Big head batched over 28 windows
 // (PackA of the activations + S8Panels on PackBT weight panels),
 // GemmF32_8x24x{32,1024} and GemmS8_8x24x{32,1024} the TimePPG-Small
@@ -170,6 +208,7 @@
 // TimePPG{Small,Big}ForwardBatch32/win and Quant{Small,Big}ForwardBatch32/win
 // measure them through the full networks against the serial references
 // (BENCH_*.json, written by chrisbench -json). BenchmarkS8Panels times
-// the panel product alone at TimePPG-Big's nine convolution shapes on
+// the panel product and S8Rescale at TimePPG-Big's nine convolution
+// shapes, and the product at its head batched over 28 and 32 windows, on
 // every kernel the host supports.
 package gemm

@@ -244,3 +244,150 @@ func TestNTPackZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("F32NT allocates %v per run in steady state", allocs)
 	}
 }
+
+// rescaleRows draws A, the bias and the multiplier of each of m rows of
+// FuzzS8RescaleMatchesReference in one of four modes, so that most
+// outputs land inside [−127, 127] with a fraction to round:
+//   - a bias within 2¹⁶ of the int32 wrap, which seeding with the
+//     correction wraps, scaled back into range by a multiplier near 5e-8;
+//   - a small bias and a multiplier of about 127 over the row's largest
+//     possible product;
+//   - a sparse row of ±1 (small products) and a multiplier of ±0.5 or
+//     0.25, which puts outputs on the ±0.5 ties and past ±127;
+//   - a multiplier of ±1e9, far past ±127.
+//
+// One draw in eight then gives a single row an infinite or NaN
+// multiplier, which sends the whole call to the reference path, so that
+// most draws at every m run the fused kernel.
+func rescaleRows(rng *rand.Rand, m, k int) (a []int8, bias []int32, mult []float32) {
+	a = make([]int8, m*k)
+	bias = make([]int32, m)
+	mult = make([]float32, m)
+	for i := range m {
+		row := a[i*k : (i+1)*k]
+		for p := range row {
+			row[p] = int8(rng.Intn(256) - 128)
+		}
+		switch rng.Intn(4) {
+		case 0:
+			bias[i] = math.MaxInt32 - int32(rng.Intn(1<<16))
+			if rng.Intn(2) == 0 {
+				bias[i] = math.MinInt32 + int32(rng.Intn(1<<16))
+			}
+			mult[i] = float32(4e-8 + 2e-8*rng.Float64())
+		case 1:
+			bias[i] = int32(rng.Intn(2001) - 1000)
+			mult[i] = float32(127 * rng.Float64() / float64(128*128*(k+1)))
+		case 2:
+			for p := range row {
+				row[p] = int8(rng.Intn(3)-1) * int8(rng.Intn(8)/7)
+			}
+			bias[i] = int32(rng.Intn(601) - 300)
+			mult[i] = []float32{0.5, -0.5, 0.25}[rng.Intn(3)]
+		default:
+			mult[i] = []float32{1e9, -1e9}[rng.Intn(2)]
+			bias[i] = int32(rng.Intn(2001) - 1000)
+		}
+	}
+	if rng.Intn(8) == 0 {
+		mult[rng.Intn(m)] = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}[rng.Intn(3)]
+	}
+	return a, bias, mult
+}
+
+// checkS8Rescale runs S8Rescale under every kernel the host supports
+// against its reference composition, S8Panels on zeroed accumulators
+// followed by RescaleRow per row, byte for byte: groups samples of an
+// m×k by k×cols product, A and the per-row bias and multiplier drawn by
+// rescaleRows, B packed by PackRows as groups of ⌈cols/16⌉ panels. The
+// output rows sit at stride ld ≥ cols; the guard bytes between and after
+// them must stay as they were.
+func checkS8Rescale(t *testing.T, rng *rand.Rand, m, k, cols, groups, ld int, lo float64) {
+	t.Helper()
+	nps := (cols + PanelCols - 1) / PanelCols
+	np := groups * nps
+	// B: each sample's k×cols block, zero-padded to whole panels, in
+	// rows of one buffer that PackRows reads at stride 1.
+	span := np * PanelCols
+	src := make([]int8, k*span+1)
+	for i := range src[:k*span] {
+		if i%span%(nps*PanelCols) < cols {
+			src[i] = int8(rng.Intn(256) - 128)
+		}
+	}
+	offs := make([]int, k)
+	for p := range offs {
+		offs[p] = p * span
+	}
+	a, bias, mult := rescaleRows(rng, m, k)
+	guard := make([]int8, (groups*m-1)*ld+cols+16)
+	for i := range guard {
+		guard[i] = int8(rng.Intn(256) - 128)
+	}
+	forEachS8Kernel(func(kern s8Kernel) {
+		var pa PackedA
+		var pb Panels
+		PackA(&pa, a, m, k)
+		pb.Resize(k, np)
+		PackRows(&pb, 0, src, offs, 1, np)
+
+		acc := make([]int32, m*span)
+		S8Panels(acc, span, &pa, &pb)
+		want := append([]int8(nil), guard...)
+		for g := range groups {
+			for i := range m {
+				o := (g*m + i) * ld
+				RescaleRow(want[o:o+cols], acc[i*span+g*nps*PanelCols:][:cols], bias[i], mult[i], lo)
+			}
+		}
+		got := append([]int8(nil), guard...)
+		S8Rescale(got, ld, cols, &pa, &pb, bias, mult, lo)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%v m=%d k=%d cols=%d ld=%d groups=%d lo=%v: byte %d (row %d col %d) = %d, want %d",
+					kern, m, k, cols, ld, groups, lo, i, i/ld, i%ld, got[i], want[i])
+			}
+		}
+	})
+}
+
+// FuzzS8RescaleMatchesReference drives checkS8Rescale at both floors
+// with m crossing every row block and its residues mod 8, k every
+// residue mod 4 (and 0), cols leaving a partial last panel and odd or
+// even panel counts, one to three samples, and row strides past cols.
+func FuzzS8RescaleMatchesReference(f *testing.F) {
+	for _, s := range [][4]uint8{
+		{0, 0, 0, 0},     // 1 row, k = 0, one column
+		{7, 12, 15, 1},   // 8 rows, 16 columns, two samples
+		{15, 96, 31, 0},  // 16 rows, two panels
+		{11, 17, 47, 2},  // 12 rows: an 8-row and a 4-row block, three panels
+		{14, 39, 68, 5},  // 15 rows: 8 + 4 + 3 singles, five panels
+		{3, 24, 36, 4},   // 4 rows, a partial odd last panel, three samples
+		{20, 23, 16, 3},  // 21 rows, one panel per sample
+		{31, 144, 64, 0}, // a TimePPG-Big block-three shape
+	} {
+		f.Add(s[0], s[1], s[2], s[3], int64(1))
+		f.Add(s[0], s[1], s[2], s[3], int64(2))
+	}
+	f.Fuzz(func(t *testing.T, mr, kr, cr, gr uint8, seed int64) {
+		lo := -127.0
+		if seed&1 == 0 {
+			lo = 0
+		}
+		cols := 1 + int(cr)%70
+		checkS8Rescale(t, rand.New(rand.NewSource(seed)), 1+int(mr)%32, int(kr)%160, cols, 1+int(gr)%3, cols+int(gr)/3%4, lo)
+	})
+}
+
+// TestS8RescaleLongRows runs rows longer than the reference path's
+// stack accumulators hold at once (2048 int32: 128 panels of one row,
+// 25 of five): 131 panels per sample, the last one partial, over two
+// samples, so the reference path's runs of panels also cross from one
+// sample into the next.
+func TestS8RescaleLongRows(t *testing.T) {
+	const cols = 130*PanelCols + 5
+	rng := rand.New(rand.NewSource(21))
+	for _, lo := range []float64{0, -127} {
+		checkS8Rescale(t, rng, 5, 7, cols, 2, cols+3, lo)
+	}
+}

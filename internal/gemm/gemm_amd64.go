@@ -64,12 +64,21 @@ func s8PanelsAVX2(c *int32, a, b *int16, m, steps, ldc, np int)
 //go:noescape
 func s8QuadsAVXVNNI(c *int32, a *int8, b *uint8, m, steps, ldc, np int, corr *int32)
 
-// s8QuadsVNNI is the AVX512_VNNI quad kernel: one Z register per row's
-// 16 columns, eight rows per pass, VPDPBUSD with A's quad broadcast from
-// memory.
+// s8QuadsVNNI is the AVX512_VNNI quad kernel (vnni_amd64.s): one Z
+// register per row's 16 columns, two panels by eight rows per pass, each
+// row's A quad broadcast once into a register for both panels.
 //
 //go:noescape
 func s8QuadsVNNI(c *int32, a *int8, b *uint8, m, steps, ldc, np int, corr *int32)
+
+// s8RescaleVNNI is the store form of s8QuadsVNNI (S8Rescale): each row
+// is seeded with corr[i] + bias[i] instead of loaded from C, and after
+// the product each accumulator is multiplied by mult[i], rounded as
+// RescaleRow does and narrowed into the int8 row at c + i·ldc. Every
+// panel stores 16 columns except the last, which stores `last`.
+//
+//go:noescape
+func s8RescaleVNNI(c *int8, a *int8, b *uint8, m, steps, ldc, np int, corr, bias *int32, mult *float32, last int, lo float32)
 
 // s8PackRows packs pairs row pairs (offs[2q], offs[2q+1]) of src, read
 // at stride 1 or 2 over 16·np columns, as pair q of np panels kp pairs

@@ -25,8 +25,9 @@
 // interleaved int16 pairs, and s8Panels runs two rows of A per pass
 // against each panel with PMADDWL and PADDL only — or, for the VNNI
 // kernels, byte quads packed by s8PackQuads, with s8Sum16 summing A's
-// rows for their correction. avx_amd64.s holds the wider panel kernels
-// and requantize rows that CPUs with AVX2 or VNNI run instead.
+// rows for their correction. avx_amd64.s (and vnni_amd64.s for
+// AVX512_VNNI) holds the wider panel kernels and requantize rows that
+// CPUs with AVX2 or VNNI run instead.
 //
 // The int8 epilogue (rescaleRow8, quantizeRow8) is the one place lanes
 // hold float32 values derived from int32: each lane requantizes one

@@ -45,6 +45,9 @@ func s8PairsAsm(c *int32, a, b *int16, m, kp, ldc, np int) {
 func s8QuadsAsm(c *int32, a *int8, b *uint8, m, kq, ldc, np int, corr *int32) {
 	panic("gemm: no asm panel kernel in portable builds")
 }
+func s8RescaleVNNI(c *int8, a *int8, b *uint8, m, steps, ldc, np int, corr, bias *int32, mult *float32, last int, lo float32) {
+	panic("gemm: no asm panel kernel in portable builds")
+}
 
 // rowSum returns the int32 sum of row, wrapping like Go's.
 func rowSum(row []int8) int32 {

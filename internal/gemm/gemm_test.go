@@ -379,6 +379,11 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	as := randS8(rng, m*k)
 	bs := randS8(rng, k*n)
 	cs := make([]int32, m*n)
+	qs := make([]int8, m*n)
+	bias, mult := randAcc(rng, m), make([]float32, m)
+	for i := range mult {
+		mult[i] = 0.01
+	}
 	offs := make([]int, k)
 	for p := range offs {
 		offs[p] = p * n
@@ -393,13 +398,17 @@ func TestKernelsZeroAlloc(t *testing.T) {
 			"PackBT":   func() { PackBT(&pb, bs, n, k) },
 			"PackRows": func() { pb.Resize(k, n/PanelCols); PackRows(&pb, 0, bs, offs, 1, n/PanelCols) },
 			"S8Panels": func() { S8Panels(cs, n, &pa, &pb) },
+			"S8Rescale": func() {
+				pb.Resize(k, n/PanelCols)
+				PackRows(&pb, 0, bs, offs, 1, n/PanelCols)
+				S8Rescale(qs, n, n, &pa, &pb, bias, mult, 0)
+			},
 		} {
 			if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
 				t.Errorf("%v %s allocates %v per run", kern, name, allocs)
 			}
 		}
 	})
-	qs := make([]int8, m*n)
 	if allocs := testing.AllocsPerRun(10, func() { RescaleRow(qs, cs, 5, 0.01, 0) }); allocs != 0 {
 		t.Errorf("RescaleRow allocates %v per run", allocs)
 	}
@@ -524,10 +533,13 @@ func BenchmarkGemmS8NTHead(b *testing.B) {
 	}
 }
 
-// BenchmarkS8Panels times the pre-packed panel product alone at
-// TimePPG-Big's nine convolution shapes (one window each) on every int8
-// kernel the host supports, so the pair and quad layouts compare side by
-// side: BenchmarkS8Panels/<kernel>/<m>x<k>x<panels>.
+// BenchmarkS8Panels times the int8 products at the shapes the int8 TCN
+// runs, on every int8 kernel the host supports, so the pair and quad
+// layouts compare side by side. At TimePPG-Big's nine convolution shapes
+// (one window each) it times the panel product alone,
+// BenchmarkS8Panels/<kernel>/<m>x<k>x<panels>, and the fused
+// convolution step S8Rescale, .../rescale/<m>x<k>x<panels>; at its head
+// batched over 28 and 32 windows the product, .../<m>x2048x6.
 func BenchmarkS8Panels(b *testing.B) {
 	forEachS8Kernel(func(kern s8Kernel) {
 		for _, s := range bigConvShapes {
@@ -540,6 +552,34 @@ func BenchmarkS8Panels(b *testing.B) {
 			c := make([]int32, s.m*n)
 			b.Run(fmt.Sprintf("%v/%dx%dx%d", kern, s.m, s.k, s.np), func(b *testing.B) {
 				b.SetBytes(int64(s.m) * int64(s.k) * int64(n))
+				for i := 0; i < b.N; i++ {
+					S8Panels(c, n, &pa, &pb)
+				}
+			})
+			q := make([]int8, s.m*n)
+			bias := randAcc(rng, s.m)
+			mult := make([]float32, s.m)
+			for i := range mult {
+				mult[i] = float32(1e-4 * (1 + rng.Float64()))
+			}
+			b.Run(fmt.Sprintf("%v/rescale/%dx%dx%d", kern, s.m, s.k, s.np), func(b *testing.B) {
+				b.SetBytes(int64(s.m) * int64(s.k) * int64(n))
+				for i := 0; i < b.N; i++ {
+					S8Rescale(q, n, n, &pa, &pb, bias, mult, 0)
+				}
+			})
+		}
+		for _, m := range []int{28, 32} {
+			const k, np = 2048, 6
+			rng := rand.New(rand.NewSource(13))
+			n := np * PanelCols
+			var pa PackedA
+			var pb Panels
+			PackA(&pa, randS8(rng, m*k), m, k)
+			PackBT(&pb, randS8(rng, n*k), n, k)
+			c := make([]int32, m*n)
+			b.Run(fmt.Sprintf("%v/%dx%dx%d", kern, m, k, np), func(b *testing.B) {
+				b.SetBytes(int64(m) * int64(k) * int64(n))
 				for i := 0; i < b.N; i++ {
 					S8Panels(c, n, &pa, &pb)
 				}

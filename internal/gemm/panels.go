@@ -1,6 +1,9 @@
 package gemm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the pre-packed int8 operands (see "Packed int8
 // operands" in doc.go): the two layouts S8Panels runs on, the packers
@@ -57,9 +60,9 @@ func (k s8Kernel) layout() layout {
 
 // checkLayout panics unless an operand packed in lay can run on the
 // selected kernel.
-func checkLayout(what string, lay layout) {
+func checkLayout(what, operand string, lay layout) {
 	if want := s8Level.layout(); lay != want {
-		panic(fmt.Sprintf("gemm: %s packed as %v, but the %v kernel multiplies %v", what, lay, s8Level, want))
+		panic(fmt.Sprintf("gemm: %s %s packed as %v, but the %v kernel multiplies %v", what, operand, lay, s8Level, want))
 	}
 }
 
@@ -165,7 +168,7 @@ func PackRows(dst *Panels, p0 int, src []int8, offs []int, stride, np int) {
 	if k == 0 || np <= 0 {
 		return
 	}
-	checkLayout("PackRows panels", dst.lay)
+	checkLayout("PackRows", "panels", dst.lay)
 	if k != dst.k || p0 < 0 || p0+np > dst.np {
 		panic(fmt.Sprintf("gemm: PackRows of %d rows into panels [%d, %d) of %d sized for k = %d", k, p0, p0+np, dst.np, dst.k))
 	}
@@ -238,27 +241,131 @@ func gather(r *[PanelCols]int8, src []int8, o, stride int) {
 // row. Both operands must be in the selected kernel's layout: one packed
 // before s8Level changed panics rather than being misread.
 func S8Panels(c []int32, ldc int, a *PackedA, b *Panels) {
-	m, k, np := a.m, a.k, b.np
-	if m == 0 || k == 0 || np == 0 {
+	m, np := a.m, b.np
+	if m == 0 || a.k == 0 || np == 0 {
 		return
 	}
-	checkLayout("S8Panels A", a.lay)
-	checkLayout("S8Panels B", b.lay)
-	if b.k != k {
-		panic(fmt.Sprintf("gemm: S8Panels A has k = %d, B k = %d", k, b.k))
-	}
+	checkOperands("S8Panels", a, b)
 	if ldc < np*PanelCols {
 		panic("gemm: S8Panels row stride shorter than its panels")
 	}
 	_ = c[(m-1)*ldc+np*PanelCols-1]
-	steps := a.lay.steps(k)
+	s8PanelsAt(c, ldc, a, 0, m, b, 0, np)
+}
+
+// checkOperands panics unless a and b are in the selected kernel's
+// layout and share their reduction length.
+func checkOperands(what string, a *PackedA, b *Panels) {
+	checkLayout(what, "A", a.lay)
+	checkLayout(what, "B", b.lay)
+	if b.k != a.k {
+		panic(fmt.Sprintf("gemm: %s A has k = %d, B k = %d", what, a.k, b.k))
+	}
+}
+
+// s8PanelsAt runs the selected kernel on rows [i0, i0+rows) of A and
+// panels [p0, p0+np) of B, adding row i0's panel p0 into c[0:16].
+func s8PanelsAt(c []int32, ldc int, a *PackedA, i0, rows int, b *Panels, p0, np int) {
+	steps := a.lay.steps(a.k)
 	switch {
 	case a.lay == quadLayout:
-		s8QuadsAsm(&c[0], &a.quads[0], &b.quads[0], m, steps, ldc, np, &a.corr[0])
+		s8QuadsAsm(&c[0], &a.quads[i0*4*steps], &b.quads[p0*steps*4*PanelCols], rows, steps, ldc, np, &a.corr[i0])
 	case haveAsmKernels:
-		s8PairsAsm(&c[0], &a.pairs[0], &b.pairs[0], m, steps, ldc, np)
+		s8PairsAsm(&c[0], &a.pairs[i0*2*steps], &b.pairs[p0*steps*2*PanelCols], rows, steps, ldc, np)
 	default:
-		s8PanelsGeneric(c, ldc, a.pairs, m, steps, b.pairs, np)
+		s8PanelsGeneric(c, ldc, a.pairs[i0*2*steps:], rows, steps, b.pairs[p0*steps*2*PanelCols:], np)
+	}
+}
+
+// S8Rescale computes A·B and writes it requantized to int8, the int8
+// convolution's whole step: with A packed by PackA and B by PackRows,
+//
+//	dst[(g·m + i)·ld + t] = Requantize(float32(Σₖ a[i][k]·b[k][16·g·nps + t] + bias[i])·mult[i], lo)
+//
+// for t < cols, where nps = ⌈cols/16⌉ and B holds whole groups of nps
+// panels, one group g per sample: each sample's product lands in its
+// own m rows of length cols, stride ld ≥ cols. The int32 sum wraps like
+// Go's; lo is 0 or −127. No byte of dst past a row's cols is written, so
+// the panel columns past cols are computed and dropped.
+//
+// It equals S8Panels on zeroed accumulators followed by RescaleRow on
+// each row. On the avx512vnni kernel the product stores instead of
+// accumulating: each row starts from its correction plus bias[i] (int32
+// addition is associative, so the bias may come first) and is rounded
+// and narrowed in registers; the other kernels run that composition.
+func S8Rescale(dst []int8, ld, cols int, a *PackedA, b *Panels, bias []int32, mult []float32, lo float64) {
+	m, np := a.m, b.np
+	if m == 0 || np == 0 {
+		return
+	}
+	checkOperands("S8Rescale", a, b)
+	nps := (cols + PanelCols - 1) / PanelCols
+	if cols <= 0 || np%nps != 0 || ld < cols {
+		panic(fmt.Sprintf("gemm: S8Rescale of %d panels into rows of %d columns, stride %d", np, cols, ld))
+	}
+	groups := np / nps
+	_ = dst[(groups*m-1)*ld+cols-1]
+	_, _ = bias[m-1], mult[m-1]
+	if s8Level != kernelVNNI || a.k == 0 || !doublable(mult[:m]) {
+		s8RescaleRef(dst, ld, cols, a, b, bias, mult, lo)
+		return
+	}
+	steps := a.lay.steps(a.k)
+	last := cols - (nps-1)*PanelCols
+	for g := range groups {
+		s8RescaleVNNI(&dst[g*m*ld], &a.quads[0], &b.quads[g*nps*steps*4*PanelCols], m, steps, ld, nps, &a.corr[0], &bias[0], &mult[0], last, float32(lo))
+	}
+}
+
+// doublable reports whether every multiplier doubles to a finite
+// float32 (|mult| ≤ 2¹²⁶, NaN excluded), so that the avx512vnni rescale
+// kernel's float32(acc+bias)·2mult is never NaN and is
+// 2·(float32(acc+bias)·mult) wherever that matters (doc.go).
+func doublable(mult []float32) bool {
+	for _, v := range mult {
+		if math.Float32bits(v)&0x7fffffff > 0x7e800000 {
+			return false
+		}
+	}
+	return true
+}
+
+// s8RescaleRef is S8Rescale as S8Panels + RescaleRow on zeroed
+// accumulators held on the stack: blocks of up to refRows rows, enough
+// for every kernel's row blocking, by as many of B's panels as the
+// accumulators fit, across samples like the cross-sample lowering packs
+// them; then each sample's part of a block is requantized into that
+// sample's rows.
+func s8RescaleRef(dst []int8, ld, cols int, a *PackedA, b *Panels, bias []int32, mult []float32, lo float64) {
+	const refCells, refRows = 2048, 16
+	var acc [refCells]int32
+	m := a.m
+	nps := (cols + PanelCols - 1) / PanelCols
+	rows := min(m, refRows)
+	run := min(b.np, refCells/(rows*PanelCols))
+	for p0 := 0; p0 < b.np; p0 += run {
+		np := min(run, b.np-p0)
+		ldc := np * PanelCols
+		for i0 := 0; i0 < m; i0 += rows {
+			r := min(rows, m-i0)
+			c := acc[:r*ldc]
+			clear(c)
+			if a.k > 0 {
+				s8PanelsAt(c, ldc, a, i0, r, b, p0, np)
+			}
+			// Panels [p, e) of the run belong to sample g, from its
+			// column t0.
+			for p, e := p0, 0; p < p0+np; p = e {
+				g := p / nps
+				e = min(p0+np, (g+1)*nps)
+				t0, ct := p%nps*PanelCols, (p-p0)*PanelCols
+				w := min((e-p)*PanelCols, cols-t0)
+				for i := range r {
+					o := (g*m+i0+i)*ld + t0
+					RescaleRow(dst[o:o+w], c[i*ldc+ct:][:w], bias[i0+i], mult[i0+i], lo)
+				}
+			}
+		}
 	}
 }
 

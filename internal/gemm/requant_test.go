@@ -280,3 +280,58 @@ func BenchmarkQuantizeRow(b *testing.B) {
 		QuantizeRow(dst, x, 0.031)
 	}
 }
+
+// TestS8RescaleRounding drives S8Rescale's requantize through every
+// int8 value of B offset by sweeps of biases (past the int32 wrap too),
+// at multipliers that land on the ±0.5 ties, just beside them, past ±127
+// and near zero, at both floors, and checks each byte against RescaleRow
+// on the same sums. A is the single tap 1, so each accumulator is
+// exactly one B value; m = 13 runs the 8-row, 4-row and single-row
+// blocks.
+func TestS8RescaleRounding(t *testing.T) {
+	const m, k, np = 13, 1, PanelCols
+	const cols = np * PanelCols
+	a := make([]int8, m*k)
+	for i := range a {
+		a[i] = 1
+	}
+	src := make([]int8, cols)
+	for j := range src {
+		src[j] = int8(j - 128)
+	}
+	acc := make([]int32, cols)
+	for j := range acc {
+		acc[j] = int32(src[j])
+	}
+	mults := []float32{
+		0.5, 0.25, 0.125, 1, 1.0 / 3, 0.1, 0.999999, 127.0 / 128, 1e-3, 3, -0.5, -0.1,
+		math.Nextafter32(0.5, 1), math.Nextafter32(0.5, 0), 1e-30, 0x1p126, -0x1p126,
+	}
+	bases := []int32{-1100, -300, -129, 0, 127, 300, 1100, math.MaxInt32 - 1000, math.MinInt32 + 500}
+	forEachS8Kernel(func(kern s8Kernel) {
+		var pa PackedA
+		var pb Panels
+		PackA(&pa, a, m, k)
+		pb.Resize(k, np)
+		PackRows(&pb, 0, src, []int{0}, 1, np)
+		got, want := make([]int8, m*cols), make([]int8, m*cols)
+		bias, mult := make([]int32, m), make([]float32, m)
+		for _, lo := range []float64{0, -127} {
+			for _, mu := range mults {
+				for _, base := range bases {
+					for i := range m {
+						bias[i], mult[i] = base+int32(i)*256, mu
+						RescaleRow(want[i*cols:(i+1)*cols], acc, bias[i], mu, lo)
+					}
+					S8Rescale(got, cols, cols, &pa, &pb, bias, mult, lo)
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%v lo=%v mult=%v bias %d: row %d col %d = %d, RescaleRow %d",
+								kern, lo, mu, bias[i/cols], i/cols, i%cols, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}

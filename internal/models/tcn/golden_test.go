@@ -68,3 +68,41 @@ func TestQuantForwardBatchGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantForwardBatchInvariant requires every window's int8 output to
+// be the same bits in a batch of any size as on its own, for both
+// topologies and N ∈ {1, …, 17, 29}: the batch sizes put TimePPG-Big's
+// head on every row block of the int8 product and its m mod 8 tails, and
+// TimePPG-Small's cross-sample convolutions on every panel count.
+func TestQuantForwardBatchInvariant(t *testing.T) {
+	calib, _ := goldenWindows()
+	const most = 29
+	samples := freqCodedSamples(rand.New(rand.NewSource(4129)), most)
+	for _, build := range []func() *Network{NewTimePPGSmall, NewTimePPGBig} {
+		net := build()
+		net.InitWeights(405)
+		q, err := Quantize(net, calib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := make([]float32, most)
+		one := NewBatchTensor(1, InputChannels, InputSamples)
+		for n, s := range samples {
+			copy(one.Data, s.X.Data)
+			q.ForwardBatch(one, alone[n:n+1])
+		}
+		for _, N := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, most} {
+			x := NewBatchTensor(N, InputChannels, InputSamples)
+			for n := range N {
+				copy(x.Sample(n), samples[n].X.Data)
+			}
+			out := make([]float32, N)
+			q.ForwardBatch(x, out)
+			for n, v := range out {
+				if math.Float32bits(v) != math.Float32bits(alone[n]) {
+					t.Errorf("%s N=%d window %d = %#08x, alone %#08x", net.Topology, N, n, math.Float32bits(v), math.Float32bits(alone[n]))
+				}
+			}
+		}
+	}
+}

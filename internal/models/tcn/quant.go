@@ -95,12 +95,27 @@ type qConv struct {
 	relu                                bool
 	inT                                 int
 
-	// packed is weight as the A operand of gemm.S8Panels, built once by
+	// mult is each output channel's rescale multiplier,
+	// inScale*wScale[o]/outScale in float32, set with outScale by
+	// setOutScale.
+	mult []float32
+
+	// packed is weight as the A operand of gemm.S8Rescale, built once by
 	// Quantize and shared by every worker clone.
 	packed *gemm.PackedA
 
 	// Batched-path output arena (see quantbatch.go).
 	outB *qBatchTensor
+}
+
+// setOutScale sets the output scale and recomputes the per-channel
+// multipliers from it.
+func (l *qConv) setOutScale(s float32) {
+	l.outScale = s
+	l.mult = make([]float32, l.outC)
+	for o := range l.mult {
+		l.mult[o] = l.inScale * l.wScale[o] / l.outScale
+	}
 }
 
 func (l *qConv) padLeft() int {
@@ -242,7 +257,7 @@ func quantizeFolded(n, folded *Network, maxAbs []float32) (*QuantNetwork, error)
 			switch prev := q.ops[len(q.ops)-1].(type) {
 			case *qConv:
 				prev.relu = true
-				prev.outScale = s
+				prev.setOutScale(s)
 			case *qDense:
 				prev.relu = true
 				prev.outScale = s
@@ -364,13 +379,13 @@ func quantizeConv(v *Conv1D, inScale, outScale float32, inT int) *qConv {
 	qc := &qConv{
 		inC: v.InC, outC: v.OutC, kernel: v.Kernel,
 		dilation: v.Dilation, stride: v.Stride,
-		weight:   make([]int8, len(v.Weight.W)),
-		inScale:  inScale,
-		outScale: outScale,
-		inT:      inT,
-		packed:   new(gemm.PackedA),
+		weight:  make([]int8, len(v.Weight.W)),
+		inScale: inScale,
+		inT:     inT,
+		packed:  new(gemm.PackedA),
 	}
 	qc.wScale = quantizeWeights(qc.weight, v.Weight.W, v.OutC, J)
+	qc.setOutScale(outScale)
 	qc.bias = quantizeBias(v.Bias.W, inScale, qc.wScale)
 	gemm.PackA(qc.packed, qc.weight, v.OutC, J)
 	return qc

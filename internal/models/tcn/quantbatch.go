@@ -10,8 +10,8 @@ import (
 // as the float batch kernels, but with int8 operands, int32 accumulators
 // and a per-output-channel rescale. It is the only int8 inference path;
 // a single window runs as a batch of one. Integer accumulation is exact
-// (so the bias can be added after the GEMM rather than seeded before it),
-// and the rescale applies the scalar reference's float expressions
+// (so where the bias joins the int32 sum does not matter), and the
+// rescale applies the scalar reference's float expressions
 // element-wise, so every window's result is bitwise identical to the
 // scalar reference kernels (quantref_test.go) run on it alone, whatever
 // its batch-mates — the property the record builder, the serving engine
@@ -66,26 +66,19 @@ type qScratch struct {
 	tapOffs []int        // im2col row offsets into pad (qConv)
 	im2col  gemm.Panels  // im2col panels (qConv)
 	in      gemm.PackedA // packed inputs (qDense)
-	acc     []int32      // int32 accumulators
-}
-
-// rescaleRow applies the per-output-channel rescale (gemm.Requantize
-// with the optional fused ReLU) to one row of zero-seeded accumulators,
-// adding the channel's bias on the way — the exact per-element
-// expressions of the scalar reference, since int32 addition is
-// associative.
-func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
-	gemm.RescaleRow(yr, ar, l.bias[o], l.inScale*l.wScale[o]/l.outScale, reluFloor(l.relu))
+	acc     []int32      // int32 accumulators (qDense)
 }
 
 // forwardBatch implements qOp for qConv. Each sample's im2col is written
-// straight into the B panels of gemm.S8Panels (panelIm2col), one
-// panel product against the pre-packed weights runs on zeroed int32
-// accumulators, and each output row takes the per-output-channel bias
-// and rescale. Large layers run sample by sample; small ones put the
-// whole batch's panels side by side in one product (the cross-sample
-// heuristic of the float path). Integer accumulation is exact, so the
-// result is the scalar reference's either way.
+// straight into the B panels of the product (panelIm2col), and one
+// gemm.S8Rescale against the pre-packed weights computes the product
+// and writes it requantized — per-output-channel bias, multiplier and
+// fused ReLU — into each sample's output rows. Large layers run sample
+// by sample; small ones put the whole batch's panels side by side in one
+// product (the cross-sample heuristic of the float path). Integer
+// accumulation is exact and the rescale is the scalar reference's
+// element expression, so the result is the scalar reference's either
+// way.
 func (l *qConv) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 	outT := (x.T-1)/l.stride + 1
 	y := ensureQBatchTensor(&l.outB, x.N, l.outC, outT, l.outScale)
@@ -96,22 +89,13 @@ func (l *qConv) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 		group = x.N
 	}
 	s.im2col.Resize(J, group*np)
-	ldc := group * np * gemm.PanelCols
-	acc := ensureSlice(&s.acc, l.outC*ldc)
 	rowLen := l.tapGeometry(s, x.T, np)
+	lo := reluFloor(l.relu)
 	for n0 := 0; n0 < x.N; n0 += group {
 		for g := 0; g < group; g++ {
 			l.panelIm2col(s, g*np, x.Sample(n0+g), x.T, np, rowLen)
 		}
-		clear(acc)
-		gemm.S8Panels(acc, ldc, l.packed, &s.im2col)
-		for g := 0; g < group; g++ {
-			ys := y.Sample(n0 + g)
-			for o := 0; o < l.outC; o++ {
-				ar := acc[o*ldc+g*np*gemm.PanelCols:]
-				l.rescaleRow(ys[o*outT:(o+1)*outT], ar[:outT], o)
-			}
-		}
+		gemm.S8Rescale(y.Data[n0*l.outC*outT:], outT, outT, l.packed, &s.im2col, l.bias, l.mult, lo)
 	}
 	return y
 }
@@ -126,7 +110,7 @@ func (l *qConv) forwardBatch(x *qBatchTensor, s *qScratch) *qBatchTensor {
 // padL] at output t: element k·dilation + t·stride of the padded row, so
 // each tap row is a strided run that reads zero wherever the tap falls
 // outside the input. Output columns past outT read zeros or real input,
-// and are never rescaled.
+// and are never stored.
 func (l *qConv) tapGeometry(s *qScratch, inT, np int) (rowLen int) {
 	padL := l.padLeft()
 	rowLen = padL + max(inT, (l.kernel-1)*l.dilation-padL+l.stride*np*gemm.PanelCols)

@@ -321,8 +321,9 @@ func (s *Session) encode(w *snapshot.Writer) {
 }
 
 // decodeSession reads one session's state from r and registers it in the
-// engine. Structural damage surfaces as ErrSnapshotCorrupt; state the
-// engine cannot host (unknown profile, belief mismatch) as
+// engine. Structural damage — including stats that name a different
+// active configuration than the carry — surfaces as ErrSnapshotCorrupt;
+// state the engine cannot host (unknown profile, belief mismatch) as
 // ErrSnapshotStale.
 func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	id := r.String()
@@ -379,6 +380,12 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	carry := sim.DecodeCarry(r)
 	if err := r.Err(); err != nil {
 		return nil, err
+	}
+	// The stats' copy of the active configuration is refreshed with each
+	// finished window and the carry's at each selection; between cycles,
+	// where checkpoints are taken, they agree.
+	if stats.ActiveConfig != carry.Active {
+		return nil, fmt.Errorf("%w: session %q: stats name configuration %q, carry %q", snapshot.ErrCorrupt, id, stats.ActiveConfig, carry.Active)
 	}
 
 	s, err := e.NewSession(id)

@@ -389,23 +389,25 @@ func TestAttachOrFreshDegradation(t *testing.T) {
 }
 
 // TestAttachRejectsForgedLedger: a CRC-intact session frame whose ledger
-// holds a tally no stream can produce is rejected as corrupt, on the same
-// decode path Restore takes.
+// holds a tally no stream can produce, or whose stats name another
+// active configuration than its carry, is rejected as corrupt, on the
+// same decode path Restore takes.
 func TestAttachRejectsForgedLedger(t *testing.T) {
 	_, _, ws := fixture(t)
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
-		mod  func(l *sim.Ledger)
+		mod  func(st *SessionStats)
 	}{
 		{"unmodified", nil},
-		{"NaN phone energy", func(l *sim.Ledger) { l.PhoneEnergy = power.Energy(nan) }},
-		{"negative radio energy", func(l *sim.Ledger) { l.RadioEnergy = -5 }},
-		{"infinite retransmit energy", func(l *sim.Ledger) { l.RetransmitEnergy = power.Energy(inf) }},
-		{"infinite error sum", func(l *sim.Ledger) { l.AbsErrSum = inf }},
-		{"negative fault error sum", func(l *sim.Ledger) { l.FaultAbsErrSum = -1 }},
-		{"NaN belief width sum", func(l *sim.Ledger) { l.BeliefWidthSum = nan }},
-		{"more covered than predicted", func(l *sim.Ledger) { l.BeliefCovered = l.Predictions + 1 }},
+		{"NaN phone energy", func(st *SessionStats) { st.PhoneEnergy = power.Energy(nan) }},
+		{"negative radio energy", func(st *SessionStats) { st.RadioEnergy = -5 }},
+		{"infinite retransmit energy", func(st *SessionStats) { st.RetransmitEnergy = power.Energy(inf) }},
+		{"infinite error sum", func(st *SessionStats) { st.AbsErrSum = inf }},
+		{"negative fault error sum", func(st *SessionStats) { st.FaultAbsErrSum = -1 }},
+		{"NaN belief width sum", func(st *SessionStats) { st.BeliefWidthSum = nan }},
+		{"more covered than predicted", func(st *SessionStats) { st.BeliefCovered = st.Predictions + 1 }},
+		{"bogus active config", func(st *SessionStats) { st.ActiveConfig = "bogus" }},
 	}
 	for _, tc := range cases {
 		cfg, vc := durableConfig(t)
@@ -420,7 +422,7 @@ func TestAttachRejectsForgedLedger(t *testing.T) {
 		driveCycles(src, vc, []*Session{s}, ws, 0, 4)
 		if tc.mod != nil {
 			s.smu.Lock()
-			tc.mod(&s.stats.Ledger)
+			tc.mod(&s.stats)
 			s.smu.Unlock()
 		}
 		frame, err := src.Detach("u00")
@@ -551,4 +553,69 @@ func FuzzSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCheckpointActiveConfigAgrees restores every checkpoint of a
+// worst-case chaos run — overload bursts, poisoned windows and
+// belief-gated reselections — and requires each session's stats to name
+// the same active configuration as its step carry: a frame never names
+// two.
+func TestCheckpointActiveConfigAgrees(t *testing.T) {
+	const nSessions, cycles = 8, 64
+	cfg, vc := durableConfig(t)
+	_, _, ws := fixture(t)
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ids := make([]string, nSessions)
+	sessions := make([]*Session, nSessions)
+	scheds := make([][][]chaosSub, nSessions)
+	for i := range sessions {
+		ids[i] = fmt.Sprintf("u%02d", i)
+		if sessions[i], err = e.NewSession(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+		scheds[i] = chaosSchedule(ids[i], len(ws), cycles)
+	}
+	for c := 0; c < cycles; c++ {
+		for i, s := range sessions {
+			for _, sub := range scheds[i][c] {
+				w := &ws[sub.wi]
+				if sub.poison {
+					p := ws[sub.wi]
+					p.Start = poisonStart
+					w = &p
+				}
+				s.Submit(w, vc.Now())
+			}
+		}
+		e.Tick()
+		vc.Advance(cfg.System.PeriodSeconds)
+
+		cfgR, _ := durableConfig(t)
+		r, err := Open(cfgR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Restore(e.Snapshot()); err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		for _, id := range ids {
+			s := r.sessions[id]
+			if got, want := s.stats.ActiveConfig, s.step.ActiveConfig(); got != want {
+				t.Fatalf("cycle %d session %s: stats name %q, carry %q", c, id, got, want)
+			}
+		}
+		r.Close()
+	}
+	var reselections uint64
+	for _, s := range sessions {
+		reselections += s.Stats().Reselections
+	}
+	if reselections == 0 {
+		t.Fatal("the run never reselected a configuration")
+	}
+	t.Logf("%d reselections over %d sessions", reselections, nSessions)
 }
