@@ -5,12 +5,7 @@
 // aggregates (distributions, per-cohort breakdowns, the fleet-wide
 // energy/accuracy Pareto front).
 //
-// Usage:
-//
-//	chrisfleet [-users 1000] [-days 1] [-mix spec] [-seed 1]
-//	           [-workers 0] [-checkpoint file] [-resume] [-snapdays 0]
-//	           [-belief] [-gate 0] [-json] [-v]
-//
+// chrisfleet -h lists the flags; internal/cli declares and checks them.
 // -mix is a comma list of scenario:constraint:weight cohorts, e.g.
 // "none:mae4:0.5,commute:mj1:0.5" (mae<bpm> or mj<millijoules>); empty
 // uses the built-in default mix. The summary is a pure function of
@@ -25,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,62 +27,26 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/cli"
 	"repro/internal/fleet"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("chrisfleet: ")
-
-	users := flag.Int("users", 1000, "fleet size")
-	days := flag.Float64("days", 1, "simulated horizon per user in days")
-	mixSpec := flag.String("mix", "", "cohort mix as scenario:constraint:weight,... (empty = default)")
-	seed := flag.Uint64("seed", 1, "fleet seed (replayable)")
-	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file for crash-safe progress (empty = none)")
-	resume := flag.Bool("resume", false, "resume an interrupted run from -checkpoint")
-	snapDays := flag.Float64("snapdays", 0, "mid-day sidecar snapshot cadence in simulated days (0 = off; requires -checkpoint)")
-	useBelief := flag.Bool("belief", false, "run the per-user temporal belief filter (posterior-mean smoothing)")
-	gateBPM := flag.Float64("gate", 0, "uncertainty-gate threshold in BPM (0 = gating off; implies -belief)")
-	jsonOut := flag.Bool("json", false, "emit the summary as JSON instead of text")
-	verbose := flag.Bool("v", false, "progress logging")
-	flag.Parse()
-
-	cfg := fleet.DefaultConfig()
-	cfg.Users = *users
-	cfg.Days = *days
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Checkpoint = *checkpoint
-	cfg.Resume = *resume
-	cfg.SnapshotDays = *snapDays
-	if *mixSpec != "" {
-		mix, err := fleet.ParseMix(*mixSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Mix = mix
-	}
-	if *useBelief || *gateBPM > 0 {
-		cfg.Belief = fleet.BeliefConfig{Enabled: true, Smooth: true, GateBPM: *gateBPM}
-	}
-	// Validate everything cheap before the forest trains: a typo'd mix or
-	// a resume without a checkpoint must fail in milliseconds.
-	if err := cfg.Validate(); err != nil {
+	o, err := cli.ParseFleet(flag.CommandLine, os.Args[1:])
+	if err != nil {
 		log.Fatal(err)
 	}
-	if *verbose {
-		every := *users / 20
-		if every < 1 {
-			every = 1
-		}
+	cfg := o.Config
+	if o.Verbose {
+		every := max(cfg.Users/20, 1)
 		cfg.OnUser = func(r *fleet.UserResult) {
-			if (r.ID+1)%every == 0 || r.ID+1 == *users {
-				log.Printf("user %d/%d done", r.ID+1, *users)
+			if (r.ID+1)%every == 0 || r.ID+1 == cfg.Users {
+				log.Printf("user %d/%d done", r.ID+1, cfg.Users)
 			}
 		}
 	}
-
 	sum, err := fleet.Run(cfg)
 	if errors.Is(err, fleet.ErrInterrupted) {
 		log.Fatal("interrupted; rerun with -resume to continue")
@@ -96,16 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	printSummary(sum)
+	o.Print(sum, func() { printSummary(sum) })
 }
 
 func printSummary(s *fleet.Summary) {

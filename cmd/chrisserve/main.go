@@ -4,13 +4,7 @@
 // per-session robustness — backpressure, shedding, deadline discard,
 // panic supervision — is exercised end to end.
 //
-// Usage:
-//
-//	chrisserve [-quick] [-sessions 32] [-seconds 10] [-rate 100]
-//	           [-faults commute|gym|worstcase|none] [-seed 1]
-//	           [-mae 6.0] [-virtual] [-cycles 64] [-belief] [-gate 0]
-//	           [-checkpoint file] [-resume] [-crashafter 0]
-//	           [-json] [-v]
+// chrisserve -h lists the flags; internal/cli declares and checks them.
 //
 // Two clocks, one engine:
 //
@@ -33,7 +27,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,139 +34,42 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/dalia"
-	"repro/internal/faults"
-	"repro/internal/hw/power"
 	"repro/internal/serve"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("chrisserve: ")
-
-	quick := flag.Bool("quick", true, "use the scaled-down pipeline (fast)")
-	nSessions := flag.Int("sessions", 32, "concurrent user sessions")
-	seconds := flag.Float64("seconds", 10, "wall-mode run duration")
-	rate := flag.Float64("rate", 100, "wall-mode speedup over the 2 s window period")
-	faultsName := flag.String("faults", "", "fault scenario: "+strings.Join(faults.Names(), "|")+" (empty = fault-free)")
-	seed := flag.Int64("seed", 1, "fault-injection seed (replayable, non-negative)")
-	maeBound := flag.Float64("mae", 0, "MAE constraint in BPM (0 = use energy bound)")
-	energyBound := flag.Float64("energy", 0.3, "energy constraint in mJ when -mae is 0")
-	virtual := flag.Bool("virtual", false, "deterministic lockstep mode (virtual clock)")
-	cycles := flag.Int("cycles", 64, "lockstep cycles in -virtual mode")
-	useBelief := flag.Bool("belief", false, "run the per-session temporal belief filter")
-	gateBPM := flag.Float64("gate", 0, "uncertainty-gate threshold in BPM (0 = gating off; implies -belief)")
-	checkpoint := flag.String("checkpoint", "", "engine snapshot file (virtual: every cycle, wall: every second)")
-	resume := flag.Bool("resume", false, "restore engine state from -checkpoint before running")
-	crashAfter := flag.Int("crashafter", 0, "virtual mode: SIGKILL self after checkpointing cycle N (CI crash gate)")
-	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of text")
-	verbose := flag.Bool("v", false, "progress logging")
-	flag.Parse()
-
-	// Validate cheap inputs — including every flag combination — before
-	// the expensive suite build: a bad -gate or an orphan -resume must
-	// fail in milliseconds, not after minutes of dataset generation.
-	var scenario *faults.Scenario
-	if *faultsName != "" {
-		sc, ok := faults.ByName(*faultsName)
-		if !ok {
-			log.Fatalf("unknown fault scenario %q (have %s)", *faultsName, strings.Join(faults.Names(), "|"))
-		}
-		scenario = &sc
-	}
-	if *seed < 0 {
-		log.Fatalf("-seed %d is negative; seeds are non-negative", *seed)
-	}
-	if *nSessions < 1 {
-		log.Fatalf("-sessions %d < 1", *nSessions)
-	}
-	if *rate <= 0 {
-		log.Fatalf("-rate %g must be positive", *rate)
-	}
-	if *seconds <= 0 {
-		log.Fatalf("-seconds %g must be positive", *seconds)
-	}
-	if *cycles < 1 {
-		log.Fatalf("-cycles %d < 1", *cycles)
-	}
-	if *gateBPM < 0 {
-		log.Fatalf("-gate %g is negative", *gateBPM)
-	}
-	if *resume && *checkpoint == "" {
-		log.Fatal("-resume requires -checkpoint")
-	}
-	switch {
-	case *crashAfter < 0:
-		log.Fatalf("-crashafter %d is negative", *crashAfter)
-	case *crashAfter > 0 && *checkpoint == "":
-		log.Fatal("-crashafter requires -checkpoint")
-	case *crashAfter > 0 && !*virtual:
-		log.Fatal("-crashafter requires -virtual (wall mode checkpoints on its own cadence)")
-	case *crashAfter >= *cycles && *crashAfter > 0:
-		log.Fatalf("-crashafter %d must be below -cycles %d", *crashAfter, *cycles)
-	}
-
-	cfg := bench.DefaultSuiteConfig()
-	if *quick {
-		cfg = bench.QuickSuiteConfig()
-	}
-	if *verbose {
-		cfg.Progress = func(format string, args ...interface{}) { log.Printf(format, args...) }
-	}
-	suite, err := bench.NewSuite(cfg)
+	o, err := cli.ParseServe(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine, err := core.NewEngine(suite.Profiles, suite.Classifier)
+	run, err := o.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	constraint := core.EnergyConstraint(power.MilliJoules(*energyBound))
-	if *maeBound > 0 {
-		constraint = core.MAEConstraint(*maeBound)
+	cfg := serve.Config{
+		Engine:     run.Engine,
+		System:     run.Suite.Sys,
+		Constraint: run.Constraint,
+		Faults:     o.Scenario(),
+		FaultSeed:  uint64(o.Seed),
+		Belief:     run.Belief,
 	}
-	sCfg := serve.Config{
-		Engine:     engine,
-		System:     suite.Sys,
-		Constraint: constraint,
-		Faults:     scenario,
-		FaultSeed:  uint64(*seed),
+	mode := runWall
+	if o.Virtual {
+		mode = runVirtual
 	}
-	if *useBelief || *gateBPM > 0 {
-		pol, err := suite.BeliefPolicy()
-		if err != nil {
-			log.Fatal(err)
-		}
-		pol.GateBPM = *gateBPM
-		sCfg.Belief = pol
-	}
-
-	var rep report
-	if *virtual {
-		rep, err = runVirtual(sCfg, suite.TestWindows, *nSessions, *cycles, *checkpoint, *resume, *crashAfter)
-	} else {
-		rep, err = runWall(sCfg, suite.TestWindows, *nSessions, *seconds, *rate, *checkpoint, *resume, *verbose)
-	}
+	rep, err := mode(cfg, run.Suite.TestWindows, o)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	rep.print()
+	o.Print(rep, rep.print)
 }
 
 // sessionReport is one session's slice of the run output. Results are
@@ -228,13 +124,13 @@ func (r report) print() {
 }
 
 // runVirtual is the lockstep replay: one window per session per cycle,
-// deterministic byte-for-byte under equal flags. With a checkpoint path
-// the engine snapshots after every quiesced cycle; with resume it
-// restores the snapshot first and continues from the checkpointed cycle,
-// byte-identical to a run that never stopped. crashAfter > 0 SIGKILLs
-// the process right after cycle crashAfter's checkpoint lands — the
-// hardest crash the host can deliver — for the CI recovery gate.
-func runVirtual(cfg serve.Config, ws []dalia.Window, nSessions, cycles int, checkpoint string, resume bool, crashAfter int) (report, error) {
+// deterministic byte-for-byte under equal flags. With -checkpoint the
+// engine snapshots after every quiesced cycle; with -resume it restores
+// the snapshot first and continues from the checkpointed cycle,
+// byte-identical to a run that never stopped. -crashafter N SIGKILLs the
+// process right after cycle N's checkpoint lands — the hardest crash the
+// host can deliver — for the CI recovery gate.
+func runVirtual(cfg serve.Config, ws []dalia.Window, o *cli.Serve) (report, error) {
 	vc := serve.NewVirtualClock()
 	cfg.Clock = vc
 	e, err := serve.Open(cfg)
@@ -242,39 +138,30 @@ func runVirtual(cfg serve.Config, ws []dalia.Window, nSessions, cycles int, chec
 		return report{}, err
 	}
 	start := 0
-	if resume {
-		if err := e.RestoreFile(checkpoint); err != nil {
+	if o.Resume {
+		if err := e.RestoreFile(o.Checkpoint); err != nil {
 			return report{}, fmt.Errorf("resume: %w", err)
 		}
 		// The restored clock sits at the checkpoint instant; the next
 		// cycle index is its quotient by the window period.
 		start = int(vc.Now()/cfg.System.PeriodSeconds + 0.5)
 	}
-	sessions := make([]*serve.Session, nSessions)
-	for i := range sessions {
-		id := fmt.Sprintf("u%04d", i)
-		if s := e.Session(id); s != nil {
-			sessions[i] = s
-			continue
-		}
-		s, err := e.NewSession(id)
-		if err != nil {
-			return report{}, err
-		}
-		sessions[i] = s
+	sessions, err := openSessions(e, o.Sessions)
+	if err != nil {
+		return report{}, err
 	}
-	for c := start; c < cycles; c++ {
+	for c := start; c < o.Cycles; c++ {
 		for i, s := range sessions {
-			w := &ws[(i*cycles+c)%len(ws)]
+			w := &ws[(i*o.Cycles+c)%len(ws)]
 			s.Submit(w, vc.Now())
 		}
 		e.Tick()
 		vc.Advance(cfg.System.PeriodSeconds)
-		if checkpoint != "" {
-			if err := e.Checkpoint(checkpoint); err != nil {
+		if o.Checkpoint != "" {
+			if err := e.Checkpoint(o.Checkpoint); err != nil {
 				return report{}, err
 			}
-			if crashAfter > 0 && c+1 == crashAfter {
+			if o.CrashAfter > 0 && c+1 == o.CrashAfter {
 				crashSelf()
 			}
 		}
@@ -282,43 +169,25 @@ func runVirtual(cfg serve.Config, ws []dalia.Window, nSessions, cycles int, chec
 	if err := e.Close(); err != nil {
 		return report{}, err
 	}
-	rep := report{Mode: "virtual", Sessions: nSessions, Seed: cfg.FaultSeed, Scenario: scenarioName(cfg)}
-	var lat []float64
-	for _, s := range sessions {
-		res := s.Drain()
-		st := s.Stats()
-		rep.Windows += st.Finished()
-		for _, r := range res {
-			if r.Outcome.Discarded() {
-				rep.Discarded++
-			}
-			lat = append(lat, r.Latency)
-		}
-		rep.PerSession = append(rep.PerSession, sessionReport{ID: s.ID(), Stats: st, Results: res})
-	}
-	rep.P50LatencyMS = percentile(lat, 0.50) * 1e3
-	rep.P99LatencyMS = percentile(lat, 0.99) * 1e3
-	return rep, nil
+	return newReport("virtual", cfg, sessions), nil
 }
 
 // runWall free-runs the engine against real time with per-session
-// submitter goroutines at the accelerated window period. A checkpoint
-// path turns on the engine's own auto-checkpoint cadence; resume
-// restores the previous snapshot first (a missing file is a first boot,
-// not an error).
-func runWall(cfg serve.Config, ws []dalia.Window, nSessions int, seconds, rate float64, checkpoint string, resume bool, verbose bool) (report, error) {
-	cfg.FlushSeconds = cfg.System.PeriodSeconds / rate / 4
-	cfg.CheckpointPath = checkpoint
+// submitter goroutines at the accelerated window period. -checkpoint
+// turns on the engine's own auto-checkpoint cadence; -resume restores
+// the previous snapshot first (a missing file is a first boot, not an
+// error).
+func runWall(cfg serve.Config, ws []dalia.Window, o *cli.Serve) (report, error) {
+	cfg.FlushSeconds = cfg.System.PeriodSeconds / o.Rate / 4
+	cfg.CheckpointPath = o.Checkpoint
 	// Read before Open so the pump's first auto-checkpoint of the empty
 	// engine cannot clobber the snapshot we are about to restore.
 	var resumeData []byte
-	if resume {
+	if o.Resume {
 		var err error
-		if resumeData, err = os.ReadFile(checkpoint); err != nil {
-			if !errors.Is(err, os.ErrNotExist) {
-				return report{}, fmt.Errorf("resume: %w", err)
-			}
-			resumeData = nil
+		resumeData, err = os.ReadFile(o.Checkpoint)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return report{}, fmt.Errorf("resume: %w", err)
 		}
 	}
 	e, err := serve.Open(cfg)
@@ -330,22 +199,13 @@ func runWall(cfg serve.Config, ws []dalia.Window, nSessions int, seconds, rate f
 			return report{}, fmt.Errorf("resume: %w", err)
 		}
 	}
-	sessions := make([]*serve.Session, nSessions)
-	for i := range sessions {
-		id := fmt.Sprintf("u%04d", i)
-		if s := e.Session(id); s != nil {
-			sessions[i] = s
-			continue
-		}
-		s, err := e.NewSession(id)
-		if err != nil {
-			return report{}, err
-		}
-		sessions[i] = s
+	sessions, err := openSessions(e, o.Sessions)
+	if err != nil {
+		return report{}, err
 	}
-	period := time.Duration(cfg.System.PeriodSeconds / rate * float64(time.Second))
+	period := time.Duration(cfg.System.PeriodSeconds / o.Rate * float64(time.Second))
 	stop := make(chan struct{})
-	time.AfterFunc(time.Duration(seconds*float64(time.Second)), func() { close(stop) })
+	time.AfterFunc(time.Duration(o.Seconds*float64(time.Second)), func() { close(stop) })
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i, s := range sessions {
@@ -361,7 +221,7 @@ func runWall(cfg serve.Config, ws []dalia.Window, nSessions int, seconds, rate f
 					return
 				case <-t.C:
 				}
-				s.SubmitNow(&ws[(i+k*nSessions)%len(ws)])
+				s.SubmitNow(&ws[(i+k*o.Sessions)%len(ws)])
 				k++
 			}
 		}(i, s)
@@ -371,7 +231,57 @@ func runWall(cfg serve.Config, ws []dalia.Window, nSessions int, seconds, rate f
 	if err := e.Close(); err != nil {
 		return report{}, err
 	}
-	rep := report{Mode: "wall", Sessions: nSessions, Seed: cfg.FaultSeed, Scenario: scenarioName(cfg)}
+	rep := newReport("wall", cfg, sessions)
+	if elapsed > 0 {
+		rep.WindowsPerSec = float64(rep.Windows) / elapsed
+		// sessions/core at real-time cadence: how many 2 s streams one
+		// core sustains, extrapolated from the accelerated run.
+		perCoreThroughput := rep.WindowsPerSec / float64(runtime.GOMAXPROCS(0))
+		rep.SessionsCore = perCoreThroughput * cfg.System.PeriodSeconds
+	}
+	if o.Verbose {
+		log.Printf("ran %.2f s at rate %.0f: %d windows", elapsed, o.Rate, rep.Windows)
+	}
+	return rep, nil
+}
+
+// openSessions returns sessions u0000… up to n, reusing those a restore
+// brought back.
+func openSessions(e *serve.Engine, n int) ([]*serve.Session, error) {
+	sessions := make([]*serve.Session, n)
+	for i := range sessions {
+		id := fmt.Sprintf("u%04d", i)
+		if sessions[i] = e.Session(id); sessions[i] == nil {
+			s, err := e.NewSession(id)
+			if err != nil {
+				return nil, err
+			}
+			sessions[i] = s
+		}
+	}
+	return sessions, nil
+}
+
+// crashSelf simulates the hardest crash the host can deliver: a kill
+// that cannot be caught (SIGKILL on Unix), so no deferred cleanup or
+// flush runs. The CI crash-recovery gate uses it to prove a -resume run
+// continues byte-identically from the last durable checkpoint.
+func crashSelf() {
+	if p, err := os.FindProcess(os.Getpid()); err == nil {
+		p.Kill()
+	}
+	// Unreachable once the kill lands; the code mirrors a SIGKILL death.
+	os.Exit(137)
+}
+
+// newReport drains every session into the run summary. Per-window
+// results are kept only in virtual mode, where they are the replay-gate
+// payload; wall-mode results are timing-dependent, not replayable.
+func newReport(mode string, cfg serve.Config, sessions []*serve.Session) report {
+	rep := report{Mode: mode, Sessions: len(sessions), Seed: cfg.FaultSeed, Scenario: "none"}
+	if cfg.Faults != nil {
+		rep.Scenario = cfg.Faults.Name
+	}
 	var lat []float64
 	for _, s := range sessions {
 		res := s.Drain()
@@ -383,38 +293,16 @@ func runWall(cfg serve.Config, ws []dalia.Window, nSessions int, seconds, rate f
 			}
 			lat = append(lat, r.Latency)
 		}
-		// Results are dropped in wall mode: timing-dependent, not replayable.
-		rep.PerSession = append(rep.PerSession, sessionReport{ID: s.ID(), Stats: st})
+		if mode != "virtual" {
+			res = nil
+		}
+		rep.PerSession = append(rep.PerSession, sessionReport{ID: s.ID(), Stats: st, Results: res})
 	}
-	rep.P50LatencyMS = percentile(lat, 0.50) * 1e3
-	rep.P99LatencyMS = percentile(lat, 0.99) * 1e3
-	if elapsed > 0 {
-		rep.WindowsPerSec = float64(rep.Windows) / elapsed
-		// sessions/core at real-time cadence: how many 2 s streams one
-		// core sustains, extrapolated from the accelerated run.
-		perCoreThroughput := rep.WindowsPerSec / float64(runtime.GOMAXPROCS(0))
-		rep.SessionsCore = perCoreThroughput * cfg.System.PeriodSeconds
+	// Nearest-rank percentiles.
+	sort.Float64s(lat)
+	if n := len(lat); n > 0 {
+		rep.P50LatencyMS = lat[int(0.50*float64(n-1))] * 1e3
+		rep.P99LatencyMS = lat[int(0.99*float64(n-1))] * 1e3
 	}
-	if verbose {
-		log.Printf("ran %.2f s at rate %.0f: %d windows", elapsed, rate, rep.Windows)
-	}
-	return rep, nil
-}
-
-func scenarioName(cfg serve.Config) string {
-	if cfg.Faults == nil {
-		return "none"
-	}
-	return cfg.Faults.Name
-}
-
-// percentile returns the q-quantile (0..1) of xs by nearest-rank.
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)-1))
-	return s[i]
+	return rep
 }

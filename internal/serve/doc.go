@@ -33,7 +33,7 @@
 // counts (full, shed, expired, late, panic), admission and results.
 //
 // Every session runs a fault injector (faults.None when Config.Faults is
-// nil), so its reselection waits out the hysteresis of Config.Protocol.
+// nil), so its reselection waits out the hysteresis of sim.DefaultProtocol().
 // A session is only created when the constraint selects a configuration
 // in both link states, so no reselection can fail mid-stream.
 //

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -42,9 +43,6 @@ type Config struct {
 	// runs until Tick(), and runs are deterministic.
 	Clock Clock
 
-	// Protocol tunes the offload state machine; zero value means
-	// sim.DefaultProtocol().
-	Protocol sim.Protocol
 	// Faults selects the fault scenario applied to every session (each
 	// session forks its own independent stream). nil means faults.None().
 	Faults *faults.Scenario
@@ -189,9 +187,6 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.DeadlineSeconds == 0 {
 		cfg.DeadlineSeconds = cfg.System.PeriodSeconds
 	}
-	if cfg.DeadlineSeconds < 0 {
-		return nil, fmt.Errorf("serve: DeadlineSeconds %g < 0", cfg.DeadlineSeconds)
-	}
 	if cfg.FlushSeconds == 0 {
 		cfg.FlushSeconds = 0.005
 	}
@@ -207,8 +202,22 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.CheckpointSeconds == 0 {
 		cfg.CheckpointSeconds = 1
 	}
-	if cfg.CheckpointSeconds < 0 {
-		return nil, fmt.Errorf("serve: CheckpointSeconds %g < 0", cfg.CheckpointSeconds)
+	for _, d := range []struct {
+		name string
+		sec  float64
+	}{
+		{"DeadlineSeconds", cfg.DeadlineSeconds},
+		{"FlushSeconds", cfg.FlushSeconds},
+		{"WatchdogSeconds", cfg.WatchdogSeconds},
+		{"CheckpointSeconds", cfg.CheckpointSeconds},
+	} {
+		if math.IsNaN(d.sec) || math.IsInf(d.sec, 0) || d.sec < 0 {
+			return nil, fmt.Errorf("serve: %s %g must be finite and non-negative", d.name, d.sec)
+		}
+	}
+	// The pump's ticker panics on a non-positive interval.
+	if time.Duration(cfg.FlushSeconds*float64(time.Second)) <= 0 {
+		return nil, fmt.Errorf("serve: FlushSeconds %g is below one nanosecond", cfg.FlushSeconds)
 	}
 	scenario := faults.None()
 	if cfg.Faults != nil {
@@ -287,7 +296,7 @@ func (e *Engine) NewSession(id string) (*Session, error) {
 	}
 	s := &Session{id: id, eng: e}
 	c := &e.cfg
-	if s.step, err = sim.NewStep(c.System, c.Engine, c.Constraint, c.Protocol, inj, c.Belief); err != nil {
+	if s.step, err = sim.NewStep(c.System, c.Engine, c.Constraint, inj, c.Belief); err != nil {
 		return nil, fmt.Errorf("serve: session %q: %w", id, err)
 	}
 	if err := s.step.Feasible(); err != nil {

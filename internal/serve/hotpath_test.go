@@ -60,7 +60,6 @@ func TestConfigHashCoversKnobs(t *testing.T) {
 	}{
 		{"fault scenario", func(c *Config) { sc := faults.None(); c.Faults = &sc }},
 		{"fault seed", func(c *Config) { c.FaultSeed++ }},
-		{"protocol", func(c *Config) { c.Protocol.MaxRetries = 5 }},
 		{"constraint", func(c *Config) { c.Constraint = core.MAEConstraint(7) }},
 		{"period", func(c *Config) {
 			sys := *c.System

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -155,6 +157,47 @@ func TestOpenValidatesConfig(t *testing.T) {
 	}
 	if _, err := Open(Config{Engine: eng, System: sys, DeadlineSeconds: -1}); err == nil {
 		t.Fatal("Open accepted a negative deadline")
+	}
+}
+
+// TestOpenRejectsBadDurations: a NaN, infinite or negative duration, or
+// a flush interval that rounds to zero, fails Open with an error instead
+// of reaching the wall-mode pump's ticker, which panics on it.
+func TestOpenRejectsBadDurations(t *testing.T) {
+	sys, eng, _ := fixture(t)
+	for _, f := range []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"DeadlineSeconds", func(c *Config, v float64) { c.DeadlineSeconds = v }},
+		{"FlushSeconds", func(c *Config, v float64) { c.FlushSeconds = v }},
+		{"WatchdogSeconds", func(c *Config, v float64) { c.WatchdogSeconds = v }},
+		{"CheckpointSeconds", func(c *Config, v float64) { c.CheckpointSeconds = v }},
+	} {
+		name, set := f.name, f.set
+		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}
+		if name == "FlushSeconds" {
+			bad = append(bad, 1e-12)
+		}
+		for _, v := range bad {
+			cfg := Config{Engine: eng, System: sys}
+			set(&cfg, v)
+			if e, err := Open(cfg); err == nil {
+				e.Close()
+				t.Errorf("Open accepted %s = %g", name, v)
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %g: error %q does not name the field", name, v, err)
+			}
+		}
+		cfg := Config{Engine: eng, System: sys}
+		set(&cfg, 0.01)
+		e, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("%s = 0.01: %v", name, err)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

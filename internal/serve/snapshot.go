@@ -42,7 +42,7 @@ func (e *Engine) ConfigHash() uint64 { return e.cfgHash }
 func (e *Engine) configHash() uint64 {
 	h := fnv.New64a()
 	c := &e.cfg
-	fmt.Fprintf(h, "scenario=%+v seed=%d proto=%+v constraint=%+v", e.scenario, c.FaultSeed, c.Protocol.Resolved(), c.Constraint)
+	fmt.Fprintf(h, "scenario=%+v seed=%d proto=%+v constraint=%+v", e.scenario, c.FaultSeed, sim.DefaultProtocol(), c.Constraint)
 	fmt.Fprintf(h, " period=%g deadline=%g mailbox=%d highwater=%d maxpending=%d",
 		c.System.PeriodSeconds, e.deadlineSec, e.mailboxDepth, e.highWater, c.MaxPending)
 	for _, p := range c.Engine.Profiles() {

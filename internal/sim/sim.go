@@ -41,9 +41,6 @@ type Config struct {
 	// reselection at every link edge (see Step). The faults.None scenario
 	// matches it bitwise only on a link that never drops.
 	Faults *faults.Injector
-	// Protocol tunes the offload state machine; the zero value means
-	// DefaultProtocol(). Only consulted when Faults is non-nil.
-	Protocol Protocol
 	// Belief, when non-nil, runs the temporal belief filter over the HR
 	// stream: each estimate is fused into a posterior over HR bins,
 	// optionally replacing the reported HR with the posterior mean
@@ -242,7 +239,7 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 		sys.Link.UseTrace(cfg.Trace)
 		defer sys.Link.UseTrace(prev)
 	}
-	step, err := NewStep(sys, cfg.Engine, cfg.Constraint, cfg.Protocol, cfg.Faults, cfg.Belief)
+	step, err := NewStep(sys, cfg.Engine, cfg.Constraint, cfg.Faults, cfg.Belief)
 	if err != nil {
 		return err
 	}

@@ -70,17 +70,17 @@ type Step struct {
 	failStreak, goodStreak, cooldown int
 }
 
-// NewStep wires the pipeline for one stream. A zero proto means
-// DefaultProtocol(); a nil inj selects the paper engine (see Step). A
-// non-nil pol gives the stream a filter over pol.Table (uniform prior)
-// that Complete updates and Window's uncertainty gate reads; the error
-// reports a table no filter runs on. Call Start or Restore first.
-// The Step keeps the model costs sys resolves now (hw.System documents
-// that its tables stay fixed from here on).
-func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol,
+// NewStep wires the pipeline for one stream under DefaultProtocol(). A
+// nil inj selects the paper engine (see Step). A non-nil pol gives the
+// stream a filter over pol.Table (uniform prior) that Complete updates
+// and Window's uncertainty gate reads; the error reports a table no
+// filter runs on. Call Start or Restore first. The Step keeps the model
+// costs sys resolves now (hw.System documents that its tables stay fixed
+// from here on).
+func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint,
 	inj *faults.Injector, pol *belief.Policy) (*Step, error) {
 
-	proto = proto.Resolved()
+	proto := DefaultProtocol()
 	s := &Step{
 		sys:      sys,
 		eng:      eng,
@@ -111,14 +111,6 @@ func NewStep(sys *hw.System, eng *core.Engine, c core.Constraint, proto Protocol
 		}
 	}
 	return s, nil
-}
-
-// Resolved returns p, or DefaultProtocol() when p is the zero value.
-func (p Protocol) Resolved() Protocol {
-	if p == (Protocol{}) {
-		return DefaultProtocol()
-	}
-	return p
 }
 
 // Feasible reports whether the constraint selects a configuration in

@@ -51,7 +51,7 @@ func TestStepRouteCostsMatchModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := NewStep(sys, engine, core.MAEConstraint(6), Protocol{}, inj, nil)
+	step, err := NewStep(sys, engine, core.MAEConstraint(6), inj, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStepRouteCostsMatchModels(t *testing.T) {
 	}
 
 	for _, p := range engine.Profiles() {
-		step, err := NewStep(sys, engine, core.MAEConstraint(6), Protocol{}, nil, nil)
+		step, err := NewStep(sys, engine, core.MAEConstraint(6), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestStepRouteCostsMatchModels(t *testing.T) {
 // refused carry leaves the Step exactly as it was.
 func TestStepRestoreTyped(t *testing.T) {
 	sys, engine, ws := fixture(t)
-	step, err := NewStep(sys, engine, core.MAEConstraint(6), Protocol{},
+	step, err := NewStep(sys, engine, core.MAEConstraint(6),
 		mustInjector(t, faults.WorstCase(), 9), beliefPolicy(t, ws))
 	if err != nil {
 		t.Fatal(err)
